@@ -2,9 +2,9 @@
 """Regenerate the CSV data behind all summary figures into one directory.
 
 Thin wrapper over the `rqss` CLI: runs `figure-data --figure all` on the
-standard 64-point grid, then the invariants sweep and both fidelity
-cross-check tables. Outputs are deterministic; rerunning produces
-byte-identical files.
+standard 63-point grid (u = 1/64 to 63/64), then the invariants sweep and
+both fidelity cross-check tables. Outputs are deterministic; rerunning
+produces byte-identical files.
 """
 
 import argparse

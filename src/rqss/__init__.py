@@ -31,7 +31,6 @@ from .modes import (
     bogoliubov_exact,
     fit_transition,
     get_transition,
-    kg_inner_product,
     minkowski_mode,
     mode_sums,
     phase_u,
@@ -47,11 +46,9 @@ from .channel import (
     compose_sequence,
     cp_residual,
     free_channel,
-    nbar_from_sums,
     segment_channel,
     t2_from_sums,
     thermal_lossy_forms,
-    thermal_lossy_via_dilation,
 )
 from .protocol import (
     DecoderCalibration,

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    beam_splitter,
-    apply_symplectic,
-    partial_trace,
-    rotation_block,
-    symplectic_form,
-    tensor,
-)
+from .gaussian import GaussianState, _frozen, rotation_block, symplectic_form
 from .modes import BogoliubovSet, ModeSums
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
@@ -42,12 +34,6 @@ def complex_pair_block(alpha: complex, beta: complex) -> np.ndarray:
     )
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class PerturbativeChannel:
     """Gaussian channel kept to second order in the acceleration h."""
@@ -58,7 +44,7 @@ class PerturbativeChannel:
 
     def __post_init__(self):
         for name in ("m0", "m2", "n2"):
-            arr = _lock(getattr(self, name))
+            arr = _frozen(getattr(self, name))
             if arr.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {arr.shape}")
             object.__setattr__(self, name, arr)
@@ -89,12 +75,9 @@ def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     row = k - 1
     m0 = complex_pair_block(bogo.alpha0[row], 0.0)
     m2 = complex_pair_block(bogo.alpha2[row, row], bogo.beta2[row, row])
-    n2 = np.zeros((2, 2))
-    for l in range(bogo.n_max):
-        if l == row:
-            continue
-        blk = complex_pair_block(bogo.alpha1[row, l], bogo.beta1[row, l])
-        n2 += blk @ blk.T
+    others = np.arange(bogo.n_max) != row
+    blk = np.moveaxis(complex_pair_block(bogo.alpha1[row, others], bogo.beta1[row, others]), -1, 0)
+    n2 = np.sum(blk @ blk.transpose(0, 2, 1), axis=0)
     return PerturbativeChannel(m0, m2, n2)
 
 
@@ -188,22 +171,6 @@ def t2_from_sums(sums: ModeSums) -> float:
     return 2.0 * (sums.f_alpha - sums.f_beta)
 
 
-def nbar_from_sums(sums: ModeSums) -> float:
-    """Closed-form nbar; the radicand is nonnegative by Cauchy-Schwarz."""
-    s = sums.f_alpha + sums.f_beta
-    d = sums.f_alpha - sums.f_beta
-    radicand = s * s - abs(sums.g_cross) ** 2
-    return float(np.sqrt(max(radicand, 0.0)) / (2.0 * d) - 0.5)
-
-
-def noise_block_from_sums(sums: ModeSums) -> np.ndarray:
-    """n2 reconstructed from (f_alpha, f_beta, g); equals the matrix route."""
-    g = sums.g_cross
-    iso = 2.0 * (sums.f_alpha + sums.f_beta) * np.eye(2)
-    skew = 2.0 * np.array([[-g.real, g.imag], [g.imag, g.real]])
-    return iso + skew
-
-
 def thermal_lossy_forms(transmissivity: float, nbar: float):
     """Canonical (M_c, N_c) of a thermal attenuation channel."""
     if not 0.0 <= transmissivity <= 1.0:
@@ -212,29 +179,6 @@ def thermal_lossy_forms(transmissivity: float, nbar: float):
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
     m = np.sqrt(transmissivity) * np.eye(2)
     n = (1.0 - transmissivity) * (2.0 * nbar + 1.0) * np.eye(2)
-    return m, n
-
-
-def thermal_lossy_via_dilation(transmissivity: float, nbar: float):
-    """Same channel realized physically: beam splitter onto a thermal mode.
-
-    The (M, N) pair is read back off the reduced output moments, so this
-    route exercises the state machinery rather than the closed form.
-    """
-    env = GaussianState(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
-    bs = beam_splitter(transmissivity, (0, 1), 2)
-
-    def reduced(inp: GaussianState) -> GaussianState:
-        joint = apply_symplectic(bs, tensor(inp, env))
-        return partial_trace(joint, [0])
-
-    m = np.zeros((2, 2))
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        m[:, i] = reduced(GaussianState(e, np.eye(2))).d
-    out = reduced(GaussianState(np.zeros(2), np.eye(2)))
-    n = out.sigma - m @ m.T
     return m, n
 
 

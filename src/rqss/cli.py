@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .modes import CorruptCacheError, get_transition, segment_bogoliubov
+from .modes import CorruptCacheError, segment_bogoliubov
 from .channel import channel_invariants, cp_residual, segment_channel
 from .protocol import (
     CalibrationError,
@@ -37,10 +37,6 @@ from .protocol import (
     fidelity_report,
     figure_data,
 )
-
-
-class ToleranceBreach(RuntimeError):
-    """A checked scientific tolerance was violated."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,14 +54,24 @@ def _fmt(value) -> str:
     return str(float(value))
 
 
-def _write_csv(path: Path, header, rows):
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def _output_dir(out) -> Path:
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_json(path: Path, doc: dict):
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
 def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs):
@@ -81,9 +87,28 @@ def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs
             "python": sys.version.split()[0],
         },
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", newline="\n")
-    return path
+    _write_json(out_dir / "manifest.json", doc)
+
+
+def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str = ""):
+    """Write a CSV and its manifest under --out, or print the CSV to stdout."""
+    if not args.out:
+        print(_csv_text(header, rows), end="")
+        return
+    out_dir = _output_dir(args.out)
+    path = out_dir / name
+    path.write_text(_csv_text(header, rows), newline="\n")
+    _write_manifest(out_dir, args.command, argv, parameters, [path])
+    print(f"wrote {path} ({len(rows)} rows){note}")
+
+
+def _emit_json(args, argv, name: str, doc: dict, parameters: dict):
+    """Write a JSON report and its manifest under --out, if given."""
+    if args.out:
+        out_dir = _output_dir(args.out)
+        path = out_dir / name
+        _write_json(path, doc)
+        _write_manifest(out_dir, args.command, argv, parameters, [path])
 
 
 def _parse_grid(text: str):
@@ -99,21 +124,18 @@ def _parse_grid(text: str):
 
 
 def _parse_secret(text: str):
+    """Split `kind:p1,p2` into (kind, params); ProtocolConfig checks both."""
     kind, _, rest = text.partition(":")
-    params = tuple(float(x) for x in rest.split(",")) if rest else ()
-    if kind == "coherent":
-        if len(params) != 2:
-            raise ValueError("coherent secret needs q,p as in coherent:1.0,0.0")
-        return kind, params
-    if kind == "squeezed":
-        if len(params) != 1:
-            raise ValueError("squeezed secret needs r as in squeezed:0.25")
-        return kind, params
-    raise ValueError(f"unknown secret kind {kind!r}")
+    return kind, (tuple(float(x) for x in rest.split(",")) if rest else ())
 
 
 def _load_config(args) -> ProtocolConfig:
-    config = ProtocolConfig.from_file(args.config) if args.config else ProtocolConfig()
+    # File and flags are merged before construction, so validation sees the
+    # final values (a file's k = 25 stands with --nmax 40).
+    data = {}
+    if args.config:
+        with open(args.config) as fh:
+            data = json.load(fh)
     overrides = {}
     for attr, field_name in (
         ("nmax", "n_max"),
@@ -133,18 +155,7 @@ def _load_config(args) -> ProtocolConfig:
         kind, params = _parse_secret(args.secret)
         overrides["secret"] = kind
         overrides["secret_params"] = params
-    return replace(config, **overrides)
-
-
-def _fit_for(config: ProtocolConfig):
-    return get_transition(
-        config.length,
-        config.n_max,
-        config.ladder,
-        config.validation_h,
-        cache_dir=config.cache_dir,
-        use_cache=config.use_cache,
-    )
+    return ProtocolConfig.from_dict({**data, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +163,7 @@ def _fit_for(config: ProtocolConfig):
 
 
 def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
-    fit = _fit_for(config)
+    fit = config.transition()
     bogo = segment_bogoliubov(fit, args.u if args.u is not None else 0.3)
     j_top = min(5, config.n_max)
 
@@ -184,17 +195,12 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     print(f"fit validation rel err      : {fit.validation['max_rel_err']:.3e}")
     print("PASS" if ok else "FAIL")
 
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "bogo_check.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", newline="\n")
-        _write_manifest(out_dir, "bogo-check", argv, {"n_max": config.n_max, "h": args.h}, [path])
+    _emit_json(args, argv, "bogo_check.json", report, {"n_max": config.n_max, "h": args.h})
     return 0 if ok else 2
 
 
 def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
-    fit = _fit_for(config)
+    fit = config.transition()
     grid = _parse_grid(args.grid)
     header = ["u", "k", "T2", "nbar", "r"]
     rows = []
@@ -209,23 +215,8 @@ def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
     valid_nbar = [row[3] for row in rows if not np.isnan(row[3])]
     breach = (valid_nbar and min(valid_nbar) < -1e-10) or worst_cp < -1e-10
 
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "invariants.csv"
-        _write_csv(path, header, rows)
-        _write_manifest(
-            out_dir,
-            "invariants",
-            argv,
-            {"grid": args.grid, "n_max": config.n_max, "h": config.h},
-            [path],
-        )
-        print(f"wrote {path} ({len(rows)} rows), min CP residual {worst_cp:.3e}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    parameters = {"grid": args.grid, "n_max": config.n_max, "h": config.h}
+    _emit_table(args, argv, "invariants.csv", header, rows, parameters, f", min CP residual {worst_cp:.3e}")
     if breach:
         print("FAIL: negative occupation or CP violation detected", file=sys.stderr)
         return 2
@@ -233,7 +224,7 @@ def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
 
 
 def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
-    fit = _fit_for(config)
+    fit = config.transition()
     grid = _parse_grid(args.grid) if args.grid else [config.u]
     header = ["u", "f0", "f2", "f2_extrapolated", "f_sim", "rel_gap"]
     rows = []
@@ -250,31 +241,16 @@ def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
             gap = float("nan")
         rows.append([u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
 
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"fidelity_{args.scenario}.csv"
-        _write_csv(path, header, rows)
-        _write_manifest(
-            out_dir,
-            "fidelity",
-            argv,
-            {
-                "scenario": args.scenario,
-                "s": config.s,
-                "k": config.k,
-                "h": config.h,
-                "secret": config.secret,
-                "secret_params": list(config.secret_params),
-                "tol": args.tol,
-            },
-            [path],
-        )
-        print(f"wrote {path} ({len(rows)} rows)")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    parameters = {
+        "scenario": args.scenario,
+        "s": config.s,
+        "k": config.k,
+        "h": config.h,
+        "secret": config.secret,
+        "secret_params": list(config.secret_params),
+        "tol": args.tol,
+    }
+    _emit_table(args, argv, f"fidelity_{args.scenario}.csv", header, rows, parameters)
     if breach:
         print(f"FAIL: extrapolated f2 disagrees with closed form beyond rel {args.tol}", file=sys.stderr)
         return 2
@@ -286,30 +262,23 @@ def _cmd_calibrate(args, config: ProtocolConfig, argv) -> int:
     print(f"gain    : {cal.gain:.12f}")
     print(f"squeeze : {cal.squeeze:.12f}")
     print(f"max |F - 1/(1+e^-s)| : {cal.max_deviation:.3e}")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "calibration.json"
-        path.write_text(json.dumps(cal.to_json_dict(), sort_keys=True, indent=2) + "\n", newline="\n")
-        _write_manifest(out_dir, "calibrate", argv, {}, [path])
+    _emit_json(args, argv, "calibration.json", cal.to_json_dict(), {})
     return 0
 
 
 def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
-    fit = _fit_for(config)
+    fit = config.transition()
     grid = _parse_grid(args.grid)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out or Path.cwd())
     paths = []
     for name in names:
-        header, rows = figure_data(name, fit, grid, config)
         path = out_dir / f"figure_{name}.csv"
-        _write_csv(path, header, rows)
+        path.write_text(_csv_text(*figure_data(name, fit, grid, config)), newline="\n")
         paths.append(path)
     _write_manifest(
         out_dir,
-        "figure-data",
+        args.command,
         argv,
         {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max},
         paths,
@@ -386,10 +355,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.handler(args, config, raw_argv)
-    except CorruptCacheError as exc:
-        print(f"scientific breach: {exc}", file=sys.stderr)
-        return 2
-    except (CalibrationError, ToleranceBreach) as exc:
+    except (CorruptCacheError, CalibrationError) as exc:
         print(f"scientific breach: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -12,12 +12,11 @@ where ``h = a L`` is the dimensionless acceleration of the cavity centre
 in ``ln(x / x_left)`` with frequency ``Omega_n = n pi / D`` per unit wedge
 time, ``D = 2 atanh(h/2)``.
 
-The instantaneous basis change between the two mode sets is evaluated two
-independent ways: adaptive quadrature of the Klein-Gordon inner product for a
-single mode pair, and a vectorized fixed-panel Gauss-Legendre rule for whole
-matrices.  On top of the exact matrices a small-``h`` power series is
-extracted by evaluating at a ladder of accelerations and solving the scaled
-Vandermonde system exactly, making the extraction reproducible bit for bit.
+The instantaneous basis change between the two mode sets is evaluated by a
+vectorized fixed-panel Gauss-Legendre rule for whole matrices.  On top of
+the exact matrices a small-``h`` power series is extracted by evaluating at a
+ladder of accelerations and solving the scaled Vandermonde system exactly,
+making the extraction reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
+
+from .gaussian import _frozen
 
 DEFAULT_L = 1.0
 DEFAULT_NMAX = 20
@@ -122,39 +122,6 @@ def rindler_mode(geometry: CavityGeometry, n: int, eta, chi):
     chi = np.asarray(chi, dtype=float)
     arg = n * np.pi * np.log(chi / geometry.x_left) / geometry.rindler_span
     return np.sin(arg) / np.sqrt(n * np.pi) * np.exp(-1j * om * eta)
-
-
-def minkowski_slice(geometry: CavityGeometry, n: int):
-    """(value, d/dt) of the inertial mode on the matching slice t = 0."""
-    om = minkowski_frequency(geometry, n)
-    f = lambda x: minkowski_mode(geometry, n, 0.0, x)
-    return f, lambda x: -1j * om * f(x)
-
-
-def rindler_slice(geometry: CavityGeometry, n: int):
-    """(value, d/dt) of the wedge mode on the slice t = eta = 0.
-
-    On that slice inertial time flows as dt = x d(eta), so the inertial time
-    derivative of a wedge mode is -i Omega_n / x times its value.
-    """
-    om = rindler_frequency(geometry, n)
-    f = lambda x: rindler_mode(geometry, n, 0.0, x)
-    return f, lambda x: -1j * om * f(x) / np.asarray(x, dtype=float)
-
-
-def kg_inner_product(f, df_dt, g, dg_dt, x_lo: float, x_hi: float, tol: float = 1e-10) -> complex:
-    """Klein-Gordon inner product -i Int (f dg*/dt - g* df/dt) dx on a slice.
-
-    `f`, `g` and their slice time derivatives are callables of x; adaptive
-    quadrature to absolute tolerance `tol`.
-    """
-
-    def integrand(x):
-        return -1j * (f(x) * np.conj(dg_dt(x)) - np.conj(g(x)) * df_dt(x))
-
-    re, _ = quad(lambda x: integrand(x).real, x_lo, x_hi, epsabs=tol, epsrel=1e-12, limit=400)
-    im, _ = quad(lambda x: integrand(x).imag, x_lo, x_hi, epsabs=tol, epsrel=1e-12, limit=400)
-    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +257,6 @@ class TransitionFit:
         }
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 def fit_transition(
     length: float = DEFAULT_L,
     n_max: int = DEFAULT_NMAX,
@@ -337,8 +298,8 @@ def fit_transition(
         n_max=n_max,
         ladder=ladder,
         validation_h=validation_h,
-        a=_freeze(a),
-        b=_freeze(b),
+        a=_frozen(a),
+        b=_frozen(b),
         validation={},
         quadrature_error=float(quad_err),
     )
@@ -392,10 +353,13 @@ def _payload_digest(fit_dict: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _cache_name(key: dict) -> str:
+    stem = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
+    return f"transition_{stem}.json"
+
+
 def cache_path(cache_dir: Path, length: float, n_max: int, ladder: tuple, validation_h: float) -> Path:
-    key = json.dumps(_cache_key(length, n_max, ladder, validation_h), sort_keys=True)
-    stem = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"transition_{stem}.json"
+    return Path(cache_dir) / _cache_name(_cache_key(length, n_max, ladder, validation_h))
 
 
 def resolve_cache_dir(cache_dir=None) -> Path | None:
@@ -414,17 +378,33 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
     doc = fit.to_json_dict()
     doc["key"] = _cache_key(fit.length, fit.n_max, fit.ladder, fit.validation_h)
     doc["payload_sha256"] = _payload_digest(doc)
-    path.write_text(json.dumps(doc, sort_keys=True))
+    # Write aside and rename, so a concurrent reader sees the old file or the
+    # whole new one, never a partial write.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
 def load_transition(path) -> TransitionFit:
+    """Read a cached fit; the file's name is the key of the request.
+
+    The stored key must describe the stored fit and hash to the file name,
+    so a file saved under another key is rejected, not silently used.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
         a = np.array(doc["a"], dtype=float)
         b = np.array(doc["b"], dtype=float)
         n_max = int(doc["n_max"])
+        key = doc["key"]
+        stored_for = _cache_key(doc["length"], n_max, doc["ladder"], doc["validation_h"])
+        if key != stored_for or path.name != _cache_name(key):
+            raise ValueError("stored key does not match the requested key")
         if a.shape != (4, n_max, n_max) or b.shape != (4, n_max, n_max):
             raise ValueError(f"coefficient shapes {a.shape}/{b.shape} do not match n_max {n_max}")
         if doc["payload_sha256"] != _payload_digest(doc):
@@ -436,8 +416,8 @@ def load_transition(path) -> TransitionFit:
         n_max=n_max,
         ladder=tuple(doc["ladder"]),
         validation_h=float(doc["validation_h"]),
-        a=_freeze(a),
-        b=_freeze(b),
+        a=_frozen(a),
+        b=_frozen(b),
         validation=dict(doc["validation"]),
         quadrature_error=float(doc["quadrature_error"]),
     )
@@ -483,10 +463,6 @@ def duration_from_u(u: float, h: float, length: float = DEFAULT_L) -> float:
     if h == 0.0:
         return 2.0 * length * u
     return u * 4.0 * length * np.arctanh(0.5 * h) / h
-
-
-def segment_phase(j: int, u: float) -> float:
-    return 2.0 * np.pi * j * u
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gaussian import (
     GaussianState,
@@ -71,6 +70,10 @@ CALIBRATION_ENSEMBLE = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (-3.0, 3.0))
 CALIBRATION_S_CHECKS = (0.0, 0.5, 1.0, 2.0)
 
 
+# Parameter names of each secret kind, in the order of `secret_params`.
+_SECRET_PARAMS = {"coherent": ("q", "p"), "squeezed": ("r",)}
+
+
 class CalibrationError(RuntimeError):
     """Decoder calibration missed its analytic target."""
 
@@ -93,6 +96,21 @@ class ProtocolConfig:
     decoder_squeeze: float = DEFAULT_DECODER_SQUEEZE
     cache_dir: str | None = None
     use_cache: bool = True
+
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if not 1 <= self.k <= self.n_max:
+            raise ValueError(f"monitored mode k = {self.k} outside 1..{self.n_max}")
+        if not 0.0 <= self.h < 2.0:
+            raise ValueError(f"h must lie in [0, 2), got {self.h}")
+        if self.s < 0.0:
+            raise ValueError(f"dealer squeezing s must be nonnegative, got {self.s}")
+        if self.secret not in _SECRET_PARAMS:
+            raise ValueError(f"unknown secret kind {self.secret!r}; choices: {sorted(_SECRET_PARAMS)}")
+        if len(self.secret_params) != len(_SECRET_PARAMS[self.secret]):
+            names = ",".join(_SECRET_PARAMS[self.secret])
+            raise ValueError(f"{self.secret} secret needs parameters {names}, got {tuple(self.secret_params)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
@@ -123,12 +141,8 @@ class ProtocolConfig:
 
     def make_secret(self) -> GaussianState:
         if self.secret == "coherent":
-            q0, p0 = self.secret_params
-            return coherent(q0, p0)
-        if self.secret == "squeezed":
-            (r,) = self.secret_params
-            return squeezed_vacuum(r)
-        raise ValueError(f"unknown secret kind {self.secret!r}")
+            return coherent(*self.secret_params)
+        return squeezed_vacuum(*self.secret_params)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +369,9 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     if fit is None:
         fit = config.transition()
     secret = config.make_secret()
-    sums_u = mode_sums(segment_bogoliubov(fit, config.u), config.k, fit)
-    sums_2u = mode_sums(segment_bogoliubov(fit, 2.0 * config.u), config.k, fit)
+
+    def sums(u: float) -> ModeSums:
+        return mode_sums(segment_bogoliubov(fit, u), config.k)
 
     sims = [simulate_fidelity(scenario, config, fit, h=h) for h in DEFAULT_F2_LADDER]
     f2_extrap, _, curvature = extrapolate_f2(sims)
@@ -377,13 +392,15 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
         f0_source = "round trip is the identity at h = 0"
         f2 = _direct_f2_scenario12(fit, config, secret)
         f2_source = "trace of the round-trip second-order moments"
-        f2_closed = fidelity_closed_forms("12", sums_u, sums_2u)["f2"] if coherent_secret else float("nan")
+        f2_closed = float("nan")
+        if coherent_secret:
+            f2_closed = fidelity_closed_forms("12", sums(config.u), sums(2.0 * config.u))["f2"]
     elif scenario in ("23", "13"):
         ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
         f0 = fidelity_pure_mixed(secret, ideal)
         f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
         if coherent_secret:
-            closed = fidelity_closed_forms(scenario, sums_u, s=config.s)
+            closed = fidelity_closed_forms(scenario, sums(config.u), s=config.s)
             f2 = closed["f2"]
             f2_closed = closed["f2"]
             f2_source = "closed form from first-order mode sums"
@@ -456,6 +473,10 @@ def calibrate_decoder(
     nearby decoders on large-amplitude probes.
     """
 
+    # Imported here, not at module level, so that importing the package does
+    # not pay for scipy.optimize; only calibration needs it.
+    from scipy.optimize import brentq
+
     def p_response(r):
         return _pipeline_h0(coherent(0.0, 1.0), s_cal, 0.0, r).d[1] - 1.0
 
@@ -512,37 +533,24 @@ def calibrate_decoder(
 FIGURES = ("T2", "nbar", "F2_23", "F2_12_squeezed")
 
 
+# Per-mode value of each u-grid figure: (column prefix, value(bogo, k, u, config)).
+_MODE_FIGURES = {
+    "T2": ("T2", lambda bogo, k, u, config: t2_from_sums(mode_sums(bogo, k))),
+    "nbar": ("nbar", lambda bogo, k, u, config: channel_invariants(segment_channel(bogo, k), k=k, u=u).nbar),
+    "F2_23": ("F2", lambda bogo, k, u, config: fidelity_closed_forms("23", mode_sums(bogo, k), s=config.s)["f2"]),
+}
+
+
 def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
     """(header, rows) for one summary figure over a u-grid."""
     grid = [float(u) for u in grid]
-    if name == "T2":
-        header = ["u", "T2_k1", "T2_k2", "T2_k3"]
+    if name in _MODE_FIGURES:
+        prefix, value = _MODE_FIGURES[name]
+        header = ["u"] + [f"{prefix}_k{k}" for k in (1, 2, 3)]
         rows = []
         for u in grid:
             bogo = segment_bogoliubov(fit, u)
-            rows.append([u] + [t2_from_sums(mode_sums(bogo, k)) for k in (1, 2, 3)])
-        return header, rows
-    if name == "nbar":
-        header = ["u", "nbar_k1", "nbar_k2", "nbar_k3"]
-        rows = []
-        for u in grid:
-            bogo = segment_bogoliubov(fit, u)
-            row = [u]
-            for k in (1, 2, 3):
-                inv = channel_invariants(segment_channel(bogo, k), k=k, u=u)
-                row.append(inv.nbar)
-            rows.append(row)
-        return header, rows
-    if name == "F2_23":
-        header = ["u", "F2_k1", "F2_k2", "F2_k3"]
-        rows = []
-        for u in grid:
-            bogo = segment_bogoliubov(fit, u)
-            row = [u]
-            for k in (1, 2, 3):
-                sums = mode_sums(bogo, k)
-                row.append(fidelity_closed_forms("23", sums, s=config.s)["f2"])
-            rows.append(row)
+            rows.append([u] + [value(bogo, k, u, config) for k in (1, 2, 3)])
         return header, rows
     if name == "F2_12_squeezed":
         header = ["u", "F2_r0.0625", "F2_r0.125", "F2_r0.25"]

@@ -1,8 +1,21 @@
 """Shared fixtures. The fitted coefficients are computed once per session."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import rqss
 from rqss.modes import get_transition
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter that imports this copy of rqss."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(rqss.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

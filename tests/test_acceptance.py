@@ -14,7 +14,6 @@ from rqss.channel import (
     cp_residual,
     segment_channel,
     thermal_lossy_forms,
-    thermal_lossy_via_dilation,
 )
 from rqss.gaussian import beam_splitter, check_symplectic, phase_rotation, squeeze
 from rqss.modes import CavityGeometry, bogoliubov_exact, mode_sums, segment_bogoliubov
@@ -25,6 +24,8 @@ from rqss.protocol import (
     figure_data,
     simulate_fidelity,
 )
+
+from oracles import thermal_lossy_via_dilation
 
 U_REF = 0.3
 GRID_64 = [i / 64.0 for i in range(1, 64)]

@@ -14,16 +14,15 @@ from rqss.channel import (
     compose_sequence,
     cp_residual,
     free_channel,
-    nbar_from_sums,
-    noise_block_from_sums,
     second_order_moments,
     segment_channel,
     t2_from_sums,
     thermal_lossy_forms,
-    thermal_lossy_via_dilation,
 )
 from rqss.gaussian import coherent, rotation_block, squeeze, tensor, vacuum
 from rqss.modes import mode_sums, segment_bogoliubov
+
+from oracles import nbar_from_sums, noise_block_from_sums, noise_block_loop, thermal_lossy_via_dilation
 
 
 def test_complex_pair_block_rotation():
@@ -108,6 +107,15 @@ def test_invariants_dual_route(fit20):
     assert np.allclose(ch.n2, noise_block_from_sums(sums), atol=1e-13)
     assert inv.rank == 2
     assert not inv.degenerate
+
+
+@pytest.mark.parametrize("u", [0.05, 0.3, 0.5, 0.77, 1.3])
+def test_noise_block_matches_loop(fit20, u):
+    # The batched sum adds the same 2x2 products in the same order as the
+    # loop, so the two agree bit for bit.
+    bogo = segment_bogoliubov(fit20, u)
+    for k in (1, 2, 3, 20):
+        assert np.array_equal(segment_channel(bogo, k).n2, noise_block_loop(bogo, k))
 
 
 def test_noise_trace_identity(fit20):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +116,20 @@ def test_fidelity_secret_override(cache_dir, fit20, capsys):
     )
     assert rc == 0
     assert main(["fidelity", "--scenario", "23", "--secret", "cat:1", *_args(cache_dir)]) == 1
+
+
+def test_mode_beyond_cutoff_exits_one(capsys):
+    rc = main(["fidelity", "--scenario", "23", "--k", "25", "--nmax", "20"])
+    assert rc == 1
+    assert "outside 1..20" in capsys.readouterr().err
+
+
+def test_cli_import_skips_integrate_and_optimize(child_env):
+    # Only decoder calibration needs scipy.optimize, and no CLI path needs
+    # scipy.integrate; both are slow to import.
+    code = "import sys, rqss.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_calibrate_writes_constants(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Cavity mode structure, transition matrices, the small-h fit, segments."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,17 +18,18 @@ from rqss.modes import (
     duration_from_u,
     fit_transition,
     get_transition,
-    kg_inner_product,
+    load_transition,
     minkowski_frequency,
-    minkowski_slice,
     mode_sums,
     phase_u,
     resolve_cache_dir,
     rindler_frequency,
     rindler_frequency_proper,
-    rindler_slice,
+    save_transition,
     segment_bogoliubov,
 )
+
+from oracles import kg_inner_product, minkowski_slice, rindler_slice
 
 
 def test_geometry_walls():
@@ -213,6 +216,66 @@ def test_cache_detects_truncation(tmp_path):
     path.write_text(path.read_text()[:100])
     with pytest.raises(CorruptCacheError):
         get_transition(n_max=4, cache_dir=tmp_path)
+
+
+def test_cache_rejects_mismatched_key(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, 4, fit.ladder, fit.validation_h)
+    # A whole, checksummed n_max = 4 file where the n_max = 5 fit belongs.
+    other = cache_path(tmp_path, fit.length, 5, fit.ladder, fit.validation_h)
+    other.write_bytes(path.read_bytes())
+    with pytest.raises(CorruptCacheError, match="key"):
+        get_transition(n_max=5, cache_dir=tmp_path)
+    # A stored key that does not describe the stored fit.
+    doc = json.loads(path.read_text())
+    doc["key"]["validation_h"] = 2.0e-3
+    path.write_text(json.dumps(doc, sort_keys=True))
+    with pytest.raises(CorruptCacheError, match="key"):
+        load_transition(path)
+
+
+def test_cache_save_leaves_no_temporary_file(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = save_transition(fit, tmp_path)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+_CACHE_RACE = """
+import sys, time
+from rqss.modes import fit_transition, load_transition, save_transition
+role, cache, path = sys.argv[1:]
+fit = fit_transition(n_max=20)
+deadline = time.monotonic() + 1.0
+while time.monotonic() < deadline:
+    if role == "save":
+        save_transition(fit, cache)
+    else:
+        assert load_transition(path).n_max == 20
+"""
+
+
+def test_cache_concurrent_saves_and_load(tmp_path, child_env):
+    # Two writers replace the file for the same key while a reader loads it;
+    # every load must see a whole file.
+    fit = get_transition(n_max=20, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CACHE_RACE, role, str(tmp_path), str(path)],
+            env=child_env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for role in ("save", "save", "load")
+    ]
+    try:
+        errors = [proc.communicate(timeout=60)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0, 0], errors
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert np.array_equal(load_transition(path).a, fit.a)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -221,6 +221,33 @@ def test_config_from_dict_rejects_unknown():
     assert cfg.s == 2.0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"k": 0},
+        {"k": 21},
+        {"k": 5, "n_max": 4},
+        {"n_max": 0},
+        {"h": -1.0e-3},
+        {"h": 2.0},
+        {"s": -0.5},
+        {"secret": "cat", "secret_params": [1.0]},
+        {"secret": "coherent", "secret_params": [1.0]},
+        {"secret": "squeezed"},
+        {"secret": "squeezed", "secret_params": [0.1, 0.2]},
+    ],
+)
+def test_config_rejects_invalid(bad):
+    with pytest.raises(ValueError):
+        ProtocolConfig.from_dict(bad)
+
+
+def test_config_accepts_boundaries():
+    data = {"k": 4, "n_max": 4, "h": 0.0, "s": 0.0, "secret": "squeezed", "secret_params": [0.2]}
+    cfg = ProtocolConfig.from_dict(data)
+    assert (cfg.k, cfg.n_max, cfg.h, cfg.s, cfg.secret_params) == (4, 4, 0.0, 0.0, (0.2,))
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"u": 0.45, "k": 2}))
