@@ -186,90 +186,151 @@ def round_trip_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChan
     return compose_sequence([seg, leg, seg_mid, leg, seg])
 
 
-def distribute(encoded: GaussianState, fit: TransitionFit, config: ProtocolConfig) -> GaussianState:
-    """Send shares 0 and 1 through one-way journeys; share 2 stays home."""
+def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
+    """Send shares 0 and 1 through one-way journeys (M, N); share 2 stays home."""
     if encoded.n_modes != 3:
         raise ValueError("distribute expects the three-share state")
-    m, n = transit_channel(fit, config.k, config.u).evaluate(config.h)
-    out = apply_channel(m, n, encoded, mode=0)
-    return apply_channel(m, n, out, mode=1)
+    out = apply_channel(M, N, encoded, mode=0)
+    return apply_channel(M, N, out, mode=1)
 
 
 # ---------------------------------------------------------------------------
 # collaborations
 
 
-def _decode_pair(
-    state: GaussianState,
-    pair: tuple[int, int],
-    gain: float,
-    r_out: float,
-    flip: bool,
-) -> GaussianState:
+@dataclass(frozen=True)
+class PairDecoder:
+    """Two-share decoder at one working point, with its symplectic maps built.
+
+    Recombines shares `pair` on a 2:1 beam splitter, homodynes the second
+    share's port, feeds its q outcome forward to the first with `gain`, then
+    rescales the kept port and, if `half_turn` is set, rotates it by pi.
+    """
+
+    pair: tuple[int, int]
+    gain: float
+    target: int
+    recombine: SymplecticMap
+    rescale: SymplecticMap
+    half_turn: SymplecticMap | None
+
+    @classmethod
+    def build(cls, pair: tuple[int, int], gain: float, r_out: float, flip: bool) -> "PairDecoder":
+        rest = [m for m in range(3) if m != pair[1]]
+        target = rest.index(pair[0])
+        return cls(
+            pair=pair,
+            gain=gain,
+            target=target,
+            recombine=beam_splitter(2.0 / 3.0, pair, 3),
+            rescale=squeeze(r_out, target, 2),
+            half_turn=phase_rotation(math.pi, target, 2) if flip else None,
+        )
+
+
+# Shares each collaboration with the home share decodes, and whether its
+# decoder ends with a half-turn.
+_HOME_PAIRS = {"23": ((1, 2), False), "13": ((0, 2), True)}
+
+
+def decoder_maps(scenario: str, config: ProtocolConfig) -> SymplecticMap | PairDecoder:
+    """The decoder of a scenario, independent of h: build once, use at every h.
+
+    Scenario 12 undoes the dealer's balanced splitter (an orthogonal map, so
+    its transpose); scenarios 23 and 13 use the calibrated pair decoder.
+    """
+    if scenario == "12":
+        return SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T)
+    if scenario in _HOME_PAIRS:
+        pair, flip = _HOME_PAIRS[scenario]
+        return PairDecoder.build(pair, config.decoder_gain, config.decoder_squeeze, flip)
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def _decode_pair(state: GaussianState, decoder: PairDecoder) -> GaussianState:
     """Recombine two shares, homodyne one port, feed forward, rescale."""
-    state = apply_symplectic(beam_splitter(2.0 / 3.0, pair, 3), state)
-    state = homodyne_feedforward(state, measured_mode=pair[1], target_mode=pair[0], quadrature="q", gain=gain)
-    rest = [m for m in range(3) if m != pair[1]]
-    target = rest.index(pair[0])
-    state = apply_symplectic(squeeze(r_out, target, 2), state)
-    if flip:
-        state = apply_symplectic(phase_rotation(math.pi, target, 2), state)
-    return partial_trace(state, [target])
+    pair = decoder.pair
+    state = apply_symplectic(decoder.recombine, state)
+    state = homodyne_feedforward(state, measured_mode=pair[1], target_mode=pair[0], quadrature="q", gain=decoder.gain)
+    state = apply_symplectic(decoder.rescale, state)
+    if decoder.half_turn is not None:
+        state = apply_symplectic(decoder.half_turn, state)
+    return partial_trace(state, [decoder.target])
 
 
-def collaborate_12(encoded: GaussianState, fit: TransitionFit, config: ProtocolConfig) -> GaussianState:
+def collaborate_12(encoded: GaussianState, M: np.ndarray, N: np.ndarray, recombine: SymplecticMap) -> GaussianState:
     """Players 1 and 2 reunite their shares at the dealer's lab.
 
-    Takes the *encoded* state: the out-and-back journey of shares 0 and 1 is
-    a single composite channel (distribution and return legs merge), and a
-    balanced recombination then frees the secret port exactly.
+    Takes the *encoded* state and the round trip (M, N): the out-and-back
+    journey of shares 0 and 1 is a single composite channel (distribution and
+    return legs merge), and `recombine`, the inverse balanced splitter of
+    `decoder_maps("12", ...)`, then frees the secret port exactly.
     """
     if encoded.n_modes != 3:
         raise ValueError("collaborate_12 expects the three-share state")
-    m, n = round_trip_channel(fit, config.k, config.u).evaluate(config.h)
-    out = apply_channel(m, n, encoded, mode=0)
-    out = apply_channel(m, n, out, mode=1)
-    out = apply_symplectic(SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T), out)
+    out = apply_channel(M, N, encoded, mode=0)
+    out = apply_channel(M, N, out, mode=1)
+    out = apply_symplectic(recombine, out)
     return partial_trace(out, [0])
 
 
-def collaborate_23(distributed: GaussianState, fit: TransitionFit, config: ProtocolConfig) -> GaussianState:
-    """Players 2 and 3 meet: share 2 travels out to player 2's location."""
+def _meet_home_share(
+    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder, scenario: str
+) -> GaussianState:
+    """Share 2 travels out (M, N), then `decoder` recombines it with its partner."""
     if distributed.n_modes != 3:
-        raise ValueError("collaborate_23 expects the three-share state")
-    m, n = transit_channel(fit, config.k, config.u).evaluate(config.h)
-    state = apply_channel(m, n, distributed, mode=2)
-    return _decode_pair(state, (1, 2), config.decoder_gain, config.decoder_squeeze, flip=False)
+        raise ValueError(f"collaborate_{scenario} expects the three-share state")
+    if decoder.pair != _HOME_PAIRS[scenario][0]:
+        raise ValueError(f"collaborate_{scenario} needs the decoder of shares {_HOME_PAIRS[scenario][0]}")
+    state = apply_channel(M, N, distributed, mode=2)
+    return _decode_pair(state, decoder)
 
 
-def collaborate_13(distributed: GaussianState, fit: TransitionFit, config: ProtocolConfig) -> GaussianState:
+def collaborate_23(distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder) -> GaussianState:
+    """Players 2 and 3 meet: share 2 travels out (M, N) to player 2's location."""
+    return _meet_home_share(distributed, M, N, decoder, "23")
+
+
+def collaborate_13(distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder) -> GaussianState:
     """Players 1 and 3 meet; mirror image of players 2 and 3.
 
     Share 0 carries the secret with the opposite sign to share 1, so the same
     decoder needs a final half-turn.
     """
-    if distributed.n_modes != 3:
-        raise ValueError("collaborate_13 expects the three-share state")
-    m, n = transit_channel(fit, config.k, config.u).evaluate(config.h)
-    state = apply_channel(m, n, distributed, mode=2)
-    return _decode_pair(state, (0, 2), config.decoder_gain, config.decoder_squeeze, flip=True)
+    return _meet_home_share(distributed, M, N, decoder, "13")
+
+
+def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
+    """Build a scenario's h-independent parts once: (secret, journey, h -> F).
+
+    The secret, its encoding, the journey channel and the decoder maps do not
+    depend on the acceleration, so only evaluating the journey at h and
+    running the stages on it repeats per h.
+    """
+    decoder = decoder_maps(scenario, config)  # rejects an unknown scenario
+    build = round_trip_channel if scenario == "12" else transit_channel
+    journey = build(fit, config.k, config.u)
+    secret = config.make_secret()
+    encoded = encode(secret, config.s)
+
+    def fidelity(h: float) -> float:
+        M, N = journey.evaluate(h)
+        if scenario == "12":
+            decoded = collaborate_12(encoded, M, N, decoder)
+        else:
+            collab = collaborate_23 if scenario == "23" else collaborate_13
+            decoded = collab(distribute(encoded, M, N), M, N, decoder)
+        return fidelity_pure_mixed(secret, decoded)
+
+    return secret, journey, fidelity
 
 
 def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit, h: float | None = None) -> float:
     """Full-pipeline fidelity between the secret and the decoded mode."""
     if h is not None:
         config = replace(config, h=h)
-    secret = config.make_secret()
-    encoded = encode(secret, config.s)
-    if scenario == "12":
-        decoded = collaborate_12(encoded, fit, config)
-    elif scenario in ("23", "13"):
-        shared = distribute(encoded, fit, config)
-        collab = collaborate_23 if scenario == "23" else collaborate_13
-        decoded = collab(shared, fit, config)
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return fidelity_pure_mixed(secret, decoded)
+    _, _, fidelity = _fidelity_curve(scenario, config, fit)
+    return fidelity(config.h)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +384,13 @@ def extrapolate_f2(fidelities, hs=DEFAULT_F2_LADDER):
     return float(-c[1] / x.max()), float(c[0]), float(c[2] / x.max() ** 2)
 
 
-def _direct_f2_scenario12(fit: TransitionFit, config: ProtocolConfig, secret: GaussianState) -> float:
+def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> float:
     """Second-order fidelity loss from the round-trip channel's moments.
 
     Valid for any pure secret: the balanced recombination commutes with the
     identical per-share channels, so the decoded port sees the round-trip
-    channel applied straight to the secret.
+    channel `chan` applied straight to the secret.
     """
-    chan = round_trip_channel(fit, config.k, config.u)
     _, _, _, sigma2 = second_order_moments(chan, secret)
     return 0.25 * float(np.trace(np.linalg.solve(secret.sigma, sigma2)))
 
@@ -368,12 +428,12 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     """Assemble closed-form, perturbative and simulated fidelities."""
     if fit is None:
         fit = config.transition()
-    secret = config.make_secret()
+    secret, journey, fidelity = _fidelity_curve(scenario, config, fit)
 
     def sums(u: float) -> ModeSums:
         return mode_sums(segment_bogoliubov(fit, u), config.k)
 
-    sims = [simulate_fidelity(scenario, config, fit, h=h) for h in DEFAULT_F2_LADDER]
+    sims = [fidelity(h) for h in DEFAULT_F2_LADDER]
     f2_extrap, _, curvature = extrapolate_f2(sims)
     # The three-point fit isolates the h^2 coefficient only while the h^4
     # term is subdominant on the ladder.  Strong squeezing inflates the
@@ -384,18 +444,18 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     if abs(curvature) * h_top**4 > 0.25 * abs(f2_extrap) * h_top**2 + 1e-12:
         f2_extrap = float("nan")
         extrap_source = "unavailable: quartic term dominates the ladder, outside the perturbative window"
-    f_sim = simulate_fidelity(scenario, config, fit, h=config.h)
+    f_sim = fidelity(config.h)
 
     coherent_secret = config.secret == "coherent"
     if scenario == "12":
         f0 = 1.0
         f0_source = "round trip is the identity at h = 0"
-        f2 = _direct_f2_scenario12(fit, config, secret)
+        f2 = _direct_f2_scenario12(journey, secret)
         f2_source = "trace of the round-trip second-order moments"
         f2_closed = float("nan")
         if coherent_secret:
             f2_closed = fidelity_closed_forms("12", sums(config.u), sums(2.0 * config.u))["f2"]
-    elif scenario in ("23", "13"):
+    else:
         ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
         f0 = fidelity_pure_mixed(secret, ideal)
         f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
@@ -408,8 +468,6 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
             f2 = f2_extrap
             f2_closed = float("nan")
             f2_source = extrap_source
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
 
     return FidelityReport(
         scenario=scenario,
@@ -450,7 +508,7 @@ def _pipeline_h0(secret: GaussianState, s: float, gain: float, r_out: float) -> 
     state = encode(secret, s)
     for mode in (1, 2):
         state = apply_symplectic(phase_rotation(math.pi, mode, 3), state)
-    return _decode_pair(state, (1, 2), gain, r_out, flip=False)
+    return _decode_pair(state, PairDecoder.build((1, 2), gain, r_out, flip=False))
 
 
 def calibrate_decoder(
@@ -556,10 +614,7 @@ def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
         header = ["u", "F2_r0.0625", "F2_r0.125", "F2_r0.25"]
         rows = []
         for u in grid:
-            row = [u]
-            for r in (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0):
-                cfg = replace(config, u=u, secret="squeezed", secret_params=(r,))
-                row.append(_direct_f2_scenario12(fit, cfg, squeezed_vacuum(r)))
-            rows.append(row)
+            chan = round_trip_channel(fit, config.k, u)
+            rows.append([u] + [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in (0.0625, 0.125, 0.25)])
         return header, rows
     raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")

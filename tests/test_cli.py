@@ -100,7 +100,7 @@ def test_fidelity_csv_and_tolerance(cache_dir, fit20, tmp_path, capsys):
     assert float(row[5]) < 1e-3
     capsys.readouterr()
     assert main([*base, "--tol", "1e-12"]) == 2
-    assert "breach" in capsys.readouterr().err or True
+    assert "FAIL: extrapolated f2 disagrees with closed form beyond rel 1e-12" in capsys.readouterr().err
 
 
 def test_fidelity_stdout_mode(cache_dir, fit20, capsys):

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss.gaussian import coherent, fidelity_pure_mixed, partial_trace, squeezed_vacuum, vacuum
+from rqss import protocol
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
     CALIBRATION_ENSEMBLE,
     DEFAULT_DECODER_GAIN,
     DEFAULT_DECODER_SQUEEZE,
+    DEFAULT_F2_LADDER,
     FIGURES,
     ProtocolConfig,
     _pipeline_h0,
@@ -22,6 +23,7 @@ from rqss.protocol import (
     collaborate_12,
     collaborate_13,
     collaborate_23,
+    decoder_maps,
     distribute,
     encode,
     extrapolate_f2,
@@ -79,7 +81,8 @@ def test_scenario_12_exact_at_zero_acceleration(fit20):
 def test_collaborate_12_returns_secret_exactly(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0)
     secret = squeezed_vacuum(0.3).displaced([1.0, -1.0])
-    decoded = collaborate_12(encode(secret, cfg.s), fit20, replace(cfg, h=0.0))
+    m, n = round_trip_channel(fit20, cfg.k, cfg.u).evaluate(0.0)
+    decoded = collaborate_12(encode(secret, cfg.s), m, n, decoder_maps("12", cfg))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
     assert np.allclose(decoded.sigma, secret.sigma, atol=1e-12)
 
@@ -268,7 +271,7 @@ def test_make_secret():
 def test_distribute_moves_two_shares(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0, h=1e-2)
     encoded = encode(coherent(1.0, 0.0), cfg.s)
-    out = distribute(encoded, fit20, cfg)
+    out = distribute(encoded, *transit_channel(fit20, cfg.k, cfg.u).evaluate(cfg.h))
     # Shares 0 and 1 take the one-way journey (a half-turn at leading order
     # plus O(h^2) corrections); share 2 stays home untouched.
     assert np.allclose(out.d[:2], -encoded.d[:2], atol=1e-3)
@@ -287,3 +290,52 @@ def test_figure_data_headers(fit20):
         assert all(len(row) == len(header) for row in rows)
     with pytest.raises(ValueError):
         figure_data("bogus", fit20, grid, cfg)
+
+
+def test_home_collaborations_reject_the_other_pair_decoder(fit20):
+    cfg = _cfg(u=0.3, k=1, s=1.0)
+    m, n = transit_channel(fit20, cfg.k, cfg.u).evaluate(cfg.h)
+    shared = distribute(encode(coherent(1.0, 0.0), cfg.s), m, n)
+    with pytest.raises(ValueError):
+        collaborate_23(shared, m, n, decoder_maps("13", cfg))
+    with pytest.raises(ValueError):
+        collaborate_13(shared, m, n, decoder_maps("23", cfg))
+
+
+def _count_journey_builds(monkeypatch):
+    counts = {"transit_channel": 0, "round_trip_channel": 0}
+    for name in counts:
+        build = getattr(protocol, name)
+
+        def counting(*args, _name=name, _build=build):
+            counts[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(protocol, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_report_builds_its_journey_channel_once(fit20, monkeypatch, scenario):
+    counts = _count_journey_builds(monkeypatch)
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    journey = "round_trip_channel" if scenario == "12" else "transit_channel"
+    assert counts[journey] == 1
+    assert sum(counts.values()) == 1
+
+
+def test_squeezed_figure_builds_one_round_trip_per_u(fit20, monkeypatch):
+    counts = _count_journey_builds(monkeypatch)
+    figure_data("F2_12_squeezed", fit20, [0.2, 0.3, 0.4], _cfg())
+    assert counts == {"transit_channel": 0, "round_trip_channel": 3}
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+@pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
+def test_report_equals_per_h_simulation_bit_for_bit(fit20, scenario, secret, params):
+    cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params, h=7e-3)
+    rep = fidelity_report(scenario, cfg, fit20)
+    assert rep.f_sim == simulate_fidelity(scenario, cfg, fit20, h=cfg.h)
+    ladder = [simulate_fidelity(scenario, cfg, fit20, h=h) for h in DEFAULT_F2_LADDER]
+    assert not math.isnan(rep.f2_extrapolated)
+    assert rep.f2_extrapolated == extrapolate_f2(ladder)[0]
