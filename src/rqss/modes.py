@@ -21,6 +21,7 @@ making the extraction reproducible bit for bit.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -153,20 +154,26 @@ class ExactBogoliubov:
         )
 
 
-def _transition_matrices(geometry: CavityGeometry, panels: int, order: int):
+def _inertial_rule(length: float, n_max: int, panels: int, order: int):
+    """Nodes, weights and normalized inertial sine table of one rule; h-independent."""
+    xi, ws = _gauss_panels(0.0, length, panels, order)
+    n = np.arange(1, n_max + 1)
+    s_inertial = np.sin(np.outer(n * np.pi / length, xi))
+    s_inertial /= np.sqrt(n * np.pi)[:, None]
+    return xi, ws, s_inertial
+
+
+def _transition_matrices(geometry: CavityGeometry, xi, ws, s_inertial):
     # Integrate in the wall offset xi = x - x_left: log1p(xi/x_left) keeps the
     # wedge-mode argument at full precision at small h, where ln(x/x_left)
     # would lose ~5 digits to the rounding of the ratio itself.
     x_l = geometry.x_left
-    xi, ws = _gauss_panels(0.0, geometry.length, panels, order)
     n = np.arange(1, geometry.n_max + 1)
     om = n * np.pi / geometry.length
     big_om = n * np.pi / geometry.rindler_span
 
     s_wedge = np.sin(np.outer(n * np.pi / geometry.rindler_span, np.log1p(xi / x_l)))
     s_wedge /= np.sqrt(n * np.pi)[:, None]
-    s_inertial = np.sin(np.outer(n * np.pi / geometry.length, xi))
-    s_inertial /= np.sqrt(n * np.pi)[:, None]
 
     # alpha_ij = Int (omega_j + Omega_i/x) S_i s_j dx ; beta flips the sign of
     # the Omega term.  Both are real with the slice phase convention.
@@ -177,21 +184,38 @@ def _transition_matrices(geometry: CavityGeometry, panels: int, order: int):
     return freq_term + wedge_term, freq_term - wedge_term
 
 
+def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16) -> list:
+    """Real (alpha, beta, quadrature error) of cavities sharing length and cutoff.
+
+    Evaluates rule by rule: the coarse rule's inertial table serves every
+    acceleration and is dropped before the refined rule's is built, so one
+    table is alive at a time.
+    """
+    length, n_max = geometries[0].length, geometries[0].n_max
+    for geometry in geometries:
+        geometry._require_accelerated()
+    if panels is None:
+        panels = max(16, 2 * n_max)
+    rule = _inertial_rule(length, n_max, panels, order)
+    coarse = [_transition_matrices(geometry, *rule) for geometry in geometries]
+    del rule
+    rule = _inertial_rule(length, n_max, 2 * panels, order)
+    out = []
+    for geometry, (a1, b1) in zip(geometries, coarse):
+        a2, b2 = _transition_matrices(geometry, *rule)
+        err = max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2)))
+        out.append((a2, b2, float(err)))
+    return out
+
+
 def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order: int = 16) -> ExactBogoliubov:
     """Transition matrices by fixed-panel Gauss-Legendre quadrature.
 
     Rows index wedge modes, columns inertial modes.  The rule is refined once
     (doubled panels) and the difference reported as `quadrature_error`.
     """
-    geometry._require_accelerated()
-    if panels is None:
-        panels = max(16, 2 * geometry.n_max)
-    a1, b1 = _transition_matrices(geometry, panels, order)
-    a2, b2 = _transition_matrices(geometry, 2 * panels, order)
-    err = max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2)))
-    return ExactBogoliubov(
-        alpha=a2.astype(complex), beta=b2.astype(complex), quadrature_error=float(err)
-    )
+    [(alpha, beta, err)] = _exact_matrices([geometry], panels, order)
+    return ExactBogoliubov(alpha=alpha.astype(complex), beta=beta.astype(complex), quadrature_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +268,6 @@ class TransitionFit:
     def b2(self) -> np.ndarray:
         return self.b[1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "n_max": self.n_max,
-            "ladder": list(self.ladder),
-            "validation_h": self.validation_h,
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "validation": self.validation,
-            "quadrature_error": self.quadrature_error,
-        }
-
 
 def fit_transition(
     length: float = DEFAULT_L,
@@ -277,15 +289,11 @@ def fit_transition(
     t = np.array(ladder) / scale
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
-    quad_err = 0.0
-    rows_a, rows_b = [], []
-    for h in ladder:
-        exact = bogoliubov_exact(CavityGeometry(length, h, n_max))
-        quad_err = max(quad_err, exact.quadrature_error)
-        rows_a.append(exact.alpha.real - np.eye(n_max))
-        rows_b.append(exact.beta.real)
-    ya = np.stack([m.ravel() for m in rows_a])
-    yb = np.stack([m.ravel() for m in rows_b])
+    geometries = [CavityGeometry(length, h, n_max) for h in (*ladder, validation_h)]
+    *rungs, (ref_a, ref_b, _) = _exact_matrices(geometries)
+    quad_err = max(err for _, _, err in rungs)
+    ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _, _ in rungs])
+    yb = np.stack([beta.ravel() for _, beta, _ in rungs])
 
     coeff_a = np.linalg.solve(vand, ya)
     coeff_b = np.linalg.solve(vand, yb)
@@ -301,10 +309,9 @@ def fit_transition(
         a=_frozen(a),
         b=_frozen(b),
         validation={},
-        quadrature_error=float(quad_err),
+        quadrature_error=quad_err,
     )
-    held_out = bogoliubov_exact(CavityGeometry(length, validation_h, n_max))
-    validation = _validate_fit(fit, held_out)
+    validation = _validate_fit(fit, ref_a, ref_b)
     object.__setattr__(fit, "validation", validation)
     if validation["max_rel_err"] > _FIT_REL_GATE:
         raise RuntimeError(
@@ -313,12 +320,11 @@ def fit_transition(
     return fit
 
 
-def _validate_fit(fit: TransitionFit, held_out: ExactBogoliubov) -> dict:
+def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> dict:
+    """Held-out errors of the fit against the exact matrices at `validation_h`."""
     h = fit.validation_h
     pred_a = fit.alpha_at(h)
     pred_b = fit.beta_at(h)
-    ref_a = held_out.alpha.real
-    ref_b = held_out.beta.real
     abs_a = np.abs(pred_a - ref_a)
     abs_b = np.abs(pred_b - ref_b)
     # Relative errors only where the coefficient itself is resolvable.
@@ -340,7 +346,7 @@ def _validate_fit(fit: TransitionFit, held_out: ExactBogoliubov) -> dict:
 
 def _cache_key(length: float, n_max: int, ladder: tuple, validation_h: float) -> dict:
     return {
-        "format": 1,
+        "format": 2,
         "length": length,
         "n_max": n_max,
         "ladder": list(ladder),
@@ -348,9 +354,26 @@ def _cache_key(length: float, n_max: int, ladder: tuple, validation_h: float) ->
     }
 
 
-def _payload_digest(fit_dict: dict) -> str:
-    payload = json.dumps({"a": fit_dict["a"], "b": fit_dict["b"]}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+# Coefficients are stored as base64 of their little-endian float64 C-order
+# bytes: exact, and cheap to checksum, write and read.
+_PAYLOAD_DTYPE = "<f8"
+
+
+def _encode_coefficients(arr: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPE).tobytes()).decode("ascii")
+
+
+def _decode_coefficients(text: str, n_max: int) -> np.ndarray:
+    flat = np.frombuffer(base64.b64decode(text, validate=True), dtype=_PAYLOAD_DTYPE)
+    if flat.size != 4 * n_max * n_max:
+        raise ValueError(f"{flat.size} coefficients stored, (4, {n_max}, {n_max}) expected")
+    return flat.reshape(4, n_max, n_max)
+
+
+def _document_digest(doc: dict) -> str:
+    """SHA-256 of every stored field except the digest itself."""
+    body = {name: value for name, value in doc.items() if name != "sha256"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _cache_name(key: dict) -> str:
@@ -375,9 +398,18 @@ def resolve_cache_dir(cache_dir=None) -> Path | None:
 def save_transition(fit: TransitionFit, cache_dir) -> Path:
     path = cache_path(Path(cache_dir), fit.length, fit.n_max, fit.ladder, fit.validation_h)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = fit.to_json_dict()
-    doc["key"] = _cache_key(fit.length, fit.n_max, fit.ladder, fit.validation_h)
-    doc["payload_sha256"] = _payload_digest(doc)
+    doc = {
+        "key": _cache_key(fit.length, fit.n_max, fit.ladder, fit.validation_h),
+        "length": fit.length,
+        "n_max": fit.n_max,
+        "ladder": list(fit.ladder),
+        "validation_h": fit.validation_h,
+        "a": _encode_coefficients(fit.a),
+        "b": _encode_coefficients(fit.b),
+        "validation": fit.validation,
+        "quadrature_error": fit.quadrature_error,
+    }
+    doc["sha256"] = _document_digest(doc)
     # Write aside and rename, so a concurrent reader sees the old file or the
     # whole new one, never a partial write.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -393,34 +425,31 @@ def load_transition(path) -> TransitionFit:
     """Read a cached fit; the file's name is the key of the request.
 
     The stored key must describe the stored fit and hash to the file name,
-    so a file saved under another key is rejected, not silently used.
+    so a file saved under another key is rejected, not silently used; the
+    checksum covers every stored field.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-        a = np.array(doc["a"], dtype=float)
-        b = np.array(doc["b"], dtype=float)
         n_max = int(doc["n_max"])
         key = doc["key"]
         stored_for = _cache_key(doc["length"], n_max, doc["ladder"], doc["validation_h"])
         if key != stored_for or path.name != _cache_name(key):
             raise ValueError("stored key does not match the requested key")
-        if a.shape != (4, n_max, n_max) or b.shape != (4, n_max, n_max):
-            raise ValueError(f"coefficient shapes {a.shape}/{b.shape} do not match n_max {n_max}")
-        if doc["payload_sha256"] != _payload_digest(doc):
-            raise ValueError("payload checksum mismatch")
+        if doc["sha256"] != _document_digest(doc):
+            raise ValueError("checksum mismatch")
+        return TransitionFit(
+            length=float(doc["length"]),
+            n_max=n_max,
+            ladder=tuple(doc["ladder"]),
+            validation_h=float(doc["validation_h"]),
+            a=_frozen(_decode_coefficients(doc["a"], n_max)),
+            b=_frozen(_decode_coefficients(doc["b"], n_max)),
+            validation=dict(doc["validation"]),
+            quadrature_error=float(doc["quadrature_error"]),
+        )
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise CorruptCacheError(f"corrupted coefficient cache {path}: {exc}") from exc
-    return TransitionFit(
-        length=float(doc["length"]),
-        n_max=n_max,
-        ladder=tuple(doc["ladder"]),
-        validation_h=float(doc["validation_h"]),
-        a=_frozen(a),
-        b=_frozen(b),
-        validation=dict(doc["validation"]),
-        quadrature_error=float(doc["quadrature_error"]),
-    )
 
 
 def get_transition(

@@ -2,8 +2,8 @@
 
 None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
-dilation, a plain loop in place of a batched expression), so the tests can
-compare the two routes.
+dilation, a plain loop in place of a batched expression or of shared
+quadrature tables), so the tests can compare the two routes.
 """
 
 import numpy as np
@@ -12,9 +12,13 @@ from scipy.integrate import quad
 from rqss.channel import complex_pair_block
 from rqss.gaussian import GaussianState, apply_symplectic, beam_splitter, partial_trace, tensor
 from rqss.modes import (
+    DEFAULT_LADDER,
+    DEFAULT_VALIDATION_H,
     BogoliubovSet,
     CavityGeometry,
     ModeSums,
+    TransitionFit,
+    bogoliubov_exact,
     minkowski_frequency,
     minkowski_mode,
     rindler_frequency,
@@ -103,3 +107,47 @@ def thermal_lossy_via_dilation(transmissivity: float, nbar: float):
     out = reduced(GaussianState(np.zeros(2), np.eye(2)))
     n = out.sigma - m @ m.T
     return m, n
+
+
+def fit_by_exact_loop(
+    length: float = 1.0,
+    n_max: int = 20,
+    ladder: tuple = DEFAULT_LADDER,
+    validation_h: float = DEFAULT_VALIDATION_H,
+    rel_floor: float = 1e-9,
+):
+    """(a, b, validation, quadrature_error) of `fit_transition`, one `bogoliubov_exact` per h.
+
+    Each acceleration builds its own quadrature tables; the Vandermonde solve
+    and the held-out validation are those of `fit_transition`.
+    """
+    ladder = tuple(sorted(set(float(h) for h in ladder), reverse=True))
+    scale = ladder[0]
+    vand = np.vander(np.array(ladder) / scale, 5, increasing=True)[:, 1:]
+    quad_err = 0.0
+    rows_a, rows_b = [], []
+    for h in ladder:
+        exact = bogoliubov_exact(CavityGeometry(length, h, n_max))
+        quad_err = max(quad_err, exact.quadrature_error)
+        rows_a.append(exact.alpha.real - np.eye(n_max))
+        rows_b.append(exact.beta.real)
+    powers = scale ** np.arange(1, 5)
+    a = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_a])) / powers[:, None]).reshape(4, n_max, n_max)
+    b = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_b])) / powers[:, None]).reshape(4, n_max, n_max)
+
+    series = TransitionFit(length, n_max, ladder, validation_h, a, b, {}, quad_err)
+    held_out = bogoliubov_exact(CavityGeometry(length, validation_h, n_max))
+    ref_a, ref_b = held_out.alpha.real, held_out.beta.real
+    abs_a = np.abs(series.alpha_at(validation_h) - ref_a)
+    abs_b = np.abs(series.beta_at(validation_h) - ref_b)
+    dev_a = np.abs(ref_a - np.eye(n_max))
+    dev_b = np.abs(ref_b)
+    rel_a = np.where(dev_a > rel_floor, abs_a / np.maximum(dev_a, rel_floor), 0.0)
+    rel_b = np.where(dev_b > rel_floor, abs_b / np.maximum(dev_b, rel_floor), 0.0)
+    validation = {
+        "h": validation_h,
+        "max_abs_err": float(max(abs_a.max(), abs_b.max())),
+        "max_rel_err": float(max(rel_a.max(), rel_b.max())),
+        "rel_floor": rel_floor,
+    }
+    return a, b, validation, float(quad_err)

@@ -11,6 +11,8 @@ import pytest
 from rqss.cli import main
 from rqss.modes import cache_path, get_transition
 
+from cachefiles import tamper_coefficient
+
 
 def _args(cache_dir, *rest, nmax=20):
     return [*rest, "--nmax", str(nmax), "--cache-dir", str(cache_dir)]
@@ -165,12 +167,20 @@ def test_corrupted_cache_exits_two(tmp_path, capsys):
     cache = tmp_path / "cache"
     fit = get_transition(n_max=4, cache_dir=cache)
     path = cache_path(cache, fit.length, fit.n_max, fit.ladder, fit.validation_h)
-    doc = json.loads(path.read_text())
-    doc["a"][0][1][0] += 0.5
-    path.write_text(json.dumps(doc, sort_keys=True))
+    tamper_coefficient(path, (0, 1, 0), 0.5)
     rc = main(["bogo-check", "--nmax", "4", "--cache-dir", str(cache)])
     assert rc == 2
     assert "breach" in capsys.readouterr().err
+
+
+def test_figure_csv_same_on_cache_miss_and_hit(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["figure-data", "--figure", "nbar", "--nmax", "20", "--cache-dir", str(cache)]
+    assert main([*argv, "--out", str(tmp_path / "miss")]) == 0
+    assert len(list(cache.iterdir())) == 1
+    assert main([*argv, "--out", str(tmp_path / "hit")]) == 0
+    miss = (tmp_path / "miss" / "figure_nbar.csv").read_bytes()
+    assert (tmp_path / "hit" / "figure_nbar.csv").read_bytes() == miss
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

@@ -29,7 +29,8 @@ from rqss.modes import (
     segment_bogoliubov,
 )
 
-from oracles import kg_inner_product, minkowski_slice, rindler_slice
+from cachefiles import decode, encode, format1_document, read_document, reseal, tamper_coefficient, write_document
+from oracles import fit_by_exact_loop, kg_inner_product, minkowski_slice, rindler_slice
 
 
 def test_geometry_walls():
@@ -203,11 +204,92 @@ def test_cache_round_trip(tmp_path):
 def test_cache_detects_corruption(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
-    doc = json.loads(path.read_text())
-    doc["a"][0][0][1] = doc["a"][0][0][1] + 1.0
-    path.write_text(json.dumps(doc, sort_keys=True))
+    tamper_coefficient(path, (0, 0, 1), 1.0)
     with pytest.raises(CorruptCacheError):
         get_transition(n_max=4, cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("field", ["validation", "quadrature_error"])
+def test_cache_checksum_covers_fit_diagnostics(tmp_path, field):
+    # bogo-check prints the stored validation error, so an edit to it must
+    # not load silently.
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    doc = read_document(path)
+    if field == "validation":
+        doc["validation"]["max_rel_err"] = 0.0
+    else:
+        doc["quadrature_error"] = 0.0
+    write_document(path, doc)
+    with pytest.raises(CorruptCacheError, match="checksum"):
+        get_transition(n_max=4, cache_dir=tmp_path)
+
+
+def test_cache_rejects_wrong_coefficient_count(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    doc = read_document(path)
+    doc["b"] = encode(decode(doc["b"])[:-1])
+    write_document(path, reseal(doc))
+    with pytest.raises(CorruptCacheError, match="coefficients"):
+        load_transition(path)
+
+
+def test_cache_rejects_malformed_metadata(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    doc = read_document(path)
+    doc["validation"] = 5
+    write_document(path, reseal(doc))
+    with pytest.raises(CorruptCacheError):
+        load_transition(path)
+
+
+def test_cache_rejects_format1_document_at_current_path(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    write_document(path, format1_document(fit)[1])
+    with pytest.raises(CorruptCacheError):
+        load_transition(path)
+
+
+def test_cache_ignores_leftover_format1_file(tmp_path, fit10):
+    name, doc = format1_document(fit10)
+    old = tmp_path / name
+    write_document(old, doc)
+    before = old.read_bytes()
+    fit = get_transition(n_max=10, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_bytes() == before
+    saved = load_transition(path)
+    assert np.array_equal(saved.a, fit10.a)
+    assert np.array_equal(saved.b, fit10.b)
+
+
+def test_fit_matches_per_acceleration_loop():
+    # Independent route: one bogoliubov_exact call per acceleration, each
+    # building its own quadrature tables.
+    fit = fit_transition(n_max=10)
+    a, b, validation, quadrature_error = fit_by_exact_loop(n_max=10)
+    assert np.array_equal(fit.a, a)
+    assert np.array_equal(fit.b, b)
+    assert fit.validation == validation
+    assert fit.quadrature_error == quadrature_error
+
+
+def test_cache_hit_equals_fresh_fit(tmp_path):
+    fresh = fit_transition(n_max=20)
+    hit = load_transition(save_transition(fresh, tmp_path))
+    assert np.array_equal(hit.a, fresh.a)
+    assert np.array_equal(hit.b, fresh.b)
+    assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
+    assert (hit.length, hit.n_max, hit.ladder, hit.validation_h) == (
+        fresh.length,
+        fresh.n_max,
+        fresh.ladder,
+        fresh.validation_h,
+    )
 
 
 def test_cache_detects_truncation(tmp_path):
