@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the CSV data behind all summary figures into one directory.
+"""Regenerate the CSV data behind all summary figures.
 
 Thin wrapper over the `rqss` CLI: runs `figure-data --figure all` on the
 standard 63-point grid (u = 1/64 to 63/64), then the invariants sweep and
-both fidelity cross-check tables. Outputs are deterministic; rerunning
-produces byte-identical files.
+both fidelity cross-check tables. Each job writes into its own subdirectory
+of --out (`figure-data/`, `invariants/`, `fidelity-12/`, `fidelity-23/`), so
+each subdirectory's `manifest.json` lists the hash of every CSV in it.
+Outputs are deterministic; rerunning produces byte-identical files.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from rqss.cli import main as rqss_main
 
@@ -21,17 +24,15 @@ def main(argv=None):
     parser.add_argument("--grid", default="0.015625:0.984375:0.015625", help="u-grid start:stop:step")
     args = parser.parse_args(argv)
 
-    common = ["--nmax", str(args.nmax), "--out", args.out]
-    if args.cache_dir:
-        common += ["--cache-dir", args.cache_dir]
-
-    jobs = [
-        ["figure-data", "--figure", "all", "--grid", args.grid] + common,
-        ["invariants", "--grid", "0.1:0.9:0.1"] + common,
-        ["fidelity", "--scenario", "12", "--grid", "0.1:0.9:0.1"] + common,
-        ["fidelity", "--scenario", "23", "--grid", "0.1:0.9:0.1"] + common,
-    ]
-    for job in jobs:
+    cache = ["--cache-dir", args.cache_dir] if args.cache_dir else []
+    jobs = {
+        "figure-data": ["figure-data", "--figure", "all", "--grid", args.grid],
+        "invariants": ["invariants", "--grid", "0.1:0.9:0.1"],
+        "fidelity-12": ["fidelity", "--scenario", "12", "--grid", "0.1:0.9:0.1"],
+        "fidelity-23": ["fidelity", "--scenario", "23", "--grid", "0.1:0.9:0.1"],
+    }
+    for subdir, job in jobs.items():
+        job = job + ["--nmax", str(args.nmax), "--out", str(Path(args.out) / subdir)] + cache
         rc = rqss_main(job)
         if rc != 0:
             print(f"step failed with exit code {rc}: {' '.join(job)}", file=sys.stderr)

@@ -56,9 +56,7 @@ from .protocol import (
     PairDecoder,
     ProtocolConfig,
     calibrate_decoder,
-    collaborate_12,
-    collaborate_13,
-    collaborate_23,
+    collaborate,
     decoder_maps,
     distribute,
     encode,

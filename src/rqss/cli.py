@@ -116,7 +116,7 @@ def _parse_grid(text: str):
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    if not np.all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
     count = int(round((stop - start) / step))
     grid = [float(np.round(start + i * step, 12)) for i in range(count + 1)]

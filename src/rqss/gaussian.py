@@ -86,9 +86,6 @@ class GaussianState:
         """Same state shifted in phase space by `delta`."""
         return GaussianState(self.d + np.asarray(delta, dtype=float), self.sigma)
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d.tolist(), "sigma": self.sigma.tolist()}
-
 
 @dataclass(frozen=True)
 class SymplecticMap:
@@ -107,9 +104,6 @@ class SymplecticMap:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def to_json_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist()}
 
 
 # ---------------------------------------------------------------------------

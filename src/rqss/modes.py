@@ -56,8 +56,8 @@ class CavityGeometry:
     n_max: int = DEFAULT_NMAX
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("cavity length must be positive")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"cavity length must be positive and finite, got {self.length}")
         if not 0.0 <= self.h < 2.0:
             raise ValueError(f"h must lie in [0, 2), got {self.h}")
         if self.n_max < 1:
@@ -313,7 +313,7 @@ def fit_transition(
     )
     validation = _validate_fit(fit, ref_a, ref_b)
     object.__setattr__(fit, "validation", validation)
-    if validation["max_rel_err"] > _FIT_REL_GATE:
+    if not validation["max_rel_err"] <= _FIT_REL_GATE:  # a NaN error fails too
         raise RuntimeError(
             f"transition fit failed validation: rel err {validation['max_rel_err']:.3e}"
         )

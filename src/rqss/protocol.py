@@ -15,7 +15,6 @@ by exactly pi at vanishing acceleration (a round trip by 2 pi).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -38,9 +37,7 @@ from .gaussian import (
 )
 from .modes import (
     DEFAULT_L,
-    DEFAULT_LADDER,
     DEFAULT_NMAX,
-    DEFAULT_VALIDATION_H,
     ModeSums,
     TransitionFit,
     get_transition,
@@ -90,14 +87,15 @@ class ProtocolConfig:
     h: float = 1.0e-2
     length: float = DEFAULT_L
     n_max: int = DEFAULT_NMAX
-    ladder: tuple = DEFAULT_LADDER
-    validation_h: float = DEFAULT_VALIDATION_H
-    decoder_gain: float = DEFAULT_DECODER_GAIN
-    decoder_squeeze: float = DEFAULT_DECODER_SQUEEZE
     cache_dir: str | None = None
     use_cache: bool = True
 
     def __post_init__(self):
+        for name in ("s", "u", "h", "length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.length <= 0.0:
+            raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 1 <= self.k <= self.n_max:
@@ -119,25 +117,12 @@ class ProtocolConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        for key in ("secret_params", "ladder"):
-            if key in data:
-                data[key] = tuple(data[key])
+        if "secret_params" in data:
+            data["secret_params"] = tuple(data["secret_params"])
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path) -> "ProtocolConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def transition(self) -> TransitionFit:
-        return get_transition(
-            self.length,
-            self.n_max,
-            self.ladder,
-            self.validation_h,
-            cache_dir=self.cache_dir,
-            use_cache=self.use_cache,
-        )
+        return get_transition(self.length, self.n_max, cache_dir=self.cache_dir, use_cache=self.use_cache)
 
     def make_secret(self) -> GaussianState:
         if self.secret == "coherent":
@@ -233,7 +218,7 @@ class PairDecoder:
 _HOME_PAIRS = {"23": ((1, 2), False), "13": ((0, 2), True)}
 
 
-def decoder_maps(scenario: str, config: ProtocolConfig) -> SymplecticMap | PairDecoder:
+def decoder_maps(scenario: str) -> SymplecticMap | PairDecoder:
     """The decoder of a scenario, independent of h: build once, use at every h.
 
     Scenario 12 undoes the dealer's balanced splitter (an orthogonal map, so
@@ -243,7 +228,7 @@ def decoder_maps(scenario: str, config: ProtocolConfig) -> SymplecticMap | PairD
         return SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T)
     if scenario in _HOME_PAIRS:
         pair, flip = _HOME_PAIRS[scenario]
-        return PairDecoder.build(pair, config.decoder_gain, config.decoder_squeeze, flip)
+        return PairDecoder.build(pair, DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -258,46 +243,24 @@ def _decode_pair(state: GaussianState, decoder: PairDecoder) -> GaussianState:
     return partial_trace(state, [decoder.target])
 
 
-def collaborate_12(encoded: GaussianState, M: np.ndarray, N: np.ndarray, recombine: SymplecticMap) -> GaussianState:
-    """Players 1 and 2 reunite their shares at the dealer's lab.
-
-    Takes the *encoded* state and the round trip (M, N): the out-and-back
-    journey of shares 0 and 1 is a single composite channel (distribution and
-    return legs merge), and `recombine`, the inverse balanced splitter of
-    `decoder_maps("12", ...)`, then frees the secret port exactly.
-    """
-    if encoded.n_modes != 3:
-        raise ValueError("collaborate_12 expects the three-share state")
-    out = apply_channel(M, N, encoded, mode=0)
-    out = apply_channel(M, N, out, mode=1)
-    out = apply_symplectic(recombine, out)
-    return partial_trace(out, [0])
-
-
-def _meet_home_share(
-    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder, scenario: str
+def collaborate(
+    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: SymplecticMap | PairDecoder
 ) -> GaussianState:
-    """Share 2 travels out (M, N), then `decoder` recombines it with its partner."""
-    if distributed.n_modes != 3:
-        raise ValueError(f"collaborate_{scenario} expects the three-share state")
-    if decoder.pair != _HOME_PAIRS[scenario][0]:
-        raise ValueError(f"collaborate_{scenario} needs the decoder of shares {_HOME_PAIRS[scenario][0]}")
-    state = apply_channel(M, N, distributed, mode=2)
-    return _decode_pair(state, decoder)
+    """Two players reunite their shares and decode the secret with `decoder`.
 
-
-def collaborate_23(distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder) -> GaussianState:
-    """Players 2 and 3 meet: share 2 travels out (M, N) to player 2's location."""
-    return _meet_home_share(distributed, M, N, decoder, "23")
-
-
-def collaborate_13(distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: PairDecoder) -> GaussianState:
-    """Players 1 and 3 meet; mirror image of players 2 and 3.
-
-    Share 0 carries the secret with the opposite sign to share 1, so the same
-    decoder needs a final half-turn.
+    `distributed` holds shares 0 and 1 after their journeys (M, N).  With the
+    inverse splitter of `decoder_maps("12")` players 1 and 2 return to the
+    dealer's lab: (M, N) is then the round trip, out-and-back legs merged into
+    one channel, and the recombination frees the secret port exactly.  With a
+    `PairDecoder` the home share 2 travels out (M, N) to meet its partner.
+    Share 0 carries the secret with the opposite sign to share 1, so the
+    decoder of players 1 and 3 ends with a half-turn.
     """
-    return _meet_home_share(distributed, M, N, decoder, "13")
+    if distributed.n_modes != 3:
+        raise ValueError("collaborate expects the three-share state")
+    if isinstance(decoder, PairDecoder):
+        return _decode_pair(apply_channel(M, N, distributed, mode=2), decoder)
+    return partial_trace(apply_symplectic(decoder, distributed), [0])
 
 
 def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
@@ -307,7 +270,7 @@ def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
     depend on the acceleration, so only evaluating the journey at h and
     running the stages on it repeats per h.
     """
-    decoder = decoder_maps(scenario, config)  # rejects an unknown scenario
+    decoder = decoder_maps(scenario)  # rejects an unknown scenario
     build = round_trip_channel if scenario == "12" else transit_channel
     journey = build(fit, config.k, config.u)
     secret = config.make_secret()
@@ -315,12 +278,7 @@ def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
 
     def fidelity(h: float) -> float:
         M, N = journey.evaluate(h)
-        if scenario == "12":
-            decoded = collaborate_12(encoded, M, N, decoder)
-        else:
-            collab = collaborate_23 if scenario == "23" else collaborate_13
-            decoded = collab(distribute(encoded, M, N), M, N, decoder)
-        return fidelity_pure_mixed(secret, decoded)
+        return fidelity_pure_mixed(secret, collaborate(distribute(encoded, M, N), M, N, decoder))
 
     return secret, journey, fidelity
 

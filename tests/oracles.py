@@ -3,14 +3,28 @@
 None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
-quadrature tables), so the tests can compare the two routes.
+quadrature tables, the protocol's stages written out one by one), so the
+tests can compare the two routes.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from rqss.channel import complex_pair_block
-from rqss.gaussian import GaussianState, apply_symplectic, beam_splitter, partial_trace, tensor
+from rqss.channel import apply_channel, complex_pair_block
+from rqss.gaussian import (
+    GaussianState,
+    SymplecticMap,
+    apply_symplectic,
+    beam_splitter,
+    fidelity_pure_mixed,
+    homodyne_feedforward,
+    partial_trace,
+    phase_rotation,
+    squeeze,
+    tensor,
+)
 from rqss.modes import (
     DEFAULT_LADDER,
     DEFAULT_VALIDATION_H,
@@ -23,6 +37,13 @@ from rqss.modes import (
     minkowski_mode,
     rindler_frequency,
     rindler_mode,
+)
+from rqss.protocol import (
+    DEFAULT_DECODER_GAIN,
+    DEFAULT_DECODER_SQUEEZE,
+    encode,
+    round_trip_channel,
+    transit_channel,
 )
 
 
@@ -151,3 +172,30 @@ def fit_by_exact_loop(
         "rel_floor": rel_floor,
     }
     return a, b, validation, float(quad_err)
+
+
+def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> float:
+    """`simulate_fidelity` as its stage sequence, each stage a public primitive.
+
+    Shares 0 and 1 take the journey.  Scenario 12 then undoes the balanced
+    splitter and keeps mode 0; scenarios 23 and 13 send share 2 out too,
+    recombine it with its partner on a 2:1 splitter, homodyne share 2's port
+    and feed its q outcome forward, rescale, half-turn (13 only) and trace.
+    """
+    secret = config.make_secret()
+    state = encode(secret, config.s)
+    journey = round_trip_channel if scenario == "12" else transit_channel
+    M, N = journey(fit, config.k, config.u).evaluate(h)
+    for mode in (0, 1):
+        state = apply_channel(M, N, state, mode=mode)
+    if scenario == "12":
+        state = apply_symplectic(SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T), state)
+        return fidelity_pure_mixed(secret, partial_trace(state, [0]))
+    partner = {"23": 1, "13": 0}[scenario]  # keeps its index once mode 2 is measured
+    state = apply_channel(M, N, state, mode=2)
+    state = apply_symplectic(beam_splitter(2.0 / 3.0, (partner, 2), 3), state)
+    state = homodyne_feedforward(state, measured_mode=2, target_mode=partner, quadrature="q", gain=DEFAULT_DECODER_GAIN)
+    state = apply_symplectic(squeeze(DEFAULT_DECODER_SQUEEZE, partner, 2), state)
+    if scenario == "13":
+        state = apply_symplectic(phase_rotation(math.pi, partner, 2), state)
+    return fidelity_pure_mixed(secret, partial_trace(state, [partner]))

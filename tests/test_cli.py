@@ -196,6 +196,30 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+def test_config_file_naming_a_decoder_constant_exits_one(cache_dir, fit20, tmp_path, capsys):
+    # The decoder working point is a calibrated constant, not a config field.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"decoder_gain": -2.0}))
+    rc = main(["bogo-check", "--config", str(path), *_args(cache_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "decoder_gain" in err
+
+
+def test_nan_length_exits_one_before_fitting(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    rc = main(["invariants", "--length", "nan", "--nmax", "4", "--cache-dir", str(cache)])
+    assert rc == 1
+    assert "length must be finite" in capsys.readouterr().err
+    assert not list(cache.glob("transition_*"))
+
+
 def test_bad_grid_exits_one(cache_dir, fit20, capsys):
     rc = main(["invariants", "--grid", "zero:one:step", *_args(cache_dir)])
     assert rc == 1
+
+
+def test_infinite_grid_exits_one(cache_dir, fit20, capsys):
+    rc = main(["invariants", "--grid", "0:inf:0.1", *_args(cache_dir)])
+    assert rc == 1
+    assert "error: bad grid" in capsys.readouterr().err

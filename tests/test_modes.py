@@ -45,8 +45,9 @@ def test_geometry_validation():
         CavityGeometry(h=2.0)
     with pytest.raises(ValueError):
         CavityGeometry(h=-0.1)
-    with pytest.raises(ValueError):
-        CavityGeometry(length=0.0)
+    for length in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            CavityGeometry(length=length)
     inertial = CavityGeometry(h=0.0)
     with pytest.raises(ValueError):
         inertial.x_left

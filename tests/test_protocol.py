@@ -20,9 +20,7 @@ from rqss.protocol import (
     ProtocolConfig,
     _pipeline_h0,
     calibrate_decoder,
-    collaborate_12,
-    collaborate_13,
-    collaborate_23,
+    collaborate,
     decoder_maps,
     distribute,
     encode,
@@ -35,6 +33,8 @@ from rqss.protocol import (
     simulate_fidelity,
     transit_channel,
 )
+
+from oracles import fidelity_by_stages
 
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
 
@@ -82,7 +82,7 @@ def test_collaborate_12_returns_secret_exactly(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0)
     secret = squeezed_vacuum(0.3).displaced([1.0, -1.0])
     m, n = round_trip_channel(fit20, cfg.k, cfg.u).evaluate(0.0)
-    decoded = collaborate_12(encode(secret, cfg.s), m, n, decoder_maps("12", cfg))
+    decoded = collaborate(distribute(encode(secret, cfg.s), m, n), m, n, decoder_maps("12"))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
     assert np.allclose(decoded.sigma, secret.sigma, atol=1e-12)
 
@@ -238,6 +238,15 @@ def test_config_from_dict_rejects_unknown():
         {"secret": "coherent", "secret_params": [1.0]},
         {"secret": "squeezed"},
         {"secret": "squeezed", "secret_params": [0.1, 0.2]},
+        {"s": math.nan},
+        {"s": math.inf},
+        {"u": math.nan},
+        {"u": math.inf},
+        {"h": math.nan},
+        {"h": math.inf},
+        {"length": math.nan},
+        {"length": math.inf},
+        {"length": 0.0},
     ],
 )
 def test_config_rejects_invalid(bad):
@@ -249,14 +258,6 @@ def test_config_accepts_boundaries():
     data = {"k": 4, "n_max": 4, "h": 0.0, "s": 0.0, "secret": "squeezed", "secret_params": [0.2]}
     cfg = ProtocolConfig.from_dict(data)
     assert (cfg.k, cfg.n_max, cfg.h, cfg.s, cfg.secret_params) == (4, 4, 0.0, 0.0, (0.2,))
-
-
-def test_config_from_file(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"u": 0.45, "k": 2}))
-    cfg = ProtocolConfig.from_file(path)
-    assert cfg.u == 0.45
-    assert cfg.k == 2
 
 
 def test_make_secret():
@@ -290,16 +291,6 @@ def test_figure_data_headers(fit20):
         assert all(len(row) == len(header) for row in rows)
     with pytest.raises(ValueError):
         figure_data("bogus", fit20, grid, cfg)
-
-
-def test_home_collaborations_reject_the_other_pair_decoder(fit20):
-    cfg = _cfg(u=0.3, k=1, s=1.0)
-    m, n = transit_channel(fit20, cfg.k, cfg.u).evaluate(cfg.h)
-    shared = distribute(encode(coherent(1.0, 0.0), cfg.s), m, n)
-    with pytest.raises(ValueError):
-        collaborate_23(shared, m, n, decoder_maps("13", cfg))
-    with pytest.raises(ValueError):
-        collaborate_13(shared, m, n, decoder_maps("23", cfg))
 
 
 def _count_journey_builds(monkeypatch):
@@ -339,3 +330,11 @@ def test_report_equals_per_h_simulation_bit_for_bit(fit20, scenario, secret, par
     ladder = [simulate_fidelity(scenario, cfg, fit20, h=h) for h in DEFAULT_F2_LADDER]
     assert not math.isnan(rep.f2_extrapolated)
     assert rep.f2_extrapolated == extrapolate_f2(ladder)[0]
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+@pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
+def test_simulation_equals_stage_sequence_oracle(fit20, scenario, secret, params):
+    cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
+    for h in (2.5e-3, 1e-2):
+        assert simulate_fidelity(scenario, cfg, fit20, h=h) == fidelity_by_stages(scenario, cfg, fit20, h)
