@@ -25,16 +25,11 @@ from .modes import (
     BogoliubovSet,
     CavityGeometry,
     CorruptCacheError,
-    ExactBogoliubov,
     ModeSums,
     TransitionFit,
-    bogoliubov_exact,
     fit_transition,
     get_transition,
-    minkowski_mode,
     mode_sums,
-    phase_u,
-    rindler_mode,
     segment_bogoliubov,
 )
 from .channel import (
@@ -48,7 +43,6 @@ from .channel import (
     free_channel,
     segment_channel,
     t2_from_sums,
-    thermal_lossy_forms,
 )
 from .protocol import (
     DecoderCalibration,

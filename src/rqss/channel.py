@@ -171,17 +171,6 @@ def t2_from_sums(sums: ModeSums) -> float:
     return 2.0 * (sums.f_alpha - sums.f_beta)
 
 
-def thermal_lossy_forms(transmissivity: float, nbar: float):
-    """Canonical (M_c, N_c) of a thermal attenuation channel."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    m = np.sqrt(transmissivity) * np.eye(2)
-    n = (1.0 - transmissivity) * (2.0 * nbar + 1.0) * np.eye(2)
-    return m, n
-
-
 def cp_residual(M: np.ndarray, N: np.ndarray) -> float:
     """Min eigenvalue of N + i Gamma - i M Gamma M^T; >= 0 iff the map is CP."""
     gamma = symplectic_form(1)

@@ -24,7 +24,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .modes import CorruptCacheError, segment_bogoliubov
@@ -83,7 +82,6 @@ def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs
         "versions": {
             "rqss": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }
@@ -155,7 +153,8 @@ def _load_config(args) -> ProtocolConfig:
         kind, params = _parse_secret(args.secret)
         overrides["secret"] = kind
         overrides["secret_params"] = params
-    return ProtocolConfig.from_dict({**data, **overrides})
+    # A file that is not a JSON object goes to from_dict as it is, to be rejected.
+    return ProtocolConfig.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cavity mode functions and Bogoliubov coefficients for accelerated segments.
+"""Bogoliubov coefficients of cavity modes across accelerated segments.
 
 A Dirichlet cavity of length ``L`` holds a massless 1+1 scalar field.  While
 inertial the field decomposes into sine modes of frequency ``omega_n = n pi/L``.
@@ -84,47 +84,6 @@ class CavityGeometry:
         return 2.0 * np.arctanh(0.5 * self.h)
 
 
-def minkowski_frequency(geometry: CavityGeometry, n: int) -> float:
-    if n < 1:
-        raise ValueError("mode numbers start at 1")
-    return n * np.pi / geometry.length
-
-
-def rindler_frequency(geometry: CavityGeometry, n: int) -> float:
-    """Wedge-mode frequency per unit wedge time eta."""
-    if n < 1:
-        raise ValueError("mode numbers start at 1")
-    return n * np.pi / geometry.rindler_span
-
-
-def rindler_frequency_proper(geometry: CavityGeometry, n: int) -> float:
-    """Wedge-mode frequency per unit proper time at the cavity centre.
-
-    Tends to the inertial ``n pi / L`` as h -> 0.
-    """
-    return rindler_frequency(geometry, n) * geometry.h / geometry.length
-
-
-def minkowski_mode(geometry: CavityGeometry, n: int, t, x):
-    """Inertial cavity mode, unit Klein-Gordon norm."""
-    if n < 1:
-        raise ValueError("mode numbers start at 1")
-    om = minkowski_frequency(geometry, n)
-    x = np.asarray(x, dtype=float)
-    x_l = geometry.x_left if geometry.h > 0 else 0.0
-    return np.sin(n * np.pi * (x - x_l) / geometry.length) / np.sqrt(n * np.pi) * np.exp(-1j * om * t)
-
-
-def rindler_mode(geometry: CavityGeometry, n: int, eta, chi):
-    """Wedge cavity mode, unit Klein-Gordon norm."""
-    if n < 1:
-        raise ValueError("mode numbers start at 1")
-    om = rindler_frequency(geometry, n)
-    chi = np.asarray(chi, dtype=float)
-    arg = n * np.pi * np.log(chi / geometry.x_left) / geometry.rindler_span
-    return np.sin(arg) / np.sqrt(n * np.pi) * np.exp(-1j * om * eta)
-
-
 # ---------------------------------------------------------------------------
 # exact transition matrices (vectorized quadrature)
 
@@ -137,21 +96,6 @@ def _gauss_panels(x_lo: float, x_hi: float, panels: int, order: int):
     xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     ws = (half[:, None] * weights[None, :]).ravel()
     return xs, ws
-
-
-@dataclass(frozen=True)
-class ExactBogoliubov:
-    """Instantaneous wedge<->inertial transition matrices at one acceleration."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    quadrature_error: float
-
-    def identity_residuals(self) -> np.ndarray:
-        """Per-row residual of sum_j |alpha_ij|^2 - |beta_ij|^2 = 1."""
-        return np.abs(
-            np.sum(np.abs(self.alpha) ** 2 - np.abs(self.beta) ** 2, axis=1) - 1.0
-        )
 
 
 def _inertial_rule(length: float, n_max: int, panels: int, order: int):
@@ -208,16 +152,6 @@ def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16
     return out
 
 
-def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order: int = 16) -> ExactBogoliubov:
-    """Transition matrices by fixed-panel Gauss-Legendre quadrature.
-
-    Rows index wedge modes, columns inertial modes.  The rule is refined once
-    (doubled panels) and the difference reported as `quadrature_error`.
-    """
-    [(alpha, beta, err)] = _exact_matrices([geometry], panels, order)
-    return ExactBogoliubov(alpha=alpha.astype(complex), beta=beta.astype(complex), quadrature_error=err)
-
-
 # ---------------------------------------------------------------------------
 # small-h power series of the transition
 
@@ -228,13 +162,11 @@ class TransitionFit:
 
     Orders three and four mostly absorb model truncation; downstream physics
     uses orders one and two.  `validation` holds held-out errors at
-    `validation_h`.
+    `DEFAULT_VALIDATION_H`.
     """
 
     length: float
     n_max: int
-    ladder: tuple
-    validation_h: float
     a: np.ndarray  # (4, N, N), orders h..h^4
     b: np.ndarray
     validation: dict
@@ -269,27 +201,20 @@ class TransitionFit:
         return self.b[1]
 
 
-def fit_transition(
-    length: float = DEFAULT_L,
-    n_max: int = DEFAULT_NMAX,
-    ladder: tuple = DEFAULT_LADDER,
-    validation_h: float = DEFAULT_VALIDATION_H,
-) -> TransitionFit:
+def fit_transition(length: float = DEFAULT_L, n_max: int = DEFAULT_NMAX) -> TransitionFit:
     """Extract the power series of the transition matrices in h.
 
-    Evaluates the exact matrices at each ladder acceleration, subtracts the
-    h = 0 limit (identity / zero) and solves the scaled Vandermonde system
-    for orders h..h^4 exactly.  Held-out validation at `validation_h` must
-    beat a relative 1e-2 gate or the fit is rejected.
+    Evaluates the exact matrices at each `DEFAULT_LADDER` acceleration,
+    subtracts the h = 0 limit (identity / zero) and solves the scaled
+    Vandermonde system for orders h..h^4 exactly.  Held-out validation at
+    `DEFAULT_VALIDATION_H` must beat a relative 1e-2 gate or the fit is
+    rejected.
     """
-    ladder = tuple(sorted(set(float(h) for h in ladder), reverse=True))
-    if len(ladder) != 4:
-        raise ValueError("coefficient extraction needs exactly four distinct ladder points")
-    scale = ladder[0]
-    t = np.array(ladder) / scale
+    scale = DEFAULT_LADDER[0]
+    t = np.array(DEFAULT_LADDER) / scale
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
-    geometries = [CavityGeometry(length, h, n_max) for h in (*ladder, validation_h)]
+    geometries = [CavityGeometry(length, h, n_max) for h in (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)]
     *rungs, (ref_a, ref_b, _) = _exact_matrices(geometries)
     quad_err = max(err for _, _, err in rungs)
     ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _, _ in rungs])
@@ -304,8 +229,6 @@ def fit_transition(
     fit = TransitionFit(
         length=length,
         n_max=n_max,
-        ladder=ladder,
-        validation_h=validation_h,
         a=_frozen(a),
         b=_frozen(b),
         validation={},
@@ -321,8 +244,8 @@ def fit_transition(
 
 
 def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> dict:
-    """Held-out errors of the fit against the exact matrices at `validation_h`."""
-    h = fit.validation_h
+    """Held-out errors of the fit against the exact matrices at `DEFAULT_VALIDATION_H`."""
+    h = DEFAULT_VALIDATION_H
     pred_a = fit.alpha_at(h)
     pred_b = fit.beta_at(h)
     abs_a = np.abs(pred_a - ref_a)
@@ -344,13 +267,15 @@ def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> d
 # coefficient cache
 
 
-def _cache_key(length: float, n_max: int, ladder: tuple, validation_h: float) -> dict:
+def _cache_key(length: float, n_max: int) -> dict:
+    # The ladder and held-out acceleration are constants, but the key records
+    # them, so a file fitted on another ladder has another name and is refused.
     return {
         "format": 2,
         "length": length,
         "n_max": n_max,
-        "ladder": list(ladder),
-        "validation_h": validation_h,
+        "ladder": list(DEFAULT_LADDER),
+        "validation_h": DEFAULT_VALIDATION_H,
     }
 
 
@@ -381,8 +306,8 @@ def _cache_name(key: dict) -> str:
     return f"transition_{stem}.json"
 
 
-def cache_path(cache_dir: Path, length: float, n_max: int, ladder: tuple, validation_h: float) -> Path:
-    return Path(cache_dir) / _cache_name(_cache_key(length, n_max, ladder, validation_h))
+def cache_path(cache_dir: Path, length: float, n_max: int) -> Path:
+    return Path(cache_dir) / _cache_name(_cache_key(length, n_max))
 
 
 def resolve_cache_dir(cache_dir=None) -> Path | None:
@@ -396,14 +321,15 @@ def resolve_cache_dir(cache_dir=None) -> Path | None:
 
 
 def save_transition(fit: TransitionFit, cache_dir) -> Path:
-    path = cache_path(Path(cache_dir), fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    path = cache_path(Path(cache_dir), fit.length, fit.n_max)
     path.parent.mkdir(parents=True, exist_ok=True)
+    key = _cache_key(fit.length, fit.n_max)
     doc = {
-        "key": _cache_key(fit.length, fit.n_max, fit.ladder, fit.validation_h),
+        "key": key,
         "length": fit.length,
         "n_max": fit.n_max,
-        "ladder": list(fit.ladder),
-        "validation_h": fit.validation_h,
+        "ladder": key["ladder"],
+        "validation_h": key["validation_h"],
         "a": _encode_coefficients(fit.a),
         "b": _encode_coefficients(fit.b),
         "validation": fit.validation,
@@ -424,25 +350,23 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
 def load_transition(path) -> TransitionFit:
     """Read a cached fit; the file's name is the key of the request.
 
-    The stored key must describe the stored fit and hash to the file name,
-    so a file saved under another key is rejected, not silently used; the
-    checksum covers every stored field.
+    The stored key and ladder must describe a fit made here and hash to the
+    file name, so a file saved under another key is rejected, not silently
+    used; the checksum covers every stored field.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
         n_max = int(doc["n_max"])
-        key = doc["key"]
-        stored_for = _cache_key(doc["length"], n_max, doc["ladder"], doc["validation_h"])
-        if key != stored_for or path.name != _cache_name(key):
+        key = _cache_key(doc["length"], n_max)
+        stored = (doc["key"], doc["ladder"], doc["validation_h"])
+        if stored != (key, key["ladder"], key["validation_h"]) or path.name != _cache_name(key):
             raise ValueError("stored key does not match the requested key")
         if doc["sha256"] != _document_digest(doc):
             raise ValueError("checksum mismatch")
         return TransitionFit(
             length=float(doc["length"]),
             n_max=n_max,
-            ladder=tuple(doc["ladder"]),
-            validation_h=float(doc["validation_h"]),
             a=_frozen(_decode_coefficients(doc["a"], n_max)),
             b=_frozen(_decode_coefficients(doc["b"], n_max)),
             validation=dict(doc["validation"]),
@@ -455,19 +379,16 @@ def load_transition(path) -> TransitionFit:
 def get_transition(
     length: float = DEFAULT_L,
     n_max: int = DEFAULT_NMAX,
-    ladder: tuple = DEFAULT_LADDER,
-    validation_h: float = DEFAULT_VALIDATION_H,
     cache_dir=None,
     use_cache: bool = True,
 ) -> TransitionFit:
     """Fitted transition coefficients, cached on disk keyed by all inputs."""
-    ladder = tuple(sorted(set(float(h) for h in ladder), reverse=True))
     directory = resolve_cache_dir(cache_dir) if use_cache else None
     if directory is not None:
-        path = cache_path(directory, length, n_max, ladder, validation_h)
+        path = cache_path(directory, length, n_max)
         if path.exists():
             return load_transition(path)
-    fit = fit_transition(length, n_max, ladder, validation_h)
+    fit = fit_transition(length, n_max)
     if directory is not None:
         save_transition(fit, directory)
     return fit
@@ -475,23 +396,6 @@ def get_transition(
 
 # ---------------------------------------------------------------------------
 # one accelerated segment: accelerate, coast in the wedge, decelerate
-
-
-def phase_u(h: float, tau: float, length: float = DEFAULT_L) -> float:
-    """Dimensionless phase parameter of a segment of proper duration tau.
-
-    Mode j acquires phase 2 pi j u across the segment.  Smooth h -> 0 limit
-    tau / (2 L).
-    """
-    if h == 0.0:
-        return tau / (2.0 * length)
-    return h * tau / (4.0 * length * np.arctanh(0.5 * h))
-
-
-def duration_from_u(u: float, h: float, length: float = DEFAULT_L) -> float:
-    if h == 0.0:
-        return 2.0 * length * u
-    return u * 4.0 * length * np.arctanh(0.5 * h) / h
 
 
 @dataclass(frozen=True)
@@ -578,34 +482,9 @@ class ModeSums:
     f_alpha: float
     f_beta: float
     g_cross: complex
-    tail_alpha: float
-    tail_beta: float
 
 
-def _tail_bound(coeff_row: np.ndarray, k_row: int) -> float:
-    """Power-law bound on the truncated part of sum 2 c_l^2 over l > n_max.
-
-    Uses the envelope (couplings squared, oscillation bounded by 1) of the
-    last two same-parity entries; conservative for the decays seen here.
-    """
-    n_max = coeff_row.size
-    terms = 2.0 * coeff_row**2
-    live = [l for l in range(n_max) if l != k_row and terms[l] > 1e-28]
-    if len(live) < 2:
-        return 0.0
-    l2 = live[-1]
-    same_parity = [l for l in live[:-1] if (l2 - l) % 2 == 0]
-    if not same_parity:
-        return float(terms[l2] * (l2 + 1))
-    l1 = same_parity[-1]
-    n1, n2 = l1 + 1.0, l2 + 1.0
-    p = np.log(terms[l1] / terms[l2]) / np.log(n2 / n1)
-    if p <= 1.2:
-        return float(terms[l2] * n2)
-    return float(terms[l2] * n2 / (p - 1.0))
-
-
-def mode_sums(bogo: BogoliubovSet, k: int, fit: TransitionFit | None = None) -> ModeSums:
+def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     """f_alpha, f_beta and the cross sum g for mode k (numbered from 1)."""
     if not 1 <= k <= bogo.n_max:
         raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
@@ -616,18 +495,5 @@ def mode_sums(bogo: BogoliubovSet, k: int, fit: TransitionFit | None = None) -> 
     brow = bogo.beta1[row, mask]
     f_alpha = 0.5 * float(np.sum(np.abs(arow) ** 2))
     f_beta = 0.5 * float(np.sum(np.abs(brow) ** 2))
-    g_cross = complex(np.sum(bogo.alpha1[row, mask] * bogo.beta1[row, mask]))
-    tail_a = tail_b = 0.0
-    if fit is not None:
-        tail_a = _tail_bound(fit.a1[row], row)
-        tail_b = _tail_bound(fit.b1[row], row)
-    return ModeSums(
-        k=k,
-        u=bogo.u,
-        n_max=bogo.n_max,
-        f_alpha=f_alpha,
-        f_beta=f_beta,
-        g_cross=g_cross,
-        tail_alpha=tail_a,
-        tail_beta=tail_b,
-    )
+    g_cross = complex(np.sum(arow * brow))
+    return ModeSums(k=k, u=bogo.u, n_max=bogo.n_max, f_alpha=f_alpha, f_beta=f_beta, g_cross=g_cross)

@@ -16,6 +16,7 @@ by exactly pi at vanishing acceleration (a round trip by 2 pi).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,12 +64,21 @@ DEFAULT_DECODER_SQUEEZE = 0.5 * math.log(3.0)
 # Acceleration ladder used to pull the h^2 fidelity coefficient out of the
 # simulated pipeline.
 DEFAULT_F2_LADDER = (1.0e-2, 5.0e-3, 2.5e-3)
+# Calibration: dealer squeezing of the solve and the certificate, coherent
+# probe secrets and squeezings of the 1/(1 + e^{-s}) check, and its tolerance.
+CALIBRATION_S = 1.0
 CALIBRATION_ENSEMBLE = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (-3.0, 3.0))
 CALIBRATION_S_CHECKS = (0.0, 0.5, 1.0, 2.0)
+CALIBRATION_TOL = 1e-6
 
 
 # Parameter names of each secret kind, in the order of `secret_params`.
 _SECRET_PARAMS = {"coherent": ("q", "p"), "squeezed": ("r",)}
+
+
+def _is_number(value) -> bool:
+    """A real number, and not a boolean (which Python counts as an integer)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class CalibrationError(RuntimeError):
@@ -92,8 +102,19 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for name in ("s", "u", "h", "length"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("k", "n_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.use_cache, bool):
+            raise ValueError(f"use_cache must be true or false, got {self.use_cache!r}")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise ValueError(f"cache_dir must be a string or null, got {self.cache_dir!r}")
         if self.length <= 0.0:
             raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.n_max < 1:
@@ -104,21 +125,23 @@ class ProtocolConfig:
             raise ValueError(f"h must lie in [0, 2), got {self.h}")
         if self.s < 0.0:
             raise ValueError(f"dealer squeezing s must be nonnegative, got {self.s}")
-        if self.secret not in _SECRET_PARAMS:
+        if not isinstance(self.secret, str) or self.secret not in _SECRET_PARAMS:
             raise ValueError(f"unknown secret kind {self.secret!r}; choices: {sorted(_SECRET_PARAMS)}")
+        params = self.secret_params
+        if not isinstance(params, (tuple, list)) or not all(_is_number(x) and math.isfinite(x) for x in params):
+            raise ValueError(f"secret_params must be a list of finite numbers, got {params!r}")
+        object.__setattr__(self, "secret_params", tuple(params))
         if len(self.secret_params) != len(_SECRET_PARAMS[self.secret]):
             names = ",".join(_SECRET_PARAMS[self.secret])
-            raise ValueError(f"{self.secret} secret needs parameters {names}, got {tuple(self.secret_params)}")
+            raise ValueError(f"{self.secret} secret needs parameters {names}, got {self.secret_params}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(data) - allowed
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object of ProtocolConfig fields, got {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        if "secret_params" in data:
-            data["secret_params"] = tuple(data["secret_params"])
         return cls(**data)
 
     def transition(self) -> TransitionFit:
@@ -469,12 +492,7 @@ def _pipeline_h0(secret: GaussianState, s: float, gain: float, r_out: float) -> 
     return _decode_pair(state, PairDecoder.build((1, 2), gain, r_out, flip=False))
 
 
-def calibrate_decoder(
-    s_cal: float = 1.0,
-    ensemble=CALIBRATION_ENSEMBLE,
-    s_checks=CALIBRATION_S_CHECKS,
-    tol: float = 1e-6,
-) -> DecoderCalibration:
+def calibrate_decoder() -> DecoderCalibration:
     """Fix the decoder gain and output rescaling once, at h = 0.
 
     The secret is unknown to the players, so the working point must maximize
@@ -482,40 +500,30 @@ def calibrate_decoder(
     is amplified without bound by displacement (an unconstrained mean-fidelity
     search drifts to a biased noise-minimizing decoder that fails displaced
     secrets), hence the guaranteed-fidelity optimum is the unique unbiased
-    point.  It is found numerically from the pipeline's mean response: the
-    rescaling from the p response (independent of the gain), then the gain
-    from the q response.  The result is verified to hand back
-    1/(1 + e^{-s}) for each probe secret and squeezing, and certified to beat
-    nearby decoders on large-amplitude probes.
+    point.  It is solved exactly from the pipeline's mean response: the p
+    response is e^r p(0) whatever the gain, so r = -ln p(0); the q response
+    is affine in the gain, so two evaluations fix the gain of unit response.
+    The result is verified to hand back 1/(1 + e^{-s}) for each probe secret
+    and squeezing, and certified to beat nearby decoders on large-amplitude
+    probes.
     """
-
-    # Imported here, not at module level, so that importing the package does
-    # not pay for scipy.optimize; only calibration needs it.
-    from scipy.optimize import brentq
-
-    def p_response(r):
-        return _pipeline_h0(coherent(0.0, 1.0), s_cal, 0.0, r).d[1] - 1.0
-
-    r_out = float(brentq(p_response, -1.0, 2.0, xtol=1e-14))
-
-    def q_response(g):
-        return _pipeline_h0(coherent(1.0, 0.0), s_cal, g, r_out).d[0] - 1.0
-
-    gain = float(brentq(q_response, -6.0, 0.0, xtol=1e-14))
+    r_out = -math.log(_pipeline_h0(coherent(0.0, 1.0), CALIBRATION_S, 0.0, 0.0).d[1])
+    q_g0, q_g1 = (_pipeline_h0(coherent(1.0, 0.0), CALIBRATION_S, g, r_out).d[0] for g in (0.0, 1.0))
+    gain = float((1.0 - q_g0) / (q_g1 - q_g0))
 
     fids, targets = {}, {}
     worst = 0.0
-    secrets = [coherent(q0, p0) for q0, p0 in ensemble]
-    for s in s_checks:
+    secrets = [coherent(q0, p0) for q0, p0 in CALIBRATION_ENSEMBLE]
+    for s in CALIBRATION_S_CHECKS:
         target = 1.0 / (1.0 + math.exp(-s))
         targets[str(s)] = target
         row = {}
-        for (q0, p0), sec in zip(ensemble, secrets):
+        for (q0, p0), sec in zip(CALIBRATION_ENSEMBLE, secrets):
             f = fidelity_pure_mixed(sec, _pipeline_h0(sec, s, gain, r_out))
             row[f"({q0},{p0})"] = f
             worst = max(worst, abs(f - target))
         fids[str(s)] = row
-    if worst > tol:
+    if worst > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibrated decoder misses 1/(1+e^-s) by {worst:.3e} (gain {gain:.6f}, squeeze {r_out:.6f})"
         )
@@ -529,7 +537,7 @@ def calibrate_decoder(
     probes = [coherent(amp, 0.0), coherent(0.0, amp), coherent(-amp, 0.0), coherent(0.0, -amp)]
 
     def guaranteed(g, r):
-        return min(fidelity_pure_mixed(sec, _pipeline_h0(sec, s_cal, g, r)) for sec in probes)
+        return min(fidelity_pure_mixed(sec, _pipeline_h0(sec, CALIBRATION_S, g, r)) for sec in probes)
 
     here = guaranteed(gain, r_out)
     for dg, dr in ((0.05, 0.0), (-0.05, 0.0), (0.0, 0.05), (0.0, -0.05)):

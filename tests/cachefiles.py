@@ -3,7 +3,8 @@
 Format 2 stores `a` and `b` as base64 of their little-endian float64 C-order
 bytes, and `sha256` over every other field of the JSON document.  Format 1,
 the earlier layout, stored nested lists and checksummed only `a` and `b`.
-These helpers write either layout without going through `rqss.modes`.
+These helpers write either layout without going through the writer in
+`rqss.modes`; they take only its ladder constants from there.
 """
 
 import base64
@@ -11,6 +12,8 @@ import hashlib
 import json
 
 import numpy as np
+
+from rqss.modes import DEFAULT_LADDER, DEFAULT_VALIDATION_H
 
 
 def read_document(path) -> dict:
@@ -52,15 +55,15 @@ def format1_document(fit) -> tuple:
         "format": 1,
         "length": fit.length,
         "n_max": fit.n_max,
-        "ladder": list(fit.ladder),
-        "validation_h": fit.validation_h,
+        "ladder": list(DEFAULT_LADDER),
+        "validation_h": DEFAULT_VALIDATION_H,
     }
     a, b = fit.a.tolist(), fit.b.tolist()
     doc = {
         "length": fit.length,
         "n_max": fit.n_max,
-        "ladder": list(fit.ladder),
-        "validation_h": fit.validation_h,
+        "ladder": list(DEFAULT_LADDER),
+        "validation_h": DEFAULT_VALIDATION_H,
         "a": a,
         "b": b,
         "validation": fit.validation,

@@ -3,11 +3,15 @@
 None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
-quadrature tables, the protocol's stages written out one by one), so the
-tests can compare the two routes.
+quadrature tables, the protocol's stages written out one by one, the
+closed-form first-order coefficients), so the tests can compare the two
+routes.  The cavity mode functions, frequencies and segment durations the
+routes need live here too: the package itself works only with their
+overlaps.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,11 +36,7 @@ from rqss.modes import (
     CavityGeometry,
     ModeSums,
     TransitionFit,
-    bogoliubov_exact,
-    minkowski_frequency,
-    minkowski_mode,
-    rindler_frequency,
-    rindler_mode,
+    _exact_matrices,
 )
 from rqss.protocol import (
     DEFAULT_DECODER_GAIN,
@@ -45,6 +45,105 @@ from rqss.protocol import (
     round_trip_channel,
     transit_channel,
 )
+
+
+def minkowski_frequency(geometry: CavityGeometry, n: int) -> float:
+    if n < 1:
+        raise ValueError("mode numbers start at 1")
+    return n * np.pi / geometry.length
+
+
+def rindler_frequency(geometry: CavityGeometry, n: int) -> float:
+    """Wedge-mode frequency per unit wedge time eta."""
+    if n < 1:
+        raise ValueError("mode numbers start at 1")
+    return n * np.pi / geometry.rindler_span
+
+
+def rindler_frequency_proper(geometry: CavityGeometry, n: int) -> float:
+    """Wedge-mode frequency per unit proper time at the cavity centre.
+
+    Tends to the inertial ``n pi / L`` as h -> 0.
+    """
+    return rindler_frequency(geometry, n) * geometry.h / geometry.length
+
+
+def minkowski_mode(geometry: CavityGeometry, n: int, t, x):
+    """Inertial cavity mode, unit Klein-Gordon norm."""
+    if n < 1:
+        raise ValueError("mode numbers start at 1")
+    om = minkowski_frequency(geometry, n)
+    x = np.asarray(x, dtype=float)
+    x_l = geometry.x_left if geometry.h > 0 else 0.0
+    return np.sin(n * np.pi * (x - x_l) / geometry.length) / np.sqrt(n * np.pi) * np.exp(-1j * om * t)
+
+
+def rindler_mode(geometry: CavityGeometry, n: int, eta, chi):
+    """Wedge cavity mode, unit Klein-Gordon norm."""
+    if n < 1:
+        raise ValueError("mode numbers start at 1")
+    om = rindler_frequency(geometry, n)
+    chi = np.asarray(chi, dtype=float)
+    arg = n * np.pi * np.log(chi / geometry.x_left) / geometry.rindler_span
+    return np.sin(arg) / np.sqrt(n * np.pi) * np.exp(-1j * om * eta)
+
+
+def phase_u(h: float, tau: float, length: float = 1.0) -> float:
+    """Dimensionless phase parameter of a segment of proper duration tau.
+
+    Mode j acquires phase 2 pi j u across the segment.  Smooth h -> 0 limit
+    tau / (2 L).
+    """
+    if h == 0.0:
+        return tau / (2.0 * length)
+    return h * tau / (4.0 * length * np.arctanh(0.5 * h))
+
+
+def duration_from_u(u: float, h: float, length: float = 1.0) -> float:
+    if h == 0.0:
+        return 2.0 * length * u
+    return u * 4.0 * length * np.arctanh(0.5 * h) / h
+
+
+@dataclass(frozen=True)
+class ExactBogoliubov:
+    """Instantaneous wedge<->inertial transition matrices at one acceleration."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    quadrature_error: float
+
+    def identity_residuals(self) -> np.ndarray:
+        """Per-row residual of sum_j alpha_ij^2 - beta_ij^2 = 1."""
+        return np.abs(np.sum(self.alpha**2 - self.beta**2, axis=1) - 1.0)
+
+
+def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order: int = 16) -> ExactBogoliubov:
+    """Real transition matrices of one acceleration, by fixed-panel Gauss-Legendre quadrature.
+
+    Rows index wedge modes, columns inertial modes.  The rule is refined once
+    (doubled panels) and the difference reported as `quadrature_error`.
+    """
+    [(alpha, beta, err)] = _exact_matrices([geometry], panels, order)
+    return ExactBogoliubov(alpha=alpha, beta=beta, quadrature_error=err)
+
+
+def first_order_closed_form(n_max: int):
+    """(a1, b1): the h-coefficients of the transition matrices in closed form.
+
+    For mode numbers m + n odd, a1 = -2 sqrt(mn) / (pi^2 (m - n)^3) and
+    b1 = 2 sqrt(mn) / (pi^2 (m + n)^3); both vanish when m + n is even
+    (Bruschi, Fuentes & Louko, PRD 85, 061701(R) (2012)).  Independent of
+    the cavity length, since h = a L is already dimensionless.
+    """
+    m = np.arange(1, n_max + 1, dtype=float)[:, None]
+    n = np.arange(1, n_max + 1, dtype=float)[None, :]
+    odd = (m + n) % 2 == 1
+    root = np.sqrt(m * n)
+    diff = np.where(odd, m - n, 1.0)  # m = n only where m + n is even
+    a1 = np.where(odd, -2.0 * root / (np.pi**2 * diff**3), 0.0)
+    b1 = np.where(odd, 2.0 * root / (np.pi**2 * (m + n) ** 3), 0.0)
+    return a1, b1
 
 
 def minkowski_slice(geometry: CavityGeometry, n: int):
@@ -107,6 +206,17 @@ def noise_block_from_sums(sums: ModeSums) -> np.ndarray:
     return iso + skew
 
 
+def thermal_lossy_forms(transmissivity: float, nbar: float):
+    """Canonical (M_c, N_c) of a thermal attenuation channel."""
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    if nbar < 0.0:
+        raise ValueError(f"nbar must be nonnegative, got {nbar}")
+    m = np.sqrt(transmissivity) * np.eye(2)
+    n = (1.0 - transmissivity) * (2.0 * nbar + 1.0) * np.eye(2)
+    return m, n
+
+
 def thermal_lossy_via_dilation(transmissivity: float, nbar: float):
     """Thermal-loss channel realized physically: beam splitter onto a thermal mode.
 
@@ -130,43 +240,38 @@ def thermal_lossy_via_dilation(transmissivity: float, nbar: float):
     return m, n
 
 
-def fit_by_exact_loop(
-    length: float = 1.0,
-    n_max: int = 20,
-    ladder: tuple = DEFAULT_LADDER,
-    validation_h: float = DEFAULT_VALIDATION_H,
-    rel_floor: float = 1e-9,
-):
+def fit_by_exact_loop(length: float = 1.0, n_max: int = 20, rel_floor: float = 1e-9):
     """(a, b, validation, quadrature_error) of `fit_transition`, one `bogoliubov_exact` per h.
 
     Each acceleration builds its own quadrature tables; the Vandermonde solve
-    and the held-out validation are those of `fit_transition`.
+    on `DEFAULT_LADDER` and the held-out validation at `DEFAULT_VALIDATION_H`
+    are those of `fit_transition`.
     """
-    ladder = tuple(sorted(set(float(h) for h in ladder), reverse=True))
-    scale = ladder[0]
-    vand = np.vander(np.array(ladder) / scale, 5, increasing=True)[:, 1:]
+    scale = DEFAULT_LADDER[0]
+    vand = np.vander(np.array(DEFAULT_LADDER) / scale, 5, increasing=True)[:, 1:]
     quad_err = 0.0
     rows_a, rows_b = [], []
-    for h in ladder:
+    for h in DEFAULT_LADDER:
         exact = bogoliubov_exact(CavityGeometry(length, h, n_max))
         quad_err = max(quad_err, exact.quadrature_error)
-        rows_a.append(exact.alpha.real - np.eye(n_max))
-        rows_b.append(exact.beta.real)
+        rows_a.append(exact.alpha - np.eye(n_max))
+        rows_b.append(exact.beta)
     powers = scale ** np.arange(1, 5)
     a = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_a])) / powers[:, None]).reshape(4, n_max, n_max)
     b = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_b])) / powers[:, None]).reshape(4, n_max, n_max)
 
-    series = TransitionFit(length, n_max, ladder, validation_h, a, b, {}, quad_err)
-    held_out = bogoliubov_exact(CavityGeometry(length, validation_h, n_max))
-    ref_a, ref_b = held_out.alpha.real, held_out.beta.real
-    abs_a = np.abs(series.alpha_at(validation_h) - ref_a)
-    abs_b = np.abs(series.beta_at(validation_h) - ref_b)
+    series = TransitionFit(length, n_max, a, b, {}, quad_err)
+    h = DEFAULT_VALIDATION_H
+    held_out = bogoliubov_exact(CavityGeometry(length, h, n_max))
+    ref_a, ref_b = held_out.alpha, held_out.beta
+    abs_a = np.abs(series.alpha_at(h) - ref_a)
+    abs_b = np.abs(series.beta_at(h) - ref_b)
     dev_a = np.abs(ref_a - np.eye(n_max))
     dev_b = np.abs(ref_b)
     rel_a = np.where(dev_a > rel_floor, abs_a / np.maximum(dev_a, rel_floor), 0.0)
     rel_b = np.where(dev_b > rel_floor, abs_b / np.maximum(dev_b, rel_floor), 0.0)
     validation = {
-        "h": validation_h,
+        "h": h,
         "max_abs_err": float(max(abs_a.max(), abs_b.max())),
         "max_rel_err": float(max(rel_a.max(), rel_b.max())),
         "rel_floor": rel_floor,

@@ -17,12 +17,17 @@ from rqss.channel import (
     second_order_moments,
     segment_channel,
     t2_from_sums,
-    thermal_lossy_forms,
 )
 from rqss.gaussian import coherent, rotation_block, squeeze, tensor, vacuum
 from rqss.modes import mode_sums, segment_bogoliubov
 
-from oracles import nbar_from_sums, noise_block_from_sums, noise_block_loop, thermal_lossy_via_dilation
+from oracles import (
+    nbar_from_sums,
+    noise_block_from_sums,
+    noise_block_loop,
+    thermal_lossy_forms,
+    thermal_lossy_via_dilation,
+)
 
 
 def test_complex_pair_block_rotation():

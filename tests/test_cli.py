@@ -126,12 +126,30 @@ def test_mode_beyond_cutoff_exits_one(capsys):
     assert "outside 1..20" in capsys.readouterr().err
 
 
-def test_cli_import_skips_integrate_and_optimize(child_env):
-    # Only decoder calibration needs scipy.optimize, and no CLI path needs
-    # scipy.integrate; both are slow to import.
-    code = "import sys, rqss.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+_RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from rqss.cli import main
+out, cache = sys.argv[1:]
+jobs = [
+    ["calibrate"],
+    ["bogo-check", "--tol", "1e-4"],  # n_max 10 truncates above the default 1e-6
+    ["invariants", "--grid", "0.25:0.75:0.25"],
+    ["fidelity", "--scenario", "23", "--u", "0.3"],
+    ["figure-data", "--grid", "0.25:0.75:0.25"],
+]
+codes = [main([*job, "--nmax", "10", "--cache-dir", cache, "--out", f"{out}/{job[0]}"]) for job in jobs]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path, child_env):
+    # The runtime needs numpy only: every subcommand works, on a fresh cache,
+    # in an interpreter where scipy cannot be imported.
+    argv = [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path / "out"), str(tmp_path / "cache")]
+    out = subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 def test_calibrate_writes_constants(tmp_path, capsys):
@@ -166,7 +184,7 @@ def test_figure_data(cache_dir, fit20, tmp_path):
 def test_corrupted_cache_exits_two(tmp_path, capsys):
     cache = tmp_path / "cache"
     fit = get_transition(n_max=4, cache_dir=cache)
-    path = cache_path(cache, fit.length, fit.n_max, fit.ladder, fit.validation_h)
+    path = cache_path(cache, fit.length, fit.n_max)
     tamper_coefficient(path, (0, 1, 0), 0.5)
     rc = main(["bogo-check", "--nmax", "4", "--cache-dir", str(cache)])
     assert rc == 2
@@ -194,6 +212,55 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"bogus": 1}))
     rc = main(["bogo-check", "--config", str(path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"s": "1.0"}, "s must be a number"),
+        ({"u": True}, "u must be a number"),
+        ({"length": None}, "length must be a number"),
+        ({"k": 1.5}, "k must be an integer"),
+        ({"n_max": 20.0}, "n_max must be an integer"),
+        ({"k": False}, "k must be an integer"),
+        ({"secret_params": "0.5,0.5"}, "secret_params must be a list"),
+        ({"secret_params": 0.5}, "secret_params must be a list"),
+        ({"secret_params": [0.5, "x"]}, "secret_params must be a list"),
+        ({"secret": ["coherent"]}, "unknown secret kind"),
+        ({"use_cache": "no"}, "use_cache must be true or false"),
+        ({"cache_dir": 5}, "cache_dir must be a string or null"),
+        ([1, 2], "config must be a JSON object"),
+        (5, "config must be a JSON object"),
+    ],
+    ids=[
+        "s-string",
+        "u-boolean",
+        "length-null",
+        "k-fraction",
+        "n_max-float",
+        "k-boolean",
+        "secret_params-string",
+        "secret_params-number",
+        "secret_params-mixed",
+        "secret-list",
+        "use_cache-string",
+        "cache_dir-number",
+        "document-list",
+        "document-number",
+    ],
+)
+def test_wrongly_typed_config_exits_one(cache_dir, fit20, tmp_path, capsys, doc, named):
+    # A JSON value of the wrong type is a configuration error, caught when
+    # the config is built: exit 1 with one error line, no traceback.
+    if isinstance(doc, dict):
+        doc = {"cache_dir": str(cache_dir), **doc}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["fidelity", "--scenario", "23", "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
 
 
 def test_config_file_naming_a_decoder_constant_exits_one(cache_dir, fit20, tmp_path, capsys):

@@ -127,8 +127,8 @@ def test_squeezed_secret_zero_acceleration(fit20):
 
 def test_calibration_lands_on_analytic_point():
     cal = calibrate_decoder()
-    assert cal.gain == pytest.approx(-2.0 * np.sqrt(2.0), abs=1e-9)
-    assert cal.squeeze == pytest.approx(0.5 * np.log(3.0), abs=1e-9)
+    assert cal.gain == pytest.approx(-2.0 * np.sqrt(2.0), rel=1e-15)
+    assert cal.squeeze == pytest.approx(0.5 * np.log(3.0), rel=1e-15)
     assert cal.max_deviation < 1e-9
 
 
