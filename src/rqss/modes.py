@@ -321,9 +321,9 @@ def resolve_cache_dir(cache_dir=None) -> Path | None:
 
 
 def save_transition(fit: TransitionFit, cache_dir) -> Path:
-    path = cache_path(Path(cache_dir), fit.length, fit.n_max)
-    path.parent.mkdir(parents=True, exist_ok=True)
     key = _cache_key(fit.length, fit.n_max)
+    path = Path(cache_dir) / _cache_name(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "key": key,
         "length": fit.length,
