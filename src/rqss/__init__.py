@@ -31,6 +31,7 @@ from .modes import (
     get_transition,
     mode_sums,
     segment_bogoliubov,
+    segment_stacks,
 )
 from .channel import (
     ChannelInvariants,
@@ -41,12 +42,14 @@ from .channel import (
     compose_sequence,
     cp_residual,
     free_channel,
+    grid_channels,
     segment_channel,
     t2_from_sums,
 )
 from .protocol import (
     DecoderCalibration,
     FidelityReport,
+    JourneyChannel,
     PairDecoder,
     ProtocolConfig,
     calibrate_decoder,

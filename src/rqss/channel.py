@@ -9,6 +9,8 @@ The reduced channel is kept order by order:
 
 with ``m0`` a rotation.  Channels compose in the Markovian sense (environment
 refreshed between segments); products of two second-order blocks are dropped.
+Every block may carry leading u axes: a stack of channels, one per segment
+phase, goes through the same arithmetic as a single channel, matrix by matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, rotation_block, symplectic_form
-from .modes import BogoliubovSet, ModeSums
+from .modes import BogoliubovSet, ModeSums, TransitionFit, _item, segment_stacks
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -36,7 +38,10 @@ def complex_pair_block(alpha: complex, beta: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbativeChannel:
-    """Gaussian channel kept to second order in the acceleration h."""
+    """Gaussian channel kept to second order in the acceleration h.
+
+    Blocks are 2x2, or (..., 2, 2) for a stack of channels.
+    """
 
     m0: np.ndarray
     m2: np.ndarray
@@ -45,9 +50,13 @@ class PerturbativeChannel:
     def __post_init__(self):
         for name in ("m0", "m2", "n2"):
             arr = _frozen(getattr(self, name))
-            if arr.shape != (2, 2):
+            if arr.shape[-2:] != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {arr.shape}")
             object.__setattr__(self, name, arr)
+
+    def __getitem__(self, index) -> "PerturbativeChannel":
+        """The channels at `index` of a stack; the index acts on the leading axes."""
+        return PerturbativeChannel(self.m0[index], self.m2[index], self.n2[index])
 
     @classmethod
     def identity(cls) -> "PerturbativeChannel":
@@ -58,9 +67,32 @@ class PerturbativeChannel:
         return self.m0 + self.m2 * h * h, self.n2 * h * h
 
 
+def _blocks(block: np.ndarray) -> np.ndarray:
+    """Move the 2x2 axes of a (2, 2, ...) array of blocks last."""
+    return block.transpose(*range(2, block.ndim), 0, 1)
+
+
+def _transpose(block: np.ndarray) -> np.ndarray:
+    return block.swapaxes(-1, -2)
+
+
 def free_channel(phi: float) -> PerturbativeChannel:
-    """Noiseless free evolution by inertial phase phi."""
-    return PerturbativeChannel(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
+    """Noiseless free evolution by inertial phase phi (an array: a stack)."""
+    return PerturbativeChannel(_blocks(rotation_block(phi)), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
+    """`segment_channel` of one segment or, stacked, of a stack of segments."""
+    if not 1 <= k <= bogo.n_max:
+        raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
+    row = k - 1
+    m0 = _blocks(complex_pair_block(bogo.alpha0[..., row], 0.0))
+    m2 = _blocks(complex_pair_block(bogo.alpha2[..., row, row], bogo.beta2[..., row, row]))
+    others = np.arange(bogo.n_max) != row
+    blk = _blocks(complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others]))
+    # One coupled mode after another, in mode order.
+    n2 = np.sum(blk @ _transpose(blk), axis=-3)
+    return PerturbativeChannel(m0, m2, n2)
 
 
 def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
@@ -70,22 +102,30 @@ def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     deformation comes from the diagonal mode-map entries and the noise block
     from the first-order couplings to every other mode.
     """
-    if not 1 <= k <= bogo.n_max:
-        raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
-    row = k - 1
-    m0 = complex_pair_block(bogo.alpha0[row], 0.0)
-    m2 = complex_pair_block(bogo.alpha2[row, row], bogo.beta2[row, row])
-    others = np.arange(bogo.n_max) != row
-    blk = np.moveaxis(complex_pair_block(bogo.alpha1[row, others], bogo.beta1[row, others]), -1, 0)
-    n2 = np.sum(blk @ blk.transpose(0, 2, 1), axis=0)
-    return PerturbativeChannel(m0, m2, n2)
+    # One segment only: the benchmark's tracer (perfbench/tracing.py) hashes
+    # this call's `bogo.u`, so stacks go through `_segment_channel`.
+    return _segment_channel(bogo, k)
+
+
+def grid_channels(fit: TransitionFit, us, modes) -> PerturbativeChannel:
+    """Segment channels on each mode in `modes` at every phase in `us`: a (U, len(modes)) stack.
+
+    The maps are built a bounded stack at a time (`segment_stacks`) and only
+    the 2x2 blocks are kept.
+    """
+    stacks = [[_segment_channel(maps, k) for k in modes] for maps in segment_stacks(fit, us)]
+    blocks = (
+        np.concatenate([np.stack([getattr(chan, name) for chan in per_mode], axis=-3) for per_mode in stacks])
+        for name in ("m0", "m2", "n2")
+    )
+    return PerturbativeChannel(*blocks)
 
 
 def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> PerturbativeChannel:
     """Channel equal to `before` followed by `after`, to second order."""
     m0 = after.m0 @ before.m0
     m2 = after.m2 @ before.m0 + after.m0 @ before.m2
-    n2 = after.m0 @ before.n2 @ after.m0.T + after.n2
+    n2 = after.m0 @ before.n2 @ _transpose(after.m0) + after.n2
     return PerturbativeChannel(m0, m2, n2)
 
 
@@ -120,10 +160,10 @@ def second_order_moments(channel: PerturbativeChannel, state: GaussianState):
         raise ValueError("second_order_moments expects a single-mode state")
     d0 = channel.m0 @ state.d
     d2 = channel.m2 @ state.d
-    sigma0 = channel.m0 @ state.sigma @ channel.m0.T
+    sigma0 = channel.m0 @ state.sigma @ _transpose(channel.m0)
     sigma2 = (
-        channel.m2 @ state.sigma @ channel.m0.T
-        + channel.m0 @ state.sigma @ channel.m2.T
+        channel.m2 @ state.sigma @ _transpose(channel.m0)
+        + channel.m0 @ state.sigma @ _transpose(channel.m2)
         + channel.n2
     )
     return d0, d2, sigma0, sigma2
@@ -140,7 +180,8 @@ class ChannelInvariants:
     Transmissivity T(h) = 1 - t2 h^2 and the h-independent mean occupation
     nbar of the equivalent thermal-lossy channel.  `rank` is
     min(rank M, rank N); a channel with no noise block (u integer) is
-    degenerate and reports t2 = 0, nbar = nan, rank 0.
+    degenerate and reports t2 = 0, nbar = nan, rank 0.  Arrays over u for
+    a stack of channels.
     """
 
     t2: float
@@ -155,15 +196,21 @@ class ChannelInvariants:
 
 
 def channel_invariants(channel: PerturbativeChannel, k: int | None = None, u: float | None = None) -> ChannelInvariants:
-    noise_scale = float(np.linalg.norm(channel.n2, 2))
-    if noise_scale < _DEGENERATE_NOISE_FLOOR:
-        return ChannelInvariants(0.0, float("nan"), 0, True, k, u)
-    t2 = -float(np.trace(channel.m0.T @ channel.m2))
-    nbar = float(np.sqrt(np.linalg.det(channel.n2)) / (2.0 * t2) - 0.5)
-    rank_m = int(np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF))
+    """Invariants of one channel, or arrays of them over a stack of channels.
+
+    Degenerate channels are masked out before nbar divides by t2, so they
+    report their fixed values without a floating-point warning.
+    """
     svals_n = np.linalg.svd(channel.n2, compute_uv=False)
-    rank_n = int(np.sum(svals_n > _RANK_CUTOFF * max(1.0, svals_n[0])))
-    return ChannelInvariants(t2, nbar, min(rank_m, rank_n), False, k, u)
+    degenerate = svals_n[..., 0] < _DEGENERATE_NOISE_FLOOR  # the spectral norm of n2
+    live = ~degenerate
+    t2 = np.where(degenerate, 0.0, -np.trace(_transpose(channel.m0) @ channel.m2, axis1=-2, axis2=-1))
+    root = np.sqrt(np.linalg.det(channel.n2), where=live, out=np.zeros(t2.shape))
+    nbar = np.divide(root, 2.0 * t2, where=live, out=np.full(t2.shape, np.nan)) - 0.5
+    rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
+    rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
+    rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))
+    return ChannelInvariants(_item(t2), _item(nbar), _item(rank), _item(degenerate), k, u)
 
 
 def t2_from_sums(sums: ModeSums) -> float:
@@ -172,7 +219,10 @@ def t2_from_sums(sums: ModeSums) -> float:
 
 
 def cp_residual(M: np.ndarray, N: np.ndarray) -> float:
-    """Min eigenvalue of N + i Gamma - i M Gamma M^T; >= 0 iff the map is CP."""
+    """Min eigenvalue of N + i Gamma - i M Gamma M^T; >= 0 iff the map is CP.
+
+    An array over a stack of (M, N).
+    """
     gamma = symplectic_form(1)
-    herm = N + 1j * gamma - 1j * M @ gamma @ M.T
-    return float(np.min(np.linalg.eigvalsh(herm)))
+    herm = N + 1j * gamma - 1j * M @ gamma @ _transpose(M)
+    return _item(np.min(np.linalg.eigvalsh(herm), axis=-1))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .modes import CorruptCacheError, segment_bogoliubov
-from .channel import channel_invariants, cp_residual, segment_channel
+from .channel import channel_invariants, cp_residual, grid_channels
 from .protocol import (
     CalibrationError,
     FIGURES,
@@ -198,19 +198,21 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     return 0 if ok else 2
 
 
+def _invariant_rows(fit, grid, h: float):
+    """Rows (u, k, T2, nbar, rank) over the grid and modes 1..3, and the least CP residual at h."""
+    modes = (1, 2, 3)
+    chans = grid_channels(fit, grid, modes)  # a (u, k) stack
+    inv = channel_invariants(chans)
+    t2, nbar, rank = inv.t2.tolist(), inv.nbar.tolist(), inv.rank.tolist()
+    rows = [[u, k, t2[i][j], nbar[i][j], rank[i][j]] for i, u in enumerate(grid) for j, k in enumerate(modes)]
+    return rows, min([np.inf, *cp_residual(*chans.evaluate(h)).ravel().tolist()])
+
+
 def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
     fit = config.transition()
     grid = _parse_grid(args.grid)
     header = ["u", "k", "T2", "nbar", "r"]
-    rows = []
-    worst_cp = np.inf
-    for u in grid:
-        bogo = segment_bogoliubov(fit, u)
-        for k in (1, 2, 3):
-            chan = segment_channel(bogo, k)
-            inv = channel_invariants(chan, k=k, u=u)
-            worst_cp = min(worst_cp, cp_residual(*chan.evaluate(config.h)))
-            rows.append([u, k, inv.t2, inv.nbar, inv.rank])
+    rows, worst_cp = _invariant_rows(fit, grid, config.h)
     valid_nbar = [row[3] for row in rows if not np.isnan(row[3])]
     breach = (valid_nbar and min(valid_nbar) < -1e-10) or worst_cp < -1e-10
 

@@ -403,7 +403,11 @@ class BogoliubovSet:
     """Mode-operator map across one full segment, order by order in h.
 
     ``alpha0`` is the diagonal of the zeroth order (pure phases); first and
-    second orders are dense.  Rows index output inertial modes.
+    second orders are dense.  Rows index output inertial modes.  A stack of
+    segments carries a leading u axis on every array, and ``u`` is then the
+    array of phases; `alpha_at`, `beta_at` and the residuals take one segment.
+    Maps built to first order only (for mode sums) have no ``alpha2`` and
+    ``beta2``: both are None.
     """
 
     u: float
@@ -432,33 +436,37 @@ class BogoliubovSet:
         return np.abs(np.sum(np.abs(alpha) ** 2 - np.abs(beta) ** 2, axis=1) - 1.0)
 
 
-def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
-    """Compose transition -> wedge phases -> inverse transition at phase u.
+# Largest number of complex entries of one stacked (U, n, n) map array: a
+# u-grid is walked in stacks of at most this many entries per array (64 KiB),
+# so memory stays bounded at large n_max.  Larger stacks were no faster at
+# n_max 20 and cost memory: at 2**16 entries the allocator mapped every
+# temporary afresh (about 3000 minor page faults per round of the four
+# figures), and at 2**13 the four `reproduce_figures` jobs peaked 1.4 MB
+# higher (glibc, x86-64 Linux).
+STACK_ENTRIES = 1 << 12
 
-    All entries are exactly periodic in u with period 1.
+
+def _segment_maps(fit: TransitionFit, u, second_order: bool = True) -> BogoliubovSet:
+    """Segment maps at phase u, a float or a 1-d array of phases (a stack).
+
+    Without `second_order` the maps stop at first order: alpha2 and beta2 are None.
     """
+    u = np.asarray(u, dtype=float)
     n = np.arange(1, fit.n_max + 1)
-    theta = 2.0 * np.pi * n * u
+    theta = 2.0 * np.pi * n * u[..., None]
     ebar = np.exp(1j * theta)  # phase conjugated back to inertial convention
     e = np.conj(ebar)
+    col, row, e_col = ebar[..., :, None], ebar[..., None, :], e[..., :, None]
     a1, a2, b1, b2 = fit.a1, fit.a2, fit.b1, fit.b2
 
-    alpha1 = a1 * (ebar[:, None] - ebar[None, :])
-    beta1 = b1 * (ebar[:, None] - e[None, :])
-    alpha2 = (
-        a2.T * ebar[None, :]
-        + ebar[:, None] * a2
-        + a1.T @ (ebar[:, None] * a1)
-        - b1.T @ (e[:, None] * b1)
-    )
-    beta2 = (
-        a1.T @ (ebar[:, None] * b1)
-        + ebar[:, None] * b2
-        - b2.T * e[None, :]
-        - b1.T @ (e[:, None] * a1)
-    )
+    alpha1 = a1 * (col - row)
+    beta1 = b1 * (col - e[..., None, :])
+    alpha2 = beta2 = None
+    if second_order:
+        alpha2 = a2.T * row + col * a2 + a1.T @ (col * a1) - b1.T @ (e_col * b1)
+        beta2 = a1.T @ (col * b1) + col * b2 - b2.T * e[..., None, :] - b1.T @ (e_col * a1)
     return BogoliubovSet(
-        u=float(u),
+        u=float(u) if u.ndim == 0 else u,
         n_max=fit.n_max,
         alpha0=ebar,
         alpha1=alpha1,
@@ -468,13 +476,40 @@ def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
     )
 
 
+def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
+    """Compose transition -> wedge phases -> inverse transition at phase u.
+
+    All entries are exactly periodic in u with period 1.  One segment;
+    `segment_stacks` builds many through the same arithmetic.
+    """
+    # Stacks never pass through here: the benchmark's tracer
+    # (perfbench/tracing.py) reads this call's `u` as one float.
+    return _segment_maps(fit, float(u))
+
+
+def segment_stacks(fit: TransitionFit, us, second_order: bool = True):
+    """Stacked segment maps of every phase in `us`, in order, as consecutive stacks.
+
+    Each stack holds at most `STACK_ENTRIES` entries per (U, n, n) array (at
+    least one phase), so a large cutoff walks the grid a few phases at a time.
+    Without `second_order` the maps stop at first order, all mode sums need.
+    """
+    us = np.asarray(us, dtype=float)
+    size = max(1, STACK_ENTRIES // fit.n_max**2)
+    for start in range(0, max(us.size, 1), size):
+        yield _segment_maps(fit, us[start : start + size], second_order)
+
+
 # ---------------------------------------------------------------------------
 # first-order mode sums driving the effective channel
 
 
 @dataclass(frozen=True)
 class ModeSums:
-    """Row sums of first-order segment couplings for one monitored mode."""
+    """Row sums of first-order segment couplings for one monitored mode.
+
+    Arrays over u for a stack of segments.
+    """
 
     k: int
     u: float
@@ -484,16 +519,27 @@ class ModeSums:
     g_cross: complex
 
 
+def _item(value):
+    """A 0-d result as a Python scalar; a stacked one unchanged."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
-    """f_alpha, f_beta and the cross sum g for mode k (numbered from 1)."""
+    """f_alpha, f_beta and the cross sum g for mode k (numbered from 1).
+
+    Broadcasts over a stack of segments.  Each row is summed as one
+    contiguous run, so a stacked row adds up exactly like a single one.
+    """
     if not 1 <= k <= bogo.n_max:
         raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
     row = k - 1
     mask = np.ones(bogo.n_max, dtype=bool)
     mask[row] = False
-    arow = bogo.alpha1[row, mask]
-    brow = bogo.beta1[row, mask]
-    f_alpha = 0.5 * float(np.sum(np.abs(arow) ** 2))
-    f_beta = 0.5 * float(np.sum(np.abs(brow) ** 2))
-    g_cross = complex(np.sum(arow * brow))
-    return ModeSums(k=k, u=bogo.u, n_max=bogo.n_max, f_alpha=f_alpha, f_beta=f_beta, g_cross=g_cross)
+    arow = np.ascontiguousarray(bogo.alpha1[..., row, mask])
+    brow = np.ascontiguousarray(bogo.beta1[..., row, mask])
+    f_alpha = 0.5 * np.add.reduce(np.abs(arow) ** 2, axis=-1)
+    f_beta = 0.5 * np.add.reduce(np.abs(brow) ** 2, axis=-1)
+    g_cross = np.add.reduce(arow * brow, axis=-1)
+    return ModeSums(
+        k=k, u=bogo.u, n_max=bogo.n_max, f_alpha=_item(f_alpha), f_beta=_item(f_beta), g_cross=_item(g_cross)
+    )

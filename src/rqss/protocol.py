@@ -39,11 +39,14 @@ from .gaussian import (
 from .modes import (
     DEFAULT_L,
     DEFAULT_NMAX,
+    BogoliubovSet,
     ModeSums,
     TransitionFit,
+    _item,
     get_transition,
     mode_sums,
     segment_bogoliubov,
+    segment_stacks,
 )
 from .channel import (
     PerturbativeChannel,
@@ -51,6 +54,7 @@ from .channel import (
     channel_invariants,
     compose_sequence,
     free_channel,
+    grid_channels,
     second_order_moments,
     segment_channel,
     t2_from_sums,
@@ -170,28 +174,46 @@ def encode(secret: GaussianState, s: float) -> GaussianState:
 
 
 def inertial_phase(k: int, u: float) -> float:
-    """Dealer's tuning of a free leg following a segment of phase 2 pi k u."""
+    """Dealer's tuning of a free leg following a segment of phase 2 pi k u (u may be an array)."""
     return math.pi - 2.0 * (2.0 * math.pi * k * u)
 
 
-def transit_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
+@dataclass(frozen=True)
+class JourneyChannel(PerturbativeChannel):
+    """A journey's channel with the segment maps it was built from.
+
+    `segments` holds the map of phase u and, on a round trip, the merged
+    middle segment of phase 2u, so their mode sums need no second build.
+    """
+
+    segments: tuple[BogoliubovSet, ...] = ()
+
+
+def _round_trip(seg: PerturbativeChannel, seg_mid: PerturbativeChannel, k: int, u) -> PerturbativeChannel:
+    """Round trip of segment channels at phases u and 2u; stacked over u if they are."""
+    leg = free_channel(inertial_phase(k, u))
+    return compose_sequence([seg, leg, seg_mid, leg, seg])
+
+
+def transit_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
     """One-way journey: segment, tuned free leg, segment.
 
     Zeroth order is a rotation by exactly pi for every (k, u).
     """
-    seg = segment_channel(segment_bogoliubov(fit, u), k)
-    return compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
+    bogo = segment_bogoliubov(fit, u)
+    seg = segment_channel(bogo, k)
+    chan = compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
+    return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo,))
 
 
-def round_trip_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
+def round_trip_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
     """Out-and-back journey: the two middle segments merge into one of phase 2u.
 
     Zeroth order is a rotation by exactly 2 pi.
     """
-    seg = segment_channel(segment_bogoliubov(fit, u), k)
-    seg_mid = segment_channel(segment_bogoliubov(fit, 2.0 * u), k)
-    leg = free_channel(inertial_phase(k, u))
-    return compose_sequence([seg, leg, seg_mid, leg, seg])
+    bogo, bogo_mid = segment_bogoliubov(fit, u), segment_bogoliubov(fit, 2.0 * u)
+    chan = _round_trip(segment_channel(bogo, k), segment_channel(bogo_mid, k), k, u)
+    return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo, bogo_mid))
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
@@ -370,10 +392,11 @@ def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> f
 
     Valid for any pure secret: the balanced recombination commutes with the
     identical per-share channels, so the decoded port sees the round-trip
-    channel `chan` applied straight to the secret.
+    channel `chan` applied straight to the secret.  An array over a stack of
+    round trips.
     """
     _, _, _, sigma2 = second_order_moments(chan, secret)
-    return 0.25 * float(np.trace(np.linalg.solve(secret.sigma, sigma2)))
+    return _item(0.25 * np.trace(np.linalg.solve(secret.sigma, sigma2), axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)
@@ -410,9 +433,8 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     if fit is None:
         fit = config.transition()
     secret, journey, fidelity = _fidelity_curve(scenario, config, fit)
-
-    def sums(u: float) -> ModeSums:
-        return mode_sums(segment_bogoliubov(fit, u), config.k)
+    # Mode sums of the journey's own segments: u, then 2u on a round trip.
+    sums = [mode_sums(bogo, config.k) for bogo in journey.segments]
 
     sims = [fidelity(h) for h in DEFAULT_F2_LADDER]
     f2_extrap, _, curvature = extrapolate_f2(sims)
@@ -435,13 +457,13 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
         f2_source = "trace of the round-trip second-order moments"
         f2_closed = float("nan")
         if coherent_secret:
-            f2_closed = fidelity_closed_forms("12", sums(config.u), sums(2.0 * config.u))["f2"]
+            f2_closed = fidelity_closed_forms("12", *sums)["f2"]
     else:
         ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
         f0 = fidelity_pure_mixed(secret, ideal)
         f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
         if coherent_secret:
-            closed = fidelity_closed_forms(scenario, sums(config.u), s=config.s)
+            closed = fidelity_closed_forms(scenario, sums[0], s=config.s)
             f2 = closed["f2"]
             f2_closed = closed["f2"]
             f2_source = "closed form from first-order mode sums"
@@ -557,30 +579,41 @@ def calibrate_decoder() -> DecoderCalibration:
 FIGURES = ("T2", "nbar", "F2_23", "F2_12_squeezed")
 
 
-# Per-mode value of each u-grid figure: (column prefix, value(bogo, k, u, config)).
-_MODE_FIGURES = {
-    "T2": ("T2", lambda bogo, k, u, config: t2_from_sums(mode_sums(bogo, k))),
-    "nbar": ("nbar", lambda bogo, k, u, config: channel_invariants(segment_channel(bogo, k), k=k, u=u).nbar),
-    "F2_23": ("F2", lambda bogo, k, u, config: fidelity_closed_forms("23", mode_sums(bogo, k), s=config.s)["f2"]),
+# Per-mode value of the mode-sum figures: (column prefix, value(sums, config)),
+# arrays over a stack of segments.
+_SUMS_FIGURES = {
+    "T2": ("T2", lambda sums, config: t2_from_sums(sums)),
+    "F2_23": ("F2", lambda sums, config: fidelity_closed_forms("23", sums, s=config.s)["f2"]),
 }
+_FIGURE_MODES = (1, 2, 3)
+_FIGURE_SQUEEZINGS = (0.0625, 0.125, 0.25)
 
 
 def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
-    """(header, rows) for one summary figure over a u-grid."""
-    grid = [float(u) for u in grid]
-    if name in _MODE_FIGURES:
-        prefix, value = _MODE_FIGURES[name]
-        header = ["u"] + [f"{prefix}_k{k}" for k in (1, 2, 3)]
-        rows = []
-        for u in grid:
-            bogo = segment_bogoliubov(fit, u)
-            rows.append([u] + [value(bogo, k, u, config) for k in (1, 2, 3)])
-        return header, rows
-    if name == "F2_12_squeezed":
-        header = ["u", "F2_r0.0625", "F2_r0.125", "F2_r0.25"]
-        rows = []
-        for u in grid:
-            chan = round_trip_channel(fit, config.k, u)
-            rows.append([u] + [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in (0.0625, 0.125, 0.25)])
-        return header, rows
-    raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
+    """(header, rows) for one summary figure over a u-grid.
+
+    The grid is evaluated as stacks of segments (`segment_stacks`), each
+    distinct phase built once; the round trip's 2u segments come from the
+    same stacks as its u segments.
+    """
+    us = np.array([float(u) for u in grid])
+    if name in _SUMS_FIGURES:
+        prefix, value = _SUMS_FIGURES[name]
+        header = ["u"] + [f"{prefix}_k{k}" for k in _FIGURE_MODES]
+        stacks = segment_stacks(fit, us, second_order=False)
+        columns = np.concatenate(
+            [[value(mode_sums(maps, k), config) for k in _FIGURE_MODES] for maps in stacks], axis=-1
+        )
+    elif name == "nbar":
+        header = ["u"] + [f"nbar_k{k}" for k in _FIGURE_MODES]
+        columns = channel_invariants(grid_channels(fit, us, _FIGURE_MODES)).nbar.T
+    elif name == "F2_12_squeezed":
+        header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
+        # The phases u and 2u, each distinct one built once; `where` maps them back.
+        phases, where = np.unique(np.concatenate([us, 2.0 * us]), return_inverse=True)
+        segs = grid_channels(fit, phases, (config.k,))
+        chan = _round_trip(segs[where[: us.size], 0], segs[where[us.size :], 0], config.k, us)
+        columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
+    else:
+        raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
+    return header, np.column_stack([us, *columns]).tolist()

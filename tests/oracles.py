@@ -4,10 +4,10 @@ None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
-closed-form first-order coefficients), so the tests can compare the two
-routes.  The cavity mode functions, frequencies and segment durations the
-routes need live here too: the package itself works only with their
-overlaps.
+closed-form first-order coefficients, one segment at a time in place of the
+stacked u-grid), so the tests can compare the two routes.  The cavity mode
+functions, frequencies and segment durations the routes need live here too:
+the package itself works only with their overlaps.
 """
 
 import math
@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from rqss.channel import apply_channel, complex_pair_block
+from rqss.channel import (
+    apply_channel,
+    channel_invariants,
+    complex_pair_block,
+    cp_residual,
+    segment_channel,
+    t2_from_sums,
+)
 from rqss.gaussian import (
     GaussianState,
     SymplecticMap,
@@ -27,6 +34,7 @@ from rqss.gaussian import (
     partial_trace,
     phase_rotation,
     squeeze,
+    squeezed_vacuum,
     tensor,
 )
 from rqss.modes import (
@@ -37,11 +45,16 @@ from rqss.modes import (
     ModeSums,
     TransitionFit,
     _exact_matrices,
+    mode_sums,
+    segment_bogoliubov,
 )
 from rqss.protocol import (
     DEFAULT_DECODER_GAIN,
     DEFAULT_DECODER_SQUEEZE,
+    FIGURES,
+    _direct_f2_scenario12,
     encode,
+    fidelity_closed_forms,
     round_trip_channel,
     transit_channel,
 )
@@ -304,3 +317,46 @@ def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> f
     if scenario == "13":
         state = apply_symplectic(phase_rotation(math.pi, partner, 2), state)
     return fidelity_pure_mixed(secret, partial_trace(state, [partner]))
+
+
+# Per-mode value of each u-grid figure: (column prefix, value(bogo, k, u, config)).
+_MODE_FIGURES = {
+    "T2": ("T2", lambda bogo, k, u, config: t2_from_sums(mode_sums(bogo, k))),
+    "nbar": ("nbar", lambda bogo, k, u, config: channel_invariants(segment_channel(bogo, k), k=k, u=u).nbar),
+    "F2_23": ("F2", lambda bogo, k, u, config: fidelity_closed_forms("23", mode_sums(bogo, k), s=config.s)["f2"]),
+}
+
+
+def figure_data_per_u(name: str, fit: TransitionFit, grid, config):
+    """`figure_data` built one segment map, channel and round trip per u."""
+    grid = [float(u) for u in grid]
+    if name in _MODE_FIGURES:
+        prefix, value = _MODE_FIGURES[name]
+        header = ["u"] + [f"{prefix}_k{k}" for k in (1, 2, 3)]
+        rows = []
+        for u in grid:
+            bogo = segment_bogoliubov(fit, u)
+            rows.append([u] + [value(bogo, k, u, config) for k in (1, 2, 3)])
+        return header, rows
+    if name == "F2_12_squeezed":
+        header = ["u", "F2_r0.0625", "F2_r0.125", "F2_r0.25"]
+        rows = []
+        for u in grid:
+            chan = round_trip_channel(fit, config.k, u)
+            rows.append([u] + [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in (0.0625, 0.125, 0.25)])
+        return header, rows
+    raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
+
+
+def invariant_rows_per_u(fit: TransitionFit, grid, h: float):
+    """The rows and least CP residual of `rqss invariants`, one segment per u."""
+    rows = []
+    worst_cp = np.inf
+    for u in grid:
+        bogo = segment_bogoliubov(fit, u)
+        for k in (1, 2, 3):
+            chan = segment_channel(bogo, k)
+            inv = channel_invariants(chan, k=k, u=u)
+            worst_cp = min(worst_cp, cp_residual(*chan.evaluate(h)))
+            rows.append([u, k, inv.t2, inv.nbar, inv.rank])
+    return rows, worst_cp

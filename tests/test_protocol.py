@@ -34,7 +34,7 @@ from rqss.protocol import (
     transit_channel,
 )
 
-from oracles import fidelity_by_stages
+from oracles import fidelity_by_stages, figure_data_per_u
 
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
 
@@ -315,10 +315,24 @@ def test_report_builds_its_journey_channel_once(fit20, monkeypatch, scenario):
     assert sum(counts.values()) == 1
 
 
-def test_squeezed_figure_builds_one_round_trip_per_u(fit20, monkeypatch):
+def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
+    # The round trips of the whole grid are composed as one stack.
     counts = _count_journey_builds(monkeypatch)
-    figure_data("F2_12_squeezed", fit20, [0.2, 0.3, 0.4], _cfg())
-    assert counts == {"transit_channel": 0, "round_trip_channel": 3}
+    grid = [0.2, 0.3, 0.4]
+    header, rows = figure_data("F2_12_squeezed", fit20, grid, _cfg())
+    assert counts == {"transit_channel": 0, "round_trip_channel": 0}
+    assert (header, rows) == figure_data_per_u("F2_12_squeezed", fit20, grid, _cfg())
+
+
+@pytest.mark.parametrize("scenario, builds", [("12", 2), ("23", 1), ("13", 1)])
+@pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
+def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, builds, secret, params):
+    # The coherent secret's mode sums come from the journey's own segment maps.
+    calls = []
+    build = protocol.segment_bogoliubov
+    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda fit, u: calls.append(u) or build(fit, u))
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params), fit20)
+    assert calls == [0.3, 0.6][:builds]
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
