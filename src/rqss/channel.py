@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _frozen, rotation_block, symplectic_form
-from .modes import BogoliubovSet, ModeSums, TransitionFit, _item, segment_stacks
+from .gaussian import GaussianState, _frozen, _item, _mat_vec, _transpose, rotation_block, symplectic_form
+from .modes import BogoliubovSet, ModeSums, TransitionFit, segment_stacks
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -62,18 +62,19 @@ class PerturbativeChannel:
     def identity(cls) -> "PerturbativeChannel":
         return cls(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
 
-    def evaluate(self, h: float):
-        """(M, N) of the channel at a concrete acceleration."""
+    def evaluate(self, h):
+        """(M, N) of the channel at a concrete acceleration.
+
+        An array of h puts its axes in front of the channel's: a single
+        channel at H accelerations gives (H, 2, 2) stacks of M and N.
+        """
+        h = np.reshape(h, np.shape(h) + (1,) * self.m0.ndim)
         return self.m0 + self.m2 * h * h, self.n2 * h * h
 
 
 def _blocks(block: np.ndarray) -> np.ndarray:
     """Move the 2x2 axes of a (2, 2, ...) array of blocks last."""
     return block.transpose(*range(2, block.ndim), 0, 1)
-
-
-def _transpose(block: np.ndarray) -> np.ndarray:
-    return block.swapaxes(-1, -2)
 
 
 def free_channel(phi: float) -> PerturbativeChannel:
@@ -138,16 +139,21 @@ def compose_sequence(channels) -> PerturbativeChannel:
 
 
 def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int = 0) -> GaussianState:
-    """Apply a concrete single-mode channel (M, N) to one mode of a state."""
+    """Apply a concrete single-mode channel (M, N) to one mode of a state.
+
+    (..., 2, 2) stacks of M and N, a stack of states, or both give the stack
+    of outputs.
+    """
     n = state.n_modes
     if not 0 <= mode < n:
         raise ValueError(f"mode {mode} outside state with {n} modes")
-    full_m = np.eye(2 * n)
-    full_m[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = M
-    full_n = np.zeros((2 * n, 2 * n))
-    full_n[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = N
-    sigma = full_m @ state.sigma @ full_m.T + full_n
-    return GaussianState(full_m @ state.d, 0.5 * (sigma + sigma.T))
+    block = slice(2 * mode, 2 * mode + 2)
+    full_m = np.broadcast_to(np.eye(2 * n), M.shape[:-2] + (2 * n, 2 * n)).copy()
+    full_m[..., block, block] = M
+    full_n = np.zeros(N.shape[:-2] + (2 * n, 2 * n))
+    full_n[..., block, block] = N
+    sigma = full_m @ state.sigma @ _transpose(full_m) + full_n
+    return GaussianState(_mat_vec(full_m, state.d), 0.5 * (sigma + _transpose(sigma)))
 
 
 def second_order_moments(channel: PerturbativeChannel, state: GaussianState):

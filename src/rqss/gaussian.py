@@ -14,7 +14,7 @@ single-mode state is pure iff ``det sigma = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,40 +51,46 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _item(value):
+    """A 0-d result as a Python scalar; a stacked one unchanged."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class GaussianState:
-    """First moments and covariance matrix of an n-mode Gaussian state."""
+    """First moments and covariance matrix of an n-mode Gaussian state.
+
+    `d` has shape (..., 2n) and `sigma` (..., 2n, 2n): leading axes hold a
+    stack of states, each checked on its own.
+    """
 
     d: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
-        d = _frozen(np.atleast_1d(self.d))
-        sigma = _frozen(np.atleast_2d(self.sigma))
-        if d.ndim != 1 or d.size % 2:
+        d = _frozen(self.d)
+        sigma = _frozen(self.sigma)
+        if d.ndim < 1 or d.shape[-1] % 2:
             raise ValueError(f"first moments must have even length, got {d.shape}")
-        if sigma.shape != (d.size, d.size):
+        if sigma.shape != d.shape + d.shape[-1:]:
             raise ValueError(f"covariance shape {sigma.shape} does not match d {d.shape}")
-        # Tolerances scale with the covariance so that strongly squeezed
+        # Tolerances scale with each covariance so that strongly squeezed
         # states (entries ~ cosh s) are not rejected on eigensolver roundoff.
-        scale = max(1.0, float(np.max(np.abs(sigma))))
-        if np.max(np.abs(sigma - sigma.T)) > PHYSICALITY_TOL * scale:
+        tol = PHYSICALITY_TOL * np.abs(sigma).max(axis=(-2, -1), initial=1.0)
+        if (np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
             raise ValueError("covariance matrix is not symmetric")
-        gamma = symplectic_form(d.size // 2)
+        gamma = symplectic_form(d.shape[-1] // 2)
         # Physicality: sigma + i Gamma is Hermitian and must be PSD.
-        eigmin = float(np.min(np.linalg.eigvalsh(sigma + 1j * gamma)))
-        if eigmin < -PHYSICALITY_TOL * scale:
-            raise ValueError(f"state violates the uncertainty bound: min eig {eigmin:.3e}")
+        eigmin = np.linalg.eigvalsh(sigma + 1j * gamma).min(axis=-1)
+        low = eigmin < -tol
+        if low.any():
+            raise ValueError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", sigma)
 
     @property
     def n_modes(self) -> int:
-        return self.d.size // 2
-
-    def displaced(self, delta: np.ndarray) -> "GaussianState":
-        """Same state shifted in phase space by `delta`."""
-        return GaussianState(self.d + np.asarray(delta, dtype=float), self.sigma)
+        return self.d.shape[-1] // 2
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,11 @@ class SymplecticMap:
     """Linear phase-space map; the matrix is verified symplectic on construction."""
 
     matrix: np.ndarray
-    tol: float = field(default=SYMPLECTIC_TOL, repr=False)
 
     def __post_init__(self):
         matrix = _frozen(np.atleast_2d(self.matrix))
         residual = check_symplectic(matrix)
-        if residual > self.tol:
+        if residual > SYMPLECTIC_TOL:
             raise ValueError(f"matrix is not symplectic: residual {residual:.3e}")
         object.__setattr__(self, "matrix", matrix)
 
@@ -185,15 +190,34 @@ def beam_splitter(t: float, modes: tuple[int, int] = (0, 1), n_modes: int = 2) -
     return SymplecticMap(_embed(block, tuple(modes), n_modes))
 
 
+def _transpose(matrix: np.ndarray) -> np.ndarray:
+    return matrix.swapaxes(-1, -2)
+
+
+def _mat_vec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector over stacks of either; the vector gets an explicit trailing axis."""
+    return (matrix @ vector[..., None])[..., 0]
+
+
 def apply_symplectic(smap: SymplecticMap, state: GaussianState) -> GaussianState:
+    """The map applied to a state or to each state of a stack."""
     if smap.n_modes != state.n_modes:
         raise ValueError("mode count mismatch between map and state")
     s = smap.matrix
-    return GaussianState(s @ state.d, s @ state.sigma @ s.T)
+    return GaussianState(_mat_vec(s, state.d), s @ state.sigma @ s.T)
 
 
 # ---------------------------------------------------------------------------
 # reduction, measurement, fidelity
+
+
+def _quadratures(modes) -> np.ndarray:
+    return np.concatenate([[2 * m, 2 * m + 1] for m in modes])
+
+
+def _block(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (rows, cols) block of each covariance in a stack."""
+    return sigma[..., rows[:, None], cols]
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -201,8 +225,8 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     keep = list(keep)
     if not keep or len(set(keep)) != len(keep) or not all(0 <= m < state.n_modes for m in keep):
         raise ValueError(f"bad mode selection {keep} for {state.n_modes} modes")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
-    return GaussianState(state.d[idx], state.sigma[np.ix_(idx, idx)])
+    idx = _quadratures(keep)
+    return GaussianState(state.d[..., idx], _block(state.sigma, idx, idx))
 
 
 def homodyne_feedforward(
@@ -217,7 +241,8 @@ def homodyne_feedforward(
     Returns the ensemble-averaged state of the unmeasured modes (measured mode
     removed, remaining modes in their original order).  The average over
     outcomes of the conditional states restores the outcome-independent
-    Gaussian below; `gain` = 0 reproduces the plain marginal.
+    Gaussian below; `gain` = 0 reproduces the plain marginal.  A stack of
+    states gives the stack of their averaged states.
     """
     n = state.n_modes
     if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
@@ -226,16 +251,16 @@ def homodyne_feedforward(
         raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
 
     rest = [m for m in range(n) if m != measured_mode]
-    ridx = np.concatenate([[2 * m, 2 * m + 1] for m in rest])
-    midx = np.array([2 * measured_mode, 2 * measured_mode + 1])
+    ridx = _quadratures(rest)
+    midx = _quadratures([measured_mode])
 
-    a = state.sigma[np.ix_(ridx, ridx)]
-    b = state.sigma[np.ix_(midx, midx)]
-    c = state.sigma[np.ix_(ridx, midx)]
+    a = _block(state.sigma, ridx, ridx)
+    b = _block(state.sigma, midx, midx)
+    c = _block(state.sigma, ridx, midx)
 
     iq = 0 if quadrature == "q" else 1
-    b_qq = b[iq, iq]
-    if b_qq <= _PINV_RCOND * max(1.0, float(np.max(np.abs(b)))):
+    b_qq = b[..., iq, iq]
+    if (b_qq <= _PINV_RCOND * np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))).any():
         raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
 
     pi = np.zeros((2, 2))
@@ -249,26 +274,27 @@ def homodyne_feedforward(
 
     # Conditional covariance plus the outcome-averaged spread of the
     # feed-forward displaced means.
-    sigma_cond = a - c @ pinv @ c.T
-    v = c @ pinv @ e_q
+    sigma_cond = a - c @ pinv @ _transpose(c)
+    v = _mat_vec(c @ pinv, e_q)
     shift = v + gain * e_t
-    sigma_avg = sigma_cond + b_qq * np.outer(shift, shift)
+    sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
 
-    d_avg = state.d[ridx] + gain * state.d[midx][iq] * e_t
-    return GaussianState(d_avg, 0.5 * (sigma_avg + sigma_avg.T))
+    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[iq]])[..., None] * e_t
+    return GaussianState(d_avg, 0.5 * (sigma_avg + _transpose(sigma_avg)))
 
 
-def fidelity_pure_mixed(pure: GaussianState, other: GaussianState) -> float:
+def fidelity_pure_mixed(pure: GaussianState, other: GaussianState):
     """Uhlmann fidelity between a pure single-mode state and any single-mode state.
 
     F = 2 exp(-delta^T (s1+s2)^{-1} delta) / sqrt(det(s1+s2)) in the
-    vacuum = identity scaling.
+    vacuum = identity scaling.  A float, or an array over a stack of states.
     """
     if pure.n_modes != 1 or other.n_modes != 1:
         raise ValueError("fidelity formula is for single-mode states")
-    det_pure = float(np.linalg.det(pure.sigma))
-    if det_pure > 1.0 + PHYSICALITY_TOL:
-        raise ValueError(f"first argument is not pure: det sigma = {det_pure:.6f}")
+    det_pure = np.linalg.det(pure.sigma)
+    if (det_pure > 1.0 + PHYSICALITY_TOL).any():
+        raise ValueError(f"first argument is not pure: det sigma = {det_pure.max():.6f}")
     total = pure.sigma + other.sigma
     delta = pure.d - other.d
-    return float(2.0 * np.exp(-delta @ np.linalg.solve(total, delta)) / np.sqrt(np.linalg.det(total)))
+    exponent = (delta[..., None, :] @ np.linalg.solve(total, delta[..., None]))[..., 0, 0]
+    return _item(2.0 * np.exp(-exponent) / np.sqrt(np.linalg.det(total)))

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import _frozen
+from .gaussian import _frozen, _item
 
 DEFAULT_L = 1.0
 DEFAULT_NMAX = 20
@@ -517,11 +517,6 @@ class ModeSums:
     f_alpha: float
     f_beta: float
     g_cross: complex
-
-
-def _item(value):
-    """A 0-d result as a Python scalar; a stacked one unchanged."""
-    return value.item() if np.ndim(value) == 0 else value
 
 
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:

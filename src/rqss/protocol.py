@@ -23,6 +23,7 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _item,
     apply_symplectic,
     beam_splitter,
     coherent,
@@ -42,7 +43,6 @@ from .modes import (
     BogoliubovSet,
     ModeSums,
     TransitionFit,
-    _item,
     get_transition,
     mode_sums,
     segment_bogoliubov,
@@ -313,7 +313,8 @@ def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
 
     The secret, its encoding, the journey channel and the decoder maps do not
     depend on the acceleration, so only evaluating the journey at h and
-    running the stages on it repeats per h.
+    running the stages on it repeats per h.  An array of h runs the stages
+    once, on the stack of journeys, and gives an array of fidelities.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     build = round_trip_channel if scenario == "12" else transit_channel
@@ -321,7 +322,7 @@ def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
     secret = config.make_secret()
     encoded = encode(secret, config.s)
 
-    def fidelity(h: float) -> float:
+    def fidelity(h):
         M, N = journey.evaluate(h)
         return fidelity_pure_mixed(secret, collaborate(distribute(encoded, M, N), M, N, decoder))
 
@@ -436,7 +437,8 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     # Mode sums of the journey's own segments: u, then 2u on a round trip.
     sums = [mode_sums(bogo, config.k) for bogo in journey.segments]
 
-    sims = [fidelity(h) for h in DEFAULT_F2_LADDER]
+    # The ladder and config.h as one stack of journeys.
+    *sims, f_sim = fidelity(np.array([*DEFAULT_F2_LADDER, config.h])).tolist()
     f2_extrap, _, curvature = extrapolate_f2(sims)
     # The three-point fit isolates the h^2 coefficient only while the h^4
     # term is subdominant on the ladder.  Strong squeezing inflates the
@@ -447,7 +449,6 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     if abs(curvature) * h_top**4 > 0.25 * abs(f2_extrap) * h_top**2 + 1e-12:
         f2_extrap = float("nan")
         extrap_source = "unavailable: quartic term dominates the ladder, outside the perturbative window"
-    f_sim = fidelity(config.h)
 
     coherent_secret = config.secret == "coherent"
     if scenario == "12":

@@ -62,6 +62,20 @@ def test_identity_and_evaluate():
     assert np.array_equal(n, np.zeros((2, 2)))
 
 
+def test_evaluate_puts_the_h_axes_first(fit20):
+    # One channel at H accelerations gives (H, 2, 2); a stack of U channels (H, U, 2, 2).
+    hs = np.array([1e-2, 5e-3, 2.5e-3])
+    one = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
+    stack = compose(free_channel(np.array([0.4, 1.1])), one)
+    for chan, shape in ((one, (3, 2, 2)), (stack, (3, 2, 2, 2))):
+        m, n = chan.evaluate(hs)
+        assert m.shape == n.shape == shape
+        for i, h in enumerate(hs):
+            m_h, n_h = chan.evaluate(h)
+            assert np.array_equal(m[i], m_h)
+            assert np.array_equal(n[i], n_h)
+
+
 def test_compose_matches_sequential_application(fit20):
     bogo = segment_bogoliubov(fit20, 0.3)
     seg = segment_channel(bogo, 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqss.channel import apply_channel
 from rqss.gaussian import (
     GaussianState,
     SymplecticMap,
@@ -187,7 +188,7 @@ def _random_pure(rng):
     d = rng.uniform(-3.0, 3.0, size=2)
     state = apply_symplectic(squeeze(r), vacuum())
     state = apply_symplectic(phase_rotation(phi), state)
-    return state.displaced(d)
+    return GaussianState(state.d + d, state.sigma)
 
 
 def test_fidelity_self_is_one():
@@ -223,7 +224,7 @@ def _two_mode(single: SymplecticMap) -> SymplecticMap:
 )
 def test_pure_states_stay_physical(r, phi, q0, p0):
     state = apply_symplectic(phase_rotation(phi), apply_symplectic(squeeze(r), vacuum()))
-    state = state.displaced([q0, p0])
+    state = GaussianState(state.d + np.array([q0, p0]), state.sigma)
     herm = state.sigma + 1j * symplectic_form(1)
     assert np.min(np.linalg.eigvalsh(herm)) > -1e-9
 
@@ -235,3 +236,78 @@ def test_homodyne_output_is_physical(s, gain):
     out = homodyne_feedforward(state, 1, 0, quadrature="q", gain=gain)
     herm = out.sigma + 1j * symplectic_form(1)
     assert np.min(np.linalg.eigvalsh(herm)) > -1e-9
+
+
+
+def _random_state(rng, n_modes):
+    """A random physical n-mode state: a random symplectic map on a thermal state."""
+    s = np.eye(2 * n_modes)
+    for mode in range(n_modes):
+        s = phase_rotation(rng.uniform(0.0, 6.28), mode, n_modes).matrix @ s
+        s = squeeze(rng.uniform(-1.0, 1.0), mode, n_modes).matrix @ s
+    for mode in range(n_modes - 1):
+        s = beam_splitter(rng.uniform(0.1, 0.9), (mode, mode + 1), n_modes).matrix @ s
+    sigma = s @ np.diag(np.repeat(rng.uniform(1.0, 2.0, n_modes), 2)) @ s.T
+    return GaussianState(rng.uniform(-2.0, 2.0, 2 * n_modes), 0.5 * (sigma + sigma.T))
+
+
+def _stack(states):
+    return GaussianState(np.stack([state.d for state in states]), np.stack([state.sigma for state in states]))
+
+
+def _assert_items_equal(stacked, items):
+    assert stacked.d.shape == (len(items),) + items[0].d.shape
+    for i, item in enumerate(items):
+        assert np.array_equal(stacked.d[i], item.d)
+        assert np.array_equal(stacked.sigma[i], item.sigma)
+
+
+def test_stacked_ops_equal_per_item_results():
+    rng = np.random.default_rng(11)
+    states = [_random_state(rng, 3) for _ in range(4)]
+    stack = _stack(states)
+    smap = beam_splitter(0.3, (0, 2), 3)
+    _assert_items_equal(apply_symplectic(smap, stack), [apply_symplectic(smap, state) for state in states])
+
+    hs = np.array([1e-2, 5e-3, 2.5e-3, 0.3])[:, None, None]
+    m = rotation_block(0.7) + hs * np.array([[0.1, -0.3], [0.2, 0.05]])
+    n = hs**2 * np.array([[1.0, 0.2], [0.2, 0.5]])
+    for mode in range(3):
+        # A stack of channels on one state, and one channel per state of a stack.
+        got = apply_channel(m, n, states[0], mode)
+        _assert_items_equal(got, [apply_channel(mi, ni, states[0], mode) for mi, ni in zip(m, n)])
+        got = apply_channel(m, n, stack, mode)
+        _assert_items_equal(got, [apply_channel(mi, ni, st, mode) for mi, ni, st in zip(m, n, states)])
+
+    for quadrature in ("q", "p"):
+        for gain in (0.0, -1.3):
+            got = homodyne_feedforward(stack, 2, 0, quadrature=quadrature, gain=gain)
+            _assert_items_equal(got, [homodyne_feedforward(st, 2, 0, quadrature=quadrature, gain=gain) for st in states])
+
+    _assert_items_equal(partial_trace(stack, [2, 0]), [partial_trace(state, [2, 0]) for state in states])
+
+    pure = _random_pure(rng)
+    fids = fidelity_pure_mixed(pure, partial_trace(stack, [1]))
+    assert isinstance(fids, np.ndarray)
+    assert fids.tolist() == [fidelity_pure_mixed(pure, partial_trace(state, [1])) for state in states]
+    assert isinstance(fidelity_pure_mixed(pure, partial_trace(states[0], [1])), float)
+
+
+def test_stack_checks_each_state_on_its_own_scale():
+    # A strongly squeezed state (entries ~ e^16) beside the vacuum.  Each is
+    # checked against the tolerance of its own covariance; on the squeezed
+    # state's scale the vacuum's defects below would pass.
+    pair = _stack([squeezed_vacuum(8.0), vacuum()])
+    h = 1e-2
+    fine = apply_channel(np.stack([np.eye(2)] * 2), np.zeros((2, 2, 2)), pair)
+    _assert_items_equal(fine, [squeezed_vacuum(8.0), vacuum()])
+    with pytest.raises(ValueError, match="uncertainty bound"):
+        # N = -h^2 I at one h only: the vacuum loses h^2 of variance.
+        apply_channel(np.stack([np.eye(2)] * 2), np.stack([np.zeros((2, 2)), -h * h * np.eye(2)]), pair)
+    skew = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(pair.d, pair.sigma + np.stack([np.zeros((2, 2)), skew]))
+    # The same skew on the squeezed state is within its own tolerance.
+    GaussianState(pair.d, pair.sigma + np.stack([skew, np.zeros((2, 2))]))
+    with pytest.raises(ValueError, match="does not match"):
+        GaussianState(np.zeros((3, 2)), pair.sigma)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqss.gaussian import coherent, fidelity_pure_mixed, partial_trace, squeezed_vacuum, vacuum
+from rqss.gaussian import GaussianState, coherent, fidelity_pure_mixed, partial_trace, squeezed_vacuum, vacuum
 from rqss import protocol
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
@@ -80,7 +80,8 @@ def test_scenario_12_exact_at_zero_acceleration(fit20):
 
 def test_collaborate_12_returns_secret_exactly(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0)
-    secret = squeezed_vacuum(0.3).displaced([1.0, -1.0])
+    squeezed = squeezed_vacuum(0.3)
+    secret = GaussianState(squeezed.d + np.array([1.0, -1.0]), squeezed.sigma)
     m, n = round_trip_channel(fit20, cfg.k, cfg.u).evaluate(0.0)
     decoded = collaborate(distribute(encode(secret, cfg.s), m, n), m, n, decoder_maps("12"))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
@@ -333,6 +334,16 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     monkeypatch.setattr(protocol, "segment_bogoliubov", lambda fit, u: calls.append(u) or build(fit, u))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params), fit20)
     assert calls == [0.3, 0.6][:builds]
+
+
+@pytest.mark.parametrize("scenario, checks", [("12", 8), ("23", 12), ("13", 13)])
+def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, checks):
+    # The four accelerations run as one stack: one checked state per step.
+    count = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    assert len(count) == checks
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
