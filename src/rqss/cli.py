@@ -116,9 +116,22 @@ def _parse_grid(text: str):
     start, stop, step = (float(p) for p in parts)
     if not np.all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((stop - start) / step))
-    grid = [float(np.round(start + i * step, 12)) for i in range(count + 1)]
+    steps = (stop - start) / step
+    if not np.isfinite(steps):
+        raise ValueError(f"bad grid {text!r}: the point count is not finite")
+    grid = [float(np.round(start + i * step, 12)) for i in range(int(round(steps)) + 1)]
     return [u for u in grid if u <= stop + 1e-12]
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number, at least 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _parse_secret(text: str):
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--h", type=float, default=1e-3, help="acceleration for the evaluated identity")
     p.add_argument("--u", type=float, default=None, help="segment phase parameter (default 0.3)")
-    p.add_argument("--tol", type=float, default=1e-6, help="identity residual tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="identity residual tolerance")
     p.set_defaults(handler=_cmd_bogo_check)
 
     p = subs.add_parser("invariants", help="channel invariants on a u-grid (CSV: u,k,T2,nbar,r)")
@@ -328,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="monitored mode")
     p.add_argument("--h", type=float, default=None, help="acceleration for the simulated point")
     p.add_argument("--secret", default=None, help="coherent:q,p or squeezed:r")
-    p.add_argument("--tol", type=float, default=1e-3, help="closed-form vs extrapolation rel tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-3, help="closed-form vs extrapolation rel tolerance")
     p.set_defaults(handler=_cmd_fidelity)
 
     p = subs.add_parser("calibrate", help="h = 0 decoder calibration")

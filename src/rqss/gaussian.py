@@ -14,6 +14,7 @@ single-mode state is pure iff ``det sigma = 1``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,20 @@ SYMPLECTIC_TOL = 1e-10
 _PINV_RCOND = 1e-12
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Antisymmetric form Gamma for `n_modes` modes, (q,p) interleaved."""
+    """Antisymmetric form Gamma for `n_modes` modes, (q,p) interleaved; shared, so read-only."""
     gamma = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         gamma[2 * k, 2 * k + 1] = 1.0
         gamma[2 * k + 1, 2 * k] = -1.0
-    return gamma
+    return _frozen(gamma)
 
 
 def check_symplectic(matrix: np.ndarray) -> float:
@@ -43,12 +51,6 @@ def check_symplectic(matrix: np.ndarray) -> float:
         raise ValueError(f"not a phase-space matrix: shape {matrix.shape}")
     gamma = symplectic_form(n2 // 2)
     return float(np.max(np.abs(matrix @ gamma @ matrix.T - gamma)))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def _item(value):
@@ -121,9 +123,10 @@ def vacuum(n_modes: int = 1) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def coherent(q0: float, p0: float) -> GaussianState:
-    """Single-mode coherent state centred at (q0, p0); |alpha|^2 = (q0^2+p0^2)/2."""
-    return GaussianState(np.array([q0, p0], dtype=float), np.eye(2))
+def coherent(q0, p0) -> GaussianState:
+    """Single-mode coherent state centred at (q0, p0), |alpha|^2 = (q0^2+p0^2)/2; arrays give a stack."""
+    d = np.stack(np.broadcast_arrays(q0, p0), axis=-1)
+    return GaussianState(d, np.broadcast_to(np.eye(2), d.shape + (2,)))
 
 
 def squeezed_vacuum(r: float) -> GaussianState:
@@ -140,14 +143,13 @@ def two_mode_squeezed_vacuum(s: float) -> GaussianState:
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state with `a`'s modes first."""
-    sigma = np.block(
-        [
-            [a.sigma, np.zeros((a.sigma.shape[0], b.sigma.shape[0]))],
-            [np.zeros((b.sigma.shape[0], a.sigma.shape[0])), b.sigma],
-        ]
-    )
-    return GaussianState(np.concatenate([a.d, b.d]), sigma)
+    """Product state with `a`'s modes first; stacks broadcast against each other."""
+    na, n = a.d.shape[-1], a.d.shape[-1] + b.d.shape[-1]
+    d = np.zeros(np.broadcast_shapes(a.d.shape[:-1], b.d.shape[:-1]) + (n,))
+    sigma = np.zeros(d.shape + (n,))
+    d[..., :na], d[..., na:] = a.d, b.d
+    sigma[..., :na, :na], sigma[..., na:, na:] = a.sigma, b.sigma
+    return GaussianState(d, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .gaussian import (
     homodyne_feedforward,
     partial_trace,
     phase_rotation,
+    rotation_block,
     squeeze,
     squeezed_vacuum,
     tensor,
@@ -161,16 +162,19 @@ class ProtocolConfig:
 # encoding and journeys
 
 
-def encode(secret: GaussianState, s: float) -> GaussianState:
-    """Split the secret into three shares (secret port mixed with one TMSV arm).
+# The dealer's balanced splitter of the secret port and arm A.
+_SPLITTER = beam_splitter(0.5, (0, 1), 3)
 
-    Share 0 = (secret + arm A)/sqrt2, share 1 = (arm A - secret)/sqrt2,
-    share 2 = arm B.
+
+def encode(secret: GaussianState, s: float) -> GaussianState:
+    """Split the secret (or each secret of a stack) into three shares.
+
+    The secret port is mixed with one TMSV arm: share 0 = (secret + arm A)/sqrt2,
+    share 1 = (arm A - secret)/sqrt2, share 2 = arm B.
     """
     if secret.n_modes != 1:
         raise ValueError("the secret must be a single-mode state")
-    joint = tensor(secret, two_mode_squeezed_vacuum(s))
-    return apply_symplectic(beam_splitter(0.5, (0, 1), 3), joint)
+    return apply_symplectic(_SPLITTER, tensor(secret, two_mode_squeezed_vacuum(s)))
 
 
 def inertial_phase(k: int, u: float) -> float:
@@ -258,34 +262,22 @@ class PairDecoder:
         )
 
 
-# Shares each collaboration with the home share decodes, and whether its
-# decoder ends with a half-turn.
-_HOME_PAIRS = {"23": ((1, 2), False), "13": ((0, 2), True)}
+# Each scenario's decoder, independent of h, built once.  Scenario 12 undoes
+# the dealer's balanced splitter (an orthogonal map, so its transpose);
+# scenarios 23 and 13 pair the home share 2 with its partner, and the decoder
+# of players 1 and 3 ends with a half-turn.
+_DECODERS = {
+    "12": SymplecticMap(_SPLITTER.matrix.T),
+    "23": PairDecoder.build((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip=False),
+    "13": PairDecoder.build((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip=True),
+}
 
 
 def decoder_maps(scenario: str) -> SymplecticMap | PairDecoder:
-    """The decoder of a scenario, independent of h: build once, use at every h.
-
-    Scenario 12 undoes the dealer's balanced splitter (an orthogonal map, so
-    its transpose); scenarios 23 and 13 use the calibrated pair decoder.
-    """
-    if scenario == "12":
-        return SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T)
-    if scenario in _HOME_PAIRS:
-        pair, flip = _HOME_PAIRS[scenario]
-        return PairDecoder.build(pair, DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _decode_pair(state: GaussianState, decoder: PairDecoder) -> GaussianState:
-    """Recombine two shares, homodyne one port, feed forward, rescale."""
-    pair = decoder.pair
-    state = apply_symplectic(decoder.recombine, state)
-    state = homodyne_feedforward(state, measured_mode=pair[1], target_mode=pair[0], quadrature="q", gain=decoder.gain)
-    state = apply_symplectic(decoder.rescale, state)
-    if decoder.half_turn is not None:
-        state = apply_symplectic(decoder.half_turn, state)
-    return partial_trace(state, [decoder.target])
+    """The prebuilt decoder of a scenario, used at every h."""
+    if scenario not in _DECODERS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return _DECODERS[scenario]
 
 
 def collaborate(
@@ -303,18 +295,23 @@ def collaborate(
     """
     if distributed.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
-    if isinstance(decoder, PairDecoder):
-        return _decode_pair(apply_channel(M, N, distributed, mode=2), decoder)
-    return partial_trace(apply_symplectic(decoder, distributed), [0])
+    if not isinstance(decoder, PairDecoder):
+        return partial_trace(apply_symplectic(decoder, distributed), [0])
+    state = apply_symplectic(decoder.recombine, apply_channel(M, N, distributed, mode=2))
+    state = homodyne_feedforward(state, decoder.pair[1], decoder.pair[0], quadrature="q", gain=decoder.gain)
+    state = apply_symplectic(decoder.rescale, state)
+    if decoder.half_turn is not None:
+        state = apply_symplectic(decoder.half_turn, state)
+    return partial_trace(state, [decoder.target])
 
 
 def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
     """Build a scenario's h-independent parts once: (secret, journey, h -> F).
 
-    The secret, its encoding, the journey channel and the decoder maps do not
-    depend on the acceleration, so only evaluating the journey at h and
-    running the stages on it repeats per h.  An array of h runs the stages
-    once, on the stack of journeys, and gives an array of fidelities.
+    The secret, its encoding and the journey channel do not depend on the
+    acceleration, so only evaluating the journey at h and running the stages
+    on it repeats per h.  An array of h runs the stages once, on the stack of
+    journeys, and gives an array of fidelities.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     build = round_trip_channel if scenario == "12" else transit_channel
@@ -425,8 +422,7 @@ class FidelityReport:
         return self.f0 - self.f2 * h * h
 
     def to_json_dict(self) -> dict:
-        out = dict(self.__dict__)
-        return out
+        return dict(self.__dict__)
 
 
 def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | None = None) -> FidelityReport:
@@ -507,12 +503,14 @@ class DecoderCalibration:
         return dict(self.__dict__)
 
 
+# The exact h = 0 journey: a half-turn without noise.
+_HALF_TURN, _NO_NOISE = rotation_block(math.pi), np.zeros((2, 2))
+
+
 def _pipeline_h0(secret: GaussianState, s: float, gain: float, r_out: float) -> GaussianState:
-    """Scenario-23 pipeline at h = 0: journeys degenerate to half-turns."""
-    state = encode(secret, s)
-    for mode in (1, 2):
-        state = apply_symplectic(phase_rotation(math.pi, mode, 3), state)
-    return _decode_pair(state, PairDecoder.build((1, 2), gain, r_out, flip=False))
+    """Scenario-23 pipeline at h = 0 with decoder (gain, r_out); stacked if the secret is."""
+    decoder = PairDecoder.build((1, 2), gain, r_out, flip=False)
+    return collaborate(distribute(encode(secret, s), _HALF_TURN, _NO_NOISE), _HALF_TURN, _NO_NOISE, decoder)
 
 
 def calibrate_decoder() -> DecoderCalibration:
@@ -528,7 +526,7 @@ def calibrate_decoder() -> DecoderCalibration:
     is affine in the gain, so two evaluations fix the gain of unit response.
     The result is verified to hand back 1/(1 + e^{-s}) for each probe secret
     and squeezing, and certified to beat nearby decoders on large-amplitude
-    probes.
+    probes; each set of probe secrets runs through the pipeline as one stack.
     """
     r_out = -math.log(_pipeline_h0(coherent(0.0, 1.0), CALIBRATION_S, 0.0, 0.0).d[1])
     q_g0, q_g1 = (_pipeline_h0(coherent(1.0, 0.0), CALIBRATION_S, g, r_out).d[0] for g in (0.0, 1.0))
@@ -536,16 +534,13 @@ def calibrate_decoder() -> DecoderCalibration:
 
     fids, targets = {}, {}
     worst = 0.0
-    secrets = [coherent(q0, p0) for q0, p0 in CALIBRATION_ENSEMBLE]
+    secrets = coherent(*np.transpose(CALIBRATION_ENSEMBLE))
     for s in CALIBRATION_S_CHECKS:
         target = 1.0 / (1.0 + math.exp(-s))
         targets[str(s)] = target
-        row = {}
-        for (q0, p0), sec in zip(CALIBRATION_ENSEMBLE, secrets):
-            f = fidelity_pure_mixed(sec, _pipeline_h0(sec, s, gain, r_out))
-            row[f"({q0},{p0})"] = f
-            worst = max(worst, abs(f - target))
-        fids[str(s)] = row
+        row = fidelity_pure_mixed(secrets, _pipeline_h0(secrets, s, gain, r_out)).tolist()
+        fids[str(s)] = {f"({q0},{p0})": f for (q0, p0), f in zip(CALIBRATION_ENSEMBLE, row)}
+        worst = max(worst, *(abs(f - target) for f in row))
     if worst > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibrated decoder misses 1/(1+e^-s) by {worst:.3e} (gain {gain:.6f}, squeeze {r_out:.6f})"
@@ -557,10 +552,10 @@ def calibrate_decoder() -> DecoderCalibration:
     # must be large enough that the quadratic bias penalty of a perturbed
     # decoder dominates its linear noise benefit.
     amp = 200.0
-    probes = [coherent(amp, 0.0), coherent(0.0, amp), coherent(-amp, 0.0), coherent(0.0, -amp)]
+    probes = coherent(np.array([amp, 0.0, -amp, 0.0]), np.array([0.0, amp, 0.0, -amp]))
 
     def guaranteed(g, r):
-        return min(fidelity_pure_mixed(sec, _pipeline_h0(sec, CALIBRATION_S, g, r)) for sec in probes)
+        return min(fidelity_pure_mixed(probes, _pipeline_h0(probes, CALIBRATION_S, g, r)).tolist())
 
     here = guaranteed(gain, r_out)
     for dg, dr in ((0.05, 0.0), (-0.05, 0.0), (0.0, 0.05), (0.0, -0.05)):

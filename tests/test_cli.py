@@ -287,6 +287,16 @@ def test_bad_grid_exits_one(cache_dir, fit20, capsys):
 
 
 def test_infinite_grid_exits_one(cache_dir, fit20, capsys):
-    rc = main(["invariants", "--grid", "0:inf:0.1", *_args(cache_dir)])
-    assert rc == 1
-    assert "error: bad grid" in capsys.readouterr().err
+    for grid in ("0:inf:0.1", "0:1e308:1e-308"):  # the second overflows the point count
+        rc = main(["invariants", "--grid", grid, *_args(cache_dir)])
+        assert rc == 1
+        assert "error: bad grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["fidelity", "--scenario", "23"], ["bogo-check"]], ids=["fidelity", "bogo-check"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_exits_one(cache_dir, fit20, capsys, command, tol):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--tol", tol, *_args(cache_dir)])
+    assert info.value.code == 1
+    assert "error: argument --tol: tolerance must be a finite number >= 0" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss.channel import apply_channel
+from rqss.protocol import encode
 from rqss.gaussian import (
     GaussianState,
     SymplecticMap,
@@ -37,6 +38,9 @@ def test_symplectic_form_structure():
         assert gamma.shape == (2 * n, 2 * n)
         assert np.array_equal(gamma.T, -gamma)
         assert np.allclose(gamma @ gamma, -np.eye(2 * n))
+        # Built once per mode count and shared: no caller may write to it.
+        assert not gamma.flags.writeable
+        assert symplectic_form(n) is gamma
 
 
 def test_vacuum_saturates_uncertainty():
@@ -285,6 +289,16 @@ def test_stacked_ops_equal_per_item_results():
             _assert_items_equal(got, [homodyne_feedforward(st, 2, 0, quadrature=quadrature, gain=gain) for st in states])
 
     _assert_items_equal(partial_trace(stack, [2, 0]), [partial_trace(state, [2, 0]) for state in states])
+
+    qs, ps = rng.uniform(-3.0, 3.0, (2, 4))
+    secrets = [coherent(q, p) for q, p in zip(qs, ps)]
+    _assert_items_equal(coherent(qs, ps), secrets)
+    tmsv, secret_stack = two_mode_squeezed_vacuum(0.8), coherent(qs, ps)
+    # A stack beside one state, one state beside a stack, and two stacks.
+    _assert_items_equal(tensor(secret_stack, tmsv), [tensor(sec, tmsv) for sec in secrets])
+    _assert_items_equal(tensor(secrets[0], stack), [tensor(secrets[0], state) for state in states])
+    _assert_items_equal(tensor(secret_stack, stack), [tensor(sec, state) for sec, state in zip(secrets, states)])
+    _assert_items_equal(encode(secret_stack, 0.8), [encode(sec, 0.8) for sec in secrets])
 
     pure = _random_pure(rng)
     fids = fidelity_pure_mixed(pure, partial_trace(stack, [1]))

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqss.gaussian import GaussianState, coherent, fidelity_pure_mixed, partial_trace, squeezed_vacuum, vacuum
+from rqss.gaussian import (
+    GaussianState,
+    SymplecticMap,
+    coherent,
+    fidelity_pure_mixed,
+    partial_trace,
+    squeezed_vacuum,
+    vacuum,
+)
 from rqss import protocol
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
@@ -344,6 +352,26 @@ def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, ch
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert len(count) == checks
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_report_builds_no_symplectic_map(fit20, monkeypatch, scenario):
+    # The dealer's splitter and the decoders are built once, at import.
+    count = []
+    check = SymplecticMap.__post_init__
+    monkeypatch.setattr(SymplecticMap, "__post_init__", lambda smap: count.append(1) or check(smap))
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    assert count == []
+
+
+def test_calibration_runs_its_probes_as_stacks(monkeypatch):
+    # Twelve pipeline runs: three for the solve, one stack of four secrets per
+    # checked squeezing, one stack of four probes per certificate decoder.
+    count = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    calibrate_decoder()
+    assert len(count) <= 125
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
