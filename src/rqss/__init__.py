@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .gaussian import (
     GaussianState,
     SymplecticMap,
+    UnphysicalStateError,
     apply_symplectic,
     beam_splitter,
     check_symplectic,

@@ -84,12 +84,10 @@ def free_channel(phi: float) -> PerturbativeChannel:
 
 def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     """`segment_channel` of one segment or, stacked, of a stack of segments."""
-    if not 1 <= k <= bogo.n_max:
-        raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
-    row = k - 1
+    row = bogo.row(k)
     m0 = _blocks(complex_pair_block(bogo.alpha0[..., row], 0.0))
     m2 = _blocks(complex_pair_block(bogo.alpha2[..., row, row], bogo.beta2[..., row, row]))
-    others = np.arange(bogo.n_max) != row
+    others = np.arange(bogo.n_max) != k - 1
     blk = _blocks(complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others]))
     # One coupled mode after another, in mode order.
     n2 = np.sum(blk @ _transpose(blk), axis=-3)
@@ -111,10 +109,10 @@ def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
 def grid_channels(fit: TransitionFit, us, modes) -> PerturbativeChannel:
     """Segment channels on each mode in `modes` at every phase in `us`: a (U, len(modes)) stack.
 
-    The maps are built a bounded stack at a time (`segment_stacks`) and only
-    the 2x2 blocks are kept.
+    Only the rows of `modes` are built, a bounded stack at a time
+    (`segment_stacks`), and only the 2x2 blocks are kept.
     """
-    stacks = [[_segment_channel(maps, k) for k in modes] for maps in segment_stacks(fit, us)]
+    stacks = [[_segment_channel(maps, k) for k in modes] for maps in segment_stacks(fit, us, modes)]
     blocks = (
         np.concatenate([np.stack([getattr(chan, name) for chan in per_mode], axis=-3) for per_mode in stacks])
         for name in ("m0", "m2", "n2")

@@ -9,7 +9,8 @@ Subcommands::
     rqss figure-data   CSV data behind the summary figures
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific breach
-(tolerance violation, corrupted coefficient cache, failed calibration).
+(tolerance violation, corrupted coefficient cache, failed calibration, a
+pipeline state that violates the uncertainty bound).
 Outputs are written without timestamps so repeated runs are byte-identical;
 every output directory gets a manifest listing parameters and content hashes.
 """
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .gaussian import UnphysicalStateError
 from .modes import CorruptCacheError, segment_bogoliubov
 from .channel import channel_invariants, cp_residual, grid_channels
 from .protocol import (
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.handler(args, config, raw_argv)
-    except (CorruptCacheError, CalibrationError) as exc:
+    except (CorruptCacheError, CalibrationError, UnphysicalStateError) as exc:
         print(f"scientific breach: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -27,6 +27,10 @@ SYMPLECTIC_TOL = 1e-10
 _PINV_RCOND = 1e-12
 
 
+class UnphysicalStateError(ValueError):
+    """A covariance matrix violates the uncertainty bound sigma + i Gamma >= 0."""
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -86,7 +90,7 @@ class GaussianState:
         eigmin = np.linalg.eigvalsh(sigma + 1j * gamma).min(axis=-1)
         low = eigmin < -tol
         if low.any():
-            raise ValueError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
+            raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", sigma)
 

@@ -400,23 +400,35 @@ def get_transition(
 
 @dataclass(frozen=True)
 class BogoliubovSet:
-    """Mode-operator map across one full segment, order by order in h.
+    """Mode-operator map across one full segment, order by order in h, on the rows of `modes`.
 
-    ``alpha0`` is the diagonal of the zeroth order (pure phases); first and
-    second orders are dense.  Rows index output inertial modes.  A stack of
-    segments carries a leading u axis on every array, and ``u`` is then the
-    array of phases; `alpha_at`, `beta_at` and the residuals take one segment.
-    Maps built to first order only (for mode sums) have no ``alpha2`` and
-    ``beta2``: both are None.
+    Row i of every array belongs to output inertial mode ``modes[i]``
+    (numbered from 1): ``alpha0`` holds those modes' zeroth-order phases (the
+    diagonal of the zeroth order), ``alpha1`` and ``beta1`` their first-order
+    rows over all ``n_max`` input modes, shape (m, n_max), and ``alpha2`` and
+    ``beta2`` the m x m block of the second order among them.  The full maps
+    have modes 1..n_max, and only they have `alpha_at`, `beta_at` and
+    `identity_residuals_at`.  A stack of segments carries a leading u axis on
+    every array, and ``u`` is then the array of phases; `alpha_at`, `beta_at`
+    and the residuals take one segment.
     """
 
     u: float
     n_max: int
+    modes: tuple[int, ...]
     alpha0: np.ndarray
     alpha1: np.ndarray
     beta1: np.ndarray
     alpha2: np.ndarray
     beta2: np.ndarray
+
+    def row(self, k: int) -> int:
+        """Position of mode k (numbered from 1) among the map's rows."""
+        if not 1 <= k <= self.n_max:
+            raise ValueError(f"mode {k} outside 1..{self.n_max}")
+        if k not in self.modes:
+            raise ValueError(f"mode {k} is not among the map's modes {self.modes}")
+        return self.modes.index(k)
 
     def alpha_at(self, h: float) -> np.ndarray:
         return np.diag(self.alpha0) + self.alpha1 * h + self.alpha2 * h * h
@@ -436,39 +448,55 @@ class BogoliubovSet:
         return np.abs(np.sum(np.abs(alpha) ** 2 - np.abs(beta) ** 2, axis=1) - 1.0)
 
 
-# Largest number of complex entries of one stacked (U, n, n) map array: a
-# u-grid is walked in stacks of at most this many entries per array (64 KiB),
-# so memory stays bounded at large n_max.  Larger stacks were no faster at
-# n_max 20 and cost memory: at 2**16 entries the allocator mapped every
-# temporary afresh (about 3000 minor page faults per round of the four
-# figures), and at 2**13 the four `reproduce_figures` jobs peaked 1.4 MB
-# higher (glibc, x86-64 Linux).
+# Largest number of complex entries of one stacked array of a map build on m
+# of n modes: the (U, n, 2m) right factor of the second-order product, twice
+# the size of the (U, m, n) first-order rows (or, past 2m = n, the product's
+# (U, 2m, 2m) result).  A u-grid is walked in stacks of at most this many
+# entries (64 KiB), so memory stays bounded at large n_max.  Larger
+# stacks were no faster at n_max 20 and cost memory: at 2**16 entries the
+# allocator mapped every temporary afresh (about 3000 minor page faults per
+# round of the four figures), and at 2**13 the four `reproduce_figures` jobs
+# peaked 1.4 MB higher (glibc, x86-64 Linux).
 STACK_ENTRIES = 1 << 12
 
 
-def _segment_maps(fit: TransitionFit, u, second_order: bool = True) -> BogoliubovSet:
-    """Segment maps at phase u, a float or a 1-d array of phases (a stack).
+def _segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
+    """Rows `modes` of the segment maps at phase u, a float or a 1-d array of phases (a stack).
 
-    Without `second_order` the maps stop at first order: alpha2 and beta2 are None.
+    A product with a single row or column would go to a vector kernel that
+    rounds differently from the full maps' matrix products; every
+    second-order sum is read off one 2m x 2m product instead, so each row
+    keeps the bits of the full maps.
     """
+    modes = tuple(int(k) for k in modes)
+    if not modes or not all(1 <= k <= fit.n_max for k in modes):
+        raise ValueError(f"modes {modes}: need at least one, each in 1..{fit.n_max}")
     u = np.asarray(u, dtype=float)
     n = np.arange(1, fit.n_max + 1)
     theta = 2.0 * np.pi * n * u[..., None]
     ebar = np.exp(1j * theta)  # phase conjugated back to inertial convention
     e = np.conj(ebar)
-    col, row, e_col = ebar[..., :, None], ebar[..., None, :], e[..., :, None]
-    a1, a2, b1, b2 = fit.a1, fit.a2, fit.b1, fit.b2
+    rows = np.array(modes) - 1
+    m = rows.size
+    block = np.ix_(rows, rows)
+    a2, b2 = fit.a2[block], fit.b2[block]
+    col, row, e_row = ebar[..., rows, None], ebar[..., None, rows], e[..., None, rows]
 
-    alpha1 = a1 * (col - row)
-    beta1 = b1 * (col - e[..., None, :])
-    alpha2 = beta2 = None
-    if second_order:
-        alpha2 = a2.T * row + col * a2 + a1.T @ (col * a1) - b1.T @ (e_col * b1)
-        beta2 = a1.T @ (col * b1) + col * b2 - b2.T * e[..., None, :] - b1.T @ (e_col * a1)
+    alpha1 = fit.a1[rows] * (col - ebar[..., None, :])
+    beta1 = fit.b1[rows] * (col - e[..., None, :])
+    # sums[x, y] = sum_l x[l, i] ebar_l y[l, j] for x, y in {a1, b1} and i, j
+    # among the modes; a1 and b1 are real, so the sums with e_l are their
+    # complex conjugates.
+    first = np.concatenate([fit.a1[:, rows], fit.b1[:, rows]], axis=1)
+    sums = first.T @ (ebar[..., :, None] * first)
+    aa, ab, ba, bb = sums[..., :m, :m], sums[..., :m, m:], sums[..., m:, :m], sums[..., m:, m:]
+    alpha2 = a2.T * row + col * a2 + aa - np.conj(bb)
+    beta2 = ab + col * b2 - b2.T * e_row - np.conj(ba)
     return BogoliubovSet(
         u=float(u) if u.ndim == 0 else u,
         n_max=fit.n_max,
-        alpha0=ebar,
+        modes=modes,
+        alpha0=ebar[..., rows],
         alpha1=alpha1,
         beta1=beta1,
         alpha2=alpha2,
@@ -476,28 +504,29 @@ def _segment_maps(fit: TransitionFit, u, second_order: bool = True) -> Bogoliubo
     )
 
 
-def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
+def segment_bogoliubov(fit: TransitionFit, u: float, modes=None) -> BogoliubovSet:
     """Compose transition -> wedge phases -> inverse transition at phase u.
 
-    All entries are exactly periodic in u with period 1.  One segment;
-    `segment_stacks` builds many through the same arithmetic.
+    All entries are exactly periodic in u with period 1.  Given `modes`, only
+    their rows (all a channel on one of them reads); without, the full maps.
+    One segment; `segment_stacks` builds many through the same arithmetic.
     """
     # Stacks never pass through here: the benchmark's tracer
     # (perfbench/tracing.py) reads this call's `u` as one float.
-    return _segment_maps(fit, float(u))
+    return _segment_maps(fit, float(u), range(1, fit.n_max + 1) if modes is None else modes)
 
 
-def segment_stacks(fit: TransitionFit, us, second_order: bool = True):
-    """Stacked segment maps of every phase in `us`, in order, as consecutive stacks.
+def segment_stacks(fit: TransitionFit, us, modes):
+    """Stacked rows `modes` of the segment maps of every phase in `us`, in order, as consecutive stacks.
 
-    Each stack holds at most `STACK_ENTRIES` entries per (U, n, n) array (at
+    Each stack holds at most `STACK_ENTRIES` entries per stacked array (at
     least one phase), so a large cutoff walks the grid a few phases at a time.
-    Without `second_order` the maps stop at first order, all mode sums need.
     """
     us = np.asarray(us, dtype=float)
-    size = max(1, STACK_ENTRIES // fit.n_max**2)
+    m = len(modes) or 1  # no modes at all: the build raises
+    size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
     for start in range(0, max(us.size, 1), size):
-        yield _segment_maps(fit, us[start : start + size], second_order)
+        yield _segment_maps(fit, us[start : start + size], modes)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +554,9 @@ def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     Broadcasts over a stack of segments.  Each row is summed as one
     contiguous run, so a stacked row adds up exactly like a single one.
     """
-    if not 1 <= k <= bogo.n_max:
-        raise ValueError(f"mode {k} outside 1..{bogo.n_max}")
-    row = k - 1
+    row = bogo.row(k)
     mask = np.ones(bogo.n_max, dtype=bool)
-    mask[row] = False
+    mask[k - 1] = False
     arow = np.ascontiguousarray(bogo.alpha1[..., row, mask])
     brow = np.ascontiguousarray(bogo.beta1[..., row, mask])
     f_alpha = 0.5 * np.add.reduce(np.abs(arow) ** 2, axis=-1)

@@ -186,8 +186,9 @@ def inertial_phase(k: int, u: float) -> float:
 class JourneyChannel(PerturbativeChannel):
     """A journey's channel with the segment maps it was built from.
 
-    `segments` holds the map of phase u and, on a round trip, the merged
-    middle segment of phase 2u, so their mode sums need no second build.
+    `segments` holds the monitored mode's rows of the map of phase u and, on
+    a round trip, of the merged middle segment of phase 2u, so their mode
+    sums need no second build.
     """
 
     segments: tuple[BogoliubovSet, ...] = ()
@@ -204,7 +205,7 @@ def transit_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
 
     Zeroth order is a rotation by exactly pi for every (k, u).
     """
-    bogo = segment_bogoliubov(fit, u)
+    bogo = segment_bogoliubov(fit, u, (k,))
     seg = segment_channel(bogo, k)
     chan = compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
     return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo,))
@@ -215,7 +216,7 @@ def round_trip_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
 
     Zeroth order is a rotation by exactly 2 pi.
     """
-    bogo, bogo_mid = segment_bogoliubov(fit, u), segment_bogoliubov(fit, 2.0 * u)
+    bogo, bogo_mid = segment_bogoliubov(fit, u, (k,)), segment_bogoliubov(fit, 2.0 * u, (k,))
     chan = _round_trip(segment_channel(bogo, k), segment_channel(bogo_mid, k), k, u)
     return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo, bogo_mid))
 
@@ -589,14 +590,14 @@ def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
     """(header, rows) for one summary figure over a u-grid.
 
     The grid is evaluated as stacks of segments (`segment_stacks`), each
-    distinct phase built once; the round trip's 2u segments come from the
-    same stacks as its u segments.
+    distinct phase built once and only on the plotted modes' rows; the round
+    trip's 2u segments come from the same stacks as its u segments.
     """
     us = np.array([float(u) for u in grid])
     if name in _SUMS_FIGURES:
         prefix, value = _SUMS_FIGURES[name]
         header = ["u"] + [f"{prefix}_k{k}" for k in _FIGURE_MODES]
-        stacks = segment_stacks(fit, us, second_order=False)
+        stacks = segment_stacks(fit, us, _FIGURE_MODES)
         columns = np.concatenate(
             [[value(mode_sums(maps, k), config) for k in _FIGURE_MODES] for maps in stacks], axis=-1
         )

@@ -191,6 +191,18 @@ def test_corrupted_cache_exits_two(tmp_path, capsys):
     assert "breach" in capsys.readouterr().err
 
 
+def test_unphysical_pipeline_state_exits_two(cache_dir, capsys):
+    # At n_max 3 the truncated journey channel is not completely positive:
+    # `invariants` flags the CP violation and `fidelity` meets a decoded
+    # state below the uncertainty bound; both are the same scientific breach.
+    grid = ["--grid", "0.1:0.9:0.1"]
+    assert main(["fidelity", "--scenario", "23", *grid, *_args(cache_dir, nmax=3)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scientific breach: state violates the uncertainty bound")
+    assert main(["invariants", *grid, "--h", "0.01", *_args(cache_dir, nmax=3)]) == 2
+    assert "CP violation" in capsys.readouterr().err
+
+
 def test_figure_csv_same_on_cache_miss_and_hit(tmp_path):
     cache = tmp_path / "cache"
     argv = ["figure-data", "--figure", "nbar", "--nmax", "20", "--cache-dir", str(cache)]

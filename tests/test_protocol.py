@@ -33,7 +33,6 @@ from rqss.protocol import (
     distribute,
     encode,
     extrapolate_f2,
-    fidelity_closed_forms,
     fidelity_report,
     figure_data,
     inertial_phase,
@@ -339,7 +338,7 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     # The coherent secret's mode sums come from the journey's own segment maps.
     calls = []
     build = protocol.segment_bogoliubov
-    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda fit, u: calls.append(u) or build(fit, u))
+    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda fit, u, modes=None: calls.append(u) or build(fit, u, modes))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params), fit20)
     assert calls == [0.3, 0.6][:builds]
 

@@ -2,7 +2,8 @@
 
 Every stacked layer must give, matrix by matrix, the bits of the one-segment
 call, so the figures and the invariants table stay byte-identical whatever
-the stack size.
+the stack size; the monitored modes' rows of a segment map must give the
+bits of the full map's rows.
 """
 
 import warnings
@@ -20,11 +21,17 @@ from oracles import figure_data_per_u, invariant_rows_per_u
 FIGURE_GRID = [i / 64 for i in range(1, 64)]  # the 63-point grid of reproduce_figures.py
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 QUARTER_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # u = 0 and 1 carry no noise block
+MAP_NAMES = ("alpha0", "alpha1", "beta1", "alpha2", "beta2")
 
 
 @pytest.fixture(scope="module")
 def fit40(cache_dir):
     return get_transition(n_max=40, cache_dir=cache_dir)
+
+
+@pytest.fixture(scope="module", params=[20, 40, 80, 160])
+def any_fit(request, cache_dir):
+    return get_transition(n_max=request.param, cache_dir=cache_dir)
 
 
 def assert_same_table(table, reference):
@@ -42,29 +49,79 @@ def _phases():
 
 def test_stacked_maps_equal_per_u_maps(fit20):
     us = _phases()
-    stacks = list(segment_stacks(fit20, us))
+    stacks = list(segment_stacks(fit20, us, range(1, 21)))
     assert len(stacks) > 1
     assert np.array_equal(np.concatenate([maps.u for maps in stacks]), us)
     at = [(maps, i) for maps in stacks for i in range(maps.u.size)]
     for u, (maps, i) in zip(us, at):
         one = segment_bogoliubov(fit20, u)
-        for name in ("alpha0", "alpha1", "beta1", "alpha2", "beta2"):
+        for name in MAP_NAMES:
             assert np.array_equal(getattr(maps, name)[i], getattr(one, name)), (name, u)
 
 
-def test_first_order_stacks_skip_second_order(fit20):
-    (full,), (first,) = segment_stacks(fit20, TABLE_GRID), segment_stacks(fit20, TABLE_GRID, second_order=False)
-    assert first.alpha2 is None and first.beta2 is None
-    for name in ("alpha0", "alpha1", "beta1"):
-        assert np.array_equal(getattr(first, name), getattr(full, name))
+def test_row_maps_have_row_shapes(fit20):
+    u = len(TABLE_GRID)
+    for modes in [(1,), (2, 5), (1, 2, 3)]:
+        (maps,) = segment_stacks(fit20, TABLE_GRID, modes)
+        m = len(modes)
+        assert maps.modes == modes
+        assert maps.alpha0.shape == (u, m)
+        assert maps.alpha1.shape == maps.beta1.shape == (u, m, 20)
+        assert maps.alpha2.shape == maps.beta2.shape == (u, m, m)
+
+
+def _rows_of(full, modes):
+    """The rows `modes` of full maps: alpha0 and the first order by row, the second order as a block."""
+    rows = np.array(modes) - 1
+    cut = {"alpha0": (..., rows), "alpha1": (..., rows, slice(None)), "beta1": (..., rows, slice(None))}
+    block = (..., rows[:, None], rows)
+    return {name: getattr(full, name)[cut.get(name, block)] for name in MAP_NAMES}
+
+
+@pytest.mark.parametrize("modes", [(1,), (3,), (1, 2, 3), (2, 5)])
+def test_row_maps_equal_full_maps_bit_for_bit(any_fit, modes):
+    # A single-mode product formed as a vector dot (gemv or dot instead of
+    # gemm) rounds differently and breaks this equality.
+    us = np.unique(np.concatenate([TABLE_GRID, 2.0 * np.array(TABLE_GRID)]))
+    stacks = list(segment_stacks(any_fit, us, modes))
+    assert np.array_equal(np.concatenate([maps.u for maps in stacks]), us)
+    stacked = {name: np.concatenate([getattr(maps, name) for maps in stacks]) for name in MAP_NAMES}
+    for i, u in enumerate(us):
+        full = _rows_of(segment_bogoliubov(any_fit, u), modes)
+        one = segment_bogoliubov(any_fit, u, modes)
+        assert one.modes == modes
+        for name in MAP_NAMES:
+            assert np.array_equal(getattr(one, name), full[name]), (name, u)
+            assert np.array_equal(stacked[name][i], full[name]), (name, u)
+
+
+def test_row_maps_reject_modes_they_do_not_hold(fit20):
+    maps = segment_bogoliubov(fit20, 0.3, (2, 5))
+    assert maps.row(5) == 1
+    with pytest.raises(ValueError, match="not among"):
+        mode_sums(maps, 1)
+    with pytest.raises(ValueError, match="not among"):
+        segment_channel(maps, 3)
+    for modes in [(0,), (21,), ()]:
+        with pytest.raises(ValueError, match="need at least one"):
+            segment_bogoliubov(fit20, 0.3, modes)
+        with pytest.raises(ValueError, match="need at least one"):
+            next(segment_stacks(fit20, TABLE_GRID, modes))
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_stacks_stay_bounded(request, n_max):
     fit = request.getfixturevalue(f"fit{n_max}")
-    sizes = [maps.u.size for maps in segment_stacks(fit, FIGURE_GRID)]
+    modes = (1, 2, 3)
+    stacks = list(segment_stacks(fit, FIGURE_GRID, modes))
+    sizes = [maps.u.size for maps in stacks]
     assert sum(sizes) == len(FIGURE_GRID)
-    assert max(sizes) * n_max**2 <= STACK_ENTRIES
+    # The largest stacked array, the (U, n, 2m) factor of the second-order product.
+    assert max(sizes) * n_max * 2 * len(modes) <= STACK_ENTRIES
+    # On all n modes, the (U, 2n, 2n) product itself, one phase at least.
+    sizes = [maps.u.size for maps in segment_stacks(fit, FIGURE_GRID, range(1, n_max + 1))]
+    assert sum(sizes) == len(FIGURE_GRID)
+    assert max(sizes) * (2 * n_max) ** 2 <= STACK_ENTRIES or max(sizes) == 1
 
 
 def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
@@ -73,7 +130,7 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
     assert chans.m0.shape == (us.size, 3, 2, 2)
     inv = channel_invariants(chans)
     cp = cp_residual(*chans.evaluate(1e-2))
-    stacks = list(segment_stacks(fit20, us))
+    stacks = list(segment_stacks(fit20, us, (1, 2, 3)))
     for j, k in enumerate((1, 2, 3)):
         per_stack = [mode_sums(maps, k) for maps in stacks]
         sums = [(s.f_alpha[i], s.f_beta[i], s.g_cross[i]) for s in per_stack for i in range(s.u.size)]
