@@ -50,7 +50,6 @@ from .channel import (
 from .protocol import (
     DecoderCalibration,
     FidelityReport,
-    JourneyChannel,
     PairDecoder,
     ProtocolConfig,
     calibrate_decoder,
@@ -59,6 +58,7 @@ from .protocol import (
     distribute,
     encode,
     fidelity_closed_forms,
+    fidelity_grid,
     fidelity_report,
     figure_data,
     round_trip_channel,

@@ -136,20 +136,23 @@ def compose_sequence(channels) -> PerturbativeChannel:
     return out
 
 
-def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int = 0) -> GaussianState:
+def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int | tuple[int, ...] = 0) -> GaussianState:
     """Apply a concrete single-mode channel (M, N) to one mode of a state.
 
-    (..., 2, 2) stacks of M and N, a stack of states, or both give the stack
-    of outputs.
+    `mode` may also be a tuple of modes: the channel then acts on each of
+    them, as one block-diagonal map.  (..., 2, 2) stacks of M and N, a stack
+    of states, or both give the stack of outputs.
     """
     n = state.n_modes
-    if not 0 <= mode < n:
+    modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
+    if not modes or not all(0 <= m < n for m in modes):
         raise ValueError(f"mode {mode} outside state with {n} modes")
-    block = slice(2 * mode, 2 * mode + 2)
     full_m = np.broadcast_to(np.eye(2 * n), M.shape[:-2] + (2 * n, 2 * n)).copy()
-    full_m[..., block, block] = M
     full_n = np.zeros(N.shape[:-2] + (2 * n, 2 * n))
-    full_n[..., block, block] = N
+    for m in modes:
+        block = slice(2 * m, 2 * m + 2)
+        full_m[..., block, block] = M
+        full_n[..., block, block] = N
     sigma = full_m @ state.sigma @ _transpose(full_m) + full_n
     return GaussianState(_mat_vec(full_m, state.d), 0.5 * (sigma + _transpose(sigma)))
 

@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from .protocol import (
     FIGURES,
     ProtocolConfig,
     calibrate_decoder,
+    fidelity_grid,
     fidelity_report,
     figure_data,
 )
@@ -240,14 +240,15 @@ def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
 
 
 def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
-    fit = config.transition()
-    grid = _parse_grid(args.grid) if args.grid else [config.u]
+    """One scenario's fidelity table, one row per u: the --grid in one `fidelity_grid` call, or the single --u."""
+    if args.grid:
+        reports = fidelity_grid(args.scenario, config, _parse_grid(args.grid))
+    else:
+        reports = [fidelity_report(args.scenario, config)]
     header = ["u", "f0", "f2", "f2_extrapolated", "f_sim", "rel_gap"]
     rows = []
     breach = False
-    for u in grid:
-        cfg = replace(config, u=u)
-        rep = fidelity_report(args.scenario, cfg, fit)
+    for rep in reports:
         have_both = not np.isnan(rep.f2_closed) and not np.isnan(rep.f2_extrapolated)
         if have_both and abs(rep.f2_closed) > 1e-9:
             gap = abs(rep.f2_extrapolated - rep.f2_closed) / abs(rep.f2_closed)
@@ -255,7 +256,7 @@ def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
                 breach = True
         else:
             gap = float("nan")
-        rows.append([u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
+        rows.append([rep.u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
 
     parameters = {
         "scenario": args.scenario,

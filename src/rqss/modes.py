@@ -547,6 +547,10 @@ class ModeSums:
     f_beta: float
     g_cross: complex
 
+    def __getitem__(self, index) -> "ModeSums":
+        """The sums at `index` of a stack."""
+        return ModeSums(self.k, self.u[index], self.n_max, self.f_alpha[index], self.f_beta[index], self.g_cross[index])
+
 
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     """f_alpha, f_beta and the cross sum g for mode k (numbered from 1).

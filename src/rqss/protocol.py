@@ -41,7 +41,7 @@ from .gaussian import (
 from .modes import (
     DEFAULT_L,
     DEFAULT_NMAX,
-    BogoliubovSet,
+    STACK_ENTRIES,
     ModeSums,
     TransitionFit,
     get_transition,
@@ -51,6 +51,7 @@ from .modes import (
 )
 from .channel import (
     PerturbativeChannel,
+    _segment_channel,
     apply_channel,
     channel_invariants,
     compose_sequence,
@@ -182,16 +183,9 @@ def inertial_phase(k: int, u: float) -> float:
     return math.pi - 2.0 * (2.0 * math.pi * k * u)
 
 
-@dataclass(frozen=True)
-class JourneyChannel(PerturbativeChannel):
-    """A journey's channel with the segment maps it was built from.
-
-    `segments` holds the monitored mode's rows of the map of phase u and, on
-    a round trip, of the merged middle segment of phase 2u, so their mode
-    sums need no second build.
-    """
-
-    segments: tuple[BogoliubovSet, ...] = ()
+def _transit(seg: PerturbativeChannel, k: int, u) -> PerturbativeChannel:
+    """Transit of segment channels at phase u; stacked over u if they are."""
+    return compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
 
 
 def _round_trip(seg: PerturbativeChannel, seg_mid: PerturbativeChannel, k: int, u) -> PerturbativeChannel:
@@ -200,33 +194,71 @@ def _round_trip(seg: PerturbativeChannel, seg_mid: PerturbativeChannel, k: int, 
     return compose_sequence([seg, leg, seg_mid, leg, seg])
 
 
-def transit_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
+def transit_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
     """One-way journey: segment, tuned free leg, segment.
 
-    Zeroth order is a rotation by exactly pi for every (k, u).
+    Zeroth order is a rotation by exactly pi for every (k, u).  One u, from
+    one-segment maps; the fidelities build a u-grid's journeys as one stack.
     """
-    bogo = segment_bogoliubov(fit, u, (k,))
-    seg = segment_channel(bogo, k)
-    chan = compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
-    return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo,))
+    return _transit(segment_channel(segment_bogoliubov(fit, u, (k,)), k), k, u)
 
 
-def round_trip_channel(fit: TransitionFit, k: int, u: float) -> JourneyChannel:
+def round_trip_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
     """Out-and-back journey: the two middle segments merge into one of phase 2u.
 
-    Zeroth order is a rotation by exactly 2 pi.
+    Zeroth order is a rotation by exactly 2 pi.  One u, as `transit_channel`.
     """
-    bogo, bogo_mid = segment_bogoliubov(fit, u, (k,)), segment_bogoliubov(fit, 2.0 * u, (k,))
-    chan = _round_trip(segment_channel(bogo, k), segment_channel(bogo_mid, k), k, u)
-    return JourneyChannel(chan.m0, chan.m2, chan.n2, (bogo, bogo_mid))
+    seg, seg_mid = (segment_channel(segment_bogoliubov(fit, v, (k,)), k) for v in (u, 2.0 * u))
+    return _round_trip(seg, seg_mid, k, u)
+
+
+def _segments(fit: TransitionFit, k: int, phases: np.ndarray):
+    """Mode-k channels and mode sums of the segments at `phases`, built a bounded map stack at a time."""
+    chans, sums = [], []
+    for maps in segment_stacks(fit, phases, (k,)):
+        chans.append(_segment_channel(maps, k))
+        sums.append(mode_sums(maps, k))
+    if len(chans) == 1:  # a short grid is one map stack, nothing to join
+        return chans[0], sums[0]
+
+    def cat(items, name):
+        return np.concatenate([getattr(item, name) for item in items])
+
+    return (
+        PerturbativeChannel(*(cat(chans, name) for name in ("m0", "m2", "n2"))),
+        ModeSums(k, phases, fit.n_max, *(cat(sums, name) for name in ("f_alpha", "f_beta", "g_cross"))),
+    )
+
+
+def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
+    """The journeys of a scenario at every phase in `us` as one stack, and their segments' mode sums.
+
+    Scenarios 23 and 13 send shares on a transit, scenario 12 on a round
+    trip.  A transit has the sums of its u segments, a round trip those of
+    its u and of its 2u segments, each distinct phase of u and 2u built
+    once.  Each journey has the bits of the one-u `transit_channel` or
+    `round_trip_channel`.
+    """
+    if scenario != "12":
+        seg, sums = _segments(fit, k, us)
+        return _transit(seg, k, us), [sums]
+    # The distinct phases of u and 2u in order, and where each one went: a
+    # set, because the first np.unique call of a process maps about 0.5 MB
+    # more of numpy into memory.
+    both = np.concatenate([us, 2.0 * us]).tolist()
+    phases = sorted(set(both))
+    index = {phase: i for i, phase in enumerate(phases)}
+    where = np.array([index[phase] for phase in both], dtype=int)
+    segs, sums = _segments(fit, k, np.array(phases))
+    out, mid = where[: us.size], where[us.size :]
+    return _round_trip(segs[out], segs[mid], k, us), [sums[out], sums[mid]]
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
-    """Send shares 0 and 1 through one-way journeys (M, N); share 2 stays home."""
+    """Send shares 0 and 1 through one-way journeys (M, N), as one map on both; share 2 stays home."""
     if encoded.n_modes != 3:
         raise ValueError("distribute expects the three-share state")
-    out = apply_channel(M, N, encoded, mode=0)
-    return apply_channel(M, N, out, mode=1)
+    return apply_channel(M, N, encoded, mode=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +338,19 @@ def collaborate(
     return partial_trace(state, [decoder.target])
 
 
-def _fidelity_curve(scenario: str, config: ProtocolConfig, fit: TransitionFit):
-    """Build a scenario's h-independent parts once: (secret, journey, h -> F).
-
-    The secret, its encoding and the journey channel do not depend on the
-    acceleration, so only evaluating the journey at h and running the stages
-    on it repeats per h.  An array of h runs the stages once, on the stack of
-    journeys, and gives an array of fidelities.
-    """
-    decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    build = round_trip_channel if scenario == "12" else transit_channel
-    journey = build(fit, config.k, config.u)
-    secret = config.make_secret()
-    encoded = encode(secret, config.s)
-
-    def fidelity(h):
-        M, N = journey.evaluate(h)
-        return fidelity_pure_mixed(secret, collaborate(distribute(encoded, M, N), M, N, decoder))
-
-    return secret, journey, fidelity
+def _decoded_fidelity(secret: GaussianState, encoded: GaussianState, M: np.ndarray, N: np.ndarray, decoder):
+    """Fidelity of the secret decoded after journeys (M, N): an array for (..., 2, 2) stacks of them."""
+    return fidelity_pure_mixed(secret, collaborate(distribute(encoded, M, N), M, N, decoder))
 
 
 def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit, h: float | None = None) -> float:
-    """Full-pipeline fidelity between the secret and the decoded mode."""
+    """Full-pipeline fidelity between the secret and the decoded mode, at config.u and h (default config.h)."""
     if h is not None:
         config = replace(config, h=h)
-    _, _, fidelity = _fidelity_curve(scenario, config, fit)
-    return fidelity(config.h)
+    decoder = decoder_maps(scenario)  # rejects an unknown scenario
+    journeys, _ = _journeys(scenario, fit, config.k, np.array([config.u]))
+    secret = config.make_secret()
+    return _decoded_fidelity(secret, encode(secret, config.s), *journeys[0].evaluate(config.h), decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -426,66 +444,97 @@ class FidelityReport:
         return dict(self.__dict__)
 
 
-def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | None = None) -> FidelityReport:
-    """Assemble closed-form, perturbative and simulated fidelities."""
-    if fit is None:
-        fit = config.transition()
-    secret, journey, fidelity = _fidelity_curve(scenario, config, fit)
-    # Mode sums of the journey's own segments: u, then 2u on a round trip.
-    sums = [mode_sums(bogo, config.k) for bogo in journey.segments]
-
-    # The ladder and config.h as one stack of journeys.
-    *sims, f_sim = fidelity(np.array([*DEFAULT_F2_LADDER, config.h])).tolist()
-    f2_extrap, _, curvature = extrapolate_f2(sims)
+def _extrapolated_f2(sims) -> tuple[float, str]:
+    """(f2, source) of the three-point h-ladder fit of the simulated fidelities `sims`."""
+    f2, _, curvature = extrapolate_f2(sims)
     # The three-point fit isolates the h^2 coefficient only while the h^4
     # term is subdominant on the ladder.  Strong squeezing inflates the
     # quartic coefficient roughly like e^{2s}, so past s ~ 7 the default
     # ladder leaves the perturbative window and the fit returns noise.
     h_top = max(DEFAULT_F2_LADDER)
-    extrap_source = "three-point h-ladder fit of the simulated pipeline"
-    if abs(curvature) * h_top**4 > 0.25 * abs(f2_extrap) * h_top**2 + 1e-12:
-        f2_extrap = float("nan")
-        extrap_source = "unavailable: quartic term dominates the ladder, outside the perturbative window"
+    if abs(curvature) * h_top**4 > 0.25 * abs(f2) * h_top**2 + 1e-12:
+        return float("nan"), "unavailable: quartic term dominates the ladder, outside the perturbative window"
+    return f2, "three-point h-ladder fit of the simulated pipeline"
+
+
+# u-points per pipeline stack: the (4, U, 6, 6) covariances of the three-share
+# states at the four accelerations (the ladder and h) hold at most
+# STACK_ENTRIES entries, so a long u-grid runs a few stacks in turn.
+_GRID_STACK = STACK_ENTRIES // ((len(DEFAULT_F2_LADDER) + 1) * 36)
+
+
+def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFit | None = None) -> list[FidelityReport]:
+    """Closed-form, perturbative and simulated fidelities at every u of `grid`, one report per u.
+
+    `config.u` is not read.  The journeys of the whole grid are built as one
+    stack (each distinct segment phase once, on the monitored mode's rows),
+    the secret is encoded once, and the journeys at the h-ladder and at
+    `config.h` run through `distribute` and `collaborate` as one stack per
+    `_GRID_STACK` u-points.  `f0` of scenarios 23 and 13 does not depend on
+    u and is computed once; only the three-point h^2 extrapolation and its
+    window guard run per u.  Each report has the bits of a one-u grid.
+    """
+    decoder = decoder_maps(scenario)  # rejects an unknown scenario
+    if fit is None:
+        fit = config.transition()
+    grid = list(grid)
+    us = np.array(grid, dtype=float)
+    if us.ndim != 1 or not np.isfinite(us).all():
+        raise ValueError(f"u-grid must be a list of finite numbers, got {grid!r}")
+    journeys, sums = _journeys(scenario, fit, config.k, us)
+    secret = config.make_secret()
+    encoded = encode(secret, config.s)
+    # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
+    M, N = journeys.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
+    sims = [
+        row
+        for at in (slice(start, start + _GRID_STACK) for start in range(0, us.size, _GRID_STACK))
+        for row in _decoded_fidelity(secret, encoded, M[:, at], N[:, at], decoder).T.tolist()
+    ]
 
     coherent_secret = config.secret == "coherent"
+    f2_closed = [float("nan")] * us.size
+    if coherent_secret:
+        f2_closed = fidelity_closed_forms(scenario, *sums, s=config.s)["f2"].tolist()
     if scenario == "12":
-        f0 = 1.0
-        f0_source = "round trip is the identity at h = 0"
-        f2 = _direct_f2_scenario12(journey, secret)
-        f2_source = "trace of the round-trip second-order moments"
-        f2_closed = float("nan")
-        if coherent_secret:
-            f2_closed = fidelity_closed_forms("12", *sums)["f2"]
+        f0, f0_source = 1.0, "round trip is the identity at h = 0"
+        f2_direct = _direct_f2_scenario12(journeys, secret).tolist()
+        direct_source = "trace of the round-trip second-order moments"
     else:
         ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
-        f0 = fidelity_pure_mixed(secret, ideal)
-        f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
-        if coherent_secret:
-            closed = fidelity_closed_forms(scenario, sums[0], s=config.s)
-            f2 = closed["f2"]
-            f2_closed = closed["f2"]
-            f2_source = "closed form from first-order mode sums"
-        else:
-            f2 = f2_extrap
-            f2_closed = float("nan")
-            f2_source = extrap_source
+        f0, f0_source = fidelity_pure_mixed(secret, ideal), "decoded zeroth-order moments: sigma + 2 e^{-s} I"
+        f2_direct, direct_source = f2_closed, "closed form from first-order mode sums"
+    # Scenarios 23 and 13 have no closed form for other secrets: f2 is the ladder fit.
+    from_ladder = scenario != "12" and not coherent_secret
 
-    return FidelityReport(
-        scenario=scenario,
-        k=config.k,
-        u=config.u,
-        h=config.h,
-        s=config.s,
-        secret=f"{config.secret}{tuple(config.secret_params)}",
-        f0=f0,
-        f2=f2,
-        f_sim=f_sim,
-        f2_extrapolated=f2_extrap,
-        f2_closed=f2_closed,
-        f0_source=f0_source,
-        f2_source=f2_source,
-        f_sim_source=f"full pipeline at h = {config.h}",
-    )
+    reports = []
+    for u, (*ladder, f_sim), direct, closed in zip(grid, sims, f2_direct, f2_closed):
+        f2_extrap, extrap_source = _extrapolated_f2(ladder)
+        f2, f2_source = (f2_extrap, extrap_source) if from_ladder else (direct, direct_source)
+        reports.append(
+            FidelityReport(
+                scenario=scenario,
+                k=config.k,
+                u=u,
+                h=config.h,
+                s=config.s,
+                secret=f"{config.secret}{tuple(config.secret_params)}",
+                f0=f0,
+                f2=f2,
+                f_sim=f_sim,
+                f2_extrapolated=f2_extrap,
+                f2_closed=closed,
+                f0_source=f0_source,
+                f2_source=f2_source,
+                f_sim_source=f"full pipeline at h = {config.h}",
+            )
+        )
+    return reports
+
+
+def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | None = None) -> FidelityReport:
+    """Closed-form, perturbative and simulated fidelities at `config.u`: the one-point `fidelity_grid`."""
+    return fidelity_grid(scenario, config, [config.u], fit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +640,8 @@ def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
 
     The grid is evaluated as stacks of segments (`segment_stacks`), each
     distinct phase built once and only on the plotted modes' rows; the round
-    trip's 2u segments come from the same stacks as its u segments.
+    trips are those of `fidelity_grid`, their 2u segments built in the same
+    stacks as their u segments.
     """
     us = np.array([float(u) for u in grid])
     if name in _SUMS_FIGURES:
@@ -606,10 +656,7 @@ def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
         columns = channel_invariants(grid_channels(fit, us, _FIGURE_MODES)).nbar.T
     elif name == "F2_12_squeezed":
         header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
-        # The phases u and 2u, each distinct one built once; `where` maps them back.
-        phases, where = np.unique(np.concatenate([us, 2.0 * us]), return_inverse=True)
-        segs = grid_channels(fit, phases, (config.k,))
-        chan = _round_trip(segs[where[: us.size], 0], segs[where[us.size :], 0], config.k, us)
+        chan, _ = _journeys("12", fit, config.k, us)
         columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
     else:
         raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")

@@ -4,10 +4,10 @@ None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
-closed-form first-order coefficients, one segment at a time in place of the
-stacked u-grid), so the tests can compare the two routes.  The cavity mode
-functions, frequencies and segment durations the routes need live here too:
-the package itself works only with their overlaps.
+closed-form first-order coefficients, one segment or one report at a time
+in place of the stacked u-grid), so the tests can compare the two routes.
+The cavity mode functions, frequencies and segment durations the routes need
+live here too: the package itself works only with their overlaps.
 """
 
 import math
@@ -51,9 +51,15 @@ from rqss.modes import (
 from rqss.protocol import (
     DEFAULT_DECODER_GAIN,
     DEFAULT_DECODER_SQUEEZE,
+    DEFAULT_F2_LADDER,
     FIGURES,
+    FidelityReport,
     _direct_f2_scenario12,
+    collaborate,
+    decoder_maps,
+    distribute,
     encode,
+    extrapolate_f2,
     fidelity_closed_forms,
     round_trip_channel,
     transit_channel,
@@ -360,3 +366,61 @@ def invariant_rows_per_u(fit: TransitionFit, grid, h: float):
             worst_cp = min(worst_cp, cp_residual(*chan.evaluate(h)))
             rows.append([u, k, inv.t2, inv.nbar, inv.rank])
     return rows, worst_cp
+
+
+def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> FidelityReport:
+    """`fidelity_report` at config.u with its own journey, encoding and mode sums: one u, no grid.
+
+    The journey is the one-u `transit_channel` or `round_trip_channel`, the
+    mode sums come from one-segment maps at u (and 2u on a round trip), and
+    the three ladder accelerations and h run through the stages as one stack.
+    """
+    decoder = decoder_maps(scenario)
+    u, k = config.u, config.k
+    journey = (round_trip_channel if scenario == "12" else transit_channel)(fit, k, u)
+    phases = (u, 2.0 * u) if scenario == "12" else (u,)
+    sums = [mode_sums(segment_bogoliubov(fit, v, (k,)), k) for v in phases]
+    secret = config.make_secret()
+    M, N = journey.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
+    *sims, f_sim = fidelity_pure_mixed(secret, collaborate(distribute(encode(secret, config.s), M, N), M, N, decoder)).tolist()
+
+    f2_extrap, _, curvature = extrapolate_f2(sims)
+    h_top = max(DEFAULT_F2_LADDER)
+    extrap_source = "three-point h-ladder fit of the simulated pipeline"
+    if abs(curvature) * h_top**4 > 0.25 * abs(f2_extrap) * h_top**2 + 1e-12:
+        f2_extrap = float("nan")
+        extrap_source = "unavailable: quartic term dominates the ladder, outside the perturbative window"
+
+    coherent_secret = config.secret == "coherent"
+    if scenario == "12":
+        f0 = 1.0
+        f0_source = "round trip is the identity at h = 0"
+        f2 = _direct_f2_scenario12(journey, secret)
+        f2_source = "trace of the round-trip second-order moments"
+        f2_closed = fidelity_closed_forms("12", *sums)["f2"] if coherent_secret else float("nan")
+    else:
+        ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
+        f0 = fidelity_pure_mixed(secret, ideal)
+        f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
+        if coherent_secret:
+            f2 = f2_closed = fidelity_closed_forms(scenario, sums[0], s=config.s)["f2"]
+            f2_source = "closed form from first-order mode sums"
+        else:
+            f2, f2_closed, f2_source = f2_extrap, float("nan"), extrap_source
+
+    return FidelityReport(
+        scenario=scenario,
+        k=k,
+        u=u,
+        h=config.h,
+        s=config.s,
+        secret=f"{config.secret}{tuple(config.secret_params)}",
+        f0=f0,
+        f2=f2,
+        f_sim=f_sim,
+        f2_extrapolated=f2_extrap,
+        f2_closed=f2_closed,
+        f0_source=f0_source,
+        f2_source=f2_source,
+        f_sim_source=f"full pipeline at h = {config.h}",
+    )

@@ -18,7 +18,7 @@ from rqss.channel import (
     segment_channel,
     t2_from_sums,
 )
-from rqss.gaussian import coherent, rotation_block, squeeze, tensor, vacuum
+from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum, vacuum
 from rqss.modes import mode_sums, segment_bogoliubov
 
 from oracles import (
@@ -184,6 +184,22 @@ def test_apply_channel_embedding():
     assert np.allclose(out.d, [1.0, 0.0, 0.0, -2.0], atol=1e-14)
     assert out.sigma[2, 2] == pytest.approx(1.1, rel=1e-14)
     assert out.sigma[0, 0] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_apply_channel_on_several_modes_is_one_map_per_mode(fit20):
+    # The same channel on modes 0 and 1 at once: one block-diagonal map,
+    # equal to the two single-mode applications up to their intermediate
+    # rounding (the protocol's own states come out bit for bit, see
+    # test_simulation_equals_stage_sequence_oracle).
+    state = tensor(two_mode_squeezed_vacuum(1.0), coherent(1.0, -0.5))  # modes 0 and 1 correlated
+    m, n = segment_channel(segment_bogoliubov(fit20, 0.3), 1).evaluate(np.array([1e-2, 3e-2]))
+    both = apply_channel(m, n, state, mode=(0, 1))
+    one_by_one = apply_channel(m, n, apply_channel(m, n, state, mode=0), mode=1)
+    assert np.array_equal(both.d, one_by_one.d)
+    np.testing.assert_allclose(both.sigma, one_by_one.sigma, rtol=1e-15, atol=1e-15)
+    for bad in [(0, 3), (), (-1,)]:
+        with pytest.raises(ValueError, match="outside"):
+            apply_channel(m, n, state, mode=bad)
 
 
 def test_second_order_moments_identity_channel():

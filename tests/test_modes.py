@@ -160,6 +160,16 @@ def test_first_order_matches_closed_form(fit20, n_max):
     assert max(gaps) <= fit.validation["max_rel_err"], gaps
 
 
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_second_order_diagonal_matches_closed_form(cache_dir, n_max):
+    # Physics anchor for the fit's second order: its diagonal is
+    # a2[n, n] = -pi^2 n^2 / 240 in closed form.  The fit meets it to about
+    # 9e-8 relative at n_max 20 and 40.
+    fit = get_transition(n_max=n_max, cache_dir=cache_dir)
+    n = np.arange(1, n_max + 1)
+    np.testing.assert_allclose(np.diag(fit.a2), -(np.pi**2) * n**2 / 240.0, rtol=1e-6, atol=0.0)
+
+
 @pytest.mark.parametrize("length", [2.0, 0.7])
 def test_first_order_closed_form_is_length_independent(length):
     # h = a L is dimensionless, so the coefficients do not depend on L; 2.0

@@ -18,6 +18,7 @@ from rqss.gaussian import (
     vacuum,
 )
 from rqss import protocol
+from rqss.cli import main
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
     CALIBRATION_ENSEMBLE,
@@ -33,6 +34,7 @@ from rqss.protocol import (
     distribute,
     encode,
     extrapolate_f2,
+    fidelity_grid,
     fidelity_report,
     figure_data,
     inertial_phase,
@@ -43,6 +45,7 @@ from rqss.protocol import (
 
 from oracles import fidelity_by_stages, figure_data_per_u
 
+TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
 
 
@@ -302,7 +305,9 @@ def test_figure_data_headers(fit20):
 
 
 def _count_journey_builds(monkeypatch):
-    counts = {"transit_channel": 0, "round_trip_channel": 0}
+    # One-u journeys (`transit_channel`, `round_trip_channel`) and the stacked
+    # journeys of a u-grid (`_journeys`).
+    counts = {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 0}
     for name in counts:
         build = getattr(protocol, name)
 
@@ -316,41 +321,69 @@ def _count_journey_builds(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
 def test_report_builds_its_journey_channel_once(fit20, monkeypatch, scenario):
+    # A report is the one-point grid: one stacked journey build and no one-u
+    # one; a 9-point grid builds all its journeys in one call too.
     counts = _count_journey_builds(monkeypatch)
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
-    journey = "round_trip_channel" if scenario == "12" else "transit_channel"
-    assert counts[journey] == 1
-    assert sum(counts.values()) == 1
+    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 1}
+    fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
+    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 2}
 
 
 def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
-    # The round trips of the whole grid are composed as one stack.
+    # The round trips of the whole grid are composed as one stack, the one
+    # that `fidelity_grid` builds.
     counts = _count_journey_builds(monkeypatch)
     grid = [0.2, 0.3, 0.4]
     header, rows = figure_data("F2_12_squeezed", fit20, grid, _cfg())
-    assert counts == {"transit_channel": 0, "round_trip_channel": 0}
+    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 1}
     assert (header, rows) == figure_data_per_u("F2_12_squeezed", fit20, grid, _cfg())
 
 
 @pytest.mark.parametrize("scenario, builds", [("12", 2), ("23", 1), ("13", 1)])
 @pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
 def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, builds, secret, params):
-    # The coherent secret's mode sums come from the journey's own segment maps.
-    calls = []
-    build = protocol.segment_bogoliubov
-    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda fit, u, modes=None: calls.append(u) or build(fit, u, modes))
-    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params), fit20)
-    assert calls == [0.3, 0.6][:builds]
+    # The coherent secret's mode sums come from the journeys' own segment
+    # maps, built in one stacked call and no one-segment call; a round trip
+    # builds its u and 2u phases once each, over a whole grid too.
+    calls, single = [], []
+    stacks, one = protocol.segment_stacks, protocol.segment_bogoliubov
+    monkeypatch.setattr(protocol, "segment_stacks", lambda fit, us, modes: calls.append((us.tolist(), modes)) or stacks(fit, us, modes))
+    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda *args: single.append(args) or one(*args))
+    cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
+    fidelity_report(scenario, cfg, fit20)
+    assert calls == [([0.3, 0.6][:builds], (1,))]
+    calls.clear()
+    fidelity_grid(scenario, cfg, TABLE_GRID, fit20)
+    phases = sorted({*TABLE_GRID, *(2.0 * u for u in TABLE_GRID)}) if scenario == "12" else TABLE_GRID
+    assert calls == [(phases, (1,))]
+    assert single == []
 
 
-@pytest.mark.parametrize("scenario, checks", [("12", 8), ("23", 12), ("13", 13)])
+@pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 11), ("13", 12)])
 def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, checks):
-    # The four accelerations run as one stack: one checked state per step.
+    # The four accelerations run as one stack: one checked state per step,
+    # and `distribute` sends both shares with one map.
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert len(count) == checks
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_grid_checks_no_more_states_than_one_report(fit20, cache_dir, tmp_path, monkeypatch, scenario):
+    # The u-grid runs through the pipeline as one stack: `rqss fidelity` on
+    # 9 points checks no more states than one report at one u.
+    count = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    one = len(count)
+    count.clear()
+    argv = ["fidelity", "--scenario", scenario, "--grid", "0.1:0.9:0.1", "--nmax", "20"]
+    assert main([*argv, "--cache-dir", str(cache_dir), "--out", str(tmp_path)]) == 0
+    assert 0 < len(count) <= one
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])

@@ -1,27 +1,34 @@
-"""The u-grid as one stack: stacked maps, channels and invariants against the per-u route.
+"""The u-grid as one stack: stacked maps, channels, invariants and fidelities against the per-u route.
 
 Every stacked layer must give, matrix by matrix, the bits of the one-segment
-call, so the figures and the invariants table stay byte-identical whatever
-the stack size; the monitored modes' rows of a segment map must give the
-bits of the full map's rows.
+call, so the figures, the invariants table and the fidelity table stay
+byte-identical whatever the stack size; the monitored modes' rows of a
+segment map must give the bits of the full map's rows.
 """
 
+import itertools
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rqss import protocol
 from rqss.channel import channel_invariants, cp_residual, grid_channels, segment_channel
 from rqss.cli import _invariant_rows
+from rqss.gaussian import GaussianState
 from rqss.modes import STACK_ENTRIES, get_transition, mode_sums, segment_bogoliubov, segment_stacks
-from rqss.protocol import FIGURES, ProtocolConfig, figure_data
+from rqss.protocol import _GRID_STACK, FIGURES, ProtocolConfig, figure_data, fidelity_grid
 
-from oracles import figure_data_per_u, invariant_rows_per_u
+from oracles import fidelity_report_per_u, figure_data_per_u, invariant_rows_per_u
 
 FIGURE_GRID = [i / 64 for i in range(1, 64)]  # the 63-point grid of reproduce_figures.py
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 QUARTER_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # u = 0 and 1 carry no noise block
+EDGE_GRID = [0.0, 0.5, 1.0, 1.5]  # no noise block at whole u; 1.5 beyond the first period
 MAP_NAMES = ("alpha0", "alpha1", "beta1", "alpha2", "beta2")
+SECRETS = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +198,67 @@ def test_degenerate_invariant_rows_are_quiet(fit20):
         else:
             assert t2 > 0.0 and rank == 2
     assert worst_cp == invariant_rows_per_u(fit20, grid, 1e-2)[1]
+
+
+def _reprs_per_u(scenario, config, fit, grid):
+    """The reprs of one-u reports (nan shows as nan, and -0.0 apart from 0.0)."""
+    return [repr(fidelity_report_per_u(scenario, replace(config, u=u), fit)) for u in grid]
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+@pytest.mark.parametrize("secret, params", SECRETS)
+def test_fidelity_grid_equals_per_u_reports(fit20, scenario, secret, params):
+    for s in (0.5, 2.0):
+        config = ProtocolConfig(s=s, secret=secret, secret_params=params)
+        got = [repr(r) for r in fidelity_grid(scenario, config, TABLE_GRID, fit20)]
+        assert got == _reprs_per_u(scenario, config, fit20, TABLE_GRID)
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_fidelity_grid_equals_per_u_reports_on_edge_points(request, n_max, scenario):
+    # s = 8 leaves the ladder's perturbative window (a nan extrapolation) on
+    # some points.
+    fit = request.getfixturevalue(f"fit{n_max}")
+    extrapolated = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (secret, params), s, k in itertools.product(SECRETS, (0.0, 1.0, 8.0), (1, 3)):
+            config = ProtocolConfig(n_max=n_max, s=s, k=k, secret=secret, secret_params=params)
+            reports = fidelity_grid(scenario, config, EDGE_GRID, fit)
+            assert [repr(r) for r in reports] == _reprs_per_u(scenario, config, fit, EDGE_GRID)
+            extrapolated += [r.f2_extrapolated for r in reports]
+    assert any(math.isnan(f2) for f2 in extrapolated)
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+@pytest.mark.parametrize("secret, params", SECRETS[1:])
+def test_fidelity_grid_spanning_several_stacks_equals_per_u_reports(fit20, monkeypatch, scenario, secret, params):
+    runs = []
+    distribute = protocol.distribute
+    monkeypatch.setattr(protocol, "distribute", lambda encoded, M, N: runs.append(M.shape[:-2]) or distribute(encoded, M, N))
+    config = ProtocolConfig(s=0.5, secret=secret, secret_params=params)
+    got = [repr(r) for r in fidelity_grid(scenario, config, FIGURE_GRID, fit20)]
+    full, rest = divmod(len(FIGURE_GRID), _GRID_STACK)
+    assert full >= 2 and runs == [(4, _GRID_STACK)] * full + [(4, rest)]
+    assert got == _reprs_per_u(scenario, config, fit20, FIGURE_GRID)
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_fidelity_stacks_stay_bounded(request, monkeypatch, n_max):
+    fit = request.getfixturevalue(f"fit{n_max}")
+    sizes = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: sizes.append(state.sigma.size) or check(state))
+    grid = [i / 256 for i in range(1, 256)]
+    for scenario in ("12", "23"):
+        assert len(fidelity_grid(scenario, ProtocolConfig(n_max=n_max), grid, fit)) == len(grid)
+    # The largest checked state, a (4, U, 6, 6) stack of three-share states.
+    assert max(sizes) == 4 * _GRID_STACK * 36 <= STACK_ENTRIES
+
+
+def test_fidelity_grid_rejects_bad_points(fit20):
+    assert fidelity_grid("23", ProtocolConfig(), [], fit20) == []
+    for bad in ([0.1, math.inf], [math.nan], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="u-grid"):
+            fidelity_grid("23", ProtocolConfig(), bad, fit20)
