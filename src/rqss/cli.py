@@ -18,6 +18,7 @@ every output directory gets a manifest listing parameters and content hashes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -67,12 +68,15 @@ def _output_dir(out) -> Path:
     return out_dir
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(path: Path, doc: dict):
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", newline="\n")
+def _write(path: Path, text: str):
+    """Write `text` to `path`; return (file name, sha256 of the bytes written) for the manifest."""
+    data = text.encode()
+    path.write_bytes(data)
+    return path.name, hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs):
@@ -80,14 +84,14 @@ def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs
         "command": command,
         "argv": list(argv),
         "parameters": parameters,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": dict(outputs),
         "versions": {
             "rqss": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
     }
-    _write_json(out_dir / "manifest.json", doc)
+    _write(out_dir / "manifest.json", _json_text(doc))
 
 
 def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str = ""):
@@ -97,8 +101,7 @@ def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str
         return
     out_dir = _output_dir(args.out)
     path = out_dir / name
-    path.write_text(_csv_text(header, rows), newline="\n")
-    _write_manifest(out_dir, args.command, argv, parameters, [path])
+    _write_manifest(out_dir, args.command, argv, parameters, [_write(path, _csv_text(header, rows))])
     print(f"wrote {path} ({len(rows)} rows){note}")
 
 
@@ -106,9 +109,7 @@ def _emit_json(args, argv, name: str, doc: dict, parameters: dict):
     """Write a JSON report and its manifest under --out, if given."""
     if args.out:
         out_dir = _output_dir(args.out)
-        path = out_dir / name
-        _write_json(path, doc)
-        _write_manifest(out_dir, args.command, argv, parameters, [path])
+        _write_manifest(out_dir, args.command, argv, parameters, [_write(out_dir / name, _json_text(doc))])
 
 
 def _parse_grid(text: str):
@@ -121,7 +122,7 @@ def _parse_grid(text: str):
     steps = (stop - start) / step
     if not np.isfinite(steps):
         raise ValueError(f"bad grid {text!r}: the point count is not finite")
-    grid = [float(np.round(start + i * step, 12)) for i in range(int(round(steps)) + 1)]
+    grid = np.round(start + np.arange(int(round(steps)) + 1) * step, 12).tolist()
     return [u for u in grid if u <= stop + 1e-12]
 
 
@@ -288,19 +289,17 @@ def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
     grid = _parse_grid(args.grid)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     out_dir = _output_dir(args.out or Path.cwd())
-    paths = []
-    for name in names:
-        path = out_dir / f"figure_{name}.csv"
-        path.write_text(_csv_text(*figure_data(name, fit, grid, config)), newline="\n")
-        paths.append(path)
+    outputs = [
+        _write(out_dir / f"figure_{name}.csv", _csv_text(*figure_data(name, fit, grid, config))) for name in names
+    ]
     _write_manifest(
         out_dir,
         args.command,
         argv,
         {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max},
-        paths,
+        outputs,
     )
-    print(f"wrote {len(paths)} figure file(s) to {out_dir}")
+    print(f"wrote {len(outputs)} figure file(s) to {out_dir}")
     return 0
 
 
@@ -317,7 +316,9 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--out", default=None, help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rqss` parser, built on the first call and shared by later ones; do not modify it."""
     parser = _Parser(prog="rqss", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"rqss {__version__}")
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -128,12 +128,13 @@ def _transition_matrices(geometry: CavityGeometry, xi, ws, s_inertial):
     return freq_term + wedge_term, freq_term - wedge_term
 
 
-def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16) -> list:
+def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16, held_out: int = 0) -> list:
     """Real (alpha, beta, quadrature error) of cavities sharing length and cutoff.
 
     Evaluates rule by rule: the coarse rule's inertial table serves every
     acceleration and is dropped before the refined rule's is built, so one
-    table is alive at a time.
+    table is alive at a time.  The last `held_out` cavities skip the coarse
+    rule: they get the refined matrices alone, and None for the error.
     """
     length, n_max = geometries[0].length, geometries[0].n_max
     for geometry in geometries:
@@ -141,14 +142,17 @@ def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16
     if panels is None:
         panels = max(16, 2 * n_max)
     rule = _inertial_rule(length, n_max, panels, order)
-    coarse = [_transition_matrices(geometry, *rule) for geometry in geometries]
+    coarse = [_transition_matrices(geometry, *rule) for geometry in geometries[: len(geometries) - held_out]]
     del rule
     rule = _inertial_rule(length, n_max, 2 * panels, order)
     out = []
-    for geometry, (a1, b1) in zip(geometries, coarse):
+    for i, geometry in enumerate(geometries):
         a2, b2 = _transition_matrices(geometry, *rule)
-        err = max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2)))
-        out.append((a2, b2, float(err)))
+        err = None
+        if i < len(coarse):
+            a1, b1 = coarse[i]
+            err = float(max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2))))
+        out.append((a2, b2, err))
     return out
 
 
@@ -215,7 +219,8 @@ def fit_transition(length: float = DEFAULT_L, n_max: int = DEFAULT_NMAX) -> Tran
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
     geometries = [CavityGeometry(length, h, n_max) for h in (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)]
-    *rungs, (ref_a, ref_b, _) = _exact_matrices(geometries)
+    # The held-out matrices feed only the validation, never the quadrature error.
+    *rungs, (ref_a, ref_b, _) = _exact_matrices(geometries, held_out=1)
     quad_err = max(err for _, _, err in rungs)
     ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _, _ in rungs])
     yb = np.stack([beta.ravel() for _, beta, _ in rungs])

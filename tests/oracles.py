@@ -5,7 +5,8 @@ different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
 closed-form first-order coefficients, one segment or one report at a time
-in place of the stacked u-grid), so the tests can compare the two routes.
+in place of the stacked u-grid, one rounding per grid point in place of one
+array call), so the tests can compare the two routes.
 The cavity mode functions, frequencies and segment durations the routes need
 live here too: the package itself works only with their overlaps.
 """
@@ -145,6 +146,13 @@ def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order:
     """
     [(alpha, beta, err)] = _exact_matrices([geometry], panels, order)
     return ExactBogoliubov(alpha=alpha, beta=beta, quadrature_error=err)
+
+
+def grid_point_by_point(start: float, stop: float, step: float) -> list:
+    """The u-grid `start:stop:step` of the CLI's `--grid`, rounded to 12 decimals one point at a time."""
+    steps = (stop - start) / step
+    grid = [float(np.round(start + i * step, 12)) for i in range(int(round(steps)) + 1)]
+    return [u for u in grid if u <= stop + 1e-12]
 
 
 def first_order_closed_form(n_max: int):

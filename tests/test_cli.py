@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from rqss.cli import main
+from rqss.cli import _parse_grid, build_parser, main
 from rqss.modes import cache_path, get_transition
+from rqss.protocol import ProtocolConfig
 
 from cachefiles import tamper_coefficient
+from oracles import grid_point_by_point
 
 
 def _args(cache_dir, *rest, nmax=20):
@@ -303,6 +305,83 @@ def test_infinite_grid_exits_one(cache_dir, fit20, capsys):
         rc = main(["invariants", "--grid", grid, *_args(cache_dir)])
         assert rc == 1
         assert "error: bad grid" in capsys.readouterr().err
+
+
+# The CLI's default grids and those of scripts/reproduce_figures.py and the CI reproductions.
+_CLI_GRIDS = ["0.05:0.95:0.05", "0.015625:0.984375:0.015625", "0.1:0.9:0.1", "0:1:0.125"]
+
+
+def test_grid_matches_point_by_point_rounding():
+    rng = np.random.default_rng(20170)
+    grids = [tuple(float(x) for x in text.split(":")) for text in _CLI_GRIDS]
+    for _ in range(1000):
+        start, step = rng.uniform(-1.0, 1.0), rng.uniform(1e-3, 0.5)
+        count = rng.integers(0, 64)
+        # Half the stops sit on a grid point, half between two.
+        stop = start + step * (count if rng.random() < 0.5 else count + rng.random())
+        grids.append((float(start), float(stop), float(step)))
+    for start, stop, step in grids:
+        got = _parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert all(type(u) is float for u in got)
+        assert [u.hex() for u in got] == [u.hex() for u in grid_point_by_point(start, stop, step)]
+
+
+def test_parser_is_built_once_per_process(cache_dir, fit20, capsys):
+    build_parser.cache_clear()
+    for scenario in ("12", "23", "13"):
+        assert main(["fidelity", "--scenario", scenario, "--u", "0.3", *_args(cache_dir)]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_flags_do_not_leak_into_the_next_call(cache_dir, fit20, tmp_path, capsys):
+    base = ["fidelity", "--scenario", "23", "--u", "0.3", *_args(cache_dir)]
+    flags = ["--s", "2", "--k", "2", "--secret", "squeezed:0.25", "--tol", "0.5"]
+    assert main([*base, *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert main([*base, "--out", str(tmp_path / "defaults")]) == 0
+    given = json.loads((tmp_path / "flags" / "manifest.json").read_text())["parameters"]
+    assert (given["s"], given["k"], given["secret"], given["tol"]) == (2.0, 2, "squeezed", 0.5)
+    defaults = ProtocolConfig()
+    assert json.loads((tmp_path / "defaults" / "manifest.json").read_text())["parameters"] == {
+        "scenario": "23",
+        "s": defaults.s,
+        "k": defaults.k,
+        "h": defaults.h,
+        "secret": defaults.secret,
+        "secret_params": list(defaults.secret_params),
+        "tol": 1e-3,
+    }
+
+
+@pytest.mark.parametrize("exiting, code", [(["fidelity"], 1), (["--version"], 0)], ids=["usage-error", "version"])
+def test_valid_call_after_the_parser_exits(cache_dir, fit20, tmp_path, capsys, exiting, code):
+    argv = ["invariants", "--grid", "0.25:0.75:0.25", *_args(cache_dir)]
+    assert main([*argv, "--out", str(tmp_path / "before")]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(exiting)
+    assert info.value.code == code
+    assert main([*argv, "--out", str(tmp_path / "after")]) == 0
+    csv = "invariants.csv"
+    assert (tmp_path / "after" / csv).read_bytes() == (tmp_path / "before" / csv).read_bytes()
+
+
+_OUT_JOBS = {
+    "bogo-check": ["bogo-check"],
+    "invariants": ["invariants", "--grid", "0.25:0.75:0.25"],
+    "fidelity": ["fidelity", "--scenario", "13", "--grid", "0.25:0.75:0.25"],
+    "calibrate": ["calibrate"],
+    "figure-data": ["figure-data", "--grid", "0.25:0.75:0.25"],
+}
+
+
+@pytest.mark.parametrize("job", list(_OUT_JOBS.values()), ids=list(_OUT_JOBS))
+def test_manifest_lists_each_file_written_with_its_hash(cache_dir, fit20, tmp_path, capsys, job):
+    out = tmp_path / "out"
+    assert main([*job, "--out", str(out), *_args(cache_dir)]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert set(listed) == {path.name for path in out.iterdir()} - {"manifest.json"}
+    for name, digest in listed.items():
+        assert digest == _sha(out / name), name
 
 
 @pytest.mark.parametrize("command", [["fidelity", "--scenario", "23"], ["bogo-check"]], ids=["fidelity", "bogo-check"])

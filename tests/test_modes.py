@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from rqss import modes
 from rqss.modes import (
+    DEFAULT_LADDER,
+    DEFAULT_VALIDATION_H,
     CavityGeometry,
     CorruptCacheError,
     cache_path,
@@ -306,6 +309,27 @@ def test_fit_matches_per_acceleration_loop():
     assert np.array_equal(fit.b, b)
     assert fit.validation == validation
     assert fit.quadrature_error == quadrature_error
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max):
+    # The held-out acceleration feeds only the validation, so the fit skips
+    # its coarse rule.  That must leave every bit of the fit as it is when
+    # all five accelerations go through both rules.
+    geometries = [CavityGeometry(1.0, h, n_max) for h in (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)]
+    both_rules = modes._exact_matrices(geometries)
+    refined_held_out = modes._exact_matrices(geometries, held_out=1)
+    for (a, b, _), (a_r, b_r, _) in zip(both_rules, refined_held_out):
+        assert np.array_equal(a, a_r) and np.array_equal(b, b_r)
+    assert [err for *_, err in refined_held_out] == [err for *_, err in both_rules[:-1]] + [None]
+
+    fit = fit_transition(n_max=n_max)
+    monkeypatch.setattr(modes, "_exact_matrices", lambda geometries, held_out: both_rules)
+    route = fit_transition(n_max=n_max)
+    assert np.array_equal(fit.a, route.a)
+    assert np.array_equal(fit.b, route.b)
+    assert fit.quadrature_error == route.quadrature_error
+    assert fit.validation == route.validation
 
 
 def test_cache_hit_equals_fresh_fit(tmp_path):
