@@ -43,7 +43,7 @@ from .channel import (
     compose_sequence,
     cp_residual,
     free_channel,
-    grid_channels,
+    grid_segments,
     segment_channel,
     t2_from_sums,
 )

@@ -15,12 +15,12 @@ phase, goes through the same arithmetic as a single channel, matrix by matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, _item, _mat_vec, _transpose, rotation_block, symplectic_form
-from .modes import BogoliubovSet, ModeSums, TransitionFit, segment_stacks
+from .modes import BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_stacks
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -106,18 +106,28 @@ def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     return _segment_channel(bogo, k)
 
 
-def grid_channels(fit: TransitionFit, us, modes) -> PerturbativeChannel:
-    """Segment channels on each mode in `modes` at every phase in `us`: a (U, len(modes)) stack.
+def _join(stacks):
+    """Consecutive stacks of a channel or of a mode's sums as one stack along u; a single stack as it is."""
+    if len(stacks) == 1:
+        return stacks[0]
+    first = stacks[0]
+    arrays = [f.name for f in fields(first) if np.ndim(getattr(first, f.name))]
+    return replace(first, **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in arrays})
 
-    Only the rows of `modes` are built, a bounded stack at a time
-    (`segment_stacks`), and only the 2x2 blocks are kept.
+
+def grid_segments(fit: TransitionFit, us, modes, channels: bool = True, sums: bool = True):
+    """Segment channels and mode sums at every phase in `us`: two lists in the order of `modes`.
+
+    Each item is one mode's stack over u; a list not asked for is empty.
+    The maps are built on the rows of `modes` only, a bounded stack at a
+    time (`segment_stacks`); each stack is reduced at once to what was asked
+    for, and the reductions of several stacks are then joined.
     """
-    stacks = [[_segment_channel(maps, k) for k in modes] for maps in segment_stacks(fit, us, modes)]
-    blocks = (
-        np.concatenate([np.stack([getattr(chan, name) for chan in per_mode], axis=-3) for per_mode in stacks])
-        for name in ("m0", "m2", "n2")
-    )
-    return PerturbativeChannel(*blocks)
+    chans, sums_by_stack = [], []
+    for maps in segment_stacks(fit, us, modes):
+        chans.append([_segment_channel(maps, k) for k in modes] if channels else [])
+        sums_by_stack.append([mode_sums(maps, k) for k in modes] if sums else [])
+    return [_join(per_mode) for per_mode in zip(*chans)], [_join(per_mode) for per_mode in zip(*sums_by_stack)]
 
 
 def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> PerturbativeChannel:

@@ -29,9 +29,10 @@ import numpy as np
 from . import __version__
 from .gaussian import UnphysicalStateError
 from .modes import CorruptCacheError, segment_bogoliubov
-from .channel import channel_invariants, cp_residual, grid_channels
+from .channel import channel_invariants, cp_residual, grid_segments
 from .protocol import (
     CalibrationError,
+    FIGURE_MODES,
     FIGURES,
     ProtocolConfig,
     calibrate_decoder,
@@ -112,6 +113,10 @@ def _emit_json(args, argv, name: str, doc: dict, parameters: dict):
         _write_manifest(out_dir, args.command, argv, parameters, [_write(out_dir / name, _json_text(doc))])
 
 
+# The most points a --grid may hold; it is checked before the grid is built.
+_GRID_POINTS_MAX = 10**6
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -122,7 +127,10 @@ def _parse_grid(text: str):
     steps = (stop - start) / step
     if not np.isfinite(steps):
         raise ValueError(f"bad grid {text!r}: the point count is not finite")
-    grid = np.round(start + np.arange(int(round(steps)) + 1) * step, 12).tolist()
+    count = round(steps) + 1
+    if count > _GRID_POINTS_MAX:
+        raise ValueError(f"bad grid {text!r}: {count} points, more than {_GRID_POINTS_MAX}")
+    grid = np.round(start + np.arange(count) * step, 12).tolist()
     return [u for u in grid if u <= stop + 1e-12]
 
 
@@ -215,18 +223,23 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
 
 
 def _invariant_rows(fit, grid, h: float):
-    """Rows (u, k, T2, nbar, rank) over the grid and modes 1..3, and the least CP residual at h."""
-    modes = (1, 2, 3)
-    chans = grid_channels(fit, grid, modes)  # a (u, k) stack
-    inv = channel_invariants(chans)
-    t2, nbar, rank = inv.t2.tolist(), inv.nbar.tolist(), inv.rank.tolist()
-    rows = [[u, k, t2[i][j], nbar[i][j], rank[i][j]] for i, u in enumerate(grid) for j, k in enumerate(modes)]
-    return rows, min([np.inf, *cp_residual(*chans.evaluate(h)).ravel().tolist()])
+    """Rows (u, k, T2, nbar, rank) over the grid and the plotted modes, and the least CP residual at h."""
+    chans, _ = grid_segments(fit, grid, FIGURE_MODES, sums=False)  # one stack over u per mode
+    per_mode = [[v.tolist() for v in (inv.t2, inv.nbar, inv.rank)] for inv in map(channel_invariants, chans)]
+    rows = [[u, k, *(col[i] for col in cols)] for i, u in enumerate(grid) for k, cols in zip(FIGURE_MODES, per_mode)]
+    return rows, min([np.inf, *(cp for chan in chans for cp in cp_residual(*chan.evaluate(h)).tolist())])
+
+
+def _grid_and_fit(args, config: ProtocolConfig):
+    """The --grid and the fit; the grid, and the cutoff of tables on the plotted modes, checked before fitting."""
+    grid = _parse_grid(args.grid)
+    if config.n_max < max(FIGURE_MODES) and getattr(args, "figure", None) != "F2_12_squeezed":
+        raise ValueError(f"--nmax {config.n_max} is below the plotted modes {FIGURE_MODES}")
+    return grid, config.transition()
 
 
 def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
-    fit = config.transition()
-    grid = _parse_grid(args.grid)
+    grid, fit = _grid_and_fit(args, config)
     header = ["u", "k", "T2", "nbar", "r"]
     rows, worst_cp = _invariant_rows(fit, grid, config.h)
     valid_nbar = [row[3] for row in rows if not np.isnan(row[3])]
@@ -285,8 +298,7 @@ def _cmd_calibrate(args, config: ProtocolConfig, argv) -> int:
 
 
 def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
-    fit = config.transition()
-    grid = _parse_grid(args.grid)
+    grid, fit = _grid_and_fit(args, config)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     out_dir = _output_dir(args.out or Path.cwd())
     outputs = [

@@ -45,18 +45,15 @@ from .modes import (
     ModeSums,
     TransitionFit,
     get_transition,
-    mode_sums,
     segment_bogoliubov,
-    segment_stacks,
 )
 from .channel import (
     PerturbativeChannel,
-    _segment_channel,
     apply_channel,
     channel_invariants,
     compose_sequence,
     free_channel,
-    grid_channels,
+    grid_segments,
     second_order_moments,
     segment_channel,
     t2_from_sums,
@@ -212,24 +209,6 @@ def round_trip_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChan
     return _round_trip(seg, seg_mid, k, u)
 
 
-def _segments(fit: TransitionFit, k: int, phases: np.ndarray):
-    """Mode-k channels and mode sums of the segments at `phases`, built a bounded map stack at a time."""
-    chans, sums = [], []
-    for maps in segment_stacks(fit, phases, (k,)):
-        chans.append(_segment_channel(maps, k))
-        sums.append(mode_sums(maps, k))
-    if len(chans) == 1:  # a short grid is one map stack, nothing to join
-        return chans[0], sums[0]
-
-    def cat(items, name):
-        return np.concatenate([getattr(item, name) for item in items])
-
-    return (
-        PerturbativeChannel(*(cat(chans, name) for name in ("m0", "m2", "n2"))),
-        ModeSums(k, phases, fit.n_max, *(cat(sums, name) for name in ("f_alpha", "f_beta", "g_cross"))),
-    )
-
-
 def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     """The journeys of a scenario at every phase in `us` as one stack, and their segments' mode sums.
 
@@ -240,7 +219,7 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     `round_trip_channel`.
     """
     if scenario != "12":
-        seg, sums = _segments(fit, k, us)
+        (seg,), (sums,) = grid_segments(fit, us, (k,))
         return _transit(seg, k, us), [sums]
     # The distinct phases of u and 2u in order, and where each one went: a
     # set, because the first np.unique call of a process maps about 0.5 MB
@@ -249,7 +228,7 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     phases = sorted(set(both))
     index = {phase: i for i, phase in enumerate(phases)}
     where = np.array([index[phase] for phase in both], dtype=int)
-    segs, sums = _segments(fit, k, np.array(phases))
+    (segs,), (sums,) = grid_segments(fit, np.array(phases), (k,))
     out, mid = where[: us.size], where[us.size :]
     return _round_trip(segs[out], segs[mid], k, us), [sums[out], sums[mid]]
 
@@ -625,35 +604,32 @@ def calibrate_decoder() -> DecoderCalibration:
 FIGURES = ("T2", "nbar", "F2_23", "F2_12_squeezed")
 
 
-# Per-mode value of the mode-sum figures: (column prefix, value(sums, config)),
-# arrays over a stack of segments.
-_SUMS_FIGURES = {
-    "T2": ("T2", lambda sums, config: t2_from_sums(sums)),
-    "F2_23": ("F2", lambda sums, config: fidelity_closed_forms("23", sums, s=config.s)["f2"]),
-}
-_FIGURE_MODES = (1, 2, 3)
+# The modes of the T2, nbar and F2_23 figures, and of the `rqss invariants` rows.
+FIGURE_MODES = (1, 2, 3)
 _FIGURE_SQUEEZINGS = (0.0625, 0.125, 0.25)
 
 
 def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
     """(header, rows) for one summary figure over a u-grid.
 
-    The grid is evaluated as stacks of segments (`segment_stacks`), each
-    distinct phase built once and only on the plotted modes' rows; the round
-    trips are those of `fidelity_grid`, their 2u segments built in the same
-    stacks as their u segments.
+    The grid is walked once (`grid_segments`), each distinct phase built
+    once and only on the plotted modes' rows; the round trips are those of
+    `fidelity_grid`, their 2u segments built in the same walk as their u
+    segments.
     """
     us = np.array([float(u) for u in grid])
-    if name in _SUMS_FIGURES:
-        prefix, value = _SUMS_FIGURES[name]
-        header = ["u"] + [f"{prefix}_k{k}" for k in _FIGURE_MODES]
-        stacks = segment_stacks(fit, us, _FIGURE_MODES)
-        columns = np.concatenate(
-            [[value(mode_sums(maps, k), config) for k in _FIGURE_MODES] for maps in stacks], axis=-1
-        )
+    if name == "T2":
+        header = ["u"] + [f"T2_k{k}" for k in FIGURE_MODES]
+        _, sums = grid_segments(fit, us, FIGURE_MODES, channels=False)
+        columns = [t2_from_sums(per_mode) for per_mode in sums]
+    elif name == "F2_23":
+        header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
+        _, sums = grid_segments(fit, us, FIGURE_MODES, channels=False)
+        columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in sums]
     elif name == "nbar":
-        header = ["u"] + [f"nbar_k{k}" for k in _FIGURE_MODES]
-        columns = channel_invariants(grid_channels(fit, us, _FIGURE_MODES)).nbar.T
+        header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
+        chans, _ = grid_segments(fit, us, FIGURE_MODES, sums=False)
+        columns = [channel_invariants(per_mode).nbar for per_mode in chans]
     elif name == "F2_12_squeezed":
         header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
         chan, _ = _journeys("12", fit, config.k, us)

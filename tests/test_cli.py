@@ -307,6 +307,39 @@ def test_infinite_grid_exits_one(cache_dir, fit20, capsys):
         assert "error: bad grid" in capsys.readouterr().err
 
 
+def test_grid_above_the_point_bound_exits_one(tmp_path, capsys):
+    # 1e15 + 1 points would take 8 PB: the count is rejected before the grid
+    # is built, as is one point past the bound, and the fit is not made.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for grid in ("0:1e15:1", "0:1000000:1"):
+        rc = main(["invariants", "--grid", grid, "--nmax", "4", "--cache-dir", str(cache)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad grid") and "more than 1000000" in err, err
+    assert list(cache.iterdir()) == []
+    assert len(_parse_grid("1:1000000:1")) == 10**6
+
+
+@pytest.mark.parametrize("figure", [None, "all", "T2", "nbar", "F2_23"])
+def test_cutoff_below_the_plotted_modes_exits_one_before_fitting(tmp_path, capsys, figure):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    command = ["invariants"] if figure is None else ["figure-data", "--figure", figure]
+    rc = main([*command, "--nmax", "2", "--cache-dir", str(cache), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --nmax") and "(1, 2, 3)" in err, err
+    assert list(cache.iterdir()) == []
+
+
+def test_squeezed_figure_needs_only_mode_k(tmp_path):
+    # The squeezed-secret figure reads mode --k alone, so a cutoff below the plotted modes still runs it.
+    argv = ["figure-data", "--figure", "F2_12_squeezed", "--grid", "0.25:0.75:0.25", "--nmax", "2"]
+    assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "figure_F2_12_squeezed.csv").read_text().splitlines()) == 4
+
+
 # The CLI's default grids and those of scripts/reproduce_figures.py and the CI reproductions.
 _CLI_GRIDS = ["0.05:0.95:0.05", "0.015625:0.984375:0.015625", "0.1:0.9:0.1", "0:1:0.125"]
 

@@ -17,7 +17,7 @@ from rqss.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
-from rqss import protocol
+from rqss import channel, protocol
 from rqss.cli import main
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
@@ -347,8 +347,8 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     # maps, built in one stacked call and no one-segment call; a round trip
     # builds its u and 2u phases once each, over a whole grid too.
     calls, single = [], []
-    stacks, one = protocol.segment_stacks, protocol.segment_bogoliubov
-    monkeypatch.setattr(protocol, "segment_stacks", lambda fit, us, modes: calls.append((us.tolist(), modes)) or stacks(fit, us, modes))
+    stacks, one = channel.segment_stacks, protocol.segment_bogoliubov
+    monkeypatch.setattr(channel, "segment_stacks", lambda fit, us, modes: calls.append((us.tolist(), modes)) or stacks(fit, us, modes))
     monkeypatch.setattr(protocol, "segment_bogoliubov", lambda *args: single.append(args) or one(*args))
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
     fidelity_report(scenario, cfg, fit20)

@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rqss import protocol
-from rqss.channel import channel_invariants, cp_residual, grid_channels, segment_channel
+from rqss import channel, protocol
+from rqss.channel import channel_invariants, cp_residual, grid_segments, segment_channel
 from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
 from rqss.modes import STACK_ENTRIES, get_transition, mode_sums, segment_bogoliubov, segment_stacks
@@ -133,25 +133,94 @@ def test_stacks_stay_bounded(request, n_max):
 
 def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
     us = np.array(QUARTER_GRID + TABLE_GRID)
-    chans = grid_channels(fit20, us, (1, 2, 3))
-    assert chans.m0.shape == (us.size, 3, 2, 2)
-    inv = channel_invariants(chans)
-    cp = cp_residual(*chans.evaluate(1e-2))
-    stacks = list(segment_stacks(fit20, us, (1, 2, 3)))
+    chans, grid_sums = grid_segments(fit20, us, (1, 2, 3))
+    assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * 3
     for j, k in enumerate((1, 2, 3)):
-        per_stack = [mode_sums(maps, k) for maps in stacks]
-        sums = [(s.f_alpha[i], s.f_beta[i], s.g_cross[i]) for s in per_stack for i in range(s.u.size)]
+        inv = channel_invariants(chans[j])
+        cp = cp_residual(*chans[j].evaluate(1e-2))
+        per_mode = grid_sums[j]
+        assert per_mode.k == k and np.array_equal(per_mode.u, us)
+        sums = [(per_mode.f_alpha[i], per_mode.f_beta[i], per_mode.g_cross[i]) for i in range(us.size)]
         for i, u in enumerate(us):
             bogo = segment_bogoliubov(fit20, u)
             one = segment_channel(bogo, k)
             for name in ("m0", "m2", "n2"):
-                assert np.array_equal(getattr(chans, name)[i, j], getattr(one, name))
+                assert np.array_equal(getattr(chans[j], name)[i], getattr(one, name))
             single = channel_invariants(one)
-            assert (inv.t2[i, j], inv.rank[i, j], inv.degenerate[i, j]) == (single.t2, single.rank, single.degenerate)
-            np.testing.assert_array_equal(inv.nbar[i, j], single.nbar)
-            assert cp[i, j] == cp_residual(*one.evaluate(1e-2))
+            assert (inv.t2[i], inv.rank[i], inv.degenerate[i]) == (single.t2, single.rank, single.degenerate)
+            np.testing.assert_array_equal(inv.nbar[i], single.nbar)
+            assert cp[i] == cp_residual(*one.evaluate(1e-2))
             one_sums = mode_sums(bogo, k)
             assert sums[i] == (one_sums.f_alpha, one_sums.f_beta, one_sums.g_cross)
+
+
+@pytest.mark.parametrize("modes", [(1,), (2,), (1, 2, 3)])
+def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
+    # The 95 phases of the figure grid's round trips span several map stacks
+    # at every cutoff but n_max 20 on one mode; the joined walk holds, stack
+    # after stack, what each stack reduces to.
+    us = _phases()
+    stacks = list(segment_stacks(any_fit, us, modes))
+    assert len(stacks) > 1 or (any_fit.n_max, len(modes)) == (20, 1)
+    chans, sums = grid_segments(any_fit, us, modes)
+    assert grid_segments(any_fit, us, modes, channels=False)[0] == []
+    assert grid_segments(any_fit, us, modes, sums=False)[1] == []
+    assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * len(modes) and len(sums) == len(modes)
+    at = 0
+    for maps in stacks:
+        rows = slice(at, at + maps.u.size)
+        at += maps.u.size
+        for j, k in enumerate(modes):
+            one = segment_channel(maps, k)
+            for name in ("m0", "m2", "n2"):
+                assert np.array_equal(getattr(chans[j], name)[rows], getattr(one, name)), (name, k)
+            one_sums = mode_sums(maps, k)
+            assert (sums[j].k, sums[j].n_max) == (k, any_fit.n_max)
+            for name in ("u", "f_alpha", "f_beta", "g_cross"):
+                assert np.array_equal(getattr(sums[j], name)[rows], getattr(one_sums, name)), (name, k)
+    assert at == us.size
+
+
+def _count_walks(monkeypatch):
+    """Count the walks over a grid and, within them, the segment channels and mode sums built."""
+    counts = {"segment_stacks": 0, "_segment_channel": 0, "mode_sums": 0}
+    for name in counts:
+        build = getattr(channel, name)
+
+        def counting(*args, _name=name, _build=build):
+            counts[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(channel, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+@pytest.mark.parametrize("consumer", ["invariants", *FIGURES, "fidelity 12", "fidelity 23"])
+def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
+    # One walk per table, whatever the number of map stacks it spans; the
+    # mode-sum figures build no segment channel, and the channel tables
+    # compute no mode sums.  A journey reads both, on mode k alone.
+    fit = request.getfixturevalue(f"fit{n_max}")
+    config = ProtocolConfig(n_max=n_max)
+    modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
+    if consumer in ("F2_12_squeezed", "fidelity 12"):
+        modes, phases = (config.k,), _phases()
+    elif consumer == "fidelity 23":
+        modes = (config.k,)
+    stacks = len(list(segment_stacks(fit, phases, modes)))
+    counts = _count_walks(monkeypatch)
+    if consumer == "invariants":
+        _invariant_rows(fit, FIGURE_GRID, 1e-2)
+    elif consumer.startswith("fidelity"):
+        fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
+    else:
+        figure_data(consumer, fit, FIGURE_GRID, config)
+    builds = stacks * len(modes)
+    channels, sums = {"T2": (0, builds), "F2_23": (0, builds), "nbar": (builds, 0), "invariants": (builds, 0)}.get(
+        consumer, (builds, builds)
+    )
+    assert counts == {"segment_stacks": 1, "_segment_channel": channels, "mode_sums": sums}
 
 
 def test_figures_equal_per_u_route_on_the_figure_grid(fit20):
