@@ -21,7 +21,6 @@ making the extraction reproducible bit for bit.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -270,13 +269,21 @@ def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> d
 
 # ---------------------------------------------------------------------------
 # coefficient cache
+#
+# Format 3 keeps one file per key, `transition_<hash of the key>.bin`, in
+# three parts: a first line with the hex sha256 of every byte after it, one
+# canonical JSON header line (the key, `validation`, `quadrature_error`), and
+# the raw little-endian float64 C-order bytes of `a`, then `b`.  A load takes
+# the coefficients as views of those bytes, so a cached fit is bit-identical
+# to a fresh one.
 
 
 def _cache_key(length: float, n_max: int) -> dict:
     # The ladder and held-out acceleration are constants, but the key records
     # them, so a file fitted on another ladder has another name and is refused.
+    # Files of earlier formats have other keys, hence other names: never read.
     return {
-        "format": 2,
+        "format": 3,
         "length": length,
         "n_max": n_max,
         "ladder": list(DEFAULT_LADDER),
@@ -284,31 +291,12 @@ def _cache_key(length: float, n_max: int) -> dict:
     }
 
 
-# Coefficients are stored as base64 of their little-endian float64 C-order
-# bytes: exact, and cheap to checksum, write and read.
 _PAYLOAD_DTYPE = "<f8"
-
-
-def _encode_coefficients(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPE).tobytes()).decode("ascii")
-
-
-def _decode_coefficients(text: str, n_max: int) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(text, validate=True), dtype=_PAYLOAD_DTYPE)
-    if flat.size != 4 * n_max * n_max:
-        raise ValueError(f"{flat.size} coefficients stored, (4, {n_max}, {n_max}) expected")
-    return flat.reshape(4, n_max, n_max)
-
-
-def _document_digest(doc: dict) -> str:
-    """SHA-256 of every stored field except the digest itself."""
-    body = {name: value for name, value in doc.items() if name != "sha256"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _cache_name(key: dict) -> str:
     stem = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:16]
-    return f"transition_{stem}.json"
+    return f"transition_{stem}.bin"
 
 
 def cache_path(cache_dir: Path, length: float, n_max: int) -> Path:
@@ -329,23 +317,22 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
     key = _cache_key(fit.length, fit.n_max)
     path = Path(cache_dir) / _cache_name(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "key": key,
-        "length": fit.length,
-        "n_max": fit.n_max,
-        "ladder": key["ladder"],
-        "validation_h": key["validation_h"],
-        "a": _encode_coefficients(fit.a),
-        "b": _encode_coefficients(fit.b),
-        "validation": fit.validation,
-        "quadrature_error": fit.quadrature_error,
-    }
-    doc["sha256"] = _document_digest(doc)
+    header = {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}
+    body = b"".join(
+        [
+            json.dumps(header, sort_keys=True).encode(),
+            b"\n",
+            np.ascontiguousarray(fit.a, dtype=_PAYLOAD_DTYPE),
+            np.ascontiguousarray(fit.b, dtype=_PAYLOAD_DTYPE),
+        ]
+    )
     # Write aside and rename, so a concurrent reader sees the old file or the
     # whole new one, never a partial write.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, sort_keys=True))
+        with open(tmp, "wb") as file:
+            file.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
+            file.write(body)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -355,29 +342,35 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
 def load_transition(path) -> TransitionFit:
     """Read a cached fit; the file's name is the key of the request.
 
-    The stored key and ladder must describe a fit made here and hash to the
-    file name, so a file saved under another key is rejected, not silently
-    used; the checksum covers every stored field.
+    The checksum covers the header and the coefficients, and is checked
+    before anything is parsed.  The stored key must describe a fit made here
+    and hash to the file name, so a file saved under another key is rejected,
+    not silently used, and the payload must hold exactly `a` and `b`.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-        n_max = int(doc["n_max"])
-        key = _cache_key(doc["length"], n_max)
-        stored = (doc["key"], doc["ladder"], doc["validation_h"])
-        if stored != (key, key["ladder"], key["validation_h"]) or path.name != _cache_name(key):
-            raise ValueError("stored key does not match the requested key")
-        if doc["sha256"] != _document_digest(doc):
+        digest, _, body = path.read_bytes().partition(b"\n")
+        if digest != hashlib.sha256(body).hexdigest().encode():
             raise ValueError("checksum mismatch")
+        header, _, payload = body.partition(b"\n")
+        meta = json.loads(header)
+        stored = meta["key"]
+        n_max = int(stored["n_max"])
+        key = _cache_key(stored["length"], n_max)
+        if stored != key or path.name != _cache_name(key):
+            raise ValueError("stored key does not match the requested key")
+        if len(payload) != 8 * 8 * n_max * n_max:
+            raise ValueError(f"{len(payload)} payload bytes, not the 2 x (4, {n_max}, {n_max}) coefficients of a and b")
+        a, b = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE).reshape(2, 4, n_max, n_max)
         return TransitionFit(
-            length=float(doc["length"]),
+            length=float(key["length"]),
             n_max=n_max,
-            a=_frozen(_decode_coefficients(doc["a"], n_max)),
-            b=_frozen(_decode_coefficients(doc["b"], n_max)),
-            validation=dict(doc["validation"]),
-            quadrature_error=float(doc["quadrature_error"]),
+            a=a,
+            b=b,
+            validation=dict(meta["validation"]),
+            quadrature_error=float(meta["quadrature_error"]),
         )
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # a bad header's JSON or UTF-8 error is a ValueError
         raise CorruptCacheError(f"corrupted coefficient cache {path}: {exc}") from exc
 
 

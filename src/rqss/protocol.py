@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,11 @@ CALIBRATION_TOL = 1e-6
 
 # Parameter names of each secret kind, in the order of `secret_params`.
 _SECRET_PARAMS = {"coherent": ("q", "p"), "squeezed": ("r",)}
+# Largest x for which e^x times e^x stays finite.  The dealer's two-mode
+# squeezed vacuum has covariance entries of order e^s and a squeezed secret
+# of order e^(2|r|); the pipeline and the closed form (1 + e^s)^2 multiply
+# such entries pairwise, so beyond this bound states overflow to inf or NaN.
+_MAX_SQUEEZE_EXPONENT = math.log(sys.float_info.max) / 2
 
 
 def _is_number(value) -> bool:
@@ -126,8 +132,8 @@ class ProtocolConfig:
             raise ValueError(f"monitored mode k = {self.k} outside 1..{self.n_max}")
         if not 0.0 <= self.h < 2.0:
             raise ValueError(f"h must lie in [0, 2), got {self.h}")
-        if self.s < 0.0:
-            raise ValueError(f"dealer squeezing s must be nonnegative, got {self.s}")
+        if not 0.0 <= self.s <= _MAX_SQUEEZE_EXPONENT:
+            raise ValueError(f"dealer squeezing s must lie in [0, {_MAX_SQUEEZE_EXPONENT:.6f}], got {self.s}")
         if not isinstance(self.secret, str) or self.secret not in _SECRET_PARAMS:
             raise ValueError(f"unknown secret kind {self.secret!r}; choices: {sorted(_SECRET_PARAMS)}")
         params = self.secret_params
@@ -137,6 +143,11 @@ class ProtocolConfig:
         if len(self.secret_params) != len(_SECRET_PARAMS[self.secret]):
             names = ",".join(_SECRET_PARAMS[self.secret])
             raise ValueError(f"{self.secret} secret needs parameters {names}, got {self.secret_params}")
+        r_max = _MAX_SQUEEZE_EXPONENT / 2
+        if self.secret == "squeezed" and not abs(self.secret_params[0]) <= r_max:
+            raise ValueError(
+                f"secret_params: squeezing r must lie in [-{r_max:.6f}, {r_max:.6f}], got {self.secret_params[0]}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProtocolConfig":

@@ -277,6 +277,29 @@ def test_wrongly_typed_config_exits_one(cache_dir, fit20, tmp_path, capsys, doc,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (("--s", "800"), "dealer squeezing s must lie in [0, 354.891356]"),
+        (("--s", "400"), "dealer squeezing s must lie in [0, 354.891356]"),
+        (("--secret", "squeezed:400"), "secret_params: squeezing r must lie in [-177.445678, 177.445678]"),
+        (("--secret", "squeezed:-400"), "secret_params: squeezing r must lie in [-177.445678, 177.445678]"),
+    ],
+    ids=["s-800", "s-400", "r-400", "r-minus-400"],
+)
+def test_overflowing_squeezing_exits_one_before_fitting(tmp_path, capsys, option, named):
+    # Squeezings whose covariance entries overflow once multiplied are
+    # rejected when the config is built, before a RuntimeWarning, an
+    # OverflowError or a failed eigensolver deep in the pipeline.
+    cache = tmp_path / "cache"
+    argv = ["fidelity", "--scenario", "23", *option, "--grid", "0.1:0.2:0.1", "--nmax", "4"]
+    rc = main([*argv, "--cache-dir", str(cache), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert not cache.exists()
+
+
 def test_config_file_naming_a_decoder_constant_exits_one(cache_dir, fit20, tmp_path, capsys):
     # The decoder working point is a calibrated constant, not a config field.
     path = tmp_path / "config.json"

@@ -1,6 +1,5 @@
 """Cavity mode structure, transition matrices, the small-h fit, segments."""
 
-import json
 import subprocess
 import sys
 
@@ -26,7 +25,16 @@ from rqss.modes import (
     segment_bogoliubov,
 )
 
-from cachefiles import decode, encode, format1_document, read_document, reseal, tamper_coefficient, write_document
+from cachefiles import (
+    file_name,
+    flip_byte,
+    format1_document,
+    format2_document,
+    read_parts,
+    tamper_coefficient,
+    write_document,
+    write_parts,
+)
 from oracles import (
     bogoliubov_exact,
     duration_from_u,
@@ -248,22 +256,41 @@ def test_cache_checksum_covers_fit_diagnostics(tmp_path, field):
     # not load silently.
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
-    doc = read_document(path)
+    digest, meta, a, b = read_parts(path)
     if field == "validation":
-        doc["validation"]["max_rel_err"] = 0.0
+        meta["validation"]["max_rel_err"] = 0.0
     else:
-        doc["quadrature_error"] = 0.0
-    write_document(path, doc)
+        meta["quadrature_error"] = 0.0
+    write_parts(path, meta, a, b, digest)
     with pytest.raises(CorruptCacheError, match="checksum"):
         get_transition(n_max=4, cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("part", ["header", "payload"])
+def test_cache_flipped_byte_fails_checksum(tmp_path, part):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max)
+    digest = read_parts(path)[0]
+    # The header's third byte sits inside its first key name; the last byte is b's.
+    flip_byte(path, len(digest) + 1 + 2 if part == "header" else -1)
+    with pytest.raises(CorruptCacheError, match="checksum"):
+        get_transition(n_max=4, cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe{", b"[1, 2]", b'{"key": 3}'])
+def test_cache_rejects_resealed_header_that_is_not_a_header(tmp_path, header):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max)
+    write_parts(path, header, fit.a, fit.b)
+    with pytest.raises(CorruptCacheError):
+        load_transition(path)
 
 
 def test_cache_rejects_wrong_coefficient_count(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
-    doc = read_document(path)
-    doc["b"] = encode(decode(doc["b"])[:-1])
-    write_document(path, reseal(doc))
+    _, meta, a, b = read_parts(path)
+    write_parts(path, meta, a, b.ravel()[:-1])
     with pytest.raises(CorruptCacheError, match="coefficients"):
         load_transition(path)
 
@@ -271,9 +298,9 @@ def test_cache_rejects_wrong_coefficient_count(tmp_path):
 def test_cache_rejects_malformed_metadata(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
-    doc = read_document(path)
-    doc["validation"] = 5
-    write_document(path, reseal(doc))
+    _, meta, a, b = read_parts(path)
+    meta["validation"] = 5
+    write_parts(path, meta, a, b)
     with pytest.raises(CorruptCacheError):
         load_transition(path)
 
@@ -293,6 +320,21 @@ def test_cache_ignores_leftover_format1_file(tmp_path, fit10):
     before = old.read_bytes()
     fit = get_transition(n_max=10, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_bytes() == before
+    saved = load_transition(path)
+    assert np.array_equal(saved.a, fit10.a)
+    assert np.array_equal(saved.b, fit10.b)
+
+
+def test_cache_ignores_leftover_format2_file(tmp_path, fit10):
+    name, doc = format2_document(fit10)
+    old = tmp_path / name
+    write_document(old, doc)
+    before = old.read_bytes()
+    fit = get_transition(n_max=10, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.length, fit.n_max)
+    assert path != old
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
     saved = load_transition(path)
@@ -333,18 +375,19 @@ def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max)
 
 
 def test_cache_hit_equals_fresh_fit(tmp_path):
-    fresh = fit_transition(n_max=20)
-    hit = load_transition(save_transition(fresh, tmp_path))
-    assert np.array_equal(hit.a, fresh.a)
-    assert np.array_equal(hit.b, fresh.b)
-    assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
-    assert (hit.length, hit.n_max) == (fresh.length, fresh.n_max)
+    for n_max in (20, 160):
+        fresh = fit_transition(n_max=n_max)
+        hit = load_transition(save_transition(fresh, tmp_path))
+        assert np.array_equal(hit.a, fresh.a)
+        assert np.array_equal(hit.b, fresh.b)
+        assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
+        assert (hit.length, hit.n_max) == (fresh.length, fresh.n_max)
 
 
 def test_cache_detects_truncation(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
-    path.write_text(path.read_text()[:100])
+    path.write_bytes(path.read_bytes()[:100])
     with pytest.raises(CorruptCacheError):
         get_transition(n_max=4, cache_dir=tmp_path)
 
@@ -358,27 +401,24 @@ def test_cache_rejects_mismatched_key(tmp_path):
     with pytest.raises(CorruptCacheError, match="key"):
         get_transition(n_max=5, cache_dir=tmp_path)
     # A stored key that does not describe the stored fit.
-    doc = json.loads(path.read_text())
-    doc["key"]["validation_h"] = 2.0e-3
-    path.write_text(json.dumps(doc, sort_keys=True))
+    _, meta, a, b = read_parts(path)
+    meta["key"]["validation_h"] = 2.0e-3
+    write_parts(path, meta, a, b)
     with pytest.raises(CorruptCacheError, match="key"):
         load_transition(path)
 
 
-@pytest.mark.parametrize("fields", [("ladder",), ("key", "ladder")])
+@pytest.mark.parametrize("fields", [("key",), ("key", "name")])
 def test_cache_rejects_fit_on_another_ladder(tmp_path, fields):
     # The ladder is a constant, but a resealed file that records another one,
-    # in its metadata alone or in its key too, is not used.
+    # in its key alone or in its key and its name too, is not used.
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.length, fit.n_max)
-    doc = read_document(path)
-    other = [6.4e-3, 3.2e-3, 1.6e-3, 8.0e-4]
-    for field in fields:
-        if field == "key":
-            doc["key"]["ladder"] = other
-        else:
-            doc[field] = other
-    write_document(path, reseal(doc))
+    _, meta, a, b = read_parts(path)
+    meta["key"]["ladder"] = [6.4e-3, 3.2e-3, 1.6e-3, 8.0e-4]
+    if "name" in fields:
+        path = path.with_name(file_name(meta["key"], ".bin"))
+    write_parts(path, meta, a, b)
     with pytest.raises(CorruptCacheError, match="key"):
         load_transition(path)
 

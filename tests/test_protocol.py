@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +259,9 @@ def test_config_from_dict_rejects_unknown():
         {"length": math.nan},
         {"length": math.inf},
         {"length": 0.0},
+        {"s": 355.0},
+        {"secret": "squeezed", "secret_params": [177.5]},
+        {"secret": "squeezed", "secret_params": [-177.5]},
     ],
 )
 def test_config_rejects_invalid(bad):
@@ -269,6 +273,11 @@ def test_config_accepts_boundaries():
     data = {"k": 4, "n_max": 4, "h": 0.0, "s": 0.0, "secret": "squeezed", "secret_params": [0.2]}
     cfg = ProtocolConfig.from_dict(data)
     assert (cfg.k, cfg.n_max, cfg.h, cfg.s, cfg.secret_params) == (4, 4, 0.0, 0.0, (0.2,))
+    # The largest squeezings whose covariance entries multiply without overflow.
+    top = math.log(sys.float_info.max) / 2
+    for r in (top / 2, -top / 2):
+        cfg = ProtocolConfig.from_dict({"s": top, "secret": "squeezed", "secret_params": [r]})
+        assert (cfg.s, cfg.secret_params) == (top, (r,))
 
 
 def test_make_secret():
