@@ -67,7 +67,12 @@ class GaussianState:
     """First moments and covariance matrix of an n-mode Gaussian state.
 
     `d` has shape (..., 2n) and `sigma` (..., 2n, 2n): leading axes hold a
-    stack of states, each checked on its own.
+    stack of states, each checked on its own.  A state must be symmetric and
+    satisfy the uncertainty bound sigma + i Gamma >= -tol, with tol =
+    PHYSICALITY_TOL * max|sigma| of that state.  A stack is accepted when one
+    Cholesky factorization of sigma + i Gamma + tol I succeeds; otherwise the
+    eigenvalues of sigma + i Gamma decide, and a rejection reports the
+    smallest eigenvalue below the bound.
     """
 
     d: np.ndarray
@@ -86,11 +91,19 @@ class GaussianState:
         if (np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
             raise ValueError("covariance matrix is not symmetric")
         gamma = symplectic_form(d.shape[-1] // 2)
-        # Physicality: sigma + i Gamma is Hermitian and must be PSD.
-        eigmin = np.linalg.eigvalsh(sigma + 1j * gamma).min(axis=-1)
-        low = eigmin < -tol
-        if low.any():
-            raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
+        # Physicality: sigma + i Gamma is Hermitian and must be PSD.  A
+        # Cholesky factorization of it shifted by each state's tol succeeds
+        # when every eigenvalue clears -tol; the shift also keeps pure states,
+        # whose sigma + i Gamma is singular, factorable.  A stack it cannot
+        # factor goes to the eigenvalues, which decide and report.
+        herm = sigma + 1j * gamma
+        try:
+            np.linalg.cholesky(herm + tol[..., None, None] * np.eye(d.shape[-1]))
+        except np.linalg.LinAlgError:
+            eigmin = np.linalg.eigvalsh(herm).min(axis=-1)
+            low = eigmin < -tol
+            if low.any():
+                raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "sigma", sigma)
 

@@ -83,6 +83,14 @@ _SECRET_PARAMS = {"coherent": ("q", "p"), "squeezed": ("r",)}
 # of order e^(2|r|); the pipeline and the closed form (1 + e^s)^2 multiply
 # such entries pairwise, so beyond this bound states overflow to inf or NaN.
 _MAX_SQUEEZE_EXPONENT = math.log(sys.float_info.max) / 2
+# Largest |q| and |p| of a coherent secret for which the fidelity's exponent
+# delta^T (sigma1 + sigma2)^{-1} delta stays finite.  For a coherent secret
+# (sigma1 + sigma2)^{-1} <= I, so the exponent is at most |delta|^2, and
+# delta is the secret's mean times (I - A) with A the pipeline's mean map.
+# |I - A| is O(h^2) and grows with the mode cutoff (3e4 at h = 1.99 and
+# n_max 160); the margin 2^32 over the largest a with a times a finite
+# covers it many times over.
+_MAX_AMPLITUDE = math.sqrt(sys.float_info.max) / 2**32
 
 
 def _is_number(value) -> bool:
@@ -147,6 +155,11 @@ class ProtocolConfig:
         if self.secret == "squeezed" and not abs(self.secret_params[0]) <= r_max:
             raise ValueError(
                 f"secret_params: squeezing r must lie in [-{r_max:.6f}, {r_max:.6f}], got {self.secret_params[0]}"
+            )
+        if self.secret == "coherent" and not all(abs(x) <= _MAX_AMPLITUDE for x in self.secret_params):
+            raise ValueError(
+                f"secret_params: coherent q and p must lie in [-{_MAX_AMPLITUDE!r}, {_MAX_AMPLITUDE!r}], "
+                f"got {self.secret_params}"
             )
 
     @classmethod
@@ -378,20 +391,23 @@ def fidelity_closed_forms(
 
 
 def extrapolate_f2(fidelities, hs=DEFAULT_F2_LADDER):
-    """h^2 coefficient of a fidelity curve sampled at three accelerations.
+    """h^2 coefficient of fidelity curves sampled at three accelerations.
 
     The pipeline fidelity is analytic in h^2, so an exact {1, h^2, h^4} fit
     through three points isolates the coefficient; returns (f2, f0_fit,
-    curvature) with the h^4 coefficient as a diagnostic.
+    curvature) with the h^4 coefficient as a diagnostic.  `fidelities` has
+    shape (..., 3), one curve per row: floats for one curve, arrays over
+    the leading axes for a stack.  Each row is solved as its own
+    one-right-hand-side system, so it gets the bits of its one-row call.
     """
     hs = np.asarray(hs, dtype=float)
     fs = np.asarray(fidelities, dtype=float)
-    if hs.shape != (3,) or fs.shape != (3,):
-        raise ValueError("extrapolation needs exactly three (h, F) samples")
+    if hs.shape != (3,) or fs.ndim < 1 or fs.shape[-1] != 3:
+        raise ValueError(f"extrapolation needs exactly three (h, F) samples per curve, got shape {fs.shape}")
     x = hs**2
     vand = np.vander(x / x.max(), 3, increasing=True)
-    c = np.linalg.solve(vand, fs)
-    return float(-c[1] / x.max()), float(c[0]), float(c[2] / x.max() ** 2)
+    c = np.linalg.solve(vand, fs[..., None])[..., 0]
+    return _item(-c[..., 1] / x.max()), _item(c[..., 0]), _item(c[..., 2] / x.max() ** 2)
 
 
 def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> float:
@@ -434,17 +450,21 @@ class FidelityReport:
         return dict(self.__dict__)
 
 
-def _extrapolated_f2(sims) -> tuple[float, str]:
-    """(f2, source) of the three-point h-ladder fit of the simulated fidelities `sims`."""
-    f2, _, curvature = extrapolate_f2(sims)
+def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
+    """(f2, source) of the three-point h-ladder fit of each row of the (U, 3) simulated fidelities `ladders`."""
+    f2, _, curvature = extrapolate_f2(ladders)
     # The three-point fit isolates the h^2 coefficient only while the h^4
     # term is subdominant on the ladder.  Strong squeezing inflates the
     # quartic coefficient roughly like e^{2s}, so past s ~ 7 the default
     # ladder leaves the perturbative window and the fit returns noise.
     h_top = max(DEFAULT_F2_LADDER)
-    if abs(curvature) * h_top**4 > 0.25 * abs(f2) * h_top**2 + 1e-12:
-        return float("nan"), "unavailable: quartic term dominates the ladder, outside the perturbative window"
-    return f2, "three-point h-ladder fit of the simulated pipeline"
+    outside = np.abs(curvature) * h_top**4 > 0.25 * np.abs(f2) * h_top**2 + 1e-12
+    return [
+        (float("nan"), "unavailable: quartic term dominates the ladder, outside the perturbative window")
+        if out
+        else (value, "three-point h-ladder fit of the simulated pipeline")
+        for value, out in zip(f2.tolist(), outside.tolist())
+    ]
 
 
 # u-points per pipeline stack: the (4, U, 6, 6) covariances of the three-share
@@ -461,8 +481,9 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     the secret is encoded once, and the journeys at the h-ladder and at
     `config.h` run through `distribute` and `collaborate` as one stack per
     `_GRID_STACK` u-points.  `f0` of scenarios 23 and 13 does not depend on
-    u and is computed once; only the three-point h^2 extrapolation and its
-    window guard run per u.  Each report has the bits of a one-u grid.
+    u and is computed once; the three-point h^2 extrapolations and their
+    window guard run once on the grid's (U, 3) ladder fidelities.  Each
+    report has the bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     if fit is None:
@@ -476,11 +497,10 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     encoded = encode(secret, config.s)
     # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
     M, N = journeys.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
-    sims = [
-        row
-        for at in (slice(start, start + _GRID_STACK) for start in range(0, us.size, _GRID_STACK))
-        for row in _decoded_fidelity(secret, encoded, M[:, at], N[:, at], decoder).T.tolist()
-    ]
+    sims = np.empty((len(DEFAULT_F2_LADDER) + 1, us.size))
+    for start in range(0, us.size, _GRID_STACK):
+        at = slice(start, start + _GRID_STACK)
+        sims[:, at] = _decoded_fidelity(secret, encoded, M[:, at], N[:, at], decoder)
 
     coherent_secret = config.secret == "coherent"
     f2_closed = [float("nan")] * us.size
@@ -498,8 +518,8 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     from_ladder = scenario != "12" and not coherent_secret
 
     reports = []
-    for u, (*ladder, f_sim), direct, closed in zip(grid, sims, f2_direct, f2_closed):
-        f2_extrap, extrap_source = _extrapolated_f2(ladder)
+    rows = zip(grid, sims[-1].tolist(), _extrapolated_f2(sims[:-1].T), f2_direct, f2_closed)
+    for u, f_sim, (f2_extrap, extrap_source), direct, closed in rows:
         f2, f2_source = (f2_extrap, extrap_source) if from_ladder else (direct, direct_source)
         reports.append(
             FidelityReport(

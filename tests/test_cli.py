@@ -284,8 +284,10 @@ def test_wrongly_typed_config_exits_one(cache_dir, fit20, tmp_path, capsys, doc,
         (("--s", "400"), "dealer squeezing s must lie in [0, 354.891356]"),
         (("--secret", "squeezed:400"), "secret_params: squeezing r must lie in [-177.445678, 177.445678]"),
         (("--secret", "squeezed:-400"), "secret_params: squeezing r must lie in [-177.445678, 177.445678]"),
+        (("--secret", "coherent:1e200,0"), "q and p must lie in [-3.121748550315992e+144, 3.121748550315992e+144]"),
+        (("--secret", "coherent:0,-1e200"), "q and p must lie in [-3.121748550315992e+144, 3.121748550315992e+144]"),
     ],
-    ids=["s-800", "s-400", "r-400", "r-minus-400"],
+    ids=["s-800", "s-400", "r-400", "r-minus-400", "q-1e200", "p-minus-1e200"],
 )
 def test_overflowing_squeezing_exits_one_before_fitting(tmp_path, capsys, option, named):
     # Squeezings whose covariance entries overflow once multiplied are
@@ -297,6 +299,20 @@ def test_overflowing_squeezing_exits_one_before_fitting(tmp_path, capsys, option
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err, err
+    assert not cache.exists()
+
+
+def test_overflowing_amplitude_exits_one_under_warnings_as_errors(tmp_path, child_env):
+    # The coherent amplitude whose fidelity exponent overflowed in a matmul:
+    # a configuration error (exit 1), with no RuntimeWarning on the way.
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "rqss.cli", "fidelity", "--scenario", "23"]
+    argv += ["--secret", "coherent:1e200,0", "--grid", "0.1:0.2:0.1", "--nmax", "4"]
+    argv += ["--cache-dir", str(cache), "--out", str(tmp_path / "out")]
+    out = subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: secret_params: coherent q and p must lie in"), out.stderr
+    assert "Warning" not in out.stderr
     assert not cache.exists()
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss.channel import apply_channel
-from rqss.protocol import encode
+from rqss.protocol import _MAX_SQUEEZE_EXPONENT, ProtocolConfig, encode, fidelity_grid
 from rqss.gaussian import (
+    PHYSICALITY_TOL,
     GaussianState,
     SymplecticMap,
     apply_symplectic,
@@ -25,6 +26,7 @@ from rqss.gaussian import (
     tensor,
     two_mode_squeezed_vacuum,
     vacuum,
+    UnphysicalStateError,
 )
 
 # Frozen oracle: |<alpha|0>|^2 = e^{-|alpha|^2} with |alpha|^2 = (q^2 + p^2)/2,
@@ -325,3 +327,90 @@ def test_stack_checks_each_state_on_its_own_scale():
     GaussianState(pair.d, pair.sigma + np.stack([skew, np.zeros((2, 2))]))
     with pytest.raises(ValueError, match="does not match"):
         GaussianState(np.zeros((3, 2)), pair.sigma)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the stacks `np.linalg.eigvalsh` is called on from here on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(a.shape) or eigvalsh(a, *args, **kw))
+    return calls
+
+
+def _thermal_near_bound(n_modes, bad, margin):
+    """Product of thermal modes: mode `bad` has sigma + i Gamma's minimum eigenvalue -margin * tol.
+
+    A thermal mode of variance nu has eigenvalues nu - 1 and nu + 1; the
+    other modes have nu = 2, so max|sigma| and with it tol do not depend on
+    the bad mode's variance.
+    """
+    nus = np.full(n_modes, 2.0)
+    tol = PHYSICALITY_TOL * np.max(nus[np.arange(n_modes) != bad], initial=1.0)
+    nus[bad] = 1.0 - margin * tol
+    return np.diag(np.repeat(nus, 2))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("margin, physical", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)], ids=["inside", "outside"])
+def test_physicality_check_at_the_bound(eigvalsh_calls, n_modes, margin, physical):
+    # A minimum eigenvalue of sigma + i Gamma a millionth of tol inside or
+    # outside -tol: alone, and at each position of a stack of random states.
+    # Inside, the factorization alone accepts; outside, the eigenvalues reject.
+    rng = np.random.default_rng(17)
+    gamma = symplectic_form(n_modes)
+    for bad in range(n_modes):
+        sigma = _thermal_near_bound(n_modes, bad, margin)
+        tol = PHYSICALITY_TOL * np.abs(sigma).max(initial=1.0)
+        assert (np.linalg.eigvalsh(sigma + 1j * gamma).min() >= -tol) == physical
+        eigvalsh_calls.clear()
+        others = [_random_state(rng, n_modes).sigma for _ in range(3)]
+        stacks = [sigma] + [np.stack(others[:at] + [sigma] + others[at:]) for at in range(4)]
+        for stack in stacks:
+            d = np.zeros(stack.shape[:-1])
+            if physical:
+                assert np.array_equal(GaussianState(d, stack).sigma, stack)
+            else:
+                with pytest.raises(UnphysicalStateError, match="uncertainty bound"):
+                    GaussianState(d, stack)
+        assert len(eigvalsh_calls) == (0 if physical else len(stacks))
+
+
+def test_rejection_reports_the_smallest_eigenvalue_below_the_bound():
+    rng = np.random.default_rng(23)
+    sigmas = np.stack([_random_state(rng, 2).sigma for _ in range(3)])
+    for at in range(3):
+        bad = sigmas.copy()
+        bad[at] = np.diag([0.999, 0.999, 2.0, 2.0])  # minimum eigenvalue 0.999 - 1
+        with pytest.raises(UnphysicalStateError, match=r"min eig -1\.000e-03$"):
+            GaussianState(np.zeros((3, 4)), bad)
+        bad[(at + 1) % 3] = np.diag([2.0, 2.0, 0.996, 0.996])  # a second state, further below
+        with pytest.raises(UnphysicalStateError, match=r"min eig -4\.000e-03$"):
+            GaussianState(np.zeros((3, 4)), bad)
+
+
+def test_largest_allowed_squeezings_are_physical(eigvalsh_calls):
+    # The dealer's s and a squeezed secret's |r| at the bounds ProtocolConfig
+    # allows: entries up to ~e^355, pure states, accepted by the factorization.
+    assert two_mode_squeezed_vacuum(_MAX_SQUEEZE_EXPONENT).sigma[0, 0] > 1e153
+    for r in (_MAX_SQUEEZE_EXPONENT / 2, -_MAX_SQUEEZE_EXPONENT / 2):
+        assert squeezed_vacuum(r).sigma.max() > 1e153
+    assert eigvalsh_calls == []
+
+
+def test_physical_stacks_never_reach_the_eigensolver(eigvalsh_calls, fit20):
+    # The (4, 9, 6, 6) three-share states of a 9-point fidelity grid (three
+    # ladder accelerations and h, one row per u) are accepted by one Cholesky
+    # factorization each; only a stack the factorization rejects is handed
+    # to the eigensolver, once.
+    rng = np.random.default_rng(29)
+    encoded = encode(coherent(*rng.uniform(-2.0, 2.0, (2, 4, 9))), 1.0)
+    assert encoded.sigma.shape == (4, 9, 6, 6)
+    reports = fidelity_grid("13", ProtocolConfig(s=1.0), np.linspace(0.1, 0.9, 9).tolist(), fit20)
+    assert len(reports) == 9
+    assert eigvalsh_calls == []
+    sigma = np.array(encoded.sigma)
+    sigma[2, 5] = np.eye(6) * 0.5
+    with pytest.raises(UnphysicalStateError):
+        GaussianState(encoded.d, sigma)
+    assert eigvalsh_calls == [(4, 9, 6, 6)]

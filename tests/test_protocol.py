@@ -175,6 +175,33 @@ def test_extrapolation_recovers_quadratic_coefficient():
     assert c4 == pytest.approx(7.0, rel=1e-6)
 
 
+def test_stacked_extrapolation_equals_one_row_calls():
+    # Random ladders, half of them with a quartic term large enough that the
+    # window guard of `fidelity_grid` turns their coefficient into nan: every
+    # row of the stack gets the bits of its one-row call.
+    rng = np.random.default_rng(31)
+    x = np.square(DEFAULT_F2_LADDER)
+    c2 = rng.uniform(0.1, 2.0, 2000)
+    c4 = rng.choice([-1.0, 1.0], 2000) * np.concatenate([rng.uniform(0.0, 1.0, 1000), rng.uniform(1e5, 1e6, 1000)])
+    ladders = 1.0 - c2[:, None] * x + c4[:, None] * x**2 + rng.normal(0.0, 1e-15, (2000, 3))
+    stacked = extrapolate_f2(ladders)
+    rows = [extrapolate_f2(row) for row in ladders.tolist()]
+    assert all(isinstance(value, float) for value in rows[0])
+    for got, want in zip(stacked, zip(*rows)):
+        assert got.shape == (2000,) and got.tolist() == list(want)
+    guarded = protocol._extrapolated_f2(ladders)
+    assert [f2 for f2, _ in guarded[:1000]] == stacked[0][:1000].tolist()
+    assert all(math.isnan(f2) and source.startswith("unavailable") for f2, source in guarded[1000:])
+    assert stacked[0].reshape(2, 1000).tolist() == extrapolate_f2(ladders.reshape(2, 1000, 3))[0].tolist()
+    assert [len(value) for value in extrapolate_f2(np.zeros((0, 3)))] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 4), (3, 2)])
+def test_extrapolation_rejects_a_last_axis_other_than_three(shape):
+    with pytest.raises(ValueError, match="three"):
+        extrapolate_f2(np.ones(shape))
+
+
 def test_closed_forms_match_extrapolation(fit20):
     for scen in ("12", "23"):
         cfg = _cfg(u=0.35, k=1, s=1.0)
@@ -262,6 +289,9 @@ def test_config_from_dict_rejects_unknown():
         {"s": 355.0},
         {"secret": "squeezed", "secret_params": [177.5]},
         {"secret": "squeezed", "secret_params": [-177.5]},
+        {"secret": "coherent", "secret_params": [1e200, 0.0]},
+        {"secret": "coherent", "secret_params": [0.0, -1e200]},
+        {"secret": "coherent", "secret_params": [0.0, math.nextafter(protocol._MAX_AMPLITUDE, math.inf)]},
     ],
 )
 def test_config_rejects_invalid(bad):
@@ -273,11 +303,23 @@ def test_config_accepts_boundaries():
     data = {"k": 4, "n_max": 4, "h": 0.0, "s": 0.0, "secret": "squeezed", "secret_params": [0.2]}
     cfg = ProtocolConfig.from_dict(data)
     assert (cfg.k, cfg.n_max, cfg.h, cfg.s, cfg.secret_params) == (4, 4, 0.0, 0.0, (0.2,))
+    amp = protocol._MAX_AMPLITUDE
+    assert ProtocolConfig(secret_params=(amp, -amp)).secret_params == (amp, -amp)
     # The largest squeezings whose covariance entries multiply without overflow.
     top = math.log(sys.float_info.max) / 2
     for r in (top / 2, -top / 2):
         cfg = ProtocolConfig.from_dict({"s": top, "secret": "squeezed", "secret_params": [r]})
         assert (cfg.s, cfg.secret_params) == (top, (r,))
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_fidelity_at_the_amplitude_bound_stays_finite(fit20, scenario):
+    # The exponent delta^T (s1 + s2)^{-1} delta of the largest coherent
+    # amplitude stays finite (an overflow's RuntimeWarning fails the test),
+    # and so large that the fidelity underflows to 0.
+    amp = protocol._MAX_AMPLITUDE
+    cfg = _cfg(k=1, s=1.0, secret_params=(amp, -amp))
+    assert [rep.f_sim for rep in fidelity_grid(scenario, cfg, [0.0, 0.3, 0.7, 1.0], fit20)] == [0.0] * 4
 
 
 def test_make_secret():
