@@ -24,7 +24,6 @@ from .gaussian import (
 )
 from .modes import (
     BogoliubovSet,
-    CavityGeometry,
     CorruptCacheError,
     ModeSums,
     TransitionFit,

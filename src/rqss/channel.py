@@ -205,14 +205,12 @@ class ChannelInvariants:
     nbar: float
     rank: int
     degenerate: bool
-    k: int | None = None
-    u: float | None = None
 
     def transmissivity(self, h: float) -> float:
         return 1.0 - self.t2 * h * h
 
 
-def channel_invariants(channel: PerturbativeChannel, k: int | None = None, u: float | None = None) -> ChannelInvariants:
+def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
     """Invariants of one channel, or arrays of them over a stack of channels.
 
     Degenerate channels are masked out before nbar divides by t2, so they
@@ -227,7 +225,7 @@ def channel_invariants(channel: PerturbativeChannel, k: int | None = None, u: fl
     rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
     rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
     rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))
-    return ChannelInvariants(_item(t2), _item(nbar), _item(rank), _item(degenerate), k, u)
+    return ChannelInvariants(_item(t2), _item(nbar), _item(rank), _item(degenerate))
 
 
 def t2_from_sums(sums: ModeSums) -> float:

@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific breach
 (tolerance violation, corrupted coefficient cache, failed calibration, a
-pipeline state that violates the uncertainty bound).
+pipeline state that is not finite or violates the uncertainty bound).
 Outputs are written without timestamps so repeated runs are byte-identical;
 every output directory gets a manifest listing parameters and content hashes.
 """
@@ -161,7 +161,6 @@ def _load_config(args) -> ProtocolConfig:
     overrides = {}
     for attr, field_name in (
         ("nmax", "n_max"),
-        ("length", "length"),
         ("s", "s"),
         ("k", "k"),
         ("h", "h"),
@@ -171,8 +170,6 @@ def _load_config(args) -> ProtocolConfig:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[field_name] = value
-    if getattr(args, "no_cache", False):
-        overrides["use_cache"] = False
     if getattr(args, "secret", None):
         kind, params = _parse_secret(args.secret)
         overrides["secret"] = kind
@@ -322,9 +319,7 @@ def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON file with ProtocolConfig fields")
     sub.add_argument("--nmax", type=int, default=None, help="mode cutoff")
-    sub.add_argument("--length", type=float, default=None, help="cavity length")
     sub.add_argument("--cache-dir", dest="cache_dir", default=None, help="coefficient cache directory")
-    sub.add_argument("--no-cache", dest="no_cache", action="store_true", help="recompute coefficients")
     sub.add_argument("--out", default=None, help="output directory")
 
 

@@ -28,7 +28,7 @@ _PINV_RCOND = 1e-12
 
 
 class UnphysicalStateError(ValueError):
-    """A covariance matrix violates the uncertainty bound sigma + i Gamma >= 0."""
+    """A state holds a NaN or infinite moment, or violates the uncertainty bound sigma + i Gamma >= 0."""
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -67,9 +67,9 @@ class GaussianState:
     """First moments and covariance matrix of an n-mode Gaussian state.
 
     `d` has shape (..., 2n) and `sigma` (..., 2n, 2n): leading axes hold a
-    stack of states, each checked on its own.  A state must be symmetric and
-    satisfy the uncertainty bound sigma + i Gamma >= -tol, with tol =
-    PHYSICALITY_TOL * max|sigma| of that state.  A stack is accepted when one
+    stack of states, each checked on its own.  A state must be finite,
+    symmetric and satisfy the uncertainty bound sigma + i Gamma >= -tol, with
+    tol = PHYSICALITY_TOL * max|sigma| of that state.  A stack is accepted when one
     Cholesky factorization of sigma + i Gamma + tol I succeeds; otherwise the
     eigenvalues of sigma + i Gamma decide, and a rejection reports the
     smallest eigenvalue below the bound.
@@ -88,6 +88,10 @@ class GaussianState:
         # Tolerances scale with each covariance so that strongly squeezed
         # states (entries ~ cosh s) are not rejected on eigensolver roundoff.
         tol = PHYSICALITY_TOL * np.abs(sigma).max(axis=(-2, -1), initial=1.0)
+        # A state's tol is NaN or inf exactly where its sigma holds one.  The
+        # check comes before any arithmetic on sigma, which would warn on inf.
+        if not (np.isfinite(tol).all() and np.isfinite(d).all()):
+            raise UnphysicalStateError("state holds a NaN or infinite first moment or covariance entry")
         if (np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
             raise ValueError("covariance matrix is not symmetric")
         gamma = symplectic_form(d.shape[-1] // 2)
@@ -147,8 +151,13 @@ def coherent(q0, p0) -> GaussianState:
 
 
 def squeezed_vacuum(r: float) -> GaussianState:
-    """Single-mode squeezed vacuum, q-variance reduced by e^{-2r}."""
-    return GaussianState(np.zeros(2), np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]))
+    """Single-mode squeezed vacuum, q-variance reduced by e^{-2r}.
+
+    A variance that overflows is left infinite, for the state check to reject.
+    """
+    with np.errstate(over="ignore"):
+        variances = np.exp([-2.0 * r, 2.0 * r])
+    return GaussianState(np.zeros(2), np.diag(variances))
 
 
 def two_mode_squeezed_vacuum(s: float) -> GaussianState:

@@ -10,7 +10,9 @@ wedge ``x^2 - t^2 > 0`` with walls at
 where ``h = a L`` is the dimensionless acceleration of the cavity centre
 (``0 < h < 2`` keeps both walls inside the wedge).  The wedge modes are sines
 in ``ln(x / x_left)`` with frequency ``Omega_n = n pi / D`` per unit wedge
-time, ``D = 2 atanh(h/2)``.
+time, ``D = 2 atanh(h/2)``.  The transition matrices depend on the cavity
+only through h, so they are computed at ``L = 1``: every quantity here is a
+function of h, not of L.
 
 The instantaneous basis change between the two mode sets is evaluated by a
 vectorized fixed-panel Gauss-Legendre rule for whole matrices.  On top of
@@ -31,7 +33,6 @@ import numpy as np
 
 from .gaussian import _frozen, _item
 
-DEFAULT_L = 1.0
 DEFAULT_NMAX = 20
 # Geometric ladder for coefficient extraction.  A degree-4 model with a
 # fixed (identity) intercept keeps the quadratic coefficients clean to ~1e-9;
@@ -46,45 +47,8 @@ class CorruptCacheError(RuntimeError):
     """A cached coefficient file failed integrity checks."""
 
 
-@dataclass(frozen=True)
-class CavityGeometry:
-    """Rigid cavity of length `length` whose centre accelerates with h = a*L."""
-
-    length: float = DEFAULT_L
-    h: float = 0.0
-    n_max: int = DEFAULT_NMAX
-
-    def __post_init__(self):
-        if not 0.0 < self.length < np.inf:
-            raise ValueError(f"cavity length must be positive and finite, got {self.length}")
-        if not 0.0 <= self.h < 2.0:
-            raise ValueError(f"h must lie in [0, 2), got {self.h}")
-        if self.n_max < 1:
-            raise ValueError("need at least one mode")
-
-    def _require_accelerated(self):
-        if self.h == 0.0:
-            raise ValueError("wedge quantities are undefined for an inertial cavity (h = 0)")
-
-    @property
-    def x_left(self) -> float:
-        self._require_accelerated()
-        return self.length * (1.0 / self.h - 0.5)
-
-    @property
-    def x_right(self) -> float:
-        self._require_accelerated()
-        return self.length * (1.0 / self.h + 0.5)
-
-    @property
-    def rindler_span(self) -> float:
-        """Wall separation D in the wedge's logarithmic coordinate."""
-        self._require_accelerated()
-        return 2.0 * np.arctanh(0.5 * self.h)
-
-
 # ---------------------------------------------------------------------------
-# exact transition matrices (vectorized quadrature)
+# exact transition matrices (vectorized quadrature), at L = 1
 
 
 def _gauss_panels(x_lo: float, x_hi: float, panels: int, order: int):
@@ -97,25 +61,26 @@ def _gauss_panels(x_lo: float, x_hi: float, panels: int, order: int):
     return xs, ws
 
 
-def _inertial_rule(length: float, n_max: int, panels: int, order: int):
+def _inertial_rule(n_max: int, panels: int, order: int):
     """Nodes, weights and normalized inertial sine table of one rule; h-independent."""
-    xi, ws = _gauss_panels(0.0, length, panels, order)
+    xi, ws = _gauss_panels(0.0, 1.0, panels, order)
     n = np.arange(1, n_max + 1)
-    s_inertial = np.sin(np.outer(n * np.pi / length, xi))
+    s_inertial = np.sin(np.outer(n * np.pi, xi))
     s_inertial /= np.sqrt(n * np.pi)[:, None]
     return xi, ws, s_inertial
 
 
-def _transition_matrices(geometry: CavityGeometry, xi, ws, s_inertial):
+def _transition_matrices(h: float, n_max: int, xi, ws, s_inertial):
     # Integrate in the wall offset xi = x - x_left: log1p(xi/x_left) keeps the
     # wedge-mode argument at full precision at small h, where ln(x/x_left)
     # would lose ~5 digits to the rounding of the ratio itself.
-    x_l = geometry.x_left
-    n = np.arange(1, geometry.n_max + 1)
-    om = n * np.pi / geometry.length
-    big_om = n * np.pi / geometry.rindler_span
+    x_l = 1.0 / h - 0.5
+    span = 2.0 * np.arctanh(0.5 * h)  # the wall separation D in ln(x)
+    n = np.arange(1, n_max + 1)
+    om = n * np.pi
+    big_om = n * np.pi / span
 
-    s_wedge = np.sin(np.outer(n * np.pi / geometry.rindler_span, np.log1p(xi / x_l)))
+    s_wedge = np.sin(np.outer(n * np.pi / span, np.log1p(xi / x_l)))
     s_wedge /= np.sqrt(n * np.pi)[:, None]
 
     # alpha_ij = Int (omega_j + Omega_i/x) S_i s_j dx ; beta flips the sign of
@@ -127,26 +92,23 @@ def _transition_matrices(geometry: CavityGeometry, xi, ws, s_inertial):
     return freq_term + wedge_term, freq_term - wedge_term
 
 
-def _exact_matrices(geometries: list, panels: int | None = None, order: int = 16, held_out: int = 0) -> list:
-    """Real (alpha, beta, quadrature error) of cavities sharing length and cutoff.
+def _exact_matrices(hs, n_max: int, panels: int | None = None, order: int = 16, held_out: int = 0) -> list:
+    """Real (alpha, beta, quadrature error) at each acceleration h of `hs`, each in (0, 2).
 
     Evaluates rule by rule: the coarse rule's inertial table serves every
     acceleration and is dropped before the refined rule's is built, so one
-    table is alive at a time.  The last `held_out` cavities skip the coarse
-    rule: they get the refined matrices alone, and None for the error.
+    table is alive at a time.  The last `held_out` accelerations skip the
+    coarse rule: they get the refined matrices alone, and None for the error.
     """
-    length, n_max = geometries[0].length, geometries[0].n_max
-    for geometry in geometries:
-        geometry._require_accelerated()
     if panels is None:
         panels = max(16, 2 * n_max)
-    rule = _inertial_rule(length, n_max, panels, order)
-    coarse = [_transition_matrices(geometry, *rule) for geometry in geometries[: len(geometries) - held_out]]
+    rule = _inertial_rule(n_max, panels, order)
+    coarse = [_transition_matrices(h, n_max, *rule) for h in hs[: len(hs) - held_out]]
     del rule
-    rule = _inertial_rule(length, n_max, 2 * panels, order)
+    rule = _inertial_rule(n_max, 2 * panels, order)
     out = []
-    for i, geometry in enumerate(geometries):
-        a2, b2 = _transition_matrices(geometry, *rule)
+    for i, h in enumerate(hs):
+        a2, b2 = _transition_matrices(h, n_max, *rule)
         err = None
         if i < len(coarse):
             a1, b1 = coarse[i]
@@ -168,7 +130,6 @@ class TransitionFit:
     `DEFAULT_VALIDATION_H`.
     """
 
-    length: float
     n_max: int
     a: np.ndarray  # (4, N, N), orders h..h^4
     b: np.ndarray
@@ -204,7 +165,7 @@ class TransitionFit:
         return self.b[1]
 
 
-def fit_transition(length: float = DEFAULT_L, n_max: int = DEFAULT_NMAX) -> TransitionFit:
+def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
     """Extract the power series of the transition matrices in h.
 
     Evaluates the exact matrices at each `DEFAULT_LADDER` acceleration,
@@ -217,9 +178,8 @@ def fit_transition(length: float = DEFAULT_L, n_max: int = DEFAULT_NMAX) -> Tran
     t = np.array(DEFAULT_LADDER) / scale
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
-    geometries = [CavityGeometry(length, h, n_max) for h in (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)]
     # The held-out matrices feed only the validation, never the quadrature error.
-    *rungs, (ref_a, ref_b, _) = _exact_matrices(geometries, held_out=1)
+    *rungs, (ref_a, ref_b, _) = _exact_matrices((*DEFAULT_LADDER, DEFAULT_VALIDATION_H), n_max, held_out=1)
     quad_err = max(err for _, _, err in rungs)
     ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _, _ in rungs])
     yb = np.stack([beta.ravel() for _, beta, _ in rungs])
@@ -231,7 +191,6 @@ def fit_transition(length: float = DEFAULT_L, n_max: int = DEFAULT_NMAX) -> Tran
     b = (coeff_b / powers[:, None]).reshape(4, n_max, n_max)
 
     fit = TransitionFit(
-        length=length,
         n_max=n_max,
         a=_frozen(a),
         b=_frozen(b),
@@ -278,13 +237,13 @@ def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> d
 # to a fresh one.
 
 
-def _cache_key(length: float, n_max: int) -> dict:
+def _cache_key(n_max: int) -> dict:
     # The ladder and held-out acceleration are constants, but the key records
     # them, so a file fitted on another ladder has another name and is refused.
-    # Files of earlier formats have other keys, hence other names: never read.
+    # Files of earlier formats, and format-3 files whose key held a cavity
+    # length, have other keys, hence other names: never read.
     return {
         "format": 3,
-        "length": length,
         "n_max": n_max,
         "ladder": list(DEFAULT_LADDER),
         "validation_h": DEFAULT_VALIDATION_H,
@@ -299,11 +258,11 @@ def _cache_name(key: dict) -> str:
     return f"transition_{stem}.bin"
 
 
-def cache_path(cache_dir: Path, length: float, n_max: int) -> Path:
-    return Path(cache_dir) / _cache_name(_cache_key(length, n_max))
+def cache_path(cache_dir: Path, n_max: int) -> Path:
+    return Path(cache_dir) / _cache_name(_cache_key(n_max))
 
 
-def resolve_cache_dir(cache_dir=None) -> Path | None:
+def resolve_cache_dir(cache_dir=None) -> Path:
     """Explicit argument wins, then RQSS_CACHE_DIR, then ~/.cache/rqss."""
     if cache_dir is not None:
         return Path(cache_dir)
@@ -314,7 +273,7 @@ def resolve_cache_dir(cache_dir=None) -> Path | None:
 
 
 def save_transition(fit: TransitionFit, cache_dir) -> Path:
-    key = _cache_key(fit.length, fit.n_max)
+    key = _cache_key(fit.n_max)
     path = Path(cache_dir) / _cache_name(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}
@@ -356,14 +315,13 @@ def load_transition(path) -> TransitionFit:
         meta = json.loads(header)
         stored = meta["key"]
         n_max = int(stored["n_max"])
-        key = _cache_key(stored["length"], n_max)
+        key = _cache_key(n_max)
         if stored != key or path.name != _cache_name(key):
             raise ValueError("stored key does not match the requested key")
         if len(payload) != 8 * 8 * n_max * n_max:
             raise ValueError(f"{len(payload)} payload bytes, not the 2 x (4, {n_max}, {n_max}) coefficients of a and b")
         a, b = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE).reshape(2, 4, n_max, n_max)
         return TransitionFit(
-            length=float(key["length"]),
             n_max=n_max,
             a=a,
             b=b,
@@ -374,21 +332,17 @@ def load_transition(path) -> TransitionFit:
         raise CorruptCacheError(f"corrupted coefficient cache {path}: {exc}") from exc
 
 
-def get_transition(
-    length: float = DEFAULT_L,
-    n_max: int = DEFAULT_NMAX,
-    cache_dir=None,
-    use_cache: bool = True,
-) -> TransitionFit:
-    """Fitted transition coefficients, cached on disk keyed by all inputs."""
-    directory = resolve_cache_dir(cache_dir) if use_cache else None
-    if directory is not None:
-        path = cache_path(directory, length, n_max)
-        if path.exists():
-            return load_transition(path)
-    fit = fit_transition(length, n_max)
-    if directory is not None:
-        save_transition(fit, directory)
+def get_transition(n_max: int = DEFAULT_NMAX, cache_dir=None) -> TransitionFit:
+    """Fitted transition coefficients, cached on disk keyed by all inputs.
+
+    An empty (or new) `cache_dir` forces a fresh fit, which is then saved.
+    """
+    directory = resolve_cache_dir(cache_dir)
+    path = cache_path(directory, n_max)
+    if path.exists():
+        return load_transition(path)
+    fit = fit_transition(n_max)
+    save_transition(fit, directory)
     return fit
 
 

@@ -39,15 +39,7 @@ from .gaussian import (
     two_mode_squeezed_vacuum,
     SymplecticMap,
 )
-from .modes import (
-    DEFAULT_L,
-    DEFAULT_NMAX,
-    STACK_ENTRIES,
-    ModeSums,
-    TransitionFit,
-    get_transition,
-    segment_bogoliubov,
-)
+from .modes import DEFAULT_NMAX, STACK_ENTRIES, ModeSums, TransitionFit, get_transition, segment_bogoliubov
 from .channel import (
     PerturbativeChannel,
     apply_channel,
@@ -66,8 +58,10 @@ from .channel import (
 DEFAULT_DECODER_GAIN = -2.0 * math.sqrt(2.0)
 DEFAULT_DECODER_SQUEEZE = 0.5 * math.log(3.0)
 # Acceleration ladder used to pull the h^2 fidelity coefficient out of the
-# simulated pipeline.
+# simulated pipeline, and the scaled Vandermonde matrix of {1, h^2, h^4} on it.
 DEFAULT_F2_LADDER = (1.0e-2, 5.0e-3, 2.5e-3)
+_F2_X = np.asarray(DEFAULT_F2_LADDER) ** 2
+_F2_VANDER = np.vander(_F2_X / _F2_X.max(), 3, increasing=True)
 # Calibration: dealer squeezing of the solve and the certificate, coherent
 # probe secrets and squeezings of the 1/(1 + e^{-s}) check, and its tolerance.
 CALIBRATION_S = 1.0
@@ -112,13 +106,11 @@ class ProtocolConfig:
     k: int = 1
     u: float = 0.25
     h: float = 1.0e-2
-    length: float = DEFAULT_L
     n_max: int = DEFAULT_NMAX
     cache_dir: str | None = None
-    use_cache: bool = True
 
     def __post_init__(self):
-        for name in ("s", "u", "h", "length"):
+        for name in ("s", "u", "h"):
             value = getattr(self, name)
             if not _is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -128,12 +120,8 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.use_cache, bool):
-            raise ValueError(f"use_cache must be true or false, got {self.use_cache!r}")
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ValueError(f"cache_dir must be a string or null, got {self.cache_dir!r}")
-        if self.length <= 0.0:
-            raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 1 <= self.k <= self.n_max:
@@ -172,7 +160,7 @@ class ProtocolConfig:
         return cls(**data)
 
     def transition(self) -> TransitionFit:
-        return get_transition(self.length, self.n_max, cache_dir=self.cache_dir, use_cache=self.use_cache)
+        return get_transition(self.n_max, cache_dir=self.cache_dir)
 
     def make_secret(self) -> GaussianState:
         if self.secret == "coherent":
@@ -390,8 +378,8 @@ def fidelity_closed_forms(
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def extrapolate_f2(fidelities, hs=DEFAULT_F2_LADDER):
-    """h^2 coefficient of fidelity curves sampled at three accelerations.
+def extrapolate_f2(fidelities):
+    """h^2 coefficient of fidelity curves sampled at the `DEFAULT_F2_LADDER` accelerations.
 
     The pipeline fidelity is analytic in h^2, so an exact {1, h^2, h^4} fit
     through three points isolates the coefficient; returns (f2, f0_fit,
@@ -400,14 +388,12 @@ def extrapolate_f2(fidelities, hs=DEFAULT_F2_LADDER):
     the leading axes for a stack.  Each row is solved as its own
     one-right-hand-side system, so it gets the bits of its one-row call.
     """
-    hs = np.asarray(hs, dtype=float)
     fs = np.asarray(fidelities, dtype=float)
-    if hs.shape != (3,) or fs.ndim < 1 or fs.shape[-1] != 3:
+    if fs.ndim < 1 or fs.shape[-1] != 3:
         raise ValueError(f"extrapolation needs exactly three (h, F) samples per curve, got shape {fs.shape}")
-    x = hs**2
-    vand = np.vander(x / x.max(), 3, increasing=True)
-    c = np.linalg.solve(vand, fs[..., None])[..., 0]
-    return _item(-c[..., 1] / x.max()), _item(c[..., 0]), _item(c[..., 2] / x.max() ** 2)
+    c = np.linalg.solve(_F2_VANDER, fs[..., None])[..., 0]
+    x_top = _F2_X.max()
+    return _item(-c[..., 1] / x_top), _item(c[..., 0]), _item(c[..., 2] / x_top**2)
 
 
 def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> float:

@@ -5,9 +5,10 @@ JSON header line (the key, `validation`, `quadrature_error`), and the raw
 little-endian float64 C-order bytes of `a`, then `b`.  Format 2, the earlier
 layout, was one JSON document with `a` and `b` as base64 of the same bytes
 and `sha256` over every other field; format 1, before it, stored nested lists
-and checksummed only `a` and `b`.  These helpers read and write the layouts
-without going through the code in `rqss.modes`; they take only its ladder
-constants from there.
+and checksummed only `a` and `b`.  Every key before the current one also
+recorded the cavity length, which was always 1.0.  These helpers read and
+write the layouts without going through the code in `rqss.modes`; they take
+only its ladder constants from there.
 """
 
 import base64
@@ -69,7 +70,7 @@ def file_name(key: dict, suffix: str) -> str:
 def _key(fit, version: int) -> dict:
     return {
         "format": version,
-        "length": fit.length,
+        "length": 1.0,
         "n_max": fit.n_max,
         "ladder": list(DEFAULT_LADDER),
         "validation_h": DEFAULT_VALIDATION_H,
@@ -81,7 +82,7 @@ def format1_document(fit) -> tuple:
     key = _key(fit, 1)
     a, b = fit.a.tolist(), fit.b.tolist()
     doc = {
-        "length": fit.length,
+        "length": 1.0,
         "n_max": fit.n_max,
         "ladder": list(DEFAULT_LADDER),
         "validation_h": DEFAULT_VALIDATION_H,
@@ -104,7 +105,7 @@ def format2_document(fit) -> tuple:
 
     doc = {
         "key": key,
-        "length": fit.length,
+        "length": 1.0,
         "n_max": fit.n_max,
         "ladder": key["ladder"],
         "validation_h": key["validation_h"],
@@ -115,3 +116,11 @@ def format2_document(fit) -> tuple:
     }
     doc["sha256"] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     return file_name(key, ".json"), doc
+
+
+def write_format3_with_length(directory, fit):
+    """Write `fit` as a format-3 file whose key holds the cavity length, under that key's name; return its path."""
+    key = _key(fit, 3)
+    path = directory / file_name(key, ".bin")
+    write_parts(path, {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}, fit.a, fit.b)
+    return path

@@ -11,7 +11,7 @@ import pytest
 
 from rqss.channel import channel_invariants, cp_residual, segment_channel
 from rqss.gaussian import beam_splitter, check_symplectic, phase_rotation, squeeze
-from rqss.modes import CavityGeometry, mode_sums, segment_bogoliubov
+from rqss.modes import mode_sums, segment_bogoliubov
 from rqss.protocol import (
     ProtocolConfig,
     fidelity_closed_forms,
@@ -20,7 +20,7 @@ from rqss.protocol import (
     simulate_fidelity,
 )
 
-from oracles import bogoliubov_exact, thermal_lossy_forms, thermal_lossy_via_dilation
+from oracles import CavityGeometry, bogoliubov_exact, thermal_lossy_forms, thermal_lossy_via_dilation
 
 U_REF = 0.3
 GRID_64 = [i / 64.0 for i in range(1, 64)]
@@ -220,7 +220,7 @@ def test_criterion_9_canonical_form(fit20):
         bogo = segment_bogoliubov(fit20, u)
         for k in (1, 2, 3):
             chan = segment_channel(bogo, k)
-            inv = channel_invariants(chan, k=k, u=float(u))
+            inv = channel_invariants(chan)
             assert inv.rank == 2
             assert inv.nbar >= -1e-12
             t = inv.transmissivity(h)

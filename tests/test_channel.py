@@ -118,7 +118,7 @@ def test_invariants_dual_route(fit20):
     bogo = segment_bogoliubov(fit20, u)
     ch = segment_channel(bogo, k)
     sums = mode_sums(bogo, k)
-    inv = channel_invariants(ch, k=k, u=u)
+    inv = channel_invariants(ch)
     # The two routes are tied by the mode-map identity, so they agree to the
     # cutoff's truncation tail rather than to machine precision.
     assert inv.t2 == pytest.approx(t2_from_sums(sums), rel=1e-5)
@@ -147,7 +147,7 @@ def test_noise_trace_identity(fit20):
 
 def test_degenerate_at_integer_phase(fit20):
     ch = segment_channel(segment_bogoliubov(fit20, 1.0), 1)
-    inv = channel_invariants(ch, k=1, u=1.0)
+    inv = channel_invariants(ch)
     assert inv.degenerate
     assert inv.t2 == 0.0
     assert np.isnan(inv.nbar)
@@ -156,7 +156,7 @@ def test_degenerate_at_integer_phase(fit20):
 
 def test_transmissivity_below_one(fit20):
     ch = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
-    inv = channel_invariants(ch, k=1, u=0.3)
+    inv = channel_invariants(ch)
     t = inv.transmissivity(0.05)
     assert 0.0 < t < 1.0
 

@@ -186,7 +186,7 @@ def test_figure_data(cache_dir, fit20, tmp_path):
 def test_corrupted_cache_exits_two(tmp_path, capsys):
     cache = tmp_path / "cache"
     fit = get_transition(n_max=4, cache_dir=cache)
-    path = cache_path(cache, fit.length, fit.n_max)
+    path = cache_path(cache, fit.n_max)
     tamper_coefficient(path, (0, 1, 0), 0.5)
     rc = main(["bogo-check", "--nmax", "4", "--cache-dir", str(cache)])
     assert rc == 2
@@ -233,7 +233,6 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     [
         ({"s": "1.0"}, "s must be a number"),
         ({"u": True}, "u must be a number"),
-        ({"length": None}, "length must be a number"),
         ({"k": 1.5}, "k must be an integer"),
         ({"n_max": 20.0}, "n_max must be an integer"),
         ({"k": False}, "k must be an integer"),
@@ -241,7 +240,6 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
         ({"secret_params": 0.5}, "secret_params must be a list"),
         ({"secret_params": [0.5, "x"]}, "secret_params must be a list"),
         ({"secret": ["coherent"]}, "unknown secret kind"),
-        ({"use_cache": "no"}, "use_cache must be true or false"),
         ({"cache_dir": 5}, "cache_dir must be a string or null"),
         ([1, 2], "config must be a JSON object"),
         (5, "config must be a JSON object"),
@@ -249,7 +247,6 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     ids=[
         "s-string",
         "u-boolean",
-        "length-null",
         "k-fraction",
         "n_max-float",
         "k-boolean",
@@ -257,7 +254,6 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
         "secret_params-number",
         "secret_params-mixed",
         "secret-list",
-        "use_cache-string",
         "cache_dir-number",
         "document-list",
         "document-number",
@@ -326,12 +322,31 @@ def test_config_file_naming_a_decoder_constant_exits_one(cache_dir, fit20, tmp_p
     assert "unknown config keys" in err and "decoder_gain" in err
 
 
-def test_nan_length_exits_one_before_fitting(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    rc = main(["invariants", "--length", "nan", "--nmax", "4", "--cache-dir", str(cache)])
+@pytest.mark.parametrize(
+    "key, value", [("length", 1.0), ("length", None), ("use_cache", False)], ids=["length", "length-null", "use_cache"]
+)
+def test_removed_config_key_exits_one(tmp_path, capsys, key, value):
+    # Everything depends on h = a L alone, so the cavity length is no field;
+    # a fresh fit needs only an empty --cache-dir, so use_cache is none
+    # either.  A file that names one is a configuration error, before fitting.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value, "cache_dir": str(tmp_path / "cache")}))
+    rc = main(["invariants", "--config", str(path), "--nmax", "4"])
     assert rc == 1
-    assert "length must be finite" in capsys.readouterr().err
-    assert not list(cache.glob("transition_*"))
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys") and key in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("flag", [["--length", "2"], ["--no-cache"]], ids=["length", "no-cache"])
+def test_removed_flag_exits_one(tmp_path, capsys, flag):
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as info:
+        main(["invariants", *flag, "--nmax", "4", "--cache-dir", str(cache)])
+    assert info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not cache.exists()
 
 
 def test_bad_grid_exits_one(cache_dir, fit20, capsys):

@@ -414,3 +414,47 @@ def test_physical_stacks_never_reach_the_eigensolver(eigvalsh_calls, fit20):
     with pytest.raises(UnphysicalStateError):
         GaussianState(encoded.d, sigma)
     assert eigvalsh_calls == [(4, 9, 6, 6)]
+
+
+def _put(d, sigma, where, value):
+    """Write `value` into the first moments, a diagonal or an off-diagonal (both triangles) of sigma."""
+    if where == "d":
+        d[..., 2] = value
+    elif where == "sigma-diagonal":
+        sigma[..., 1, 1] = value
+    else:
+        sigma[..., 0, 3] = sigma[..., 3, 0] = value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("where", ["d", "sigma-diagonal", "sigma-off-diagonal"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_non_finite_state_is_unphysical(eigvalsh_calls, value, where, stacked):
+    # A NaN or inf in either moment is rejected before any arithmetic on
+    # sigma, which would warn (an error here) or let the NaN pass the
+    # factorization; the eigensolver is never reached.
+    rng = np.random.default_rng(37)
+    states = [_random_state(rng, 2) for _ in range(3)]
+    d = np.stack([state.d for state in states])
+    sigma = np.stack([state.sigma for state in states])
+    if not stacked:
+        d, sigma = d[0], sigma[0]
+    GaussianState(d, sigma)  # accepted as they are
+    bad_d, bad_sigma = d.copy(), sigma.copy()
+    _put(bad_d[1] if stacked else bad_d, bad_sigma[1] if stacked else bad_sigma, where, value)
+    with pytest.raises(UnphysicalStateError, match="NaN or infinite"):
+        GaussianState(bad_d, bad_sigma)
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: squeezed_vacuum(400.0), lambda: squeezed_vacuum(-400.0), lambda: coherent(np.nan, 0.0),
+     lambda: coherent(0.0, np.inf)],
+    ids=["squeezed-400", "squeezed-minus-400", "coherent-nan", "coherent-inf"],
+)
+def test_constructor_with_a_non_finite_moment_raises_the_state_error(make):
+    # An overflowing squeezing is left infinite for the state check, so it
+    # raises the state error, not a RuntimeWarning (an error in this suite).
+    with pytest.raises(UnphysicalStateError, match="NaN or infinite"):
+        make()

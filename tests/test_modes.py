@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from rqss import modes
+from rqss.channel import channel_invariants, grid_segments
 from rqss.modes import (
     DEFAULT_LADDER,
     DEFAULT_VALIDATION_H,
-    CavityGeometry,
     CorruptCacheError,
     cache_path,
     fit_transition,
@@ -33,10 +32,13 @@ from cachefiles import (
     read_parts,
     tamper_coefficient,
     write_document,
+    write_format3_with_length,
     write_parts,
 )
 from oracles import (
+    CavityGeometry,
     bogoliubov_exact,
+    closed_form_transition,
     duration_from_u,
     first_order_closed_form,
     fit_by_exact_loop,
@@ -47,6 +49,8 @@ from oracles import (
     rindler_frequency,
     rindler_frequency_proper,
     rindler_slice,
+    second_order_closed_form,
+    transition_entry_by_quad,
 )
 
 
@@ -106,21 +110,25 @@ def test_transition_matches_adaptive_quadrature():
     exact = bogoliubov_exact(geo)
     for i in (1, 2):
         for j in (1, 3):
-            om = minkowski_frequency(geo, j)
-            big = rindler_frequency(geo, i)
-            s_w, _ = rindler_slice(geo, i)
-            s_m, _ = minkowski_slice(geo, j)
-
-            def plus(x):
-                return (om + big / x) * s_w(x).real * s_m(x).real
-
-            def minus(x):
-                return (om - big / x) * s_w(x).real * s_m(x).real
-
-            a_ref, _ = quad(plus, geo.x_left, geo.x_right, epsabs=1e-12, limit=200)
-            b_ref, _ = quad(minus, geo.x_left, geo.x_right, epsabs=1e-12, limit=200)
+            a_ref, b_ref = transition_entry_by_quad(geo, i, j)
             assert exact.alpha[i - 1, j - 1] == pytest.approx(a_ref, abs=1e-9)
             assert exact.beta[i - 1, j - 1] == pytest.approx(b_ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("length", [2.0, 0.7])
+def test_transition_is_length_independent(length):
+    # Why the package has no cavity length: with x = L x', the frequencies
+    # scale as 1/L and dx as L, so every entry of alpha and beta is a function
+    # of h = a L alone.  The adaptive-quadrature route, which keeps L, agrees
+    # at L and at 1 within its tolerance; 2.0 rescales every float exactly,
+    # 0.7 does not.
+    for h in (0.5, 1.0):
+        for i, j in ((1, 1), (1, 2), (2, 3), (3, 3)):
+            at_length = transition_entry_by_quad(CavityGeometry(length=length, h=h), i, j)
+            at_one = transition_entry_by_quad(CavityGeometry(h=h), i, j)
+            assert at_length == pytest.approx(at_one, abs=1e-10)
+    with pytest.raises(ValueError, match="L = 1"):
+        bogoliubov_exact(CavityGeometry(length=length, h=0.5))
 
 
 def test_exact_transition_identity():
@@ -181,13 +189,54 @@ def test_second_order_diagonal_matches_closed_form(cache_dir, n_max):
     np.testing.assert_allclose(np.diag(fit.a2), -(np.pi**2) * n**2 / 240.0, rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("length", [2.0, 0.7])
-def test_first_order_closed_form_is_length_independent(length):
-    # h = a L is dimensionless, so the coefficients do not depend on L; 2.0
-    # rescales every float exactly, 0.7 does not.
-    fit = fit_transition(length=length, n_max=20)
-    gaps = _first_order_gaps(fit)
-    assert max(gaps) <= fit.validation["max_rel_err"], gaps
+@pytest.mark.parametrize("n_max", [20, 40, 160])
+def test_exact_matrices_leave_a_cubic_remainder_after_two_closed_form_orders(n_max):
+    # Through second order the closed forms are the expansion of the exact
+    # matrices: what is left shrinks 8x per halving of h, as an O(h^3)
+    # remainder does.  A wrong second-order entry would leave an h^2 residual
+    # that shrinks only 4x.  The largest residual of the whole matrices sits
+    # among the highest modes, so the block of modes 1..20 is checked on its
+    # own too, or a wrong low-mode entry could hide at n_max 160.
+    hs = (2.0e-3, 1.0e-3, 5.0e-4)
+    a1, b1 = first_order_closed_form(n_max)
+    a2, b2 = second_order_closed_form(n_max)
+    residuals = []
+    for h, (alpha, beta, _) in zip(hs, modes._exact_matrices(hs, n_max)):
+        res_a = np.abs(alpha - np.eye(n_max) - a1 * h - a2 * h * h)
+        res_b = np.abs(beta - b1 * h - b2 * h * h)
+        residuals.append([np.max(res[block]) for res in (res_a, res_b) for block in (..., np.s_[:20, :20])])
+    for at_h, at_half in zip(residuals, residuals[1:]):
+        assert all(r >= 7.5 * r_half for r, r_half in zip(at_h, at_half)), residuals
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_second_order_closed_form_diagonals(n_max):
+    # a2[n, n] = -pi^2 n^2 / 240, and the general b2 formula gives
+    # b2[n, n] = 1 / (16 pi^2 n^2).  The exact matrices meet both: their
+    # diagonals have no first- or third-order term, so (alpha - I) / h^2 and
+    # beta / h^2 at h = 2e-3 are the h^2 coefficients up to O(h^2) and the
+    # quadrature's rounding (1e-5 and 6e-5 relative at n_max 40).
+    a2, b2 = second_order_closed_form(n_max)
+    n = np.arange(1, n_max + 1)
+    a2_diag, b2_diag = -(np.pi**2) * n**2 / 240.0, 1.0 / (16.0 * np.pi**2 * n**2)
+    np.testing.assert_allclose(np.diag(a2), a2_diag, rtol=4e-16, atol=0.0)
+    np.testing.assert_allclose(np.diag(b2), b2_diag, rtol=4e-16, atol=0.0)
+    h = 2.0e-3
+    [(alpha, beta, _)] = modes._exact_matrices([h], n_max)
+    np.testing.assert_allclose(np.diag(alpha - np.eye(n_max)) / (h * h), a2_diag, rtol=1e-4, atol=0.0)
+    np.testing.assert_allclose(np.diag(beta) / (h * h), b2_diag, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("n_max", [20, 40, 160])
+def test_quarter_phase_t2_on_closed_form_coefficients(n_max):
+    # The anchor T2(1/4, k) = k^2 pi^2 / 60, through the package's stacked
+    # segment maps and channel invariants on the closed-form coefficients:
+    # within two ulps at every cutoff.
+    modes_ = (1, 2, 3)
+    chans, _ = grid_segments(closed_form_transition(n_max), np.array([0.25]), modes_, sums=False)
+    for k, chan in zip(modes_, chans):
+        target = k * k * np.pi**2 / 60.0
+        assert abs(channel_invariants(chan).t2[0] - target) <= 2 * np.spacing(target), k
 
 
 def test_segment_at_zero_phase_is_identity(fit20):
@@ -235,7 +284,7 @@ def test_phase_duration_round_trip(u, h):
 
 def test_cache_round_trip(tmp_path):
     first = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, first.length, first.n_max)
+    path = cache_path(tmp_path, first.n_max)
     assert path.exists()
     second = get_transition(n_max=4, cache_dir=tmp_path)
     assert np.array_equal(first.a, second.a)
@@ -244,7 +293,7 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_detects_corruption(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     tamper_coefficient(path, (0, 0, 1), 1.0)
     with pytest.raises(CorruptCacheError):
         get_transition(n_max=4, cache_dir=tmp_path)
@@ -255,7 +304,7 @@ def test_cache_checksum_covers_fit_diagnostics(tmp_path, field):
     # bogo-check prints the stored validation error, so an edit to it must
     # not load silently.
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     digest, meta, a, b = read_parts(path)
     if field == "validation":
         meta["validation"]["max_rel_err"] = 0.0
@@ -269,7 +318,7 @@ def test_cache_checksum_covers_fit_diagnostics(tmp_path, field):
 @pytest.mark.parametrize("part", ["header", "payload"])
 def test_cache_flipped_byte_fails_checksum(tmp_path, part):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     digest = read_parts(path)[0]
     # The header's third byte sits inside its first key name; the last byte is b's.
     flip_byte(path, len(digest) + 1 + 2 if part == "header" else -1)
@@ -280,7 +329,7 @@ def test_cache_flipped_byte_fails_checksum(tmp_path, part):
 @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe{", b"[1, 2]", b'{"key": 3}'])
 def test_cache_rejects_resealed_header_that_is_not_a_header(tmp_path, header):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     write_parts(path, header, fit.a, fit.b)
     with pytest.raises(CorruptCacheError):
         load_transition(path)
@@ -288,7 +337,7 @@ def test_cache_rejects_resealed_header_that_is_not_a_header(tmp_path, header):
 
 def test_cache_rejects_wrong_coefficient_count(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     _, meta, a, b = read_parts(path)
     write_parts(path, meta, a, b.ravel()[:-1])
     with pytest.raises(CorruptCacheError, match="coefficients"):
@@ -297,7 +346,7 @@ def test_cache_rejects_wrong_coefficient_count(tmp_path):
 
 def test_cache_rejects_malformed_metadata(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     _, meta, a, b = read_parts(path)
     meta["validation"] = 5
     write_parts(path, meta, a, b)
@@ -307,7 +356,7 @@ def test_cache_rejects_malformed_metadata(tmp_path):
 
 def test_cache_rejects_format1_document_at_current_path(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     write_document(path, format1_document(fit)[1])
     with pytest.raises(CorruptCacheError):
         load_transition(path)
@@ -319,7 +368,7 @@ def test_cache_ignores_leftover_format1_file(tmp_path, fit10):
     write_document(old, doc)
     before = old.read_bytes()
     fit = get_transition(n_max=10, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
     saved = load_transition(path)
@@ -333,13 +382,30 @@ def test_cache_ignores_leftover_format2_file(tmp_path, fit10):
     write_document(old, doc)
     before = old.read_bytes()
     fit = get_transition(n_max=10, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     assert path != old
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
     saved = load_transition(path)
     assert np.array_equal(saved.a, fit10.a)
     assert np.array_equal(saved.b, fit10.b)
+
+
+def test_cache_ignores_leftover_format3_file_keyed_by_length(tmp_path, fit10):
+    # A format-3 file whose key still records the cavity length has another
+    # name: it is left alone and a fresh fit is saved beside it.  Renamed to
+    # the current name, its key is refused.
+    old = write_format3_with_length(tmp_path, fit10)
+    before = old.read_bytes()
+    fit = get_transition(n_max=10, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.n_max)
+    assert path != old
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_bytes() == before
+    assert np.array_equal(fit.a, fit10.a) and np.array_equal(fit.b, fit10.b)
+    old.replace(path)
+    with pytest.raises(CorruptCacheError, match="key"):
+        load_transition(path)
 
 
 def test_fit_matches_per_acceleration_loop():
@@ -358,15 +424,15 @@ def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max)
     # The held-out acceleration feeds only the validation, so the fit skips
     # its coarse rule.  That must leave every bit of the fit as it is when
     # all five accelerations go through both rules.
-    geometries = [CavityGeometry(1.0, h, n_max) for h in (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)]
-    both_rules = modes._exact_matrices(geometries)
-    refined_held_out = modes._exact_matrices(geometries, held_out=1)
+    hs = (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)
+    both_rules = modes._exact_matrices(hs, n_max)
+    refined_held_out = modes._exact_matrices(hs, n_max, held_out=1)
     for (a, b, _), (a_r, b_r, _) in zip(both_rules, refined_held_out):
         assert np.array_equal(a, a_r) and np.array_equal(b, b_r)
     assert [err for *_, err in refined_held_out] == [err for *_, err in both_rules[:-1]] + [None]
 
     fit = fit_transition(n_max=n_max)
-    monkeypatch.setattr(modes, "_exact_matrices", lambda geometries, held_out: both_rules)
+    monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max, held_out: both_rules)
     route = fit_transition(n_max=n_max)
     assert np.array_equal(fit.a, route.a)
     assert np.array_equal(fit.b, route.b)
@@ -381,12 +447,12 @@ def test_cache_hit_equals_fresh_fit(tmp_path):
         assert np.array_equal(hit.a, fresh.a)
         assert np.array_equal(hit.b, fresh.b)
         assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
-        assert (hit.length, hit.n_max) == (fresh.length, fresh.n_max)
+        assert hit.n_max == fresh.n_max
 
 
 def test_cache_detects_truncation(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     path.write_bytes(path.read_bytes()[:100])
     with pytest.raises(CorruptCacheError):
         get_transition(n_max=4, cache_dir=tmp_path)
@@ -394,9 +460,9 @@ def test_cache_detects_truncation(tmp_path):
 
 def test_cache_rejects_mismatched_key(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, 4)
+    path = cache_path(tmp_path, 4)
     # A whole, checksummed n_max = 4 file where the n_max = 5 fit belongs.
-    other = cache_path(tmp_path, fit.length, 5)
+    other = cache_path(tmp_path, 5)
     other.write_bytes(path.read_bytes())
     with pytest.raises(CorruptCacheError, match="key"):
         get_transition(n_max=5, cache_dir=tmp_path)
@@ -413,7 +479,7 @@ def test_cache_rejects_fit_on_another_ladder(tmp_path, fields):
     # The ladder is a constant, but a resealed file that records another one,
     # in its key alone or in its key and its name too, is not used.
     fit = get_transition(n_max=4, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     _, meta, a, b = read_parts(path)
     meta["key"]["ladder"] = [6.4e-3, 3.2e-3, 1.6e-3, 8.0e-4]
     if "name" in fields:
@@ -447,7 +513,7 @@ def test_cache_concurrent_saves_and_load(tmp_path, child_env):
     # Two writers replace the file for the same key while a reader loads it;
     # every load must see a whole file.
     fit = get_transition(n_max=20, cache_dir=tmp_path)
-    path = cache_path(tmp_path, fit.length, fit.n_max)
+    path = cache_path(tmp_path, fit.n_max)
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", _CACHE_RACE, role, str(tmp_path), str(path)],

@@ -166,10 +166,9 @@ def test_biased_decoder_beats_mean_but_fails_guarantee():
 
 
 def test_extrapolation_recovers_quadratic_coefficient():
-    hs = (1e-2, 5e-3, 2.5e-3)
     c1, c2 = -0.3, 7.0
-    fids = [1.0 + c1 * h**2 + c2 * h**4 for h in hs]
-    f2, f0, c4 = extrapolate_f2(fids, hs)
+    fids = [1.0 + c1 * h**2 + c2 * h**4 for h in DEFAULT_F2_LADDER]
+    f2, f0, c4 = extrapolate_f2(fids)
     assert f2 == pytest.approx(0.3, abs=1e-10)
     assert f0 == pytest.approx(1.0, abs=1e-12)
     assert c4 == pytest.approx(7.0, rel=1e-6)
@@ -283,9 +282,9 @@ def test_config_from_dict_rejects_unknown():
         {"u": math.inf},
         {"h": math.nan},
         {"h": math.inf},
-        {"length": math.nan},
-        {"length": math.inf},
-        {"length": 0.0},
+        {"length": 1.0},
+        {"use_cache": True},
+        {"cache_dir": 5},
         {"s": 355.0},
         {"secret": "squeezed", "secret_params": [177.5]},
         {"secret": "squeezed", "secret_params": [-177.5]},
