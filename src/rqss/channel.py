@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gaussian import GaussianState, _frozen, _item, _mat_vec, _transpose, rotation_block, symplectic_form
+from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
 from .modes import BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_stacks
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
@@ -139,9 +139,11 @@ def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> Perturba
 
 
 def compose_sequence(channels) -> PerturbativeChannel:
-    """Compose a list of channels given in time order (first applied first)."""
-    out = PerturbativeChannel.identity()
-    for ch in channels:
+    """Compose a list of channels given in time order (first applied first); none gives the identity."""
+    if not channels:
+        return PerturbativeChannel.identity()
+    out = channels[0]
+    for ch in channels[1:]:
         out = compose(ch, out)
     return out
 
@@ -157,7 +159,7 @@ def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int 
     modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
     if not modes or not all(0 <= m < n for m in modes):
         raise ValueError(f"mode {mode} outside state with {n} modes")
-    full_m = np.broadcast_to(np.eye(2 * n), M.shape[:-2] + (2 * n, 2 * n)).copy()
+    full_m = np.broadcast_to(_identity(n), M.shape[:-2] + (2 * n, 2 * n)).copy()
     full_n = np.zeros(N.shape[:-2] + (2 * n, 2 * n))
     for m in modes:
         block = slice(2 * m, 2 * m + 2)

@@ -15,6 +15,7 @@ single-mode state is pure iff ``det sigma = 1``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,20 @@ def symplectic_form(n_modes: int) -> np.ndarray:
         gamma[2 * k, 2 * k + 1] = 1.0
         gamma[2 * k + 1, 2 * k] = -1.0
     return _frozen(gamma)
+
+
+@functools.cache
+def _identity(n_modes: int) -> np.ndarray:
+    """Phase-space identity for `n_modes` modes; shared, so read-only."""
+    return _frozen(np.eye(2 * n_modes))
+
+
+@functools.cache
+def _i_gamma(n_modes: int) -> np.ndarray:
+    """i Gamma for `n_modes` modes, as the state check adds it to sigma; shared, so read-only."""
+    out = 1j * symplectic_form(n_modes)
+    out.flags.writeable = False
+    return out
 
 
 def check_symplectic(matrix: np.ndarray) -> float:
@@ -83,29 +98,34 @@ class GaussianState:
         sigma = _frozen(self.sigma)
         if d.ndim < 1 or d.shape[-1] % 2:
             raise ValueError(f"first moments must have even length, got {d.shape}")
+        if d.shape[-1] == 0:
+            raise ValueError("need at least one mode")
         if sigma.shape != d.shape + d.shape[-1:]:
             raise ValueError(f"covariance shape {sigma.shape} does not match d {d.shape}")
         # Tolerances scale with each covariance so that strongly squeezed
         # states (entries ~ cosh s) are not rejected on eigensolver roundoff.
         tol = PHYSICALITY_TOL * np.abs(sigma).max(axis=(-2, -1), initial=1.0)
-        # A state's tol is NaN or inf exactly where its sigma holds one.  The
-        # check comes before any arithmetic on sigma, which would warn on inf.
-        if not (np.isfinite(tol).all() and np.isfinite(d).all()):
+        # A maximum is NaN or inf exactly where its array holds one, so a
+        # state's tol is finite exactly when its sigma is.  The check comes
+        # before any arithmetic on sigma, which would warn on inf.
+        if not (math.isfinite(tol.max(initial=0.0)) and math.isfinite(np.abs(d).max(initial=0.0))):
             raise UnphysicalStateError("state holds a NaN or infinite first moment or covariance entry")
-        if (np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
+        # sigma - sigma^T is antisymmetric to the bit, so one of each pair of
+        # its entries exceeds tol exactly when their common magnitude does.
+        tol = tol[..., None, None]
+        if (sigma - sigma.swapaxes(-1, -2) > tol).any():
             raise ValueError("covariance matrix is not symmetric")
-        gamma = symplectic_form(d.shape[-1] // 2)
+        n_modes = d.shape[-1] // 2
         # Physicality: sigma + i Gamma is Hermitian and must be PSD.  A
         # Cholesky factorization of it shifted by each state's tol succeeds
         # when every eigenvalue clears -tol; the shift also keeps pure states,
         # whose sigma + i Gamma is singular, factorable.  A stack it cannot
         # factor goes to the eigenvalues, which decide and report.
-        herm = sigma + 1j * gamma
         try:
-            np.linalg.cholesky(herm + tol[..., None, None] * np.eye(d.shape[-1]))
+            np.linalg.cholesky(sigma + tol * _identity(n_modes) + _i_gamma(n_modes))
         except np.linalg.LinAlgError:
-            eigmin = np.linalg.eigvalsh(herm).min(axis=-1)
-            low = eigmin < -tol
+            eigmin = np.linalg.eigvalsh(sigma + _i_gamma(n_modes)).min(axis=-1)
+            low = eigmin < -tol[..., 0, 0]
             if low.any():
                 raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
         object.__setattr__(self, "d", d)
@@ -161,10 +181,13 @@ def squeezed_vacuum(r: float) -> GaussianState:
 
 
 def two_mode_squeezed_vacuum(s: float) -> GaussianState:
-    """Two-mode squeezed vacuum with Var((q1 - q2)/sqrt 2) = e^{-s} * vacuum."""
-    ch, sh = np.cosh(s), np.sinh(s)
-    z = np.diag([1.0, -1.0])
-    sigma = np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
+    """Two-mode squeezed vacuum with Var((q1 - q2)/sqrt 2) = e^{-s} * vacuum.
+
+    An entry that overflows is left infinite, for the state check to reject.
+    """
+    with np.errstate(over="ignore"):
+        ch, sh = np.cosh(s), np.sinh(s)
+    sigma = np.array([[ch, 0.0, sh, 0.0], [0.0, ch, 0.0, -sh], [sh, 0.0, ch, 0.0], [0.0, -sh, 0.0, ch]])
     return GaussianState(np.zeros(4), sigma)
 
 
@@ -288,22 +311,20 @@ def homodyne_feedforward(
 
     iq = 0 if quadrature == "q" else 1
     b_qq = b[..., iq, iq]
-    if (b_qq <= _PINV_RCOND * np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))).any():
+    if (b_qq <= _PINV_RCOND * np.abs(b).max(axis=(-2, -1), initial=1.0)).any():
         raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
 
-    pi = np.zeros((2, 2))
-    pi[iq, iq] = 1.0
-    pinv = np.linalg.pinv(pi @ b @ pi, rcond=_PINV_RCOND)
-
-    e_q = np.zeros(2)
-    e_q[iq] = 1.0
     e_t = np.zeros(len(ridx))
     e_t[2 * rest.index(target_mode) + iq] = 1.0
 
     # Conditional covariance plus the outcome-averaged spread of the
-    # feed-forward displaced means.
-    sigma_cond = a - c @ pinv @ _transpose(c)
-    v = _mat_vec(c @ pinv, e_q)
+    # feed-forward displaced means.  The measured block projected on the
+    # quadrature, pi b pi, has the one nonzero entry b_qq, so its
+    # pseudo-inverse is 1/b_qq there: c pinv is c's quadrature column over
+    # b_qq, and c pinv c^T the outer product of that column with c's.
+    c_q = c[..., iq]
+    v = c_q * (1.0 / b_qq)[..., None]
+    sigma_cond = a - v[..., :, None] * c_q[..., None, :]
     shift = v + gain * e_t
     sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
 

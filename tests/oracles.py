@@ -6,7 +6,9 @@ dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
 closed-form first- and second-order coefficients, one segment or one report
 at a time in place of the stacked u-grid, one rounding per grid point in
-place of one array call), so the tests can compare the two routes.
+place of one array call, per-state maxima and per-call constants in the
+state check, a pseudo-inverse in the homodyne update, an identity composed
+in ahead of a journey), so the tests can compare the two routes.
 The cavity geometry, mode functions, frequencies and segment durations the
 routes need live here too: the package itself works only with their
 overlaps, as functions of h = a L alone.
@@ -19,16 +21,26 @@ import numpy as np
 from scipy.integrate import quad
 
 from rqss.channel import (
+    PerturbativeChannel,
     apply_channel,
     channel_invariants,
     complex_pair_block,
+    compose,
     cp_residual,
     segment_channel,
     t2_from_sums,
 )
 from rqss.gaussian import (
+    _PINV_RCOND,
+    PHYSICALITY_TOL,
     GaussianState,
     SymplecticMap,
+    UnphysicalStateError,
+    _block,
+    _frozen,
+    _mat_vec,
+    _quadratures,
+    _transpose,
     apply_symplectic,
     beam_splitter,
     fidelity_pure_mixed,
@@ -37,6 +49,7 @@ from rqss.gaussian import (
     phase_rotation,
     squeeze,
     squeezed_vacuum,
+    symplectic_form,
     tensor,
 )
 from rqss.modes import (
@@ -540,3 +553,80 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
         f2_source=f2_source,
         f_sim_source=f"full pipeline at h = {config.h}",
     )
+
+
+def check_state_by_reductions(d, sigma) -> None:
+    """`GaussianState`'s check with a maximum per state for symmetry, `isfinite` on both moments, and i Gamma and I built per call.
+
+    Raises what the state check raises, with the same message; returns
+    nothing for a state or stack it accepts.
+    """
+    d = _frozen(d)
+    sigma = _frozen(sigma)
+    if d.ndim < 1 or d.shape[-1] % 2:
+        raise ValueError(f"first moments must have even length, got {d.shape}")
+    if sigma.shape != d.shape + d.shape[-1:]:
+        raise ValueError(f"covariance shape {sigma.shape} does not match d {d.shape}")
+    tol = PHYSICALITY_TOL * np.abs(sigma).max(axis=(-2, -1), initial=1.0)
+    if not (np.isfinite(tol).all() and np.isfinite(d).all()):
+        raise UnphysicalStateError("state holds a NaN or infinite first moment or covariance entry")
+    if (np.abs(sigma - sigma.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol).any():
+        raise ValueError("covariance matrix is not symmetric")
+    gamma = symplectic_form(d.shape[-1] // 2)
+    herm = sigma + 1j * gamma
+    try:
+        np.linalg.cholesky(herm + tol[..., None, None] * np.eye(d.shape[-1]))
+    except np.linalg.LinAlgError:
+        eigmin = np.linalg.eigvalsh(herm).min(axis=-1)
+        low = eigmin < -tol
+        if low.any():
+            raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
+
+
+def homodyne_by_pseudo_inverse(
+    state: GaussianState, measured_mode: int, target_mode: int, quadrature: str = "q", gain: float = 0.0
+) -> GaussianState:
+    """`homodyne_feedforward` with the pseudo-inverse of the projected measured block from `np.linalg.pinv`."""
+    n = state.n_modes
+    if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
+        raise ValueError("measured and target modes must be distinct valid modes")
+    if quadrature not in ("q", "p"):
+        raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+
+    rest = [m for m in range(n) if m != measured_mode]
+    ridx = _quadratures(rest)
+    midx = _quadratures([measured_mode])
+
+    a = _block(state.sigma, ridx, ridx)
+    b = _block(state.sigma, midx, midx)
+    c = _block(state.sigma, ridx, midx)
+
+    iq = 0 if quadrature == "q" else 1
+    b_qq = b[..., iq, iq]
+    if (b_qq <= _PINV_RCOND * np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))).any():
+        raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
+
+    pi = np.zeros((2, 2))
+    pi[iq, iq] = 1.0
+    pinv = np.linalg.pinv(pi @ b @ pi, rcond=_PINV_RCOND)
+
+    e_q = np.zeros(2)
+    e_q[iq] = 1.0
+    e_t = np.zeros(len(ridx))
+    e_t[2 * rest.index(target_mode) + iq] = 1.0
+
+    sigma_cond = a - c @ pinv @ _transpose(c)
+    v = _mat_vec(c @ pinv, e_q)
+    shift = v + gain * e_t
+    sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
+
+    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[iq]])[..., None] * e_t
+    return GaussianState(d_avg, 0.5 * (sigma_avg + _transpose(sigma_avg)))
+
+
+def compose_from_identity(channels) -> PerturbativeChannel:
+    """`compose_sequence` that composes every channel, the first one too, onto the identity."""
+    out = PerturbativeChannel.identity()
+    for ch in channels:
+        out = compose(ch, out)
+    return out

@@ -111,6 +111,9 @@ def test_compose_sequence_singleton(fit20):
     assert np.array_equal(again.m0, ch.m0)
     assert np.array_equal(again.m2, ch.m2)
     assert np.array_equal(again.n2, ch.n2)
+    empty, identity = compose_sequence([]), PerturbativeChannel.identity()
+    for name in ("m0", "m2", "n2"):
+        assert np.array_equal(getattr(empty, name), getattr(identity, name))
 
 
 def test_invariants_dual_route(fit20):

@@ -29,6 +29,8 @@ from rqss.gaussian import (
     UnphysicalStateError,
 )
 
+from oracles import check_state_by_reductions, homodyne_by_pseudo_inverse
+
 # Frozen oracle: |<alpha|0>|^2 = e^{-|alpha|^2} with |alpha|^2 = (q^2 + p^2)/2,
 # so the fidelity of coherent(1, 0) to vacuum is e^{-1/2}.
 COHERENT_VACUUM_FIDELITY = float(np.exp(-0.5))
@@ -450,11 +452,124 @@ def test_non_finite_state_is_unphysical(eigvalsh_calls, value, where, stacked):
 @pytest.mark.parametrize(
     "make",
     [lambda: squeezed_vacuum(400.0), lambda: squeezed_vacuum(-400.0), lambda: coherent(np.nan, 0.0),
-     lambda: coherent(0.0, np.inf)],
-    ids=["squeezed-400", "squeezed-minus-400", "coherent-nan", "coherent-inf"],
+     lambda: coherent(0.0, np.inf), lambda: two_mode_squeezed_vacuum(711.0), lambda: two_mode_squeezed_vacuum(800.0)],
+    ids=["squeezed-400", "squeezed-minus-400", "coherent-nan", "coherent-inf", "tmsv-711", "tmsv-800"],
 )
 def test_constructor_with_a_non_finite_moment_raises_the_state_error(make):
     # An overflowing squeezing is left infinite for the state check, so it
     # raises the state error, not a RuntimeWarning (an error in this suite).
     with pytest.raises(UnphysicalStateError, match="NaN or infinite"):
         make()
+
+
+def test_zero_mode_state_is_rejected_and_an_empty_stack_accepted():
+    for shape in ((), (3,)):
+        with pytest.raises(ValueError, match="need at least one mode"):
+            GaussianState(np.zeros(shape + (0,)), np.zeros(shape + (0, 0)))
+    empty = GaussianState(np.zeros((0, 2)), np.zeros((0, 2, 2)))
+    assert empty.d.shape == (0, 2) and empty.sigma.shape == (0, 2, 2)
+
+
+def _outcome(check, d, sigma):
+    """(exception type, message) of a rejection, or None for an accepted state or stack."""
+    try:
+        check(d, sigma)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _random_stack(rng, n_modes, shape):
+    """Moments of random physical states in a stack of `shape`, and flat views of both."""
+    states = [_random_state(rng, n_modes) for _ in range(int(np.prod(shape)))]
+    dim = 2 * n_modes
+    d = np.stack([state.d for state in states]).reshape(shape + (dim,))
+    sigma = np.stack([state.sigma for state in states]).reshape(shape + (dim, dim))
+    return d, sigma, d.reshape(-1, dim), sigma.reshape(-1, dim, dim)
+
+
+# Each defect and what the check makes of it.
+_DEFECTS = {
+    "eig-inside": None,
+    "eig-outside": (UnphysicalStateError, "uncertainty bound"),
+    "skew-at-tol": None,
+    "skew-above-tol": (ValueError, "not symmetric"),
+    "non-finite": (UnphysicalStateError, "NaN or infinite"),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n_modes=st.integers(1, 3),
+    shape=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    defect=st.sampled_from(sorted(_DEFECTS)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_check_decides_as_the_reduction_route(n_modes, shape, defect, seed, data):
+    # One state of a random stack sits on a boundary of the check: a minimum
+    # eigenvalue of sigma + i Gamma a millionth of tol inside or outside -tol,
+    # an asymmetry of exactly tol or a millionth above, or a NaN or inf in
+    # either moment.  The check accepts or rejects as the route with per-state
+    # maxima does, with the same exception and message.
+    dim = 2 * n_modes
+    d, sigma, d_flat, sigma_flat = _random_stack(np.random.default_rng(seed), n_modes, shape)
+    at = data.draw(st.integers(0, len(d_flat) - 1))
+    if defect.startswith("eig"):
+        bad = data.draw(st.integers(0, n_modes - 1))
+        sigma_flat[at] = _thermal_near_bound(n_modes, bad, 1.0 - 1e-6 if defect == "eig-inside" else 1.0 + 1e-6)
+    elif defect.startswith("skew"):
+        i, j = data.draw(st.permutations(range(dim)))[:2]
+        # Thermal with variance 2: tol is 2e-9 and the off-diagonals are exact zeros.
+        sigma_flat[at] = 2.0 * np.eye(dim)
+        tol = PHYSICALITY_TOL * 2.0
+        sigma_flat[at, i, j] = tol if defect == "skew-at-tol" else tol * (1.0 + 1e-6)
+    else:
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if data.draw(st.booleans()):
+            d_flat[at, data.draw(st.integers(0, dim - 1))] = value
+        else:
+            sigma_flat[at, data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))] = value
+    want = _outcome(check_state_by_reductions, d, sigma)
+    assert _outcome(GaussianState, d, sigma) == want
+    expected = _DEFECTS[defect]
+    assert (want is None) if expected is None else (want[0] is expected[0] and expected[1] in want[1])
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_non_finite_entry_at_every_position_is_rejected_as_before(n_modes):
+    rng = np.random.default_rng(47)
+    dim = 2 * n_modes
+    positions = [("d", i) for i in range(dim)] + [("sigma", i, j) for i in range(dim) for j in range(dim)]
+    for shape, at in (((), 0), ((3,), 1)):
+        for position in positions:
+            for value in (np.nan, np.inf, -np.inf):
+                d, sigma, d_flat, sigma_flat = _random_stack(rng, n_modes, shape)
+                if position[0] == "d":
+                    d_flat[at, position[1]] = value
+                else:
+                    sigma_flat[at, position[1], position[2]] = value
+                want = _outcome(check_state_by_reductions, d, sigma)
+                assert want[0] is UnphysicalStateError
+                assert _outcome(GaussianState, d, sigma) == want
+
+
+def test_homodyne_closed_form_equals_the_pseudo_inverse_route():
+    # pi b pi has the one nonzero entry b_qq, so the closed-form update has
+    # the bits of the pseudo-inverse route, for a state and a (4, 9) stack.
+    rng = np.random.default_rng(43)
+    one = _random_state(rng, 3)
+    d, sigma, _, _ = _random_stack(rng, 3, (4, 9))
+    for state in (one, GaussianState(d, sigma)):
+        for measured, target in ((2, 0), (0, 1), (1, 2)):
+            for quadrature in ("q", "p"):
+                for gain in (0.0, -1.3):
+                    got = homodyne_feedforward(state, measured, target, quadrature=quadrature, gain=gain)
+                    want = homodyne_by_pseudo_inverse(state, measured, target, quadrature=quadrature, gain=gain)
+                    assert got.d.tobytes() == want.d.tobytes()
+                    assert got.sigma.tobytes() == want.sigma.tobytes()
+    # q-variance e^-30 against p-variance e^30: a measured quadrature with no variance.
+    flat = tensor(coherent(0.0, 0.0), squeezed_vacuum(15.0))
+    for route in (homodyne_feedforward, homodyne_by_pseudo_inverse):
+        with pytest.raises(ValueError, match="no variance"):
+            route(flat, 1, 0, quadrature="q")

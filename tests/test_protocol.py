@@ -44,7 +44,7 @@ from rqss.protocol import (
     transit_channel,
 )
 
-from oracles import fidelity_by_stages, figure_data_per_u
+from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u
 
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
@@ -419,6 +419,35 @@ def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, ch
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert len(count) == checks
+
+
+@pytest.mark.parametrize("scenario, composes", [("12", 4), ("23", 2), ("13", 2)])
+def test_report_composes_each_journey_from_its_first_channel(fit20, monkeypatch, scenario, composes):
+    # A transit is three channels, a round trip five: one `compose` fewer
+    # than channels, none onto an identity.
+    count = []
+    compose = channel.compose
+    monkeypatch.setattr(channel, "compose", lambda after, before: count.append(1) or compose(after, before))
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    assert len(count) == composes
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_journeys_equal_the_identity_start_bit_for_bit(fit20, scenario):
+    # At u = 0, 1/2 and 1 the segment blocks hold exact zeros, whose signs
+    # composing onto the identity could flip; the journeys keep every bit.
+    us, k = np.array([0.0, 0.5, 1.0]), 1
+    journeys, _ = protocol._journeys(scenario, fit20, k, us)
+    (seg,), _ = channel.grid_segments(fit20, us, (k,), sums=False)
+    leg = channel.free_channel(inertial_phase(k, us))
+    if scenario == "12":
+        (seg_mid,), _ = channel.grid_segments(fit20, 2.0 * us, (k,), sums=False)
+        parts = [seg, leg, seg_mid, leg, seg]
+    else:
+        parts = [seg, leg, seg]
+    want = compose_from_identity(parts)
+    for name in ("m0", "m2", "n2"):
+        assert getattr(journeys, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
