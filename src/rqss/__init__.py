@@ -60,6 +60,7 @@ from .protocol import (
     fidelity_grid,
     fidelity_report,
     figure_data,
+    figure_tables,
     round_trip_channel,
     simulate_fidelity,
     transit_channel,

@@ -38,7 +38,7 @@ from .protocol import (
     calibrate_decoder,
     fidelity_grid,
     fidelity_report,
-    figure_data,
+    figure_tables,
 )
 
 
@@ -51,15 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(float(value))
-
-
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -298,9 +292,8 @@ def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
     grid, fit = _grid_and_fit(args, config)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
     out_dir = _output_dir(args.out or Path.cwd())
-    outputs = [
-        _write(out_dir / f"figure_{name}.csv", _csv_text(*figure_data(name, fit, grid, config))) for name in names
-    ]
+    tables = figure_tables(names, fit, grid, config)
+    outputs = [_write(out_dir / f"figure_{name}.csv", _csv_text(*table)) for name, table in zip(names, tables)]
     _write_manifest(
         out_dir,
         args.command,

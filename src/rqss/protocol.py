@@ -626,31 +626,41 @@ FIGURE_MODES = (1, 2, 3)
 _FIGURE_SQUEEZINGS = (0.0625, 0.125, 0.25)
 
 
-def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
-    """(header, rows) for one summary figure over a u-grid.
+def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> list:
+    """(header, rows) of each summary figure in `names`, in that order, over a u-grid.
 
-    The grid is walked once (`grid_segments`), each distinct phase built
-    once and only on the plotted modes' rows; the round trips are those of
-    `fidelity_grid`, their 2u segments built in the same walk as their u
-    segments.
+    The T2, nbar and F2_23 figures read one walk of the grid (`grid_segments`),
+    each distinct phase built once and only on the plotted modes' rows, and
+    that walk builds only the channels and mode sums they read; the round
+    trips are those of `fidelity_grid`, their 2u segments built in the same
+    walk as their u segments.
     """
+    names = list(names)
+    for name in names:
+        if name not in FIGURES:
+            raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
     us = np.array([float(u) for u in grid])
-    if name == "T2":
-        header = ["u"] + [f"T2_k{k}" for k in FIGURE_MODES]
-        _, sums = grid_segments(fit, us, FIGURE_MODES, channels=False)
-        columns = [t2_from_sums(per_mode) for per_mode in sums]
-    elif name == "F2_23":
-        header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
-        _, sums = grid_segments(fit, us, FIGURE_MODES, channels=False)
-        columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in sums]
-    elif name == "nbar":
-        header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
-        chans, _ = grid_segments(fit, us, FIGURE_MODES, sums=False)
-        columns = [channel_invariants(per_mode).nbar for per_mode in chans]
-    elif name == "F2_12_squeezed":
-        header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
-        chan, _ = _journeys("12", fit, config.k, us)
-        columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
-    else:
-        raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
-    return header, np.column_stack([us, *columns]).tolist()
+    channels, sums = "nbar" in names, "T2" in names or "F2_23" in names
+    chans, per_mode_sums = grid_segments(fit, us, FIGURE_MODES, channels, sums) if channels or sums else ([], [])
+    tables = []
+    for name in names:
+        if name == "T2":
+            header = ["u"] + [f"T2_k{k}" for k in FIGURE_MODES]
+            columns = [t2_from_sums(per_mode) for per_mode in per_mode_sums]
+        elif name == "F2_23":
+            header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
+            columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in per_mode_sums]
+        elif name == "nbar":
+            header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
+            columns = [channel_invariants(per_mode).nbar for per_mode in chans]
+        else:
+            header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
+            chan, _ = _journeys("12", fit, config.k, us)
+            columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
+        tables.append((header, np.column_stack([us, *columns]).tolist()))
+    return tables
+
+
+def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
+    """(header, rows) for one summary figure over a u-grid: the one-figure `figure_tables`."""
+    return figure_tables([name], fit, grid, config)[0]

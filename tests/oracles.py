@@ -6,9 +6,10 @@ dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
 closed-form first- and second-order coefficients, one segment or one report
 at a time in place of the stacked u-grid, one rounding per grid point in
-place of one array call, per-state maxima and per-call constants in the
-state check, a pseudo-inverse in the homodyne update, an identity composed
-in ahead of a journey), so the tests can compare the two routes.
+place of one array call, each CSV value converted by its type before it
+is printed, per-state maxima and per-call constants in the state check, a
+pseudo-inverse in the homodyne update, an identity composed in ahead of a
+journey), so the tests can compare the two routes.
 The cavity geometry, mode functions, frequencies and segment durations the
 routes need live here too: the package itself works only with their
 overlaps, as functions of h = a L alone.
@@ -213,6 +214,19 @@ def grid_point_by_point(start: float, stop: float, step: float) -> list:
     steps = (stop - start) / step
     grid = [float(np.round(start + i * step, 12)) for i in range(int(round(steps)) + 1)]
     return [u for u in grid if u <= stop + 1e-12]
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(float(value))
+
+
+def csv_text_by_type(header, rows) -> str:
+    """The CLI's CSV text with each value converted by its type first: an integer by `int`, anything else by `float`."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def first_order_closed_form(n_max: int):

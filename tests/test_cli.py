@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from rqss import cli
 from rqss.cli import _parse_grid, build_parser, main
 from rqss.modes import cache_path, get_transition
 from rqss.protocol import ProtocolConfig
 
 from cachefiles import tamper_coefficient
-from oracles import grid_point_by_point
+from oracles import csv_text_by_type, grid_point_by_point
 
 
 def _args(cache_dir, *rest, nmax=20):
@@ -478,3 +482,38 @@ def test_bad_tolerance_exits_one(cache_dir, fit20, capsys, command, tol):
         main([*command, "--tol", tol, *_args(cache_dir)])
     assert info.value.code == 1
     assert "error: argument --tol: tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+
+# Tables with nan rows: nbar at u = 0 and 1, and the window guard's f2_extrapolated at s = 8.
+_TABLE_JOBS = [
+    ["figure-data", "--figure", "all", "--grid", "0:1:0.125"],
+    ["invariants", "--grid", "0:1:0.125"],
+    *(["fidelity", "--scenario", scenario, "--grid", "0.1:0.9:0.1"] for scenario in ("12", "23", "13")),
+    *(["fidelity", "--scenario", scenario, "--s", "8", "--grid", "0:1:0.125"] for scenario in ("12", "23", "13")),
+]
+
+
+def test_every_csv_value_is_a_python_int_or_float(cache_dir, fit20, tmp_path, monkeypatch):
+    # `_csv_text` prints each value with `str`, which for a Python int or
+    # float is the string of the typed route; a bool would print True.
+    tables = []
+    csv_text = cli._csv_text
+    monkeypatch.setattr(cli, "_csv_text", lambda header, rows: tables.append((header, rows)) or csv_text(header, rows))
+    for i, job in enumerate(_TABLE_JOBS):
+        assert main([*job, "--out", str(tmp_path / str(i)), *_args(cache_dir)]) == 0
+    assert len(tables) == 4 + len(_TABLE_JOBS) - 1
+    values = [v for _, rows in tables for row in rows for v in row]
+    assert {type(v) for v in values} == {int, float}
+    assert any(math.isnan(v) for v in values)
+    for header, rows in tables:
+        assert csv_text(header, rows) == csv_text_by_type(header, rows)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0, -7, 2**64]
+
+
+@given(rows=st.lists(st.lists(st.one_of(st.integers(), st.floats(), st.sampled_from(_SPECIAL)), max_size=6), max_size=5))
+@example(rows=[_SPECIAL])
+def test_csv_text_prints_ints_and_floats_as_the_typed_route(rows):
+    header = ["u", "value"]
+    assert cli._csv_text(header, rows) == csv_text_by_type(header, rows)

@@ -8,6 +8,7 @@ segment map must give the bits of the full map's rows.
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from rqss.channel import channel_invariants, cp_residual, grid_segments, segment
 from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
 from rqss.modes import STACK_ENTRIES, get_transition, mode_sums, segment_bogoliubov, segment_stacks
-from rqss.protocol import _GRID_STACK, FIGURES, ProtocolConfig, figure_data, fidelity_grid
+from rqss.protocol import _GRID_STACK, FIGURE_MODES, FIGURES, ProtocolConfig, figure_data, figure_tables, fidelity_grid
 
 from oracles import fidelity_report_per_u, figure_data_per_u, invariant_rows_per_u
 
@@ -42,10 +43,11 @@ def any_fit(request, cache_dir):
 
 
 def assert_same_table(table, reference):
-    """Equal headers, and rows equal value for value (nan where nan) and type for type."""
+    """Equal headers, and rows equal bit for bit (nan where nan, -0.0 where -0.0) and type for type."""
     (header, rows), (ref_header, ref_rows) = table, reference
     assert header == ref_header
     np.testing.assert_array_equal(np.array(rows, dtype=float), np.array(ref_rows, dtype=float), strict=True)
+    assert np.array(rows, dtype=float).tobytes() == np.array(ref_rows, dtype=float).tobytes()
     assert [[type(v) for v in row] for row in rows] == [[type(v) for v in row] for row in ref_rows]
 
 
@@ -244,6 +246,58 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
         assert_same_table(tables[name], figure_data_per_u(name, fit20, QUARTER_GRID, config))
     nbar = {row[0]: row[1:] for row in tables["nbar"][1]}
     assert all(np.isnan(nbar[0.0])) and all(np.isnan(nbar[1.0]))
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
+    # T2, nbar and F2_23 read one walk of the plotted modes, which builds
+    # their channels and their mode sums; F2_12_squeezed walks its round
+    # trips on mode k alone.
+    fit = request.getfixturevalue(f"fit{n_max}")
+    config = ProtocolConfig(n_max=n_max)
+    plotted = len(list(segment_stacks(fit, FIGURE_GRID, FIGURE_MODES))) * len(FIGURE_MODES)
+    round_trips = len(list(segment_stacks(fit, _phases(), (config.k,))))
+    counts = _count_walks(monkeypatch)
+    figure_tables(FIGURES, fit, FIGURE_GRID, config)
+    builds = plotted + round_trips
+    assert counts == {"segment_stacks": 2, "_segment_channel": builds, "mode_sums": builds}
+
+
+def _subsets(names):
+    return [subset for size in range(1, len(names) + 1) for subset in itertools.combinations(names, size)]
+
+
+@pytest.mark.parametrize("grid", [FIGURE_GRID, [0.0, 0.5, 1.0]], ids=["figure grid", "u = 0, 1/2, 1"])
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_figure_tables_equal_one_figure_calls_and_per_u_route(request, n_max, grid):
+    fit = request.getfixturevalue(f"fit{n_max}")
+    config = ProtocolConfig() if n_max == 20 else ProtocolConfig(n_max=40, k=2, s=0.5)
+    singles = {name: figure_data(name, fit, grid, config) for name in FIGURES}
+    for name in FIGURES:
+        assert_same_table(singles[name], figure_data_per_u(name, fit, grid, config))
+    for subset in _subsets(FIGURES):
+        for names in (subset, subset[::-1]):
+            tables = figure_tables(names, fit, grid, config)
+            assert len(tables) == len(names)
+            for name, table in zip(names, tables):
+                assert_same_table(table, singles[name])
+
+
+def test_figure_tables_reject_an_unknown_name_before_any_walk(monkeypatch, fit20):
+    counts = _count_walks(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"unknown figure 'bogus'; choices: {FIGURES}")):
+        figure_tables(["F2_12_squeezed", "T2", "bogus"], fit20, FIGURE_GRID, ProtocolConfig())
+    assert counts["segment_stacks"] == 0
+
+
+def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache_dir):
+    # At n_max 2 there is no mode 3 to plot; the round trips walk mode k alone.
+    fit = get_transition(n_max=2, cache_dir=cache_dir)
+    config = ProtocolConfig(n_max=2)
+    counts = _count_walks(monkeypatch)
+    (table,) = figure_tables(["F2_12_squeezed"], fit, TABLE_GRID, config)
+    assert counts["segment_stacks"] == 1
+    assert_same_table(table, figure_data_per_u("F2_12_squeezed", fit, TABLE_GRID, config))
 
 
 @pytest.mark.parametrize("n_max, grid", [(20, TABLE_GRID), (20, FIGURE_GRID), (40, TABLE_GRID)])
