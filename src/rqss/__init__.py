@@ -39,7 +39,6 @@ from .channel import (
     apply_channel,
     channel_invariants,
     compose,
-    compose_sequence,
     cp_residual,
     free_channel,
     grid_segments,
@@ -59,9 +58,6 @@ from .protocol import (
     fidelity_closed_forms,
     fidelity_grid,
     fidelity_report,
-    figure_data,
     figure_tables,
-    round_trip_channel,
     simulate_fidelity,
-    transit_channel,
 )

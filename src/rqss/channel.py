@@ -27,13 +27,10 @@ _RANK_CUTOFF = 1e-12
 
 
 def complex_pair_block(alpha: complex, beta: complex) -> np.ndarray:
-    """Quadrature block of a mode map a -> alpha* a - beta* a^dagger."""
-    return np.array(
-        [
-            [np.real(alpha - beta), np.imag(alpha + beta)],
-            [-np.imag(alpha - beta), np.real(alpha + beta)],
-        ]
-    )
+    """Quadrature block of a mode map a -> alpha* a - beta* a^dagger; a (..., 2, 2) stack for arrays."""
+    diff, total = np.subtract(alpha, beta), np.add(alpha, beta)
+    entries = [np.real(diff), np.imag(total), -np.imag(diff), np.real(total)]
+    return np.stack(entries, axis=-1).reshape(np.shape(diff) + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,6 @@ class PerturbativeChannel:
         """The channels at `index` of a stack; the index acts on the leading axes."""
         return PerturbativeChannel(self.m0[index], self.m2[index], self.n2[index])
 
-    @classmethod
-    def identity(cls) -> "PerturbativeChannel":
-        return cls(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-
     def evaluate(self, h):
         """(M, N) of the channel at a concrete acceleration.
 
@@ -72,23 +65,18 @@ class PerturbativeChannel:
         return self.m0 + self.m2 * h * h, self.n2 * h * h
 
 
-def _blocks(block: np.ndarray) -> np.ndarray:
-    """Move the 2x2 axes of a (2, 2, ...) array of blocks last."""
-    return block.transpose(*range(2, block.ndim), 0, 1)
-
-
 def free_channel(phi: float) -> PerturbativeChannel:
     """Noiseless free evolution by inertial phase phi (an array: a stack)."""
-    return PerturbativeChannel(_blocks(rotation_block(phi)), np.zeros((2, 2)), np.zeros((2, 2)))
+    return PerturbativeChannel(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     """`segment_channel` of one segment or, stacked, of a stack of segments."""
     row = bogo.row(k)
-    m0 = _blocks(complex_pair_block(bogo.alpha0[..., row], 0.0))
-    m2 = _blocks(complex_pair_block(bogo.alpha2[..., row, row], bogo.beta2[..., row, row]))
+    m0 = complex_pair_block(bogo.alpha0[..., row], 0.0)
+    m2 = complex_pair_block(bogo.alpha2[..., row, row], bogo.beta2[..., row, row])
     others = np.arange(bogo.n_max) != k - 1
-    blk = _blocks(complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others]))
+    blk = complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others])
     # One coupled mode after another, in mode order.
     n2 = np.sum(blk @ _transpose(blk), axis=-3)
     return PerturbativeChannel(m0, m2, n2)
@@ -136,16 +124,6 @@ def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> Perturba
     m2 = after.m2 @ before.m0 + after.m0 @ before.m2
     n2 = after.m0 @ before.n2 @ _transpose(after.m0) + after.n2
     return PerturbativeChannel(m0, m2, n2)
-
-
-def compose_sequence(channels) -> PerturbativeChannel:
-    """Compose a list of channels given in time order (first applied first); none gives the identity."""
-    if not channels:
-        return PerturbativeChannel.identity()
-    out = channels[0]
-    for ch in channels[1:]:
-        out = compose(ch, out)
-    return out
 
 
 def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int | tuple[int, ...] = 0) -> GaussianState:

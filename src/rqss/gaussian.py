@@ -214,9 +214,9 @@ def _embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarra
 
 
 def rotation_block(phi: float) -> np.ndarray:
-    """2x2 phase-rotation block; e^{-i phi} on the mode operator."""
+    """2x2 phase-rotation block; e^{-i phi} on the mode operator.  A (..., 2, 2) stack for an array of phi."""
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [-s, c]])
+    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(phi) + (2, 2))
 
 
 def phase_rotation(phi: float, mode: int = 0, n_modes: int = 1) -> SymplecticMap:

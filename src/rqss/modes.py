@@ -456,16 +456,16 @@ def _segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
     )
 
 
-def segment_bogoliubov(fit: TransitionFit, u: float, modes=None) -> BogoliubovSet:
-    """Compose transition -> wedge phases -> inverse transition at phase u.
+def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
+    """Compose transition -> wedge phases -> inverse transition at phase u: the full maps.
 
-    All entries are exactly periodic in u with period 1.  Given `modes`, only
-    their rows (all a channel on one of them reads); without, the full maps.
-    One segment; `segment_stacks` builds many through the same arithmetic.
+    All entries are exactly periodic in u with period 1.  One segment on
+    every mode; `segment_stacks` builds the rows of a few modes over many
+    phases through the same arithmetic.
     """
     # Stacks never pass through here: the benchmark's tracer
     # (perfbench/tracing.py) reads this call's `u` as one float.
-    return _segment_maps(fit, float(u), range(1, fit.n_max + 1) if modes is None else modes)
+    return _segment_maps(fit, float(u), range(1, fit.n_max + 1))
 
 
 def segment_stacks(fit: TransitionFit, us, modes):

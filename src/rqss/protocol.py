@@ -39,18 +39,19 @@ from .gaussian import (
     two_mode_squeezed_vacuum,
     SymplecticMap,
 )
-from .modes import DEFAULT_NMAX, STACK_ENTRIES, ModeSums, TransitionFit, get_transition, segment_bogoliubov
+from .modes import DEFAULT_NMAX, STACK_ENTRIES, ModeSums, TransitionFit, get_transition
 from .channel import (
     PerturbativeChannel,
     apply_channel,
     channel_invariants,
-    compose_sequence,
+    compose,
     free_channel,
     grid_segments,
     second_order_moments,
-    segment_channel,
     t2_from_sums,
 )
+# Unused here; bound because perfbench/tests/test_harness.py checks rqss.protocol.segment_channel.
+from .channel import segment_channel  # noqa: F401
 
 # Decoder working point, fixed by the h = 0 calibration below and frozen
 # here: a 2:1 recombining beam splitter needs feed-forward gain -2 sqrt 2
@@ -159,8 +160,13 @@ class ProtocolConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def transition(self) -> TransitionFit:
-        return get_transition(self.n_max, cache_dir=self.cache_dir)
+    def transition(self, fit: TransitionFit | None = None) -> TransitionFit:
+        """`fit`, checked to have this config's cutoff; without one, the fit of `n_max` from the cache."""
+        if fit is None:
+            return get_transition(self.n_max, cache_dir=self.cache_dir)
+        if fit.n_max != self.n_max:
+            raise ValueError(f"the fit has cutoff n_max = {fit.n_max}, the config n_max = {self.n_max}")
+        return fit
 
     def make_secret(self) -> GaussianState:
         if self.secret == "coherent":
@@ -192,47 +198,21 @@ def inertial_phase(k: int, u: float) -> float:
     return math.pi - 2.0 * (2.0 * math.pi * k * u)
 
 
-def _transit(seg: PerturbativeChannel, k: int, u) -> PerturbativeChannel:
-    """Transit of segment channels at phase u; stacked over u if they are."""
-    return compose_sequence([seg, free_channel(inertial_phase(k, u)), seg])
-
-
-def _round_trip(seg: PerturbativeChannel, seg_mid: PerturbativeChannel, k: int, u) -> PerturbativeChannel:
-    """Round trip of segment channels at phases u and 2u; stacked over u if they are."""
-    leg = free_channel(inertial_phase(k, u))
-    return compose_sequence([seg, leg, seg_mid, leg, seg])
-
-
-def transit_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
-    """One-way journey: segment, tuned free leg, segment.
-
-    Zeroth order is a rotation by exactly pi for every (k, u).  One u, from
-    one-segment maps; the fidelities build a u-grid's journeys as one stack.
-    """
-    return _transit(segment_channel(segment_bogoliubov(fit, u, (k,)), k), k, u)
-
-
-def round_trip_channel(fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
-    """Out-and-back journey: the two middle segments merge into one of phase 2u.
-
-    Zeroth order is a rotation by exactly 2 pi.  One u, as `transit_channel`.
-    """
-    seg, seg_mid = (segment_channel(segment_bogoliubov(fit, v, (k,)), k) for v in (u, 2.0 * u))
-    return _round_trip(seg, seg_mid, k, u)
-
-
-def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
+def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray, sums: bool = True):
     """The journeys of a scenario at every phase in `us` as one stack, and their segments' mode sums.
 
-    Scenarios 23 and 13 send shares on a transit, scenario 12 on a round
-    trip.  A transit has the sums of its u segments, a round trip those of
-    its u and of its 2u segments, each distinct phase of u and 2u built
-    once.  Each journey has the bits of the one-u `transit_channel` or
-    `round_trip_channel`.
+    Scenarios 23 and 13 send shares on a transit: segment, tuned free leg,
+    segment, a rotation by exactly pi at zeroth order.  Scenario 12 sends
+    them on a round trip, whose two middle segments merge into one of phase
+    2u: a rotation by exactly 2 pi.  A transit has the sums of its u
+    segments, a round trip those of its u and of its 2u segments, each
+    distinct phase of u and 2u built once; without `sums` the list is empty
+    and no mode sum is built.
     """
+    leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
-        (seg,), (sums,) = grid_segments(fit, us, (k,))
-        return _transit(seg, k, us), [sums]
+        (seg,), per_mode = grid_segments(fit, us, (k,), sums=sums)
+        return compose(seg, compose(leg, seg)), per_mode
     # The distinct phases of u and 2u in order, and where each one went: a
     # set, because the first np.unique call of a process maps about 0.5 MB
     # more of numpy into memory.
@@ -240,9 +220,11 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     phases = sorted(set(both))
     index = {phase: i for i, phase in enumerate(phases)}
     where = np.array([index[phase] for phase in both], dtype=int)
-    (segs,), (sums,) = grid_segments(fit, np.array(phases), (k,))
+    (segs,), per_mode = grid_segments(fit, np.array(phases), (k,), sums=sums)
     out, mid = where[: us.size], where[us.size :]
-    return _round_trip(segs[out], segs[mid], k, us), [sums[out], sums[mid]]
+    seg = segs[out]
+    journeys = compose(seg, compose(leg, compose(segs[mid], compose(leg, seg))))
+    return journeys, [stack[at] for stack in per_mode for at in (out, mid)]
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
@@ -339,7 +321,7 @@ def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit,
     if h is not None:
         config = replace(config, h=h)
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    journeys, _ = _journeys(scenario, fit, config.k, np.array([config.u]))
+    journeys, _ = _journeys(scenario, config.transition(fit), config.k, np.array([config.u]), sums=False)
     secret = config.make_secret()
     return _decoded_fidelity(secret, encode(secret, config.s), *journeys[0].evaluate(config.h), decoder)
 
@@ -365,7 +347,7 @@ def fidelity_closed_forms(
         return {"f0": 1.0, "f2": 2.0 * (2.0 * sums_u.f_beta + sums_2u.f_beta)}
     if scenario in ("23", "13"):
         if s is None:
-            raise ValueError("scenario 23 needs the squeezing s")
+            raise ValueError(f"scenario {scenario} needs the squeezing s")
         es = math.exp(s)
         f0 = 1.0 / (1.0 + math.exp(-s))
         f2 = (
@@ -472,13 +454,14 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     report has the bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    if fit is None:
-        fit = config.transition()
+    fit = config.transition(fit)
     grid = list(grid)
     us = np.array(grid, dtype=float)
     if us.ndim != 1 or not np.isfinite(us).all():
         raise ValueError(f"u-grid must be a list of finite numbers, got {grid!r}")
-    journeys, sums = _journeys(scenario, fit, config.k, us)
+    # Only a coherent secret's closed form reads the mode sums.
+    coherent_secret = config.secret == "coherent"
+    journeys, sums = _journeys(scenario, fit, config.k, us, sums=coherent_secret)
     secret = config.make_secret()
     encoded = encode(secret, config.s)
     # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
@@ -488,7 +471,6 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
         at = slice(start, start + _GRID_STACK)
         sims[:, at] = _decoded_fidelity(secret, encoded, M[:, at], N[:, at], decoder)
 
-    coherent_secret = config.secret == "coherent"
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
         f2_closed = fidelity_closed_forms(scenario, *sums, s=config.s)["f2"].tolist()
@@ -639,6 +621,7 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
     for name in names:
         if name not in FIGURES:
             raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
+    fit = config.transition(fit)
     us = np.array([float(u) for u in grid])
     channels, sums = "nbar" in names, "T2" in names or "F2_23" in names
     chans, per_mode_sums = grid_segments(fit, us, FIGURE_MODES, channels, sums) if channels or sums else ([], [])
@@ -655,12 +638,8 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
             columns = [channel_invariants(per_mode).nbar for per_mode in chans]
         else:
             header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
-            chan, _ = _journeys("12", fit, config.k, us)
+            chan, _ = _journeys("12", fit, config.k, us, sums=False)
             columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
         tables.append((header, np.column_stack([us, *columns]).tolist()))
     return tables
 
-
-def figure_data(name: str, fit: TransitionFit, grid, config: ProtocolConfig):
-    """(header, rows) for one summary figure over a u-grid: the one-figure `figure_tables`."""
-    return figure_tables([name], fit, grid, config)[0]

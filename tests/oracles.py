@@ -28,6 +28,7 @@ from rqss.channel import (
     complex_pair_block,
     compose,
     cp_residual,
+    free_channel,
     segment_channel,
     t2_from_sums,
 )
@@ -77,8 +78,7 @@ from rqss.protocol import (
     encode,
     extrapolate_f2,
     fidelity_closed_forms,
-    round_trip_channel,
-    transit_channel,
+    inertial_phase,
 )
 
 
@@ -441,6 +441,21 @@ def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9):
     return a, b, validation, float(quad_err)
 
 
+def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
+    """The journey of a scenario at one u, from the full one-segment maps at u (and 2u).
+
+    Scenarios 23 and 13 take a transit: segment, tuned free leg, segment.
+    Scenario 12 takes a round trip: segment, leg, the merged middle segment of
+    phase 2u, leg, segment.  Each channel is composed onto the ones before it.
+    """
+    seg = segment_channel(segment_bogoliubov(fit, u), k)
+    leg = free_channel(inertial_phase(k, u))
+    if scenario != "12":
+        return compose(seg, compose(leg, seg))
+    seg_mid = segment_channel(segment_bogoliubov(fit, 2.0 * u), k)
+    return compose(seg, compose(leg, compose(seg_mid, compose(leg, seg))))
+
+
 def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> float:
     """`simulate_fidelity` as its stage sequence, each stage a public primitive.
 
@@ -451,8 +466,7 @@ def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> f
     """
     secret = config.make_secret()
     state = encode(secret, config.s)
-    journey = round_trip_channel if scenario == "12" else transit_channel
-    M, N = journey(fit, config.k, config.u).evaluate(h)
+    M, N = journey_per_u(scenario, fit, config.k, config.u).evaluate(h)
     for mode in (0, 1):
         state = apply_channel(M, N, state, mode=mode)
     if scenario == "12":
@@ -477,7 +491,7 @@ _MODE_FIGURES = {
 
 
 def figure_data_per_u(name: str, fit: TransitionFit, grid, config):
-    """`figure_data` built one segment map, channel and round trip per u."""
+    """One figure of `figure_tables`, built one segment map, channel and round trip per u."""
     grid = [float(u) for u in grid]
     if name in _MODE_FIGURES:
         prefix, value = _MODE_FIGURES[name]
@@ -491,7 +505,7 @@ def figure_data_per_u(name: str, fit: TransitionFit, grid, config):
         header = ["u", "F2_r0.0625", "F2_r0.125", "F2_r0.25"]
         rows = []
         for u in grid:
-            chan = round_trip_channel(fit, config.k, u)
+            chan = journey_per_u("12", fit, config.k, u)
             rows.append([u] + [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in (0.0625, 0.125, 0.25)])
         return header, rows
     raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
@@ -514,15 +528,15 @@ def invariant_rows_per_u(fit: TransitionFit, grid, h: float):
 def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> FidelityReport:
     """`fidelity_report` at config.u with its own journey, encoding and mode sums: one u, no grid.
 
-    The journey is the one-u `transit_channel` or `round_trip_channel`, the
-    mode sums come from one-segment maps at u (and 2u on a round trip), and
+    The journey is the one-u `journey_per_u`, the mode sums come from the
+    full one-segment maps at u (and 2u on a round trip), and
     the three ladder accelerations and h run through the stages as one stack.
     """
     decoder = decoder_maps(scenario)
     u, k = config.u, config.k
-    journey = (round_trip_channel if scenario == "12" else transit_channel)(fit, k, u)
+    journey = journey_per_u(scenario, fit, k, u)
     phases = (u, 2.0 * u) if scenario == "12" else (u,)
-    sums = [mode_sums(segment_bogoliubov(fit, v, (k,)), k) for v in phases]
+    sums = [mode_sums(segment_bogoliubov(fit, v), k) for v in phases]
     secret = config.make_secret()
     M, N = journey.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
     *sims, f_sim = fidelity_pure_mixed(secret, collaborate(distribute(encode(secret, config.s), M, N), M, N, decoder)).tolist()
@@ -639,8 +653,8 @@ def homodyne_by_pseudo_inverse(
 
 
 def compose_from_identity(channels) -> PerturbativeChannel:
-    """`compose_sequence` that composes every channel, the first one too, onto the identity."""
-    out = PerturbativeChannel.identity()
+    """Channels given in time order composed one by one, the first one too, onto the identity channel."""
+    out = PerturbativeChannel(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
     for ch in channels:
         out = compose(ch, out)
     return out

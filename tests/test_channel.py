@@ -11,7 +11,6 @@ from rqss.channel import (
     channel_invariants,
     complex_pair_block,
     compose,
-    compose_sequence,
     cp_residual,
     free_channel,
     second_order_moments,
@@ -29,6 +28,8 @@ from oracles import (
     thermal_lossy_via_dilation,
 )
 
+IDENTITY = PerturbativeChannel(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 def test_complex_pair_block_rotation():
     for theta in (0.0, 0.4, 2.0, -1.1):
@@ -40,6 +41,19 @@ def test_complex_pair_block_squeeze():
     r = 0.6
     block = complex_pair_block(np.cosh(r), np.sinh(r))
     assert np.allclose(block, squeeze(r).matrix, atol=1e-14)
+
+
+def test_blocks_of_arrays_are_stacks_of_the_one_value_blocks():
+    # (..., 2, 2) stacks, item for item the bits of the one-value block.
+    phis = np.array([[0.0, 0.4, 2.0], [-1.1, np.pi, 0.5 * np.pi]])
+    alphas, betas = 1.2 * np.exp(1j * phis), 0.3 - 0.2j * phis
+    rot, pair, no_beta = rotation_block(phis), complex_pair_block(alphas, betas), complex_pair_block(alphas, 0.0)
+    assert rot.shape == pair.shape == no_beta.shape == (2, 3, 2, 2)
+    for at in np.ndindex(phis.shape):
+        assert rot[at].tobytes() == rotation_block(phis[at]).tobytes()
+        assert pair[at].tobytes() == complex_pair_block(alphas[at], betas[at]).tobytes()
+        assert no_beta[at].tobytes() == complex_pair_block(alphas[at], 0.0).tobytes()
+    assert complex_pair_block(np.cosh(0.6), np.sinh(0.6)).shape == rotation_block(0.6).shape == (2, 2)
 
 
 def test_free_channel():
@@ -56,8 +70,7 @@ def test_segment_channel_zeroth_order(fit20):
 
 
 def test_identity_and_evaluate():
-    ident = PerturbativeChannel.identity()
-    m, n = ident.evaluate(0.02)
+    m, n = IDENTITY.evaluate(0.02)
     assert np.array_equal(m, np.eye(2))
     assert np.array_equal(n, np.zeros((2, 2)))
 
@@ -103,17 +116,6 @@ def test_compose_associativity(fit20):
     assert np.allclose(left.m0, right.m0, atol=1e-14)
     assert np.allclose(left.m2, right.m2, atol=1e-13)
     assert np.allclose(left.n2, right.n2, atol=1e-13)
-
-
-def test_compose_sequence_singleton(fit20):
-    ch = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
-    again = compose_sequence([ch])
-    assert np.array_equal(again.m0, ch.m0)
-    assert np.array_equal(again.m2, ch.m2)
-    assert np.array_equal(again.n2, ch.n2)
-    empty, identity = compose_sequence([]), PerturbativeChannel.identity()
-    for name in ("m0", "m2", "n2"):
-        assert np.array_equal(getattr(empty, name), getattr(identity, name))
 
 
 def test_invariants_dual_route(fit20):
@@ -206,7 +208,7 @@ def test_apply_channel_on_several_modes_is_one_map_per_mode(fit20):
 
 
 def test_second_order_moments_identity_channel():
-    d0, d2, s0, s2 = second_order_moments(PerturbativeChannel.identity(), coherent(1.0, 2.0))
+    d0, d2, s0, s2 = second_order_moments(IDENTITY, coherent(1.0, 2.0))
     assert np.allclose(d0, [1.0, 2.0])
     assert np.max(np.abs(d2)) == 0.0
     assert np.allclose(s0, np.eye(2))

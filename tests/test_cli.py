@@ -71,6 +71,19 @@ def test_bogo_check_breach_exits_two(cache_dir, fit10, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_bogo_check_parity_tolerance_is_one_constant(cache_dir, fit20, tmp_path, monkeypatch, capsys):
+    # The check, the JSON field and the printed line all read `_PARITY_TOL`,
+    # and --tol does not loosen it: below any residual, the run fails.
+    monkeypatch.setattr(cli, "_PARITY_TOL", -1.0)
+    out = tmp_path / "report"
+    assert main(["bogo-check", "--tol", "1", "--out", str(out), *_args(cache_dir)]) == 2
+    printed = capsys.readouterr().out
+    assert "(tol -1.0e+00)" in printed and "FAIL" in printed
+    report = json.loads((out / "bogo_check.json").read_text())
+    assert report["parity_tolerance"] == -1.0
+    assert report["pass"] is False
+
+
 def test_invariants_csv(cache_dir, fit20, tmp_path):
     out = tmp_path / "inv"
     argv = ["invariants", "--grid", "0.2:0.8:0.2", "--out", str(out), *_args(cache_dir)]

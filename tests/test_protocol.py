@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rqss.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
-from rqss import channel, protocol
+from rqss import channel, modes, protocol
 from rqss.cli import main
 from rqss.modes import segment_bogoliubov, mode_sums
 from rqss.protocol import (
@@ -35,16 +36,15 @@ from rqss.protocol import (
     distribute,
     encode,
     extrapolate_f2,
+    fidelity_closed_forms,
     fidelity_grid,
     fidelity_report,
-    figure_data,
+    figure_tables,
     inertial_phase,
-    round_trip_channel,
     simulate_fidelity,
-    transit_channel,
 )
 
-from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u
+from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, journey_per_u
 
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
@@ -76,9 +76,10 @@ def test_inertial_phase_convention():
 
 
 def test_round_trip_zeroth_order(fit20):
-    ch = round_trip_channel(fit20, 1, 0.3)
+    us = np.array([0.3, 0.7])
+    ch, _ = protocol._journeys("12", fit20, 1, us)
     assert np.allclose(ch.m0, np.eye(2), atol=1e-12)
-    tr = transit_channel(fit20, 1, 0.3)
+    tr, _ = protocol._journeys("23", fit20, 1, us)
     assert np.allclose(tr.m0, -np.eye(2), atol=1e-12)
 
 
@@ -93,7 +94,7 @@ def test_collaborate_12_returns_secret_exactly(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0)
     squeezed = squeezed_vacuum(0.3)
     secret = GaussianState(squeezed.d + np.array([1.0, -1.0]), squeezed.sigma)
-    m, n = round_trip_channel(fit20, cfg.k, cfg.u).evaluate(0.0)
+    m, n = journey_per_u("12", fit20, cfg.k, cfg.u).evaluate(0.0)
     decoded = collaborate(distribute(encode(secret, cfg.s), m, n), m, n, decoder_maps("12"))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
     assert np.allclose(decoded.sigma, secret.sigma, atol=1e-12)
@@ -125,6 +126,13 @@ def test_two_three_recovery_is_secret_independent(q0, p0, s):
     out = _pipeline_h0(coherent(q0, p0), s, DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE)
     f = fidelity_pure_mixed(coherent(q0, p0), out)
     assert f == pytest.approx(1.0 / (1.0 + np.exp(-s)), abs=1e-10)
+
+
+@pytest.mark.parametrize("scenario", ["23", "13"])
+def test_closed_forms_name_the_scenario_that_needs_s(fit20, scenario):
+    sums = mode_sums(segment_bogoliubov(fit20, 0.3), 1)
+    with pytest.raises(ValueError, match=f"^scenario {scenario} needs the squeezing s$"):
+        fidelity_closed_forms(scenario, sums)
 
 
 def test_squeezed_secret_zero_acceleration(fit20):
@@ -333,7 +341,7 @@ def test_make_secret():
 def test_distribute_moves_two_shares(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0, h=1e-2)
     encoded = encode(coherent(1.0, 0.0), cfg.s)
-    out = distribute(encoded, *transit_channel(fit20, cfg.k, cfg.u).evaluate(cfg.h))
+    out = distribute(encoded, *journey_per_u("23", fit20, cfg.k, cfg.u).evaluate(cfg.h))
     # Shares 0 and 1 take the one-way journey (a half-turn at leading order
     # plus O(h^2) corrections); share 2 stays home untouched.
     assert np.allclose(out.d[:2], -encoded.d[:2], atol=1e-3)
@@ -346,38 +354,36 @@ def test_figure_data_headers(fit20):
     grid = [0.25, 0.5]
     cfg = _cfg(s=1.0)
     for name in FIGURES:
-        header, rows = figure_data(name, fit20, grid, cfg)
+        ((header, rows),) = figure_tables([name], fit20, grid, cfg)
         assert header[0] == "u"
         assert len(rows) == 2
         assert all(len(row) == len(header) for row in rows)
     with pytest.raises(ValueError):
-        figure_data("bogus", fit20, grid, cfg)
+        figure_tables(["bogus"], fit20, grid, cfg)
 
 
 def _count_journey_builds(monkeypatch):
-    # One-u journeys (`transit_channel`, `round_trip_channel`) and the stacked
-    # journeys of a u-grid (`_journeys`).
-    counts = {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 0}
-    for name in counts:
-        build = getattr(protocol, name)
+    # The stacked journeys of a u-grid (`_journeys`), the one journey route.
+    counts = {"_journeys": 0}
+    build = protocol._journeys
 
-        def counting(*args, _name=name, _build=build):
-            counts[_name] += 1
-            return _build(*args)
+    def counting(*args, **kwargs):
+        counts["_journeys"] += 1
+        return build(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, name, counting)
+    monkeypatch.setattr(protocol, "_journeys", counting)
     return counts
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
 def test_report_builds_its_journey_channel_once(fit20, monkeypatch, scenario):
-    # A report is the one-point grid: one stacked journey build and no one-u
-    # one; a 9-point grid builds all its journeys in one call too.
+    # A report is the one-point grid: one stacked journey build; a 9-point
+    # grid builds all its journeys in one call too.
     counts = _count_journey_builds(monkeypatch)
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
-    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 1}
+    assert counts == {"_journeys": 1}
     fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
-    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 2}
+    assert counts == {"_journeys": 2}
 
 
 def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
@@ -385,8 +391,8 @@ def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
     # that `fidelity_grid` builds.
     counts = _count_journey_builds(monkeypatch)
     grid = [0.2, 0.3, 0.4]
-    header, rows = figure_data("F2_12_squeezed", fit20, grid, _cfg())
-    assert counts == {"transit_channel": 0, "round_trip_channel": 0, "_journeys": 1}
+    ((header, rows),) = figure_tables(["F2_12_squeezed"], fit20, grid, _cfg())
+    assert counts == {"_journeys": 1}
     assert (header, rows) == figure_data_per_u("F2_12_squeezed", fit20, grid, _cfg())
 
 
@@ -397,9 +403,11 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     # maps, built in one stacked call and no one-segment call; a round trip
     # builds its u and 2u phases once each, over a whole grid too.
     calls, single = [], []
-    stacks, one = channel.segment_stacks, protocol.segment_bogoliubov
-    monkeypatch.setattr(channel, "segment_stacks", lambda fit, us, modes: calls.append((us.tolist(), modes)) or stacks(fit, us, modes))
-    monkeypatch.setattr(protocol, "segment_bogoliubov", lambda *args: single.append(args) or one(*args))
+    stacks, one_map, one_channel = channel.segment_stacks, modes.segment_bogoliubov, channel.segment_channel
+    monkeypatch.setattr(channel, "segment_stacks", lambda fit, us, rows: calls.append((us.tolist(), rows)) or stacks(fit, us, rows))
+    monkeypatch.setattr(modes, "segment_bogoliubov", lambda *args: single.append(args) or one_map(*args))
+    for namespace in (channel, protocol):
+        monkeypatch.setattr(namespace, "segment_channel", lambda *args: single.append(args) or one_channel(*args))
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
     fidelity_report(scenario, cfg, fit20)
     assert calls == [([0.3, 0.6][:builds], (1,))]
@@ -426,8 +434,8 @@ def test_report_composes_each_journey_from_its_first_channel(fit20, monkeypatch,
     # A transit is three channels, a round trip five: one `compose` fewer
     # than channels, none onto an identity.
     count = []
-    compose = channel.compose
-    monkeypatch.setattr(channel, "compose", lambda after, before: count.append(1) or compose(after, before))
+    compose = protocol.compose
+    monkeypatch.setattr(protocol, "compose", lambda after, before: count.append(1) or compose(after, before))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert len(count) == composes
 
@@ -502,3 +510,38 @@ def test_simulation_equals_stage_sequence_oracle(fit20, scenario, secret, params
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
     for h in (2.5e-3, 1e-2):
         assert simulate_fidelity(scenario, cfg, fit20, h=h) == fidelity_by_stages(scenario, cfg, fit20, h)
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_journeys_build_mode_sums_only_where_they_are_read(fit20, monkeypatch, scenario):
+    # A squeezed secret's fidelities, one acceleration's simulation and the
+    # squeezed round-trip figure read no mode sum; a coherent secret's closed
+    # form reads those of its one walk.
+    calls = []
+    mode_sums = channel.mode_sums
+    monkeypatch.setattr(channel, "mode_sums", lambda *args: calls.append(args) or mode_sums(*args))
+    squeezed = _cfg(k=1, s=1.0, secret="squeezed", secret_params=(0.25,))
+    fidelity_grid(scenario, squeezed, TABLE_GRID, fit20)
+    fidelity_report(scenario, replace(squeezed, u=0.3), fit20)
+    simulate_fidelity(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    figure_tables(["F2_12_squeezed"], fit20, TABLE_GRID, squeezed)
+    assert calls == []
+    fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
+    assert len(calls) == 1
+
+
+def test_a_fit_of_another_cutoff_is_rejected(fit20):
+    # A config at n_max 40 with a fit at n_max 20 would give the n_max 20
+    # numbers under the n_max 40 label.
+    cfg = _cfg(n_max=40, u=0.3)
+    calls = [
+        lambda: fidelity_report("23", cfg, fit20),
+        lambda: fidelity_grid("12", cfg, TABLE_GRID, fit20),
+        lambda: simulate_fidelity("13", cfg, fit20),
+        lambda: figure_tables(["T2"], fit20, TABLE_GRID, cfg),
+        lambda: figure_tables(["F2_12_squeezed"], fit20, TABLE_GRID, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_max = 20.*n_max = 40"):
+            call()
+    assert _cfg().transition(fit20) is fit20

@@ -19,8 +19,8 @@ from rqss import channel, protocol
 from rqss.channel import channel_invariants, cp_residual, grid_segments, segment_channel
 from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
-from rqss.modes import STACK_ENTRIES, get_transition, mode_sums, segment_bogoliubov, segment_stacks
-from rqss.protocol import _GRID_STACK, FIGURE_MODES, FIGURES, ProtocolConfig, figure_data, figure_tables, fidelity_grid
+from rqss.modes import STACK_ENTRIES, _segment_maps, get_transition, mode_sums, segment_bogoliubov, segment_stacks
+from rqss.protocol import _GRID_STACK, FIGURE_MODES, FIGURES, ProtocolConfig, figure_tables, fidelity_grid
 
 from oracles import fidelity_report_per_u, figure_data_per_u, invariant_rows_per_u
 
@@ -97,7 +97,7 @@ def test_row_maps_equal_full_maps_bit_for_bit(any_fit, modes):
     stacked = {name: np.concatenate([getattr(maps, name) for maps in stacks]) for name in MAP_NAMES}
     for i, u in enumerate(us):
         full = _rows_of(segment_bogoliubov(any_fit, u), modes)
-        one = segment_bogoliubov(any_fit, u, modes)
+        one = _segment_maps(any_fit, float(u), modes)
         assert one.modes == modes
         for name in MAP_NAMES:
             assert np.array_equal(getattr(one, name), full[name]), (name, u)
@@ -105,7 +105,7 @@ def test_row_maps_equal_full_maps_bit_for_bit(any_fit, modes):
 
 
 def test_row_maps_reject_modes_they_do_not_hold(fit20):
-    maps = segment_bogoliubov(fit20, 0.3, (2, 5))
+    maps = _segment_maps(fit20, 0.3, (2, 5))
     assert maps.row(5) == 1
     with pytest.raises(ValueError, match="not among"):
         mode_sums(maps, 1)
@@ -113,7 +113,7 @@ def test_row_maps_reject_modes_they_do_not_hold(fit20):
         segment_channel(maps, 3)
     for modes in [(0,), (21,), ()]:
         with pytest.raises(ValueError, match="need at least one"):
-            segment_bogoliubov(fit20, 0.3, modes)
+            _segment_maps(fit20, 0.3, modes)
         with pytest.raises(ValueError, match="need at least one"):
             next(segment_stacks(fit20, TABLE_GRID, modes))
 
@@ -202,7 +202,8 @@ def _count_walks(monkeypatch):
 def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
     # One walk per table, whatever the number of map stacks it spans; the
     # mode-sum figures build no segment channel, and the channel tables
-    # compute no mode sums.  A journey reads both, on mode k alone.
+    # compute no mode sums.  A coherent secret's journeys read both, on
+    # mode k alone; the squeezed round-trip figure reads the channels only.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
@@ -217,31 +218,32 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
     elif consumer.startswith("fidelity"):
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
-        figure_data(consumer, fit, FIGURE_GRID, config)
+        figure_tables([consumer], fit, FIGURE_GRID, config)
     builds = stacks * len(modes)
-    channels, sums = {"T2": (0, builds), "F2_23": (0, builds), "nbar": (builds, 0), "invariants": (builds, 0)}.get(
-        consumer, (builds, builds)
-    )
+    no_sums = {"nbar": (builds, 0), "invariants": (builds, 0), "F2_12_squeezed": (builds, 0)}
+    channels, sums = {"T2": (0, builds), "F2_23": (0, builds), **no_sums}.get(consumer, (builds, builds))
     assert counts == {"segment_stacks": 1, "_segment_channel": channels, "mode_sums": sums}
 
 
 def test_figures_equal_per_u_route_on_the_figure_grid(fit20):
     config = ProtocolConfig()
     for name in FIGURES:
-        assert_same_table(figure_data(name, fit20, FIGURE_GRID, config), figure_data_per_u(name, fit20, FIGURE_GRID, config))
+        (table,) = figure_tables([name], fit20, FIGURE_GRID, config)
+        assert_same_table(table, figure_data_per_u(name, fit20, FIGURE_GRID, config))
 
 
 def test_figures_equal_per_u_route_at_n_max_40(fit40):
     config = ProtocolConfig(n_max=40, k=2, s=0.5)
     for name in FIGURES:
-        assert_same_table(figure_data(name, fit40, TABLE_GRID, config), figure_data_per_u(name, fit40, TABLE_GRID, config))
+        (table,) = figure_tables([name], fit40, TABLE_GRID, config)
+        assert_same_table(table, figure_data_per_u(name, fit40, TABLE_GRID, config))
 
 
 def test_figures_equal_per_u_route_on_degenerate_points(fit20):
     config = ProtocolConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tables = {name: figure_data(name, fit20, QUARTER_GRID, config) for name in FIGURES}
+        tables = {name: figure_tables([name], fit20, QUARTER_GRID, config)[0] for name in FIGURES}
     for name in FIGURES:
         assert_same_table(tables[name], figure_data_per_u(name, fit20, QUARTER_GRID, config))
     nbar = {row[0]: row[1:] for row in tables["nbar"][1]}
@@ -252,15 +254,14 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
 def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     # T2, nbar and F2_23 read one walk of the plotted modes, which builds
     # their channels and their mode sums; F2_12_squeezed walks its round
-    # trips on mode k alone.
+    # trips on mode k alone and builds their channels, not their mode sums.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     plotted = len(list(segment_stacks(fit, FIGURE_GRID, FIGURE_MODES))) * len(FIGURE_MODES)
     round_trips = len(list(segment_stacks(fit, _phases(), (config.k,))))
     counts = _count_walks(monkeypatch)
     figure_tables(FIGURES, fit, FIGURE_GRID, config)
-    builds = plotted + round_trips
-    assert counts == {"segment_stacks": 2, "_segment_channel": builds, "mode_sums": builds}
+    assert counts == {"segment_stacks": 2, "_segment_channel": plotted + round_trips, "mode_sums": plotted}
 
 
 def _subsets(names):
@@ -272,7 +273,7 @@ def _subsets(names):
 def test_figure_tables_equal_one_figure_calls_and_per_u_route(request, n_max, grid):
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig() if n_max == 20 else ProtocolConfig(n_max=40, k=2, s=0.5)
-    singles = {name: figure_data(name, fit, grid, config) for name in FIGURES}
+    singles = {name: figure_tables([name], fit, grid, config)[0] for name in FIGURES}
     for name in FIGURES:
         assert_same_table(singles[name], figure_data_per_u(name, fit, grid, config))
     for subset in _subsets(FIGURES):
