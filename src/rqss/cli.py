@@ -345,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fidelity", help="closed-form vs simulated fidelity for one scenario")
     _add_common(p)
     p.add_argument("--scenario", required=True, choices=["12", "23", "13"])
-    p.add_argument("--grid", default=None, help="u-grid start:stop:step (default: single --u)")
-    p.add_argument("--u", type=float, default=None)
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--grid", default=None, help="u-grid start:stop:step (default: single --u)")
+    at.add_argument("--u", type=float, default=None)
     p.add_argument("--s", type=float, default=None, help="dealer squeezing")
     p.add_argument("--k", type=int, default=None, help="monitored mode")
     p.add_argument("--h", type=float, default=None, help="acceleration for the simulated point")

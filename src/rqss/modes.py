@@ -18,7 +18,7 @@ The instantaneous basis change between the two mode sets is evaluated by a
 vectorized fixed-panel Gauss-Legendre rule for whole matrices.  On top of
 the exact matrices a small-``h`` power series is extracted by evaluating at a
 ladder of accelerations and solving the scaled Vandermonde system exactly,
-making the extraction reproducible bit for bit.
+making the extraction reproducible bit for bit; its first two orders are kept.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ DEFAULT_LADDER = (3.2e-3, 1.6e-3, 8.0e-4, 4.0e-4)
 DEFAULT_VALIDATION_H = 1.0e-3
 _FIT_REL_GATE = 1e-2
 _REL_FLOOR = 1e-9
+# Gauss-Legendre nodes per quadrature panel.
+_GAUSS_ORDER = 16
 
 
 class CorruptCacheError(RuntimeError):
@@ -51,8 +53,8 @@ class CorruptCacheError(RuntimeError):
 # exact transition matrices (vectorized quadrature), at L = 1
 
 
-def _gauss_panels(x_lo: float, x_hi: float, panels: int, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gauss_panels(x_lo: float, x_hi: float, panels: int):
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     edges = np.linspace(x_lo, x_hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -61,9 +63,9 @@ def _gauss_panels(x_lo: float, x_hi: float, panels: int, order: int):
     return xs, ws
 
 
-def _inertial_rule(n_max: int, panels: int, order: int):
+def _inertial_rule(n_max: int, panels: int):
     """Nodes, weights and normalized inertial sine table of one rule; h-independent."""
-    xi, ws = _gauss_panels(0.0, 1.0, panels, order)
+    xi, ws = _gauss_panels(0.0, 1.0, panels)
     n = np.arange(1, n_max + 1)
     s_inertial = np.sin(np.outer(n * np.pi, xi))
     s_inertial /= np.sqrt(n * np.pi)[:, None]
@@ -92,20 +94,21 @@ def _transition_matrices(h: float, n_max: int, xi, ws, s_inertial):
     return freq_term + wedge_term, freq_term - wedge_term
 
 
-def _exact_matrices(hs, n_max: int, panels: int | None = None, order: int = 16, held_out: int = 0) -> list:
+def _exact_matrices(hs, n_max: int, held_out: int = 0) -> list:
     """Real (alpha, beta, quadrature error) at each acceleration h of `hs`, each in (0, 2).
 
-    Evaluates rule by rule: the coarse rule's inertial table serves every
-    acceleration and is dropped before the refined rule's is built, so one
-    table is alive at a time.  The last `held_out` accelerations skip the
-    coarse rule: they get the refined matrices alone, and None for the error.
+    The coarse rule has max(16, 2 n_max) panels of `_GAUSS_ORDER` nodes, the
+    refined rule twice the panels.  Evaluates rule by rule: the coarse rule's
+    inertial table serves every acceleration and is dropped before the
+    refined rule's is built, so one table is alive at a time.  The last
+    `held_out` accelerations skip the coarse rule: they get the refined
+    matrices alone, and None for the error.
     """
-    if panels is None:
-        panels = max(16, 2 * n_max)
-    rule = _inertial_rule(n_max, panels, order)
+    panels = max(16, 2 * n_max)
+    rule = _inertial_rule(n_max, panels)
     coarse = [_transition_matrices(h, n_max, *rule) for h in hs[: len(hs) - held_out]]
     del rule
-    rule = _inertial_rule(n_max, 2 * panels, order)
+    rule = _inertial_rule(n_max, 2 * panels)
     out = []
     for i, h in enumerate(hs):
         a2, b2 = _transition_matrices(h, n_max, *rule)
@@ -123,46 +126,21 @@ def _exact_matrices(hs, n_max: int, panels: int | None = None, order: int = 16, 
 
 @dataclass(frozen=True)
 class TransitionFit:
-    """Coefficients of alpha = I + a1 h + ... , beta = b1 h + ... + b4 h^4.
+    """Coefficients of alpha = I + a1 h + a2 h^2 + O(h^3), beta = b1 h + b2 h^2 + O(h^3).
 
-    Orders three and four mostly absorb model truncation; downstream physics
-    uses orders one and two.  `validation` holds held-out errors at
+    The fit solves for orders three and four too; they mostly absorb model
+    truncation and serve only its held-out validation, so they are not kept.
+    `validation` holds the held-out errors of the four-order series at
     `DEFAULT_VALIDATION_H`.
     """
 
     n_max: int
-    a: np.ndarray  # (4, N, N), orders h..h^4
-    b: np.ndarray
+    a1: np.ndarray  # (N, N)
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
     validation: dict
     quadrature_error: float
-
-    def alpha_at(self, h: float) -> np.ndarray:
-        out = np.eye(self.n_max, dtype=float)
-        for k in range(4):
-            out = out + self.a[k] * h ** (k + 1)
-        return out
-
-    def beta_at(self, h: float) -> np.ndarray:
-        out = np.zeros((self.n_max, self.n_max))
-        for k in range(4):
-            out = out + self.b[k] * h ** (k + 1)
-        return out
-
-    @property
-    def a1(self) -> np.ndarray:
-        return self.a[0]
-
-    @property
-    def a2(self) -> np.ndarray:
-        return self.a[1]
-
-    @property
-    def b1(self) -> np.ndarray:
-        return self.b[0]
-
-    @property
-    def b2(self) -> np.ndarray:
-        return self.b[1]
 
 
 def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
@@ -170,9 +148,9 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
 
     Evaluates the exact matrices at each `DEFAULT_LADDER` acceleration,
     subtracts the h = 0 limit (identity / zero) and solves the scaled
-    Vandermonde system for orders h..h^4 exactly.  Held-out validation at
-    `DEFAULT_VALIDATION_H` must beat a relative 1e-2 gate or the fit is
-    rejected.
+    Vandermonde system for orders h..h^4 exactly.  Held-out validation of
+    all four orders at `DEFAULT_VALIDATION_H` must beat a relative 1e-2 gate
+    or the fit is rejected; orders one and two are kept.
     """
     scale = DEFAULT_LADDER[0]
     t = np.array(DEFAULT_LADDER) / scale
@@ -190,31 +168,27 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
     a = (coeff_a / powers[:, None]).reshape(4, n_max, n_max)
     b = (coeff_b / powers[:, None]).reshape(4, n_max, n_max)
 
-    fit = TransitionFit(
-        n_max=n_max,
-        a=_frozen(a),
-        b=_frozen(b),
-        validation={},
-        quadrature_error=quad_err,
-    )
-    validation = _validate_fit(fit, ref_a, ref_b)
-    object.__setattr__(fit, "validation", validation)
+    validation = _validate_fit(a, b, ref_a, ref_b)
     if not validation["max_rel_err"] <= _FIT_REL_GATE:  # a NaN error fails too
         raise RuntimeError(
             f"transition fit failed validation: rel err {validation['max_rel_err']:.3e}"
         )
-    return fit
+    return TransitionFit(n_max, *map(_frozen, (a[0], a[1], b[0], b[1])), validation, quad_err)
 
 
-def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> dict:
-    """Held-out errors of the fit against the exact matrices at `DEFAULT_VALIDATION_H`."""
+def _validate_fit(a: np.ndarray, b: np.ndarray, ref_a: np.ndarray, ref_b: np.ndarray) -> dict:
+    """Held-out errors of the four-order series `a`, `b` against the exact matrices at `DEFAULT_VALIDATION_H`."""
     h = DEFAULT_VALIDATION_H
-    pred_a = fit.alpha_at(h)
-    pred_b = fit.beta_at(h)
+    n_max = ref_a.shape[0]
+    pred_a = np.eye(n_max)
+    pred_b = np.zeros((n_max, n_max))
+    for k in range(4):
+        pred_a = pred_a + a[k] * h ** (k + 1)
+        pred_b = pred_b + b[k] * h ** (k + 1)
     abs_a = np.abs(pred_a - ref_a)
     abs_b = np.abs(pred_b - ref_b)
     # Relative errors only where the coefficient itself is resolvable.
-    dev_a = np.abs(ref_a - np.eye(fit.n_max))
+    dev_a = np.abs(ref_a - np.eye(n_max))
     dev_b = np.abs(ref_b)
     rel_a = np.where(dev_a > _REL_FLOOR, abs_a / np.maximum(dev_a, _REL_FLOOR), 0.0)
     rel_b = np.where(dev_b > _REL_FLOOR, abs_b / np.maximum(dev_b, _REL_FLOOR), 0.0)
@@ -229,21 +203,21 @@ def _validate_fit(fit: TransitionFit, ref_a: np.ndarray, ref_b: np.ndarray) -> d
 # ---------------------------------------------------------------------------
 # coefficient cache
 #
-# Format 3 keeps one file per key, `transition_<hash of the key>.bin`, in
+# Format 4 keeps one file per key, `transition_<hash of the key>.bin`, in
 # three parts: a first line with the hex sha256 of every byte after it, one
 # canonical JSON header line (the key, `validation`, `quadrature_error`), and
-# the raw little-endian float64 C-order bytes of `a`, then `b`.  A load takes
-# the coefficients as views of those bytes, so a cached fit is bit-identical
-# to a fresh one.
+# the raw little-endian float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.
+# A load takes the coefficients as views of those bytes, so a cached fit is
+# bit-identical to a fresh one.
 
 
 def _cache_key(n_max: int) -> dict:
     # The ladder and held-out acceleration are constants, but the key records
     # them, so a file fitted on another ladder has another name and is refused.
-    # Files of earlier formats, and format-3 files whose key held a cavity
-    # length, have other keys, hence other names: never read.
+    # Files of earlier formats, which also stored orders three and four, have
+    # other keys, hence other names: never read.
     return {
-        "format": 3,
+        "format": 4,
         "n_max": n_max,
         "ladder": list(DEFAULT_LADDER),
         "validation_h": DEFAULT_VALIDATION_H,
@@ -281,8 +255,7 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
         [
             json.dumps(header, sort_keys=True).encode(),
             b"\n",
-            np.ascontiguousarray(fit.a, dtype=_PAYLOAD_DTYPE),
-            np.ascontiguousarray(fit.b, dtype=_PAYLOAD_DTYPE),
+            *(np.ascontiguousarray(x, dtype=_PAYLOAD_DTYPE) for x in (fit.a1, fit.a2, fit.b1, fit.b2)),
         ]
     )
     # Write aside and rename, so a concurrent reader sees the old file or the
@@ -304,7 +277,8 @@ def load_transition(path) -> TransitionFit:
     The checksum covers the header and the coefficients, and is checked
     before anything is parsed.  The stored key must describe a fit made here
     and hash to the file name, so a file saved under another key is rejected,
-    not silently used, and the payload must hold exactly `a` and `b`.
+    not silently used, and the payload must hold exactly `a1`, `a2`, `b1`
+    and `b2`.
     """
     path = Path(path)
     try:
@@ -318,16 +292,10 @@ def load_transition(path) -> TransitionFit:
         key = _cache_key(n_max)
         if stored != key or path.name != _cache_name(key):
             raise ValueError("stored key does not match the requested key")
-        if len(payload) != 8 * 8 * n_max * n_max:
-            raise ValueError(f"{len(payload)} payload bytes, not the 2 x (4, {n_max}, {n_max}) coefficients of a and b")
-        a, b = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE).reshape(2, 4, n_max, n_max)
-        return TransitionFit(
-            n_max=n_max,
-            a=a,
-            b=b,
-            validation=dict(meta["validation"]),
-            quadrature_error=float(meta["quadrature_error"]),
-        )
+        if len(payload) != 4 * 8 * n_max * n_max:
+            raise ValueError(f"{len(payload)} payload bytes, not the 4 x ({n_max}, {n_max}) coefficients a1, a2, b1, b2")
+        coefficients = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE).reshape(4, n_max, n_max)
+        return TransitionFit(n_max, *coefficients, dict(meta["validation"]), float(meta["quadrature_error"]))
     except (KeyError, ValueError, TypeError) as exc:  # a bad header's JSON or UTF-8 error is a ValueError
         raise CorruptCacheError(f"corrupted coefficient cache {path}: {exc}") from exc
 

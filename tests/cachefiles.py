@@ -1,14 +1,17 @@
 """Read and edit coefficient-cache files directly, as a fault or an old writer would.
 
-Format 3 is a first line holding the hex sha256 of every byte after it, one
+Format 4 is a first line holding the hex sha256 of every byte after it, one
 JSON header line (the key, `validation`, `quadrature_error`), and the raw
-little-endian float64 C-order bytes of `a`, then `b`.  Format 2, the earlier
-layout, was one JSON document with `a` and `b` as base64 of the same bytes
-and `sha256` over every other field; format 1, before it, stored nested lists
-and checksummed only `a` and `b`.  Every key before the current one also
-recorded the cavity length, which was always 1.0.  These helpers read and
-write the layouts without going through the code in `rqss.modes`; they take
-only its ladder constants from there.
+little-endian float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.  Every
+earlier format stored all four fitted orders, `a` and `b` of shape (4, N, N):
+format 3 in the same three parts, with the bytes of `a`, then `b`; format 2
+as one JSON document with `a` and `b` as base64 of those bytes and `sha256`
+over every other field; format 1 as nested lists, checksumming only `a` and
+`b`.  Formats 1 and 2, and the first format-3 keys, also recorded the cavity
+length, which was always 1.0.  These helpers read and write the layouts
+without going through the code in `rqss.modes`; they take only its ladder
+constants from there.  The writers of the old formats take the four orders
+from a `oracles.LadderFit`.
 """
 
 import base64
@@ -21,16 +24,19 @@ from rqss.modes import DEFAULT_LADDER, DEFAULT_VALIDATION_H
 
 
 def read_parts(path) -> tuple:
-    """(stored digest, header, `a`, `b`) of a format-3 file; the arrays are writable copies."""
+    """(stored digest, header, `a`, `b`) of a format-4 file; `a` stacks `a1`, `a2` and `b` stacks `b1`, `b2`.
+
+    The arrays are writable copies.
+    """
     digest, header, payload = path.read_bytes().split(b"\n", 2)
     meta = json.loads(header)
     n = meta["key"]["n_max"]
-    a, b = np.frombuffer(payload, dtype="<f8").copy().reshape(2, 4, n, n)
+    a, b = np.frombuffer(payload, dtype="<f8").copy().reshape(2, 2, n, n)
     return digest, meta, a, b
 
 
 def write_parts(path, header, a, b, digest=None):
-    """Write a format-3 file; `header` is a dict or the raw bytes of the header line.
+    """Write a format-4 file (or a format-3 one, from four-order stacks); `header` is a dict or the header line's bytes.
 
     With no `digest` the file is resealed: its checksum is recomputed, so only
     the content checks can catch an edit.
@@ -67,14 +73,11 @@ def file_name(key: dict, suffix: str) -> str:
     return f"transition_{stem}{suffix}"
 
 
-def _key(fit, version: int) -> dict:
-    return {
-        "format": version,
-        "length": 1.0,
-        "n_max": fit.n_max,
-        "ladder": list(DEFAULT_LADDER),
-        "validation_h": DEFAULT_VALIDATION_H,
-    }
+def _key(fit, version: int, length: bool = True) -> dict:
+    key = {"format": version, "n_max": fit.n_max, "ladder": list(DEFAULT_LADDER), "validation_h": DEFAULT_VALIDATION_H}
+    if length:
+        key["length"] = 1.0
+    return key
 
 
 def format1_document(fit) -> tuple:
@@ -118,9 +121,12 @@ def format2_document(fit) -> tuple:
     return file_name(key, ".json"), doc
 
 
-def write_format3_with_length(directory, fit):
-    """Write `fit` as a format-3 file whose key holds the cavity length, under that key's name; return its path."""
-    key = _key(fit, 3)
+def write_format3(directory, fit, length: bool = False):
+    """Write `fit` as a format-3 file under its key's name; return its path.
+
+    With `length` the key holds the cavity length, as the first format-3 keys did.
+    """
+    key = _key(fit, 3, length)
     path = directory / file_name(key, ".bin")
     write_parts(path, {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}, fit.a, fit.b)
     return path

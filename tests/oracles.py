@@ -195,7 +195,7 @@ class ExactBogoliubov:
         return np.abs(np.sum(self.alpha**2 - self.beta**2, axis=1) - 1.0)
 
 
-def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order: int = 16) -> ExactBogoliubov:
+def bogoliubov_exact(geometry: CavityGeometry) -> ExactBogoliubov:
     """Real transition matrices of one acceleration, by the package's fixed-panel Gauss-Legendre quadrature.
 
     Rows index wedge modes, columns inertial modes.  The rule is refined once
@@ -205,7 +205,7 @@ def bogoliubov_exact(geometry: CavityGeometry, panels: int | None = None, order:
     geometry._require_accelerated()
     if geometry.length != 1.0:
         raise ValueError(f"the package's quadrature takes h alone (L = 1), got length {geometry.length}")
-    [(alpha, beta, err)] = _exact_matrices([geometry.h], geometry.n_max, panels, order)
+    [(alpha, beta, err)] = _exact_matrices([geometry.h], geometry.n_max)
     return ExactBogoliubov(alpha=alpha, beta=beta, quadrature_error=err)
 
 
@@ -283,11 +283,10 @@ def second_order_closed_form(n_max: int):
 
 
 def closed_form_transition(n_max: int) -> TransitionFit:
-    """The coefficients of both closed forms as a `TransitionFit`; orders three and four are zero."""
+    """The coefficients of both closed forms as a `TransitionFit`."""
     a1, b1 = first_order_closed_form(n_max)
     a2, b2 = second_order_closed_form(n_max)
-    zero = np.zeros((n_max, n_max))
-    return TransitionFit(n_max, np.stack([a1, a2, zero, zero]), np.stack([b1, b2, zero, zero]), {}, 0.0)
+    return TransitionFit(n_max, a1, a2, b1, b2, {}, 0.0)
 
 
 def minkowski_slice(geometry: CavityGeometry, n: int):
@@ -402,12 +401,27 @@ def thermal_lossy_via_dilation(transmissivity: float, nbar: float):
     return m, n
 
 
-def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9):
-    """(a, b, validation, quadrature_error) of `fit_transition`, one `bogoliubov_exact` per h.
+@dataclass(frozen=True)
+class LadderFit:
+    """All four orders the ladder fit solves for: `a` and `b` stack orders h..h^4, shape (4, N, N).
+
+    The package keeps orders one and two; the cache formats before 4 stored
+    all four.
+    """
+
+    n_max: int
+    a: np.ndarray
+    b: np.ndarray
+    validation: dict
+    quadrature_error: float
+
+
+def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9) -> LadderFit:
+    """The four-order fit of `fit_transition`, one `bogoliubov_exact` per h.
 
     Each acceleration builds its own quadrature tables; the Vandermonde solve
-    on `DEFAULT_LADDER` and the held-out validation at `DEFAULT_VALIDATION_H`
-    are those of `fit_transition`.
+    on `DEFAULT_LADDER` and the held-out validation of all four orders at
+    `DEFAULT_VALIDATION_H` are those of `fit_transition`.
     """
     scale = DEFAULT_LADDER[0]
     vand = np.vander(np.array(DEFAULT_LADDER) / scale, 5, increasing=True)[:, 1:]
@@ -422,12 +436,15 @@ def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9):
     a = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_a])) / powers[:, None]).reshape(4, n_max, n_max)
     b = (np.linalg.solve(vand, np.stack([m.ravel() for m in rows_b])) / powers[:, None]).reshape(4, n_max, n_max)
 
-    series = TransitionFit(n_max, a, b, {}, quad_err)
     h = DEFAULT_VALIDATION_H
     held_out = bogoliubov_exact(CavityGeometry(h=h, n_max=n_max))
     ref_a, ref_b = held_out.alpha, held_out.beta
-    abs_a = np.abs(series.alpha_at(h) - ref_a)
-    abs_b = np.abs(series.beta_at(h) - ref_b)
+    series_a, series_b = np.eye(n_max), np.zeros((n_max, n_max))
+    for k in range(4):
+        series_a = series_a + a[k] * h ** (k + 1)
+        series_b = series_b + b[k] * h ** (k + 1)
+    abs_a = np.abs(series_a - ref_a)
+    abs_b = np.abs(series_b - ref_b)
     dev_a = np.abs(ref_a - np.eye(n_max))
     dev_b = np.abs(ref_b)
     rel_a = np.where(dev_a > rel_floor, abs_a / np.maximum(dev_a, rel_floor), 0.0)
@@ -438,7 +455,7 @@ def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9):
         "max_rel_err": float(max(rel_a.max(), rel_b.max())),
         "rel_floor": rel_floor,
     }
-    return a, b, validation, float(quad_err)
+    return LadderFit(n_max, a, b, validation, float(quad_err))
 
 
 def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:

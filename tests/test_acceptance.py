@@ -85,8 +85,11 @@ def test_criterion_3_fit_vs_quadrature(fit20):
     exact = bogoliubov_exact(CavityGeometry(h=h, n_max=fit20.n_max))
     ref_a = exact.alpha
     ref_b = exact.beta
-    err_a = np.max(np.abs(fit20.alpha_at(h) - ref_a)) / np.max(np.abs(ref_a - np.eye(fit20.n_max)))
-    err_b = np.max(np.abs(fit20.beta_at(h) - ref_b)) / np.max(np.abs(ref_b))
+    # The two orders the package reads: alpha = I + a1 h + a2 h^2, beta = b1 h + b2 h^2.
+    alpha = np.eye(fit20.n_max) + fit20.a1 * h + fit20.a2 * h * h
+    beta = fit20.b1 * h + fit20.b2 * h * h
+    err_a = np.max(np.abs(alpha - ref_a)) / np.max(np.abs(ref_a - np.eye(fit20.n_max)))
+    err_b = np.max(np.abs(beta - ref_b)) / np.max(np.abs(ref_b))
     assert max(err_a, err_b) < 1e-4
     print(f"PASS criterion 3: fit vs direct quadrature at h=1e-3, rel err {max(err_a, err_b):.2e} < 1e-4")
 

@@ -366,6 +366,20 @@ def test_removed_flag_exits_one(tmp_path, capsys, flag):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("order", ["grid first", "u first"])
+def test_fidelity_u_with_grid_is_a_usage_error(tmp_path, capsys, order):
+    # A single --u beside a --grid would be ignored, so the pair is refused
+    # before anything is fitted or written.
+    grid, u = ["--grid", "0.1:0.2:0.1"], ["--u", "0.7"]
+    both = grid + u if order == "grid first" else u + grid
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["fidelity", "--scenario", "23", *both, "--nmax", "4", "--cache-dir", str(cache), "--out", str(out)])
+    assert info.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()
+
+
 def test_bad_grid_exits_one(cache_dir, fit20, capsys):
     rc = main(["invariants", "--grid", "zero:one:step", *_args(cache_dir)])
     assert rc == 1

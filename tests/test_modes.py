@@ -1,5 +1,6 @@
 """Cavity mode structure, transition matrices, the small-h fit, segments."""
 
+import json
 import subprocess
 import sys
 
@@ -32,7 +33,7 @@ from cachefiles import (
     read_parts,
     tamper_coefficient,
     write_document,
-    write_format3_with_length,
+    write_format3,
     write_parts,
 )
 from oracles import (
@@ -153,9 +154,11 @@ def test_fit_structure(fit20):
 
 
 def test_fit_against_held_out_acceleration(fit10):
+    # The two kept orders; the four-order series is checked at the held-out
+    # acceleration by `fit.validation` and against the per-acceleration loop.
     h = 5.0e-4
     exact = bogoliubov_exact(CavityGeometry(h=h, n_max=10))
-    pred = fit10.alpha_at(h)
+    pred = np.eye(10) + fit10.a1 * h + fit10.a2 * h * h
     dev = np.max(np.abs(pred - exact.alpha))
     scale = np.max(np.abs(exact.alpha - np.eye(10)))
     assert dev / scale < 1e-4
@@ -282,13 +285,39 @@ def test_phase_duration_round_trip(u, h):
     assert phase_u(h, tau) == pytest.approx(u, rel=1e-12)
 
 
+def _coefficients(fit) -> tuple:
+    return fit.a1, fit.a2, fit.b1, fit.b2
+
+
+def _same_coefficients(fit, other) -> bool:
+    """Every coefficient of both fits equal, bit for bit; `other` is a fit or the tuple (a1, a2, b1, b2)."""
+    theirs = other if isinstance(other, tuple) else _coefficients(other)
+    return all(np.array_equal(x, y) for x, y in zip(_coefficients(fit), theirs, strict=True))
+
+
+@pytest.fixture(scope="module")
+def ladder10():
+    """The four-order fit at n_max 10, as cache formats before 4 stored it."""
+    return fit_by_exact_loop(n_max=10)
+
+
 def test_cache_round_trip(tmp_path):
     first = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, first.n_max)
     assert path.exists()
     second = get_transition(n_max=4, cache_dir=tmp_path)
-    assert np.array_equal(first.a, second.a)
-    assert np.array_equal(first.b, second.b)
+    assert _same_coefficients(first, second)
+
+
+def test_cache_file_holds_the_two_kept_orders(tmp_path):
+    # Four (n, n) matrices after the header, half the bytes of the four-order stacks.
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.n_max)
+    _, header, payload = path.read_bytes().split(b"\n", 2)
+    assert len(payload) == 4 * 8 * 4 * 4
+    assert json.loads(header)["key"]["format"] == 4
+    _, _, a, b = read_parts(path)
+    assert _same_coefficients(fit, (*a, *b))
 
 
 def test_cache_detects_corruption(tmp_path):
@@ -320,7 +349,7 @@ def test_cache_flipped_byte_fails_checksum(tmp_path, part):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.n_max)
     digest = read_parts(path)[0]
-    # The header's third byte sits inside its first key name; the last byte is b's.
+    # The header's third byte sits inside its first key name; the last byte is b2's.
     flip_byte(path, len(digest) + 1 + 2 if part == "header" else -1)
     with pytest.raises(CorruptCacheError, match="checksum"):
         get_transition(n_max=4, cache_dir=tmp_path)
@@ -330,7 +359,8 @@ def test_cache_flipped_byte_fails_checksum(tmp_path, part):
 def test_cache_rejects_resealed_header_that_is_not_a_header(tmp_path, header):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.n_max)
-    write_parts(path, header, fit.a, fit.b)
+    _, _, a, b = read_parts(path)
+    write_parts(path, header, a, b)
     with pytest.raises(CorruptCacheError):
         load_transition(path)
 
@@ -357,13 +387,13 @@ def test_cache_rejects_malformed_metadata(tmp_path):
 def test_cache_rejects_format1_document_at_current_path(tmp_path):
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.n_max)
-    write_document(path, format1_document(fit)[1])
+    write_document(path, format1_document(fit_by_exact_loop(n_max=4))[1])
     with pytest.raises(CorruptCacheError):
         load_transition(path)
 
 
-def test_cache_ignores_leftover_format1_file(tmp_path, fit10):
-    name, doc = format1_document(fit10)
+def test_cache_ignores_leftover_format1_file(tmp_path, fit10, ladder10):
+    name, doc = format1_document(ladder10)
     old = tmp_path / name
     write_document(old, doc)
     before = old.read_bytes()
@@ -371,13 +401,11 @@ def test_cache_ignores_leftover_format1_file(tmp_path, fit10):
     path = cache_path(tmp_path, fit.n_max)
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
-    saved = load_transition(path)
-    assert np.array_equal(saved.a, fit10.a)
-    assert np.array_equal(saved.b, fit10.b)
+    assert _same_coefficients(load_transition(path), fit10)
 
 
-def test_cache_ignores_leftover_format2_file(tmp_path, fit10):
-    name, doc = format2_document(fit10)
+def test_cache_ignores_leftover_format2_file(tmp_path, fit10, ladder10):
+    name, doc = format2_document(ladder10)
     old = tmp_path / name
     write_document(old, doc)
     before = old.read_bytes()
@@ -386,37 +414,60 @@ def test_cache_ignores_leftover_format2_file(tmp_path, fit10):
     assert path != old
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
-    saved = load_transition(path)
-    assert np.array_equal(saved.a, fit10.a)
-    assert np.array_equal(saved.b, fit10.b)
+    assert _same_coefficients(load_transition(path), fit10)
 
 
-def test_cache_ignores_leftover_format3_file_keyed_by_length(tmp_path, fit10):
+def test_cache_ignores_leftover_format3_file_keyed_by_length(tmp_path, fit10, ladder10):
     # A format-3 file whose key still records the cavity length has another
     # name: it is left alone and a fresh fit is saved beside it.  Renamed to
     # the current name, its key is refused.
-    old = write_format3_with_length(tmp_path, fit10)
+    old = write_format3(tmp_path, ladder10, length=True)
     before = old.read_bytes()
     fit = get_transition(n_max=10, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.n_max)
     assert path != old
     assert sorted(tmp_path.iterdir()) == sorted([old, path])
     assert old.read_bytes() == before
-    assert np.array_equal(fit.a, fit10.a) and np.array_equal(fit.b, fit10.b)
+    assert _same_coefficients(fit, fit10)
     old.replace(path)
     with pytest.raises(CorruptCacheError, match="key"):
         load_transition(path)
 
 
-def test_fit_matches_per_acceleration_loop():
+def test_cache_upgrade_leaves_format3_file_and_saves_its_first_two_orders(tmp_path, monkeypatch, ladder10):
+    # The format-3 file of n_max 10, as the last format-3 release wrote it
+    # (that release named it transition_836584e4f85b37de.bin), is neither
+    # read nor deleted: a fresh fit is made and saved beside it, and the
+    # format-4 file holds the format-3 file's orders one and two bit for bit.
+    old = write_format3(tmp_path, ladder10)
+    assert old.name == "transition_836584e4f85b37de.bin"
+    before = old.read_bytes()
+    fits = []
+
+    def counted_fit(n_max):
+        fits.append(fit_transition(n_max))
+        return fits[-1]
+
+    monkeypatch.setattr(modes, "fit_transition", counted_fit)
+    fit = get_transition(n_max=10, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.n_max)
+    assert fits == [fit]
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_bytes() == before
+    _, meta, a, b = read_parts(path)
+    assert _same_coefficients(fit, (*a, *b))
+    assert _same_coefficients(fit, (*ladder10.a[:2], *ladder10.b[:2]))
+    assert (meta["validation"], meta["quadrature_error"]) == (ladder10.validation, ladder10.quadrature_error)
+
+
+def test_fit_matches_per_acceleration_loop(ladder10):
     # Independent route: one bogoliubov_exact call per acceleration, each
-    # building its own quadrature tables.
+    # building its own quadrature tables.  The fit keeps orders one and two
+    # of the loop's four; its validation is that of all four.
     fit = fit_transition(n_max=10)
-    a, b, validation, quadrature_error = fit_by_exact_loop(n_max=10)
-    assert np.array_equal(fit.a, a)
-    assert np.array_equal(fit.b, b)
-    assert fit.validation == validation
-    assert fit.quadrature_error == quadrature_error
+    assert _same_coefficients(fit, (*ladder10.a[:2], *ladder10.b[:2]))
+    assert fit.validation == ladder10.validation
+    assert fit.quadrature_error == ladder10.quadrature_error
 
 
 @pytest.mark.parametrize("n_max", [10, 20])
@@ -434,8 +485,7 @@ def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max)
     fit = fit_transition(n_max=n_max)
     monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max, held_out: both_rules)
     route = fit_transition(n_max=n_max)
-    assert np.array_equal(fit.a, route.a)
-    assert np.array_equal(fit.b, route.b)
+    assert _same_coefficients(fit, route)
     assert fit.quadrature_error == route.quadrature_error
     assert fit.validation == route.validation
 
@@ -444,8 +494,7 @@ def test_cache_hit_equals_fresh_fit(tmp_path):
     for n_max in (20, 160):
         fresh = fit_transition(n_max=n_max)
         hit = load_transition(save_transition(fresh, tmp_path))
-        assert np.array_equal(hit.a, fresh.a)
-        assert np.array_equal(hit.b, fresh.b)
+        assert _same_coefficients(hit, fresh)
         assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
         assert hit.n_max == fresh.n_max
 
@@ -530,7 +579,7 @@ def test_cache_concurrent_saves_and_load(tmp_path, child_env):
             proc.kill()
     assert [proc.returncode for proc in procs] == [0, 0, 0], errors
     assert sorted(tmp_path.iterdir()) == [path]
-    assert np.array_equal(load_transition(path).a, fit.a)
+    assert _same_coefficients(load_transition(path), fit)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
