@@ -30,8 +30,7 @@ from .modes import (
     fit_transition,
     get_transition,
     mode_sums,
-    segment_bogoliubov,
-    segment_stacks,
+    segment_maps,
 )
 from .channel import (
     ChannelInvariants,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
-from .modes import BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_stacks
+from .modes import STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -107,12 +107,18 @@ def grid_segments(fit: TransitionFit, us, modes, channels: bool = True, sums: bo
     """Segment channels and mode sums at every phase in `us`: two lists in the order of `modes`.
 
     Each item is one mode's stack over u; a list not asked for is empty.
-    The maps are built on the rows of `modes` only, a bounded stack at a
-    time (`segment_stacks`); each stack is reduced at once to what was asked
-    for, and the reductions of several stacks are then joined.
+    The maps are built on the rows of `modes` only, in consecutive stacks of
+    at most `STACK_ENTRIES` entries per stacked array (at least one phase),
+    so a large cutoff walks the grid a few phases at a time.  Each stack is
+    reduced at once to what was asked for, and the reductions of several
+    stacks are then joined.
     """
+    us = np.asarray(us, dtype=float)
+    m = len(modes) or 1  # no modes at all: the build raises
+    size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
     chans, sums_by_stack = [], []
-    for maps in segment_stacks(fit, us, modes):
+    for start in range(0, max(us.size, 1), size):
+        maps = segment_maps(fit, us[start : start + size], modes)
         chans.append([_segment_channel(maps, k) for k in modes] if channels else [])
         sums_by_stack.append([mode_sums(maps, k) for k in modes] if sums else [])
     return [_join(per_mode) for per_mode in zip(*chans)], [_join(per_mode) for per_mode in zip(*sums_by_stack)]

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import UnphysicalStateError
-from .modes import CorruptCacheError, segment_bogoliubov
+from .modes import CorruptCacheError, segment_maps
 from .channel import channel_invariants, cp_residual, grid_segments
 from .protocol import (
     CalibrationError,
@@ -149,7 +149,7 @@ def _load_config(args) -> ProtocolConfig:
     # File and flags are merged before construction, so validation sees the
     # final values (a file's k = 25 stands with --nmax 40).
     data = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
     overrides = {}
@@ -164,7 +164,7 @@ def _load_config(args) -> ProtocolConfig:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[field_name] = value
-    if getattr(args, "secret", None):
+    if getattr(args, "secret", None) is not None:
         kind, params = _parse_secret(args.secret)
         overrides["secret"] = kind
         overrides["secret_params"] = params
@@ -183,7 +183,7 @@ _PARITY_TOL = 1e-8
 
 def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     fit = config.transition()
-    bogo = segment_bogoliubov(fit, args.u if args.u is not None else 0.3)
+    bogo = segment_maps(fit, args.u if args.u is not None else 0.3, range(1, config.n_max + 1))
     j_top = min(5, config.n_max)
 
     idx = np.arange(config.n_max)
@@ -251,7 +251,7 @@ def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
 
 def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
     """One scenario's fidelity table, one row per u: the --grid in one `fidelity_grid` call, or the single --u."""
-    if args.grid:
+    if args.grid is not None:
         reports = fidelity_grid(args.scenario, config, _parse_grid(args.grid))
     else:
         reports = [fidelity_report(args.scenario, config)]

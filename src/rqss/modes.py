@@ -371,22 +371,24 @@ class BogoliubovSet:
 # Largest number of complex entries of one stacked array of a map build on m
 # of n modes: the (U, n, 2m) right factor of the second-order product, twice
 # the size of the (U, m, n) first-order rows (or, past 2m = n, the product's
-# (U, 2m, 2m) result).  A u-grid is walked in stacks of at most this many
-# entries (64 KiB), so memory stays bounded at large n_max.  Larger
-# stacks were no faster at n_max 20 and cost memory: at 2**16 entries the
-# allocator mapped every temporary afresh (about 3000 minor page faults per
-# round of the four figures), and at 2**13 the four `reproduce_figures` jobs
-# peaked 1.4 MB higher (glibc, x86-64 Linux).
+# (U, 2m, 2m) result).  `channel.grid_segments` walks a u-grid in stacks of
+# at most this many entries (64 KiB), so memory stays bounded at large
+# n_max.  Larger stacks were no faster at n_max 20 and cost memory: at 2**16
+# entries the allocator mapped every temporary afresh (about 3000 minor page
+# faults per round of the four figures), and at 2**13 the four
+# `reproduce_figures` jobs peaked 1.4 MB higher (glibc, x86-64 Linux).
 STACK_ENTRIES = 1 << 12
 
 
-def _segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
-    """Rows `modes` of the segment maps at phase u, a float or a 1-d array of phases (a stack).
+def segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
+    """Compose transition -> wedge phases -> inverse transition: rows `modes` of the segment maps at phase u.
 
-    A product with a single row or column would go to a vector kernel that
-    rounds differently from the full maps' matrix products; every
-    second-order sum is read off one 2m x 2m product instead, so each row
-    keeps the bits of the full maps.
+    `u` is one phase (a float) or a stack of phases (a 1-d array); all
+    entries are exactly periodic in u with period 1.  Modes 1..n_max give
+    the full maps.  A product with a single row or column would go to a
+    vector kernel that rounds differently from the full maps' matrix
+    products; every second-order sum is read off one 2m x 2m product
+    instead, so each row keeps the bits of the full maps.
     """
     modes = tuple(int(k) for k in modes)
     if not modes or not all(1 <= k <= fit.n_max for k in modes):
@@ -424,31 +426,6 @@ def _segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
     )
 
 
-def segment_bogoliubov(fit: TransitionFit, u: float) -> BogoliubovSet:
-    """Compose transition -> wedge phases -> inverse transition at phase u: the full maps.
-
-    All entries are exactly periodic in u with period 1.  One segment on
-    every mode; `segment_stacks` builds the rows of a few modes over many
-    phases through the same arithmetic.
-    """
-    # Stacks never pass through here: the benchmark's tracer
-    # (perfbench/tracing.py) reads this call's `u` as one float.
-    return _segment_maps(fit, float(u), range(1, fit.n_max + 1))
-
-
-def segment_stacks(fit: TransitionFit, us, modes):
-    """Stacked rows `modes` of the segment maps of every phase in `us`, in order, as consecutive stacks.
-
-    Each stack holds at most `STACK_ENTRIES` entries per stacked array (at
-    least one phase), so a large cutoff walks the grid a few phases at a time.
-    """
-    us = np.asarray(us, dtype=float)
-    m = len(modes) or 1  # no modes at all: the build raises
-    size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
-    for start in range(0, max(us.size, 1), size):
-        yield _segment_maps(fit, us[start : start + size], modes)
-
-
 # ---------------------------------------------------------------------------
 # first-order mode sums driving the effective channel
 
@@ -476,13 +453,13 @@ def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     """f_alpha, f_beta and the cross sum g for mode k (numbered from 1).
 
     Broadcasts over a stack of segments.  Each row is summed as one
-    contiguous run, so a stacked row adds up exactly like a single one.
+    contiguous run, so a stacked row adds up exactly like a single one (the
+    masked copy of a stack is strided, hence the contiguous copies).
     """
     row = bogo.row(k)
-    mask = np.ones(bogo.n_max, dtype=bool)
-    mask[k - 1] = False
-    arow = np.ascontiguousarray(bogo.alpha1[..., row, mask])
-    brow = np.ascontiguousarray(bogo.beta1[..., row, mask])
+    others = np.arange(bogo.n_max) != k - 1
+    arow = np.ascontiguousarray(bogo.alpha1[..., row, others])
+    brow = np.ascontiguousarray(bogo.beta1[..., row, others])
     f_alpha = 0.5 * np.add.reduce(np.abs(arow) ** 2, axis=-1)
     f_beta = 0.5 * np.add.reduce(np.abs(brow) ** 2, axis=-1)
     g_cross = np.add.reduce(arow * brow, axis=-1)

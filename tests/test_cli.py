@@ -380,6 +380,27 @@ def test_fidelity_u_with_grid_is_a_usage_error(tmp_path, capsys, order):
     assert not cache.exists() and not out.exists()
 
 
+_SUBCOMMANDS = (["bogo-check"], ["invariants"], ["fidelity", "--scenario", "23"], ["calibrate"], ["figure-data"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fidelity", "--scenario", "23", "--grid", ""], "grid must be start:stop:step, got ''"),
+        (["fidelity", "--scenario", "23", "--secret", ""], "unknown secret kind ''"),
+        *[([*command, "--config", ""], "No such file or directory: ''") for command in _SUBCOMMANDS],
+    ],
+)
+def test_empty_flag_value_exits_one(tmp_path, capsys, argv, message):
+    # An empty value is a value to check, not the flag's absence: it must not
+    # fall back to the default config's single u = 0.25 row.
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    assert main([*argv, "--nmax", "4", "--cache-dir", str(cache), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err and message in captured.err
+    assert not cache.exists() and not out.exists()
+
+
 def test_bad_grid_exits_one(cache_dir, fit20, capsys):
     rc = main(["invariants", "--grid", "zero:one:step", *_args(cache_dir)])
     assert rc == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss import modes
-from rqss.channel import channel_invariants, grid_segments
+from rqss.channel import channel_invariants, grid_segments, t2_from_sums
 from rqss.modes import (
     DEFAULT_LADDER,
     DEFAULT_VALIDATION_H,
@@ -22,7 +22,6 @@ from rqss.modes import (
     mode_sums,
     resolve_cache_dir,
     save_transition,
-    segment_bogoliubov,
 )
 
 from cachefiles import (
@@ -43,6 +42,7 @@ from oracles import (
     duration_from_u,
     first_order_closed_form,
     fit_by_exact_loop,
+    full_maps,
     kg_inner_product,
     minkowski_frequency,
     minkowski_slice,
@@ -51,6 +51,7 @@ from oracles import (
     rindler_frequency_proper,
     rindler_slice,
     second_order_closed_form,
+    t2_limit,
     transition_entry_by_quad,
 )
 
@@ -242,8 +243,36 @@ def test_quarter_phase_t2_on_closed_form_coefficients(n_max):
         assert abs(channel_invariants(chan).t2[0] - target) <= 2 * np.spacing(target), k
 
 
+def test_both_t2_routes_reach_the_exact_limit_at_n_max_640():
+    # T2 at n_max -> infinity is a polynomial in u (`oracles.t2_limit`).  On
+    # the closed-form coefficients at n_max 640 the invariants route and the
+    # sums route sit on it within the mode-sum truncation (largest measured
+    # errors 9.6e-13 and 2.4e-13), on u = i/64.
+    us = np.arange(1, 64) / 64
+    modes_ = (1, 2, 3)
+    chans, sums = grid_segments(closed_form_transition(640), us, modes_)
+    for k, chan, per_mode in zip(modes_, chans, sums):
+        limit = t2_limit(k, us)
+        np.testing.assert_allclose(channel_invariants(chan).t2, limit, rtol=2e-12, atol=0.0)
+        np.testing.assert_allclose(t2_from_sums(per_mode), limit, rtol=2e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_t2_limit_meets_the_quarter_phase_anchor(k):
+    target = k * k * np.pi**2 / 60.0
+    assert abs(t2_limit(k, 0.25) - target) <= 2 * np.spacing(target)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_t2_limit_is_symmetric_about_half_phase(k):
+    # The mirror u -> 1 - u keeps every cosine: equal up to the rounding of
+    # the O(1) terms in the bracket, a few ulps of T2's peak k^2 pi^2 / 30.
+    us = np.arange(0, 1025) / 1024
+    np.testing.assert_allclose(t2_limit(k, us), t2_limit(k, 1.0 - us), rtol=0.0, atol=1e-14 * k * k * np.pi**2 / 30.0)
+
+
 def test_segment_at_zero_phase_is_identity(fit20):
-    bogo = segment_bogoliubov(fit20, 0.0)
+    bogo = full_maps(fit20, 0.0)
     assert np.allclose(bogo.alpha0, np.ones(fit20.n_max), atol=1e-15)
     assert np.max(np.abs(bogo.alpha1)) == 0.0
     assert np.max(np.abs(bogo.beta1)) == 0.0
@@ -253,23 +282,23 @@ def test_segment_at_zero_phase_is_identity(fit20):
 
 
 def test_segment_periodicity(fit20):
-    a = segment_bogoliubov(fit20, 0.37)
-    b = segment_bogoliubov(fit20, 1.37)
+    a = full_maps(fit20, 0.37)
+    b = full_maps(fit20, 1.37)
     assert np.allclose(a.alpha1, b.alpha1, atol=1e-10)
     assert np.allclose(a.beta1, b.beta1, atol=1e-10)
     assert np.allclose(a.alpha2, b.alpha2, atol=1e-9)
 
 
 def test_segment_identity_residuals(fit20):
-    bogo = segment_bogoliubov(fit20, 0.3)
+    bogo = full_maps(fit20, 0.3)
     assert np.all(bogo.identity_residuals_order2()[:5] < 1e-6)
 
 
 def test_mode_sum_exact_ratio(fit20):
     # For the fundamental mode the pair-creation sum at quarter phase is
     # exactly half its value at half phase.
-    quarter = mode_sums(segment_bogoliubov(fit20, 0.25), 1)
-    half = mode_sums(segment_bogoliubov(fit20, 0.5), 1)
+    quarter = mode_sums(full_maps(fit20, 0.25), 1)
+    half = mode_sums(full_maps(fit20, 0.5), 1)
     assert quarter.f_beta / half.f_beta == pytest.approx(0.5, rel=1e-12)
 
 

@@ -19,9 +19,9 @@ from rqss.gaussian import (
     squeezed_vacuum,
     vacuum,
 )
-from rqss import channel, modes, protocol
+from rqss import channel, protocol
 from rqss.cli import main
-from rqss.modes import segment_bogoliubov, mode_sums
+from rqss.modes import mode_sums
 from rqss.protocol import (
     CALIBRATION_ENSEMBLE,
     DEFAULT_DECODER_GAIN,
@@ -44,7 +44,7 @@ from rqss.protocol import (
     simulate_fidelity,
 )
 
-from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, journey_per_u
+from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, full_maps, journey_per_u
 
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
@@ -130,7 +130,7 @@ def test_two_three_recovery_is_secret_independent(q0, p0, s):
 
 @pytest.mark.parametrize("scenario", ["23", "13"])
 def test_closed_forms_name_the_scenario_that_needs_s(fit20, scenario):
-    sums = mode_sums(segment_bogoliubov(fit20, 0.3), 1)
+    sums = mode_sums(full_maps(fit20, 0.3), 1)
     with pytest.raises(ValueError, match=f"^scenario {scenario} needs the squeezing s$"):
         fidelity_closed_forms(scenario, sums)
 
@@ -237,7 +237,7 @@ def test_report_provenance(fit20):
 
 
 def test_infinite_squeezing_limit(fit20):
-    sums = mode_sums(segment_bogoliubov(fit20, 0.3), 1)
+    sums = mode_sums(full_maps(fit20, 0.3), 1)
     limit = 4.0 * (sums.f_alpha + 2.0 * sums.f_beta)
     rep = fidelity_report("23", _cfg(u=0.3, k=1, s=20.0), fit20)
     assert rep.f2 == pytest.approx(limit, rel=1e-3)
@@ -400,12 +400,12 @@ def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
 @pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
 def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, builds, secret, params):
     # The coherent secret's mode sums come from the journeys' own segment
-    # maps, built in one stacked call and no one-segment call; a round trip
-    # builds its u and 2u phases once each, over a whole grid too.
+    # maps, built in one stacked call and no one-segment call (which would
+    # record a float u, not a list); a round trip builds its u and 2u phases
+    # once each, over a whole grid too.
     calls, single = [], []
-    stacks, one_map, one_channel = channel.segment_stacks, modes.segment_bogoliubov, channel.segment_channel
-    monkeypatch.setattr(channel, "segment_stacks", lambda fit, us, rows: calls.append((us.tolist(), rows)) or stacks(fit, us, rows))
-    monkeypatch.setattr(modes, "segment_bogoliubov", lambda *args: single.append(args) or one_map(*args))
+    build, one_channel = channel.segment_maps, channel.segment_channel
+    monkeypatch.setattr(channel, "segment_maps", lambda fit, us, rows: calls.append((us.tolist(), rows)) or build(fit, us, rows))
     for namespace in (channel, protocol):
         monkeypatch.setattr(namespace, "segment_channel", lambda *args: single.append(args) or one_channel(*args))
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)

@@ -15,14 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rqss import channel, protocol
+from rqss import channel, cli, protocol
 from rqss.channel import channel_invariants, cp_residual, grid_segments, segment_channel
 from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
-from rqss.modes import STACK_ENTRIES, _segment_maps, get_transition, mode_sums, segment_bogoliubov, segment_stacks
+from rqss.modes import STACK_ENTRIES, BogoliubovSet, get_transition, mode_sums, segment_maps
 from rqss.protocol import _GRID_STACK, FIGURE_MODES, FIGURES, ProtocolConfig, figure_tables, fidelity_grid
 
-from oracles import fidelity_report_per_u, figure_data_per_u, invariant_rows_per_u
+from oracles import fidelity_report_per_u, figure_data_per_u, full_maps, invariant_rows_per_u
 
 FIGURE_GRID = [i / 64 for i in range(1, 64)]  # the 63-point grid of reproduce_figures.py
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
@@ -56,14 +56,23 @@ def _phases():
     return np.unique(np.concatenate([FIGURE_GRID, 2.0 * np.array(FIGURE_GRID)]))
 
 
+def _map_stacks(fit, us, modes):
+    """The map stacks that one `grid_segments` walk of `us` builds, in order."""
+    stacks, build = [], channel.segment_maps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel, "segment_maps", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        grid_segments(fit, us, modes, channels=False, sums=False)
+    return stacks
+
+
 def test_stacked_maps_equal_per_u_maps(fit20):
     us = _phases()
-    stacks = list(segment_stacks(fit20, us, range(1, 21)))
+    stacks = _map_stacks(fit20, us, range(1, 21))
     assert len(stacks) > 1
     assert np.array_equal(np.concatenate([maps.u for maps in stacks]), us)
     at = [(maps, i) for maps in stacks for i in range(maps.u.size)]
     for u, (maps, i) in zip(us, at):
-        one = segment_bogoliubov(fit20, u)
+        one = full_maps(fit20, u)
         for name in MAP_NAMES:
             assert np.array_equal(getattr(maps, name)[i], getattr(one, name)), (name, u)
 
@@ -71,7 +80,7 @@ def test_stacked_maps_equal_per_u_maps(fit20):
 def test_row_maps_have_row_shapes(fit20):
     u = len(TABLE_GRID)
     for modes in [(1,), (2, 5), (1, 2, 3)]:
-        (maps,) = segment_stacks(fit20, TABLE_GRID, modes)
+        maps = segment_maps(fit20, np.array(TABLE_GRID), modes)
         m = len(modes)
         assert maps.modes == modes
         assert maps.alpha0.shape == (u, m)
@@ -92,12 +101,12 @@ def test_row_maps_equal_full_maps_bit_for_bit(any_fit, modes):
     # A single-mode product formed as a vector dot (gemv or dot instead of
     # gemm) rounds differently and breaks this equality.
     us = np.unique(np.concatenate([TABLE_GRID, 2.0 * np.array(TABLE_GRID)]))
-    stacks = list(segment_stacks(any_fit, us, modes))
+    stacks = _map_stacks(any_fit, us, modes)
     assert np.array_equal(np.concatenate([maps.u for maps in stacks]), us)
     stacked = {name: np.concatenate([getattr(maps, name) for maps in stacks]) for name in MAP_NAMES}
     for i, u in enumerate(us):
-        full = _rows_of(segment_bogoliubov(any_fit, u), modes)
-        one = _segment_maps(any_fit, float(u), modes)
+        full = _rows_of(full_maps(any_fit, u), modes)
+        one = segment_maps(any_fit, float(u), modes)
         assert one.modes == modes
         for name in MAP_NAMES:
             assert np.array_equal(getattr(one, name), full[name]), (name, u)
@@ -105,7 +114,7 @@ def test_row_maps_equal_full_maps_bit_for_bit(any_fit, modes):
 
 
 def test_row_maps_reject_modes_they_do_not_hold(fit20):
-    maps = _segment_maps(fit20, 0.3, (2, 5))
+    maps = segment_maps(fit20, 0.3, (2, 5))
     assert maps.row(5) == 1
     with pytest.raises(ValueError, match="not among"):
         mode_sums(maps, 1)
@@ -113,24 +122,56 @@ def test_row_maps_reject_modes_they_do_not_hold(fit20):
         segment_channel(maps, 3)
     for modes in [(0,), (21,), ()]:
         with pytest.raises(ValueError, match="need at least one"):
-            _segment_maps(fit20, 0.3, modes)
-        with pytest.raises(ValueError, match="need at least one"):
-            next(segment_stacks(fit20, TABLE_GRID, modes))
+            segment_maps(fit20, 0.3, modes)
+        for grid in (TABLE_GRID, []):
+            with pytest.raises(ValueError, match="need at least one"):
+                grid_segments(fit20, grid, modes)
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_stacks_stay_bounded(request, n_max):
     fit = request.getfixturevalue(f"fit{n_max}")
     modes = (1, 2, 3)
-    stacks = list(segment_stacks(fit, FIGURE_GRID, modes))
-    sizes = [maps.u.size for maps in stacks]
+    sizes = [maps.u.size for maps in _map_stacks(fit, FIGURE_GRID, modes)]
     assert sum(sizes) == len(FIGURE_GRID)
     # The largest stacked array, the (U, n, 2m) factor of the second-order product.
     assert max(sizes) * n_max * 2 * len(modes) <= STACK_ENTRIES
     # On all n modes, the (U, 2n, 2n) product itself, one phase at least.
-    sizes = [maps.u.size for maps in segment_stacks(fit, FIGURE_GRID, range(1, n_max + 1))]
+    sizes = [maps.u.size for maps in _map_stacks(fit, FIGURE_GRID, range(1, n_max + 1))]
     assert sum(sizes) == len(FIGURE_GRID)
     assert max(sizes) * (2 * n_max) ** 2 <= STACK_ENTRIES or max(sizes) == 1
+
+
+@pytest.mark.parametrize("n_max", [20, 160])
+def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_dir, n_max):
+    # The walk is eager: one `segment_maps` call per stack, through the name
+    # `rqss.channel` holds, each returning its built maps before the next
+    # starts and before the walk returns, each within `STACK_ENTRIES`.
+    fit = get_transition(n_max=n_max, cache_dir=cache_dir)
+    build, events = channel.segment_maps, []
+
+    def watched(*args):
+        events.append("called")
+        events.append(build(*args))
+        return events[-1]
+
+    monkeypatch.setattr(channel, "segment_maps", watched)
+    chans, sums = grid_segments(fit, FIGURE_GRID, FIGURE_MODES)
+    events.append("returned")
+    stacks = events[1:-1:2]
+    assert events == [event for maps in stacks for event in ("called", maps)] + ["returned"]
+    assert len(stacks) > 1 and all(isinstance(maps, BogoliubovSet) for maps in stacks)
+    # The stacks hold the grid in order, each phase once, all but the last full.
+    assert np.array_equal(np.concatenate([maps.u for maps in stacks]), FIGURE_GRID)
+    sizes = [maps.u.size for maps in stacks]
+    assert all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
+    m = len(FIGURE_MODES)
+    for maps in stacks:
+        # The (U, n, 2m) factor of the second-order product, and each array handed out.
+        assert maps.u.size * n_max * 2 * m <= STACK_ENTRIES
+        assert all(getattr(maps, name).size <= STACK_ENTRIES for name in MAP_NAMES)
+    assert [chan.m0.shape for chan in chans] == [(len(FIGURE_GRID), 2, 2)] * m
+    assert [per_mode.u.size for per_mode in sums] == [len(FIGURE_GRID)] * m
 
 
 def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
@@ -144,7 +185,7 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
         assert per_mode.k == k and np.array_equal(per_mode.u, us)
         sums = [(per_mode.f_alpha[i], per_mode.f_beta[i], per_mode.g_cross[i]) for i in range(us.size)]
         for i, u in enumerate(us):
-            bogo = segment_bogoliubov(fit20, u)
+            bogo = full_maps(fit20, u)
             one = segment_channel(bogo, k)
             for name in ("m0", "m2", "n2"):
                 assert np.array_equal(getattr(chans[j], name)[i], getattr(one, name))
@@ -162,7 +203,7 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
     # at every cutoff but n_max 20 on one mode; the joined walk holds, stack
     # after stack, what each stack reduces to.
     us = _phases()
-    stacks = list(segment_stacks(any_fit, us, modes))
+    stacks = _map_stacks(any_fit, us, modes)
     assert len(stacks) > 1 or (any_fit.n_max, len(modes)) == (20, 1)
     chans, sums = grid_segments(any_fit, us, modes)
     assert grid_segments(any_fit, us, modes, channels=False)[0] == []
@@ -184,16 +225,19 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
 
 
 def _count_walks(monkeypatch):
-    """Count the walks over a grid and, within them, the segment channels and mode sums built."""
-    counts = {"segment_stacks": 0, "_segment_channel": 0, "mode_sums": 0}
+    """Count the walks over a grid (`grid_segments` calls) and, within them, the map stacks, segment channels and mode sums built."""
+    counts = {"grid_segments": 0, "segment_maps": 0, "_segment_channel": 0, "mode_sums": 0}
     for name in counts:
-        build = getattr(channel, name)
+        # The package walks a grid from `rqss.protocol` and from the CLI's invariants table.
+        namespaces = (protocol, cli) if name == "grid_segments" else (channel,)
+        build = getattr(namespaces[0], name)
 
-        def counting(*args, _name=name, _build=build):
+        def counting(*args, _name=name, _build=build, **kwargs):
             counts[_name] += 1
-            return _build(*args)
+            return _build(*args, **kwargs)
 
-        monkeypatch.setattr(channel, name, counting)
+        for namespace in namespaces:
+            monkeypatch.setattr(namespace, name, counting)
     return counts
 
 
@@ -211,7 +255,7 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
         modes, phases = (config.k,), _phases()
     elif consumer == "fidelity 23":
         modes = (config.k,)
-    stacks = len(list(segment_stacks(fit, phases, modes)))
+    stacks = len(_map_stacks(fit, phases, modes))
     counts = _count_walks(monkeypatch)
     if consumer == "invariants":
         _invariant_rows(fit, FIGURE_GRID, 1e-2)
@@ -222,7 +266,7 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
     builds = stacks * len(modes)
     no_sums = {"nbar": (builds, 0), "invariants": (builds, 0), "F2_12_squeezed": (builds, 0)}
     channels, sums = {"T2": (0, builds), "F2_23": (0, builds), **no_sums}.get(consumer, (builds, builds))
-    assert counts == {"segment_stacks": 1, "_segment_channel": channels, "mode_sums": sums}
+    assert counts == {"grid_segments": 1, "segment_maps": stacks, "_segment_channel": channels, "mode_sums": sums}
 
 
 def test_figures_equal_per_u_route_on_the_figure_grid(fit20):
@@ -257,11 +301,13 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     # trips on mode k alone and builds their channels, not their mode sums.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
-    plotted = len(list(segment_stacks(fit, FIGURE_GRID, FIGURE_MODES))) * len(FIGURE_MODES)
-    round_trips = len(list(segment_stacks(fit, _phases(), (config.k,))))
+    plotted_stacks = len(_map_stacks(fit, FIGURE_GRID, FIGURE_MODES))
+    plotted = plotted_stacks * len(FIGURE_MODES)
+    round_trips = len(_map_stacks(fit, _phases(), (config.k,)))
     counts = _count_walks(monkeypatch)
     figure_tables(FIGURES, fit, FIGURE_GRID, config)
-    assert counts == {"segment_stacks": 2, "_segment_channel": plotted + round_trips, "mode_sums": plotted}
+    stacks = plotted_stacks + round_trips
+    assert counts == {"grid_segments": 2, "segment_maps": stacks, "_segment_channel": plotted + round_trips, "mode_sums": plotted}
 
 
 def _subsets(names):
@@ -288,7 +334,7 @@ def test_figure_tables_reject_an_unknown_name_before_any_walk(monkeypatch, fit20
     counts = _count_walks(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(f"unknown figure 'bogus'; choices: {FIGURES}")):
         figure_tables(["F2_12_squeezed", "T2", "bogus"], fit20, FIGURE_GRID, ProtocolConfig())
-    assert counts["segment_stacks"] == 0
+    assert counts["grid_segments"] == counts["segment_maps"] == 0
 
 
 def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache_dir):
@@ -297,7 +343,7 @@ def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache
     config = ProtocolConfig(n_max=2)
     counts = _count_walks(monkeypatch)
     (table,) = figure_tables(["F2_12_squeezed"], fit, TABLE_GRID, config)
-    assert counts["segment_stacks"] == 1
+    assert counts["grid_segments"] == counts["segment_maps"] == 1
     assert_same_table(table, figure_data_per_u("F2_12_squeezed", fit, TABLE_GRID, config))
 
 
