@@ -37,7 +37,9 @@ def complex_pair_block(alpha: complex, beta: complex) -> np.ndarray:
 class PerturbativeChannel:
     """Gaussian channel kept to second order in the acceleration h.
 
-    Blocks are 2x2, or (..., 2, 2) for a stack of channels.
+    Blocks are 2x2, or (..., 2, 2) for a stack of channels.  The constructor
+    keeps read-only float copies of the blocks it is given; the channels this
+    module builds adopt their freshly built blocks instead (`_adopt`).
     """
 
     m0: np.ndarray
@@ -45,15 +47,25 @@ class PerturbativeChannel:
     n2: np.ndarray
 
     def __post_init__(self):
-        for name in ("m0", "m2", "n2"):
-            arr = _frozen(getattr(self, name))
+        self._set_blocks(*(_frozen(getattr(self, name)) for name in ("m0", "m2", "n2")))
+
+    @classmethod
+    def _adopt(cls, m0: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> "PerturbativeChannel":
+        """A channel on float blocks that the caller has just built and does not keep: made read-only, not copied."""
+        chan = object.__new__(cls)
+        chan._set_blocks(m0, m2, n2)
+        return chan
+
+    def _set_blocks(self, m0: np.ndarray, m2: np.ndarray, n2: np.ndarray):
+        for name, arr in (("m0", m0), ("m2", m2), ("n2", n2)):
             if arr.shape[-2:] != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {arr.shape}")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __getitem__(self, index) -> "PerturbativeChannel":
         """The channels at `index` of a stack; the index acts on the leading axes."""
-        return PerturbativeChannel(self.m0[index], self.m2[index], self.n2[index])
+        return PerturbativeChannel._adopt(self.m0[index], self.m2[index], self.n2[index])
 
     def evaluate(self, h):
         """(M, N) of the channel at a concrete acceleration.
@@ -67,7 +79,7 @@ class PerturbativeChannel:
 
 def free_channel(phi: float) -> PerturbativeChannel:
     """Noiseless free evolution by inertial phase phi (an array: a stack)."""
-    return PerturbativeChannel(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
+    return PerturbativeChannel._adopt(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
@@ -79,7 +91,7 @@ def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     blk = complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others])
     # One coupled mode after another, in mode order.
     n2 = np.sum(blk @ _transpose(blk), axis=-3)
-    return PerturbativeChannel(m0, m2, n2)
+    return PerturbativeChannel._adopt(m0, m2, n2)
 
 
 def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
@@ -129,7 +141,7 @@ def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> Perturba
     m0 = after.m0 @ before.m0
     m2 = after.m2 @ before.m0 + after.m0 @ before.m2
     n2 = after.m0 @ before.n2 @ _transpose(after.m0) + after.n2
-    return PerturbativeChannel(m0, m2, n2)
+    return PerturbativeChannel._adopt(m0, m2, n2)
 
 
 def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int | tuple[int, ...] = 0) -> GaussianState:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import UnphysicalStateError
-from .modes import CorruptCacheError, segment_maps
+from .modes import CorruptCacheError, quadrature_error, segment_maps
 from .channel import channel_invariants, cp_residual, grid_segments
 from .protocol import (
     CalibrationError,
@@ -91,7 +91,7 @@ def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs
 
 def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str = ""):
     """Write a CSV and its manifest under --out, or print the CSV to stdout."""
-    if not args.out:
+    if args.out is None:
         print(_csv_text(header, rows), end="")
         return
     out_dir = _output_dir(args.out)
@@ -102,7 +102,7 @@ def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str
 
 def _emit_json(args, argv, name: str, doc: dict, parameters: dict):
     """Write a JSON report and its manifest under --out, if given."""
-    if args.out:
+    if args.out is not None:
         out_dir = _output_dir(args.out)
         _write_manifest(out_dir, args.command, argv, parameters, [_write(out_dir / name, _json_text(doc))])
 
@@ -126,6 +126,13 @@ def _parse_grid(text: str):
         raise ValueError(f"bad grid {text!r}: {count} points, more than {_GRID_POINTS_MAX}")
     grid = np.round(start + np.arange(count) * step, 12).tolist()
     return [u for u in grid if u <= stop + 1e-12]
+
+
+def _out_dir(text: str) -> str:
+    """An --out value: a directory name, not empty (an empty name would mean the working directory)."""
+    if not text:
+        raise argparse.ArgumentTypeError("output directory must not be empty")
+    return text
 
 
 def _tolerance(text: str) -> float:
@@ -201,7 +208,7 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
         "identity_order2_max": order2,
         "identity_at_h_max": evaluated,
         "fit_validation": fit.validation,
-        "quadrature_error": fit.quadrature_error,
+        "quadrature_error": quadrature_error(config.n_max),
         "tolerance": args.tol,
         "parity_tolerance": _PARITY_TOL,
     }
@@ -296,7 +303,7 @@ def _cmd_calibrate(args, config: ProtocolConfig, argv) -> int:
 def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
     grid, fit = _grid_and_fit(args, config)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-    out_dir = _output_dir(args.out or Path.cwd())
+    out_dir = _output_dir(Path.cwd() if args.out is None else args.out)
     tables = figure_tables(names, fit, grid, config)
     outputs = [_write(out_dir / f"figure_{name}.csv", _csv_text(*table)) for name, table in zip(names, tables)]
     _write_manifest(
@@ -318,7 +325,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON file with ProtocolConfig fields")
     sub.add_argument("--nmax", type=int, default=None, help="mode cutoff")
     sub.add_argument("--cache-dir", dest="cache_dir", default=None, help="coefficient cache directory")
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--out", type=_out_dir, default=None, help="output directory")
 
 
 @functools.cache

@@ -19,6 +19,8 @@ vectorized fixed-panel Gauss-Legendre rule for whole matrices.  On top of
 the exact matrices a small-``h`` power series is extracted by evaluating at a
 ladder of accelerations and solving the scaled Vandermonde system exactly,
 making the extraction reproducible bit for bit; its first two orders are kept.
+The fit evaluates one rule; `quadrature_error` measures that rule against
+one with half its panels, on demand.
 """
 
 from __future__ import annotations
@@ -94,30 +96,33 @@ def _transition_matrices(h: float, n_max: int, xi, ws, s_inertial):
     return freq_term + wedge_term, freq_term - wedge_term
 
 
-def _exact_matrices(hs, n_max: int, held_out: int = 0) -> list:
-    """Real (alpha, beta, quadrature error) at each acceleration h of `hs`, each in (0, 2).
+def _panels(n_max: int) -> int:
+    """Panels of the fit's rule; the coarse rule of `quadrature_error` has half as many."""
+    return 2 * max(16, 2 * n_max)
 
-    The coarse rule has max(16, 2 n_max) panels of `_GAUSS_ORDER` nodes, the
-    refined rule twice the panels.  Evaluates rule by rule: the coarse rule's
-    inertial table serves every acceleration and is dropped before the
-    refined rule's is built, so one table is alive at a time.  The last
-    `held_out` accelerations skip the coarse rule: they get the refined
-    matrices alone, and None for the error.
+
+def _exact_matrices(hs, n_max: int) -> list:
+    """Real (alpha, beta) at each acceleration h of `hs`, each in (0, 2).
+
+    One rule of `_panels(n_max)` panels of `_GAUSS_ORDER` nodes, whose
+    inertial table serves every acceleration.
     """
-    panels = max(16, 2 * n_max)
-    rule = _inertial_rule(n_max, panels)
-    coarse = [_transition_matrices(h, n_max, *rule) for h in hs[: len(hs) - held_out]]
+    rule = _inertial_rule(n_max, _panels(n_max))
+    return [_transition_matrices(h, n_max, *rule) for h in hs]
+
+
+def quadrature_error(n_max: int) -> float:
+    """Largest change of an alpha or beta entry at the `DEFAULT_LADDER` rungs from a rule of half the panels to the fit's.
+
+    No fit reads it, so it is measured on demand (by `rqss bogo-check`), one
+    inertial table at a time: the coarse rule's is dropped before the fit's
+    rule is built.
+    """
+    rule = _inertial_rule(n_max, _panels(n_max) // 2)
+    coarse = [_transition_matrices(h, n_max, *rule) for h in DEFAULT_LADDER]
     del rule
-    rule = _inertial_rule(n_max, 2 * panels)
-    out = []
-    for i, h in enumerate(hs):
-        a2, b2 = _transition_matrices(h, n_max, *rule)
-        err = None
-        if i < len(coarse):
-            a1, b1 = coarse[i]
-            err = float(max(np.max(np.abs(a1 - a2)), np.max(np.abs(b1 - b2))))
-        out.append((a2, b2, err))
-    return out
+    refined = _exact_matrices(DEFAULT_LADDER, n_max)
+    return float(max(np.max(np.abs(c - r)) for pair in zip(coarse, refined) for c, r in zip(*pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,6 @@ class TransitionFit:
     b1: np.ndarray
     b2: np.ndarray
     validation: dict
-    quadrature_error: float
 
 
 def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
@@ -156,11 +160,9 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
     t = np.array(DEFAULT_LADDER) / scale
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
-    # The held-out matrices feed only the validation, never the quadrature error.
-    *rungs, (ref_a, ref_b, _) = _exact_matrices((*DEFAULT_LADDER, DEFAULT_VALIDATION_H), n_max, held_out=1)
-    quad_err = max(err for _, _, err in rungs)
-    ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _, _ in rungs])
-    yb = np.stack([beta.ravel() for _, beta, _ in rungs])
+    *rungs, (ref_a, ref_b) = _exact_matrices((*DEFAULT_LADDER, DEFAULT_VALIDATION_H), n_max)
+    ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _ in rungs])
+    yb = np.stack([beta.ravel() for _, beta in rungs])
 
     coeff_a = np.linalg.solve(vand, ya)
     coeff_b = np.linalg.solve(vand, yb)
@@ -173,7 +175,7 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
         raise RuntimeError(
             f"transition fit failed validation: rel err {validation['max_rel_err']:.3e}"
         )
-    return TransitionFit(n_max, *map(_frozen, (a[0], a[1], b[0], b[1])), validation, quad_err)
+    return TransitionFit(n_max, *map(_frozen, (a[0], a[1], b[0], b[1])), validation)
 
 
 def _validate_fit(a: np.ndarray, b: np.ndarray, ref_a: np.ndarray, ref_b: np.ndarray) -> dict:
@@ -203,10 +205,10 @@ def _validate_fit(a: np.ndarray, b: np.ndarray, ref_a: np.ndarray, ref_b: np.nda
 # ---------------------------------------------------------------------------
 # coefficient cache
 #
-# Format 4 keeps one file per key, `transition_<hash of the key>.bin`, in
+# Format 5 keeps one file per key, `transition_<hash of the key>.bin`, in
 # three parts: a first line with the hex sha256 of every byte after it, one
-# canonical JSON header line (the key, `validation`, `quadrature_error`), and
-# the raw little-endian float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.
+# canonical JSON header line (the key and `validation`), and the raw
+# little-endian float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.
 # A load takes the coefficients as views of those bytes, so a cached fit is
 # bit-identical to a fresh one.
 
@@ -214,10 +216,11 @@ def _validate_fit(a: np.ndarray, b: np.ndarray, ref_a: np.ndarray, ref_b: np.nda
 def _cache_key(n_max: int) -> dict:
     # The ladder and held-out acceleration are constants, but the key records
     # them, so a file fitted on another ladder has another name and is refused.
-    # Files of earlier formats, which also stored orders three and four, have
+    # Files of earlier formats, whose headers also held the quadrature error
+    # (and before format 4, whose payloads held orders three and four), have
     # other keys, hence other names: never read.
     return {
-        "format": 4,
+        "format": 5,
         "n_max": n_max,
         "ladder": list(DEFAULT_LADDER),
         "validation_h": DEFAULT_VALIDATION_H,
@@ -250,7 +253,7 @@ def save_transition(fit: TransitionFit, cache_dir) -> Path:
     key = _cache_key(fit.n_max)
     path = Path(cache_dir) / _cache_name(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}
+    header = {"key": key, "validation": fit.validation}
     body = b"".join(
         [
             json.dumps(header, sort_keys=True).encode(),
@@ -295,7 +298,7 @@ def load_transition(path) -> TransitionFit:
         if len(payload) != 4 * 8 * n_max * n_max:
             raise ValueError(f"{len(payload)} payload bytes, not the 4 x ({n_max}, {n_max}) coefficients a1, a2, b1, b2")
         coefficients = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE).reshape(4, n_max, n_max)
-        return TransitionFit(n_max, *coefficients, dict(meta["validation"]), float(meta["quadrature_error"]))
+        return TransitionFit(n_max, *coefficients, dict(meta["validation"]))
     except (KeyError, ValueError, TypeError) as exc:  # a bad header's JSON or UTF-8 error is a ValueError
         raise CorruptCacheError(f"corrupted coefficient cache {path}: {exc}") from exc
 

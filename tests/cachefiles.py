@@ -1,17 +1,18 @@
 """Read and edit coefficient-cache files directly, as a fault or an old writer would.
 
-Format 4 is a first line holding the hex sha256 of every byte after it, one
-JSON header line (the key, `validation`, `quadrature_error`), and the raw
-little-endian float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.  Every
-earlier format stored all four fitted orders, `a` and `b` of shape (4, N, N):
-format 3 in the same three parts, with the bytes of `a`, then `b`; format 2
-as one JSON document with `a` and `b` as base64 of those bytes and `sha256`
-over every other field; format 1 as nested lists, checksumming only `a` and
-`b`.  Formats 1 and 2, and the first format-3 keys, also recorded the cavity
+Format 5 is a first line holding the hex sha256 of every byte after it, one
+JSON header line (the key and `validation`), and the raw little-endian
+float64 C-order bytes of `a1`, `a2`, `b1` and `b2`.  Format 4 was the same,
+with `quadrature_error` in the header too.  Every earlier format stored all
+four fitted orders, `a` and `b` of shape (4, N, N): format 3 in the same
+three parts as format 4, with the bytes of `a`, then `b`; format 2 as one
+JSON document with `a` and `b` as base64 of those bytes and `sha256` over
+every other field; format 1 as nested lists, checksumming only `a` and `b`.
+Formats 1 and 2, and the first format-3 keys, also recorded the cavity
 length, which was always 1.0.  These helpers read and write the layouts
 without going through the code in `rqss.modes`; they take only its ladder
-constants from there.  The writers of the old formats take the four orders
-from a `oracles.LadderFit`.
+constants from there.  The writers of the old formats take the orders and
+the quadrature error from a `oracles.LadderFit`.
 """
 
 import base64
@@ -24,7 +25,7 @@ from rqss.modes import DEFAULT_LADDER, DEFAULT_VALIDATION_H
 
 
 def read_parts(path) -> tuple:
-    """(stored digest, header, `a`, `b`) of a format-4 file; `a` stacks `a1`, `a2` and `b` stacks `b1`, `b2`.
+    """(stored digest, header, `a`, `b`) of a format-5 (or 4) file; `a` stacks `a1`, `a2` and `b` stacks `b1`, `b2`.
 
     The arrays are writable copies.
     """
@@ -36,7 +37,7 @@ def read_parts(path) -> tuple:
 
 
 def write_parts(path, header, a, b, digest=None):
-    """Write a format-4 file (or a format-3 one, from four-order stacks); `header` is a dict or the header line's bytes.
+    """Write a format-5 or 4 file (or a format-3 one, from four-order stacks); `header` is a dict or the header line's bytes.
 
     With no `digest` the file is resealed: its checksum is recomputed, so only
     the content checks can catch an edit.
@@ -129,4 +130,13 @@ def write_format3(directory, fit, length: bool = False):
     key = _key(fit, 3, length)
     path = directory / file_name(key, ".bin")
     write_parts(path, {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}, fit.a, fit.b)
+    return path
+
+
+def write_format4(directory, fit):
+    """Write orders one and two of `fit` as a format-4 file under its key's name; return its path."""
+    key = _key(fit, 4, length=False)
+    path = directory / file_name(key, ".bin")
+    header = {"key": key, "validation": fit.validation, "quadrature_error": fit.quadrature_error}
+    write_parts(path, header, fit.a[:2], fit.b[:2])
     return path

@@ -63,6 +63,9 @@ from rqss.modes import (
     ModeSums,
     TransitionFit,
     _exact_matrices,
+    _inertial_rule,
+    _panels,
+    _transition_matrices,
     mode_sums,
     segment_maps,
 )
@@ -199,15 +202,19 @@ class ExactBogoliubov:
 def bogoliubov_exact(geometry: CavityGeometry) -> ExactBogoliubov:
     """Real transition matrices of one acceleration, by the package's fixed-panel Gauss-Legendre quadrature.
 
-    Rows index wedge modes, columns inertial modes.  The rule is refined once
-    (doubled panels) and the difference reported as `quadrature_error`.  The
-    package's quadrature works at L = 1 only.
+    Rows index wedge modes, columns inertial modes.  The matrices are the
+    fit's rule; its largest change from a rule of half the panels, at this
+    acceleration alone, is reported as `quadrature_error`.  The package's
+    quadrature works at L = 1 only.
     """
     geometry._require_accelerated()
     if geometry.length != 1.0:
         raise ValueError(f"the package's quadrature takes h alone (L = 1), got length {geometry.length}")
-    [(alpha, beta, err)] = _exact_matrices([geometry.h], geometry.n_max)
-    return ExactBogoliubov(alpha=alpha, beta=beta, quadrature_error=err)
+    h, n_max = geometry.h, geometry.n_max
+    [refined] = _exact_matrices([h], n_max)
+    coarse = _transition_matrices(h, n_max, *_inertial_rule(n_max, _panels(n_max) // 2))
+    err = float(max(np.max(np.abs(c - r)) for c, r in zip(coarse, refined)))
+    return ExactBogoliubov(alpha=refined[0], beta=refined[1], quadrature_error=err)
 
 
 def grid_point_by_point(start: float, stop: float, step: float) -> list:
@@ -287,7 +294,7 @@ def closed_form_transition(n_max: int) -> TransitionFit:
     """The coefficients of both closed forms as a `TransitionFit`."""
     a1, b1 = first_order_closed_form(n_max)
     a2, b2 = second_order_closed_form(n_max)
-    return TransitionFit(n_max, a1, a2, b1, b2, {}, 0.0)
+    return TransitionFit(n_max, a1, a2, b1, b2, {})
 
 
 def t2_limit(k, u):
@@ -442,7 +449,9 @@ class LadderFit:
     """All four orders the ladder fit solves for: `a` and `b` stack orders h..h^4, shape (4, N, N).
 
     The package keeps orders one and two; the cache formats before 4 stored
-    all four.
+    all four.  `quadrature_error` is the largest over the ladder of
+    `bogoliubov_exact`'s, which `rqss.modes.quadrature_error` measures on
+    demand, and which cache formats before 5 stored.
     """
 
     n_max: int

@@ -19,6 +19,7 @@ from rqss.channel import (
 )
 from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum, vacuum
 from rqss.modes import mode_sums
+from rqss.protocol import _journeys
 
 from oracles import (
     full_maps,
@@ -55,6 +56,42 @@ def test_blocks_of_arrays_are_stacks_of_the_one_value_blocks():
         assert pair[at].tobytes() == complex_pair_block(alphas[at], betas[at]).tobytes()
         assert no_beta[at].tobytes() == complex_pair_block(alphas[at], 0.0).tobytes()
     assert complex_pair_block(np.cosh(0.6), np.sinh(0.6)).shape == rotation_block(0.6).shape == (2, 2)
+
+
+def test_public_constructor_keeps_its_own_read_only_copies():
+    blocks = [np.eye(2), np.full((2, 2), 0.5), np.array([[2.0, 0.0], [0.0, 3.0]])]
+    chan = PerturbativeChannel(*blocks)
+    before = [block.copy() for block in blocks]
+    for block in blocks:
+        block += 1.0
+    for name, original in zip(("m0", "m2", "n2"), before):
+        arr = getattr(chan, name)
+        assert np.array_equal(arr, original) and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        chan.m0[0, 0] = 7.0
+
+
+def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
+    # Segment channels, free legs, compositions and items of a stack are
+    # built on blocks no caller holds: they are made read-only in place,
+    # never copied (the public constructor's copy would go through
+    # `_frozen`), and an item of a stack is a view of the stack's blocks.
+    copies = []
+    monkeypatch.setattr("rqss.channel._frozen", lambda arr: copies.append(arr) or np.array(arr))
+    us = np.array([0.1, 0.3, 0.45])
+    journeys, _ = _journeys("12", fit20, 2, us, sums=False)
+    chans = [
+        journeys,
+        journeys[1],
+        journeys[np.array([0, 2])],
+        free_channel(us),
+        segment_channel(full_maps(fit20, 0.3), 1),
+        compose(free_channel(0.2), IDENTITY),
+    ]
+    assert copies == []
+    for chan in chans:
+        assert not any(getattr(chan, name).flags.writeable for name in ("m0", "m2", "n2"))
+    assert np.shares_memory(journeys[1].n2, journeys.n2)
 
 
 def test_free_channel():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rqss import cli
+from rqss import cli, modes
 from rqss.cli import _parse_grid, build_parser, main
 from rqss.modes import cache_path, get_transition
 from rqss.protocol import ProtocolConfig
@@ -399,6 +399,49 @@ def test_empty_flag_value_exits_one(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == "" and "error: " in captured.err and message in captured.err
     assert not cache.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=[argv[0] for argv in _SUBCOMMANDS])
+def test_empty_out_exits_one(tmp_path, monkeypatch, capsys, command):
+    # An empty --out names no directory: it is neither stdout nor the
+    # working directory, and nothing is fitted, computed or written.
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--nmax", "4", "--cache-dir", str(cache), "--out", ""])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --out: output directory must not be empty" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_data_without_out_writes_to_the_working_directory(cache_dir, fit20, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure-data", "--figure", "nbar", "--grid", "0.25:0.75:0.25", *_args(cache_dir)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["figure_nbar.csv", "manifest.json"]
+
+
+def test_bogo_check_measures_the_quadrature_error_on_every_run(tmp_path, monkeypatch):
+    # The fit does not carry the quadrature error: bogo-check measures it
+    # for the config's cutoff on a fresh fit and on a cache hit alike, and
+    # both runs write the same report.
+    measured = []
+
+    def counted(n_max):
+        measured.append(n_max)
+        return modes.quadrature_error(n_max)
+
+    monkeypatch.setattr(cli, "quadrature_error", counted)
+    cache = tmp_path / "cache"
+    for run in ("fresh", "hit"):
+        argv = ["bogo-check", "--tol", "1e-4", "--nmax", "10", "--cache-dir", str(cache), "--out", str(tmp_path / run)]
+        assert main(argv) == 0  # n_max 10 truncates above the default 1e-6
+    assert measured == [10, 10]
+    assert len(list(cache.iterdir())) == 1
+    fresh, hit = ((tmp_path / run / "bogo_check.json").read_bytes() for run in ("fresh", "hit"))
+    assert fresh == hit
+    assert json.loads(hit)["quadrature_error"] == modes.quadrature_error(10)
 
 
 def test_bad_grid_exits_one(cache_dir, fit20, capsys):

@@ -33,6 +33,7 @@ from cachefiles import (
     tamper_coefficient,
     write_document,
     write_format3,
+    write_format4,
     write_parts,
 )
 from oracles import (
@@ -205,7 +206,7 @@ def test_exact_matrices_leave_a_cubic_remainder_after_two_closed_form_orders(n_m
     a1, b1 = first_order_closed_form(n_max)
     a2, b2 = second_order_closed_form(n_max)
     residuals = []
-    for h, (alpha, beta, _) in zip(hs, modes._exact_matrices(hs, n_max)):
+    for h, (alpha, beta) in zip(hs, modes._exact_matrices(hs, n_max)):
         res_a = np.abs(alpha - np.eye(n_max) - a1 * h - a2 * h * h)
         res_b = np.abs(beta - b1 * h - b2 * h * h)
         residuals.append([np.max(res[block]) for res in (res_a, res_b) for block in (..., np.s_[:20, :20])])
@@ -226,7 +227,7 @@ def test_second_order_closed_form_diagonals(n_max):
     np.testing.assert_allclose(np.diag(a2), a2_diag, rtol=4e-16, atol=0.0)
     np.testing.assert_allclose(np.diag(b2), b2_diag, rtol=4e-16, atol=0.0)
     h = 2.0e-3
-    [(alpha, beta, _)] = modes._exact_matrices([h], n_max)
+    [(alpha, beta)] = modes._exact_matrices([h], n_max)
     np.testing.assert_allclose(np.diag(alpha - np.eye(n_max)) / (h * h), a2_diag, rtol=1e-4, atol=0.0)
     np.testing.assert_allclose(np.diag(beta) / (h * h), b2_diag, rtol=1e-4, atol=0.0)
 
@@ -344,7 +345,7 @@ def test_cache_file_holds_the_two_kept_orders(tmp_path):
     path = cache_path(tmp_path, fit.n_max)
     _, header, payload = path.read_bytes().split(b"\n", 2)
     assert len(payload) == 4 * 8 * 4 * 4
-    assert json.loads(header)["key"]["format"] == 4
+    assert json.loads(header)["key"]["format"] == 5
     _, _, a, b = read_parts(path)
     assert _same_coefficients(fit, (*a, *b))
 
@@ -357,17 +358,17 @@ def test_cache_detects_corruption(tmp_path):
         get_transition(n_max=4, cache_dir=tmp_path)
 
 
-@pytest.mark.parametrize("field", ["validation", "quadrature_error"])
+@pytest.mark.parametrize("field", ["validation", "key"])
 def test_cache_checksum_covers_fit_diagnostics(tmp_path, field):
-    # bogo-check prints the stored validation error, so an edit to it must
-    # not load silently.
+    # bogo-check prints the stored validation error, so an edit to it, or to
+    # the key beside it in the header, must not load silently.
     fit = get_transition(n_max=4, cache_dir=tmp_path)
     path = cache_path(tmp_path, fit.n_max)
     digest, meta, a, b = read_parts(path)
     if field == "validation":
         meta["validation"]["max_rel_err"] = 0.0
     else:
-        meta["quadrature_error"] = 0.0
+        meta["key"]["validation_h"] = 2.0e-3
     write_parts(path, meta, a, b, digest)
     with pytest.raises(CorruptCacheError, match="checksum"):
         get_transition(n_max=4, cache_dir=tmp_path)
@@ -467,7 +468,7 @@ def test_cache_upgrade_leaves_format3_file_and_saves_its_first_two_orders(tmp_pa
     # The format-3 file of n_max 10, as the last format-3 release wrote it
     # (that release named it transition_836584e4f85b37de.bin), is neither
     # read nor deleted: a fresh fit is made and saved beside it, and the
-    # format-4 file holds the format-3 file's orders one and two bit for bit.
+    # format-5 file holds the format-3 file's orders one and two bit for bit.
     old = write_format3(tmp_path, ladder10)
     assert old.name == "transition_836584e4f85b37de.bin"
     before = old.read_bytes()
@@ -486,7 +487,35 @@ def test_cache_upgrade_leaves_format3_file_and_saves_its_first_two_orders(tmp_pa
     _, meta, a, b = read_parts(path)
     assert _same_coefficients(fit, (*a, *b))
     assert _same_coefficients(fit, (*ladder10.a[:2], *ladder10.b[:2]))
-    assert (meta["validation"], meta["quadrature_error"]) == (ladder10.validation, ladder10.quadrature_error)
+    assert meta == {"key": meta["key"], "validation": ladder10.validation}
+
+
+def test_cache_upgrade_leaves_format4_file_and_saves_its_payload(tmp_path, monkeypatch, ladder10):
+    # The format-4 file of n_max 10, byte for byte as the last format-4
+    # release saved it (name included), is neither read nor deleted: a fresh
+    # fit is made and saved beside it.  The format-5 file holds the same
+    # coefficient bytes, and its header the key and the validation alone.
+    old = write_format4(tmp_path, ladder10)
+    assert old.name == "transition_3255b5aeeabf146f.bin"
+    before = old.read_bytes()
+    fits = []
+
+    def counted_fit(n_max):
+        fits.append(fit_transition(n_max))
+        return fits[-1]
+
+    monkeypatch.setattr(modes, "fit_transition", counted_fit)
+    fit = get_transition(n_max=10, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.n_max)
+    assert fits == [fit]
+    assert sorted(tmp_path.iterdir()) == sorted([old, path])
+    assert old.read_bytes() == before
+    _, old_header, old_payload = before.split(b"\n", 2)
+    _, header, payload = path.read_bytes().split(b"\n", 2)
+    assert payload == old_payload
+    assert "quadrature_error" in json.loads(old_header)
+    assert json.loads(header) == {"key": modes._cache_key(10), "validation": ladder10.validation}
+    assert modes._cache_key(10)["format"] == 5
 
 
 def test_fit_matches_per_acceleration_loop(ladder10):
@@ -496,27 +525,52 @@ def test_fit_matches_per_acceleration_loop(ladder10):
     fit = fit_transition(n_max=10)
     assert _same_coefficients(fit, (*ladder10.a[:2], *ladder10.b[:2]))
     assert fit.validation == ladder10.validation
-    assert fit.quadrature_error == ladder10.quadrature_error
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_quadrature_error_equals_the_per_acceleration_loop(n_max):
+    # The largest coarse-to-fine change over the ladder, as the fit measured
+    # it before it moved out of the fit, bit for bit.
+    assert modes.quadrature_error(n_max) == fit_by_exact_loop(n_max=n_max).quadrature_error
 
 
 @pytest.mark.parametrize("n_max", [10, 20])
 def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max):
-    # The held-out acceleration feeds only the validation, so the fit skips
-    # its coarse rule.  That must leave every bit of the fit as it is when
-    # all five accelerations go through both rules.
+    # The fit evaluates all five accelerations on one shared inertial table.
+    # Each acceleration on a table of its own gives the same bits, and so
+    # does the fit built on those matrices.
     hs = (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)
-    both_rules = modes._exact_matrices(hs, n_max)
-    refined_held_out = modes._exact_matrices(hs, n_max, held_out=1)
-    for (a, b, _), (a_r, b_r, _) in zip(both_rules, refined_held_out):
-        assert np.array_equal(a, a_r) and np.array_equal(b, b_r)
-    assert [err for *_, err in refined_held_out] == [err for *_, err in both_rules[:-1]] + [None]
+    shared = modes._exact_matrices(hs, n_max)
+    one_by_one = [modes._exact_matrices([h], n_max)[0] for h in hs]
+    for (a, b), (a_1, b_1) in zip(shared, one_by_one):
+        assert np.array_equal(a, a_1) and np.array_equal(b, b_1)
 
     fit = fit_transition(n_max=n_max)
-    monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max, held_out: both_rules)
+    monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max: one_by_one)
     route = fit_transition(n_max=n_max)
     assert _same_coefficients(fit, route)
-    assert fit.quadrature_error == route.quadrature_error
     assert fit.validation == route.validation
+
+
+def test_fit_builds_one_table_and_five_matrix_pairs(monkeypatch):
+    # One rule: its inertial table is built once, and the four rungs and the
+    # held-out acceleration each take one pair of matrices from it.
+    tables, calls = [], []
+    inertial_rule, transition_matrices = modes._inertial_rule, modes._transition_matrices
+
+    def counted_rule(n_max, panels):
+        tables.append(panels)
+        return inertial_rule(n_max, panels)
+
+    def counted_matrices(h, *rest):
+        calls.append(h)
+        return transition_matrices(h, *rest)
+
+    monkeypatch.setattr(modes, "_inertial_rule", counted_rule)
+    monkeypatch.setattr(modes, "_transition_matrices", counted_matrices)
+    fit_transition(n_max=10)
+    assert tables == [modes._panels(10)] == [40]
+    assert calls == [*DEFAULT_LADDER, DEFAULT_VALIDATION_H]
 
 
 def test_cache_hit_equals_fresh_fit(tmp_path):
@@ -524,7 +578,7 @@ def test_cache_hit_equals_fresh_fit(tmp_path):
         fresh = fit_transition(n_max=n_max)
         hit = load_transition(save_transition(fresh, tmp_path))
         assert _same_coefficients(hit, fresh)
-        assert (hit.validation, hit.quadrature_error) == (fresh.validation, fresh.quadrature_error)
+        assert hit.validation == fresh.validation
         assert hit.n_max == fresh.n_max
 
 
