@@ -41,6 +41,7 @@ from .channel import (
     cp_residual,
     free_channel,
     grid_segments,
+    reduced_channel,
     segment_channel,
     t2_from_sums,
 )

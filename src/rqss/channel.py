@@ -15,12 +15,12 @@ phase, goes through the same arithmetic as a single channel, matrix by matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
-from .modes import STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
+from .modes import _STACKED_SUMS, STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -82,58 +82,51 @@ def free_channel(phi: float) -> PerturbativeChannel:
     return PerturbativeChannel._adopt(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
-def _segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
-    """`segment_channel` of one segment or, stacked, of a stack of segments."""
-    row = bogo.row(k)
-    m0 = complex_pair_block(bogo.alpha0[..., row], 0.0)
-    m2 = complex_pair_block(bogo.alpha2[..., row, row], bogo.beta2[..., row, row])
-    others = np.arange(bogo.n_max) != k - 1
-    blk = complex_pair_block(bogo.alpha1[..., row, others], bogo.beta1[..., row, others])
-    # One coupled mode after another, in mode order.
-    n2 = np.sum(blk @ _transpose(blk), axis=-3)
-    return PerturbativeChannel._adopt(m0, m2, n2)
+def reduced_channel(sums: ModeSums) -> PerturbativeChannel:
+    """Reduced channel on mode k from its `ModeSums`: one segment, or a stack of them.
+
+    Zeroth order rotates by the segment phase of mode k, and the second-order
+    deformation is the quadrature block of the diagonal entries (alpha2,
+    beta2).  The couplings to every other mode give the noise block
+
+        n2 = 2 (f_alpha + f_beta) I + 2 [[-Re g, Im g], [Im g, Re g]].
+    """
+    m0 = complex_pair_block(sums.alpha0, 0.0)
+    m2 = complex_pair_block(sums.alpha2, sums.beta2)
+    iso = np.multiply.outer(2.0 * (sums.f_alpha + sums.f_beta), _identity(1))
+    return PerturbativeChannel._adopt(m0, m2, iso + 2.0 * complex_pair_block(0.0, sums.g_cross))
 
 
 def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
-    """Reduced channel on mode k across one accelerated segment.
-
-    Zeroth order rotates by the segment phase of mode k; the second-order
-    deformation comes from the diagonal mode-map entries and the noise block
-    from the first-order couplings to every other mode.
-    """
+    """Reduced channel on mode k across one accelerated segment."""
     # One segment only: the benchmark's tracer (perfbench/tracing.py) hashes
-    # this call's `bogo.u`, so stacks go through `_segment_channel`.
-    return _segment_channel(bogo, k)
+    # this call's `bogo.u`, so the stacked walks call `reduced_channel`.
+    return reduced_channel(mode_sums(bogo, k))
 
 
-def _join(stacks):
-    """Consecutive stacks of a channel or of a mode's sums as one stack along u; a single stack as it is."""
-    if len(stacks) == 1:
-        return stacks[0]
-    first = stacks[0]
-    arrays = [f.name for f in fields(first) if np.ndim(getattr(first, f.name))]
-    return replace(first, **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in arrays})
+def grid_segments(fit: TransitionFit, us, modes) -> list:
+    """The `ModeSums` of each mode of `modes` at every phase in `us`: one stack over u per mode, in order.
 
-
-def grid_segments(fit: TransitionFit, us, modes, channels: bool = True, sums: bool = True):
-    """Segment channels and mode sums at every phase in `us`: two lists in the order of `modes`.
-
-    Each item is one mode's stack over u; a list not asked for is empty.
     The maps are built on the rows of `modes` only, in consecutive stacks of
     at most `STACK_ENTRIES` entries per stacked array (at least one phase),
     so a large cutoff walks the grid a few phases at a time.  Each stack is
-    reduced at once to what was asked for, and the reductions of several
-    stacks are then joined.
+    reduced at once, and the sums of consecutive stacks are joined along u.
     """
     us = np.asarray(us, dtype=float)
     m = len(modes) or 1  # no modes at all: the build raises
     size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
-    chans, sums_by_stack = [], []
+    per_stack = []
     for start in range(0, max(us.size, 1), size):
         maps = segment_maps(fit, us[start : start + size], modes)
-        chans.append([_segment_channel(maps, k) for k in modes] if channels else [])
-        sums_by_stack.append([mode_sums(maps, k) for k in modes] if sums else [])
-    return [_join(per_mode) for per_mode in zip(*chans)], [_join(per_mode) for per_mode in zip(*sums_by_stack)]
+        per_stack.append([mode_sums(maps, k) for k in modes])
+    return [_join(per_mode) for per_mode in zip(*per_stack)]
+
+
+def _join(stacks) -> ModeSums:
+    """Consecutive stacks of a mode's sums as one stack along u; a single stack as it is."""
+    if len(stacks) == 1:
+        return stacks[0]
+    return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_SUMS})
 
 
 def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> PerturbativeChannel:

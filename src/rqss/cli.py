@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .gaussian import UnphysicalStateError
 from .modes import CorruptCacheError, quadrature_error, segment_maps
-from .channel import channel_invariants, cp_residual, grid_segments
+from .channel import channel_invariants, cp_residual, grid_segments, reduced_channel
 from .protocol import (
     CalibrationError,
     FIGURE_MODES,
@@ -159,24 +159,16 @@ def _load_config(args) -> ProtocolConfig:
     if args.config is not None:
         with open(args.config) as fh:
             data = json.load(fh)
-    overrides = {}
-    for attr, field_name in (
-        ("nmax", "n_max"),
-        ("s", "s"),
-        ("k", "k"),
-        ("h", "h"),
-        ("u", "u"),
-        ("cache_dir", "cache_dir"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
+    flags = (("nmax", "n_max"), ("s", "s"), ("k", "k"), ("h", "h"), ("u", "u"), ("cache_dir", "cache_dir"))
+    overrides = {name: getattr(args, attr) for attr, name in flags if getattr(args, attr, None) is not None}
     if getattr(args, "secret", None) is not None:
         kind, params = _parse_secret(args.secret)
         overrides["secret"] = kind
         overrides["secret_params"] = params
-    # A file that is not a JSON object goes to from_dict as it is, to be rejected.
-    return ProtocolConfig.from_dict({**data, **overrides} if isinstance(data, dict) else data)
+    # The subcommand's own defaults sit below the file's values; a file that
+    # is not a JSON object goes to from_dict as it is, to be rejected.
+    defaults = getattr(args, "config_defaults", {})
+    return ProtocolConfig.from_dict({**defaults, **data, **overrides} if isinstance(data, dict) else data)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +182,19 @@ _PARITY_TOL = 1e-8
 
 def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     fit = config.transition()
-    bogo = segment_maps(fit, args.u if args.u is not None else 0.3, range(1, config.n_max + 1))
+    bogo = segment_maps(fit, config.u, range(1, config.n_max + 1))
     j_top = min(5, config.n_max)
 
     idx = np.arange(config.n_max)
     even = (idx[:, None] + idx[None, :]) % 2 == 0  # even mode-number sum
     parity = max(float(np.max(np.abs(fit.a1[even]))), float(np.max(np.abs(fit.b1[even]))))
     order2 = float(np.max(bogo.identity_residuals_order2()[:j_top]))
-    evaluated = float(np.max(bogo.identity_residuals_at(args.h)[:j_top]))
+    evaluated = float(np.max(bogo.identity_residuals_at(config.h)[:j_top]))
 
     report = {
         "n_max": config.n_max,
         "u": bogo.u,
-        "h": args.h,
+        "h": config.h,
         "modes_checked": j_top,
         "first_order_parity_max": parity,
         "identity_order2_max": order2,
@@ -217,17 +209,17 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
 
     print(f"first-order parity residual : {parity:.3e}  (tol {_PARITY_TOL:.1e})")
     print(f"identity residual, order h^2: {order2:.3e}  (tol {args.tol:.1e})")
-    print(f"identity residual at h={args.h:g}: {evaluated:.3e}  (tol {args.tol:.1e})")
+    print(f"identity residual at h={config.h:g}: {evaluated:.3e}  (tol {args.tol:.1e})")
     print(f"fit validation rel err      : {fit.validation['max_rel_err']:.3e}")
     print("PASS" if ok else "FAIL")
 
-    _emit_json(args, argv, "bogo_check.json", report, {"n_max": config.n_max, "h": args.h})
+    _emit_json(args, argv, "bogo_check.json", report, {"n_max": config.n_max, "h": config.h})
     return 0 if ok else 2
 
 
 def _invariant_rows(fit, grid, h: float):
     """Rows (u, k, T2, nbar, rank) over the grid and the plotted modes, and the least CP residual at h."""
-    chans, _ = grid_segments(fit, grid, FIGURE_MODES, sums=False)  # one stack over u per mode
+    chans = [reduced_channel(sums) for sums in grid_segments(fit, grid, FIGURE_MODES)]  # one stack over u per mode
     per_mode = [[v.tolist() for v in (inv.t2, inv.nbar, inv.rank)] for inv in map(channel_invariants, chans)]
     rows = [[u, k, *(col[i] for col in cols)] for i, u in enumerate(grid) for k, cols in zip(FIGURE_MODES, per_mode)]
     return rows, min([np.inf, *(cp for chan in chans for cp in cp_residual(*chan.evaluate(h)).tolist())])
@@ -337,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bogo-check", help="mode-map identity residuals of the fitted coefficients")
     _add_common(p)
-    p.add_argument("--h", type=float, default=1e-3, help="acceleration for the evaluated identity")
+    p.add_argument("--h", type=float, default=None, help="acceleration for the evaluated identity (default 1e-3)")
     p.add_argument("--u", type=float, default=None, help="segment phase parameter (default 0.3)")
     tol_help = f"identity residual tolerance; the parity check keeps its fixed {_PARITY_TOL:g}"
     p.add_argument("--tol", type=_tolerance, default=1e-6, help=tol_help)
-    p.set_defaults(handler=_cmd_bogo_check)
+    p.set_defaults(handler=_cmd_bogo_check, config_defaults={"h": 1e-3, "u": 0.3})
 
     p = subs.add_parser("invariants", help="channel invariants on a u-grid (CSV: u,k,T2,nbar,r)")
     _add_common(p)

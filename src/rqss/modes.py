@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -430,14 +430,17 @@ def segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
 
 
 # ---------------------------------------------------------------------------
-# first-order mode sums driving the effective channel
+# the six numbers of a mode's reduced channel
 
 
 @dataclass(frozen=True)
 class ModeSums:
-    """Row sums of first-order segment couplings for one monitored mode.
+    """What the reduced channel of one monitored mode k reads off the segment maps.
 
-    Arrays over u for a stack of segments.
+    The row sums of the first-order couplings to every other mode (f_alpha,
+    f_beta and the cross sum g), and mode k's diagonal map entries: the
+    zeroth-order phase alpha0 and the second-order alpha2 and beta2, taken at
+    (k, k).  Arrays over u for a stack of segments.
     """
 
     k: int
@@ -446,14 +449,21 @@ class ModeSums:
     f_alpha: float
     f_beta: float
     g_cross: complex
+    alpha0: complex
+    alpha2: complex
+    beta2: complex
 
     def __getitem__(self, index) -> "ModeSums":
-        """The sums at `index` of a stack."""
-        return ModeSums(self.k, self.u[index], self.n_max, self.f_alpha[index], self.f_beta[index], self.g_cross[index])
+        """The sums and entries at `index` of a stack."""
+        return replace(self, **{name: getattr(self, name)[index] for name in _STACKED_SUMS})
+
+
+# The fields of `ModeSums` that carry the u axis of a stack.
+_STACKED_SUMS = ("u", "f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")
 
 
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
-    """f_alpha, f_beta and the cross sum g for mode k (numbered from 1).
+    """f_alpha, f_beta, the cross sum g and the diagonal entries for mode k (numbered from 1).
 
     Broadcasts over a stack of segments.  Each row is summed as one
     contiguous run, so a stacked row adds up exactly like a single one (the
@@ -466,6 +476,5 @@ def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     f_alpha = 0.5 * np.add.reduce(np.abs(arow) ** 2, axis=-1)
     f_beta = 0.5 * np.add.reduce(np.abs(brow) ** 2, axis=-1)
     g_cross = np.add.reduce(arow * brow, axis=-1)
-    return ModeSums(
-        k=k, u=bogo.u, n_max=bogo.n_max, f_alpha=_item(f_alpha), f_beta=_item(f_beta), g_cross=_item(g_cross)
-    )
+    diagonal = (bogo.alpha0[..., row], bogo.alpha2[..., row, row], bogo.beta2[..., row, row])
+    return ModeSums(k, bogo.u, bogo.n_max, *map(_item, (f_alpha, f_beta, g_cross, *diagonal)))

@@ -47,6 +47,7 @@ from .channel import (
     compose,
     free_channel,
     grid_segments,
+    reduced_channel,
     second_order_moments,
     t2_from_sums,
 )
@@ -198,7 +199,7 @@ def inertial_phase(k: int, u: float) -> float:
     return math.pi - 2.0 * (2.0 * math.pi * k * u)
 
 
-def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray, sums: bool = True):
+def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     """The journeys of a scenario at every phase in `us` as one stack, and their segments' mode sums.
 
     Scenarios 23 and 13 send shares on a transit: segment, tuned free leg,
@@ -206,13 +207,13 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray, sums: b
     them on a round trip, whose two middle segments merge into one of phase
     2u: a rotation by exactly 2 pi.  A transit has the sums of its u
     segments, a round trip those of its u and of its 2u segments, each
-    distinct phase of u and 2u built once; without `sums` the list is empty
-    and no mode sum is built.
+    distinct phase of u and 2u built and reduced once.
     """
     leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
-        (seg,), per_mode = grid_segments(fit, us, (k,), sums=sums)
-        return compose(seg, compose(leg, seg)), per_mode
+        (sums,) = grid_segments(fit, us, (k,))
+        seg = reduced_channel(sums)
+        return compose(seg, compose(leg, seg)), [sums]
     # The distinct phases of u and 2u in order, and where each one went: a
     # set, because the first np.unique call of a process maps about 0.5 MB
     # more of numpy into memory.
@@ -220,11 +221,12 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray, sums: b
     phases = sorted(set(both))
     index = {phase: i for i, phase in enumerate(phases)}
     where = np.array([index[phase] for phase in both], dtype=int)
-    (segs,), per_mode = grid_segments(fit, np.array(phases), (k,), sums=sums)
+    (sums,) = grid_segments(fit, np.array(phases), (k,))
+    segs = reduced_channel(sums)
     out, mid = where[: us.size], where[us.size :]
     seg = segs[out]
     journeys = compose(seg, compose(leg, compose(segs[mid], compose(leg, seg))))
-    return journeys, [stack[at] for stack in per_mode for at in (out, mid)]
+    return journeys, [sums[out], sums[mid]]
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
@@ -321,7 +323,7 @@ def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit,
     if h is not None:
         config = replace(config, h=h)
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    journeys, _ = _journeys(scenario, config.transition(fit), config.k, np.array([config.u]), sums=False)
+    journeys, _ = _journeys(scenario, config.transition(fit), config.k, np.array([config.u]))
     secret = config.make_secret()
     return _decoded_fidelity(secret, encode(secret, config.s), *journeys[0].evaluate(config.h), decoder)
 
@@ -441,6 +443,14 @@ def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
 _GRID_STACK = STACK_ENTRIES // ((len(DEFAULT_F2_LADDER) + 1) * 36)
 
 
+def _u_grid(grid) -> np.ndarray:
+    """The points of a u-grid as a 1-d float array; a grid of another shape or with a non-finite point raises."""
+    us = np.array(grid, dtype=float)
+    if us.ndim != 1 or not np.isfinite(us).all():
+        raise ValueError(f"u-grid must be a list of finite numbers, got {grid!r}")
+    return us
+
+
 def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFit | None = None) -> list[FidelityReport]:
     """Closed-form, perturbative and simulated fidelities at every u of `grid`, one report per u.
 
@@ -456,12 +466,9 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     fit = config.transition(fit)
     grid = list(grid)
-    us = np.array(grid, dtype=float)
-    if us.ndim != 1 or not np.isfinite(us).all():
-        raise ValueError(f"u-grid must be a list of finite numbers, got {grid!r}")
-    # Only a coherent secret's closed form reads the mode sums.
+    us = _u_grid(grid)
     coherent_secret = config.secret == "coherent"
-    journeys, sums = _journeys(scenario, fit, config.k, us, sums=coherent_secret)
+    journeys, sums = _journeys(scenario, fit, config.k, us)
     secret = config.make_secret()
     encoded = encode(secret, config.s)
     # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
@@ -612,34 +619,31 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
     """(header, rows) of each summary figure in `names`, in that order, over a u-grid.
 
     The T2, nbar and F2_23 figures read one walk of the grid (`grid_segments`),
-    each distinct phase built once and only on the plotted modes' rows, and
-    that walk builds only the channels and mode sums they read; the round
-    trips are those of `fidelity_grid`, their 2u segments built in the same
-    walk as their u segments.
+    each distinct phase built and reduced once, only on the plotted modes'
+    rows; the round trips are those of `fidelity_grid`, their 2u segments
+    built in the same walk as their u segments.
     """
     names = list(names)
     for name in names:
         if name not in FIGURES:
             raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
     fit = config.transition(fit)
-    us = np.array([float(u) for u in grid])
-    channels, sums = "nbar" in names, "T2" in names or "F2_23" in names
-    chans, per_mode_sums = grid_segments(fit, us, FIGURE_MODES, channels, sums) if channels or sums else ([], [])
+    us = _u_grid(list(grid))
+    plotted = grid_segments(fit, us, FIGURE_MODES) if set(names) - {"F2_12_squeezed"} else []
     tables = []
     for name in names:
         if name == "T2":
             header = ["u"] + [f"T2_k{k}" for k in FIGURE_MODES]
-            columns = [t2_from_sums(per_mode) for per_mode in per_mode_sums]
+            columns = [t2_from_sums(per_mode) for per_mode in plotted]
         elif name == "F2_23":
             header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
-            columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in per_mode_sums]
+            columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in plotted]
         elif name == "nbar":
             header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
-            columns = [channel_invariants(per_mode).nbar for per_mode in chans]
+            columns = [channel_invariants(reduced_channel(per_mode)).nbar for per_mode in plotted]
         else:
             header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
-            chan, _ = _journeys("12", fit, config.k, us, sums=False)
+            chan, _ = _journeys("12", fit, config.k, us)
             columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
         tables.append((header, np.column_stack([us, *columns]).tolist()))
     return tables
-

@@ -5,7 +5,8 @@ different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
 quadrature tables, the protocol's stages written out one by one, the
 closed-form first- and second-order coefficients, T2 at n_max -> infinity
-as a Bernoulli polynomial, one segment or one report
+as a Bernoulli polynomial, nbar from one row of the closed-form first order,
+the noise block as a sum over coupled modes, one segment or one report
 at a time in place of the stacked u-grid, one rounding per grid point in
 place of one array call, each CSV value converted by its type before it
 is printed, per-state maxima and per-call constants in the state check, a
@@ -245,14 +246,42 @@ def first_order_closed_form(n_max: int):
     (Bruschi, Fuentes & Louko, PRD 85, 061701(R) (2012)).  Independent of
     the cavity length, since h = a L is already dimensionless.
     """
-    m = np.arange(1, n_max + 1, dtype=float)[:, None]
-    n = np.arange(1, n_max + 1, dtype=float)[None, :]
+    modes = np.arange(1, n_max + 1, dtype=float)
+    return _first_order_entries(modes[:, None], modes[None, :])
+
+
+def _first_order_entries(m, n):
+    """(a1, b1) of `first_order_closed_form` at mode numbers m and n, float arrays that broadcast."""
     odd = (m + n) % 2 == 1
     root = np.sqrt(m * n)
     diff = np.where(odd, m - n, 1.0)  # m = n only where m + n is even
     a1 = np.where(odd, -2.0 * root / (np.pi**2 * diff**3), 0.0)
     b1 = np.where(odd, 2.0 * root / (np.pi**2 * (m + n) ** 3), 0.0)
     return a1, b1
+
+
+def nbar_row_only(k: int, us, n_max: int) -> np.ndarray:
+    """nbar of mode k at the phases `us` from row k of the closed-form first order alone.
+
+    f_alpha, f_beta and g are the sums of `mode_sums` over l != k, with
+    alpha1[k, l] = a1[k, l] (ebar_k - ebar_l) and beta1[k, l] = b1[k, l]
+    (ebar_k - e_l): O(n_max) per phase, no n_max x n_max matrix.  With
+    S = f_alpha + f_beta and D = f_alpha - f_beta, nbar = sqrt(S^2 - |g|^2)
+    / (2D) - 1/2 is evaluated as (4 f_alpha f_beta - |g|^2) / (2D (sqrt(S^2
+    - |g|^2) + D)), which subtracts no 1/2 from a value near 1/2.
+    """
+    us = np.asarray(us, dtype=float)[:, None]
+    n = np.arange(1, n_max + 1, dtype=float)
+    n = n[n != k]
+    a1, b1 = _first_order_entries(float(k), n)
+    ebar_k = np.exp(2j * np.pi * k * us)
+    alpha1 = a1 * (ebar_k - np.exp(2j * np.pi * n * us))
+    beta1 = b1 * (ebar_k - np.exp(-2j * np.pi * n * us))
+    f_alpha = 0.5 * np.sum(np.abs(alpha1) ** 2, axis=-1)
+    f_beta = 0.5 * np.sum(np.abs(beta1) ** 2, axis=-1)
+    g2 = np.abs(np.sum(alpha1 * beta1, axis=-1)) ** 2
+    s, d = f_alpha + f_beta, f_alpha - f_beta
+    return (4.0 * f_alpha * f_beta - g2) / (2.0 * d * (np.sqrt(s * s - g2) + d))
 
 
 def second_order_closed_form(n_max: int):
@@ -392,7 +421,7 @@ def nbar_from_sums(sums: ModeSums) -> float:
 
 
 def noise_block_loop(bogo: BogoliubovSet, k: int) -> np.ndarray:
-    """n2 of `segment_channel` summed one coupled mode at a time, in mode order."""
+    """n2 of mode k as the sum of each coupled mode's block blk blk^T, in mode order; the package reads it off the mode sums."""
     row = k - 1
     n2 = np.zeros((2, 2))
     for l in range(bogo.n_max):
@@ -403,7 +432,7 @@ def noise_block_loop(bogo: BogoliubovSet, k: int) -> np.ndarray:
 
 
 def noise_block_from_sums(sums: ModeSums) -> np.ndarray:
-    """n2 reconstructed from (f_alpha, f_beta, g); equals the matrix route."""
+    """n2 from (f_alpha, f_beta, g): the isotropic part plus the skew part, as two 2 x 2 matrices."""
     g = sums.g_cross
     iso = 2.0 * (sums.f_alpha + sums.f_beta) * np.eye(2)
     skew = 2.0 * np.array([[-g.real, g.imag], [g.imag, g.real]])

@@ -17,7 +17,7 @@ from rqss.modes import cache_path, get_transition
 from rqss.protocol import ProtocolConfig
 
 from cachefiles import tamper_coefficient
-from oracles import csv_text_by_type, grid_point_by_point
+from oracles import csv_text_by_type, full_maps, grid_point_by_point
 
 
 def _args(cache_dir, *rest, nmax=20):
@@ -82,6 +82,25 @@ def test_bogo_check_parity_tolerance_is_one_constant(cache_dir, fit20, tmp_path,
     report = json.loads((out / "bogo_check.json").read_text())
     assert report["parity_tolerance"] == -1.0
     assert report["pass"] is False
+
+
+def test_bogo_check_takes_h_and_u_from_a_config_file_below_its_flags(cache_dir, fit20, tmp_path):
+    # bogo-check's own defaults (h 1e-3, u 0.3) sit below a config file's
+    # values, and the flags sit above both.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"h": 0.005, "u": 0.7}))
+    runs = {
+        "defaults": ([], (1e-3, 0.3)),
+        "file": (["--config", str(config)], (0.005, 0.7)),
+        "flags": (["--config", str(config), "--h", "0.002", "--u", "0.4"], (0.002, 0.4)),
+    }
+    for name, (extra, (h, u)) in runs.items():
+        out = tmp_path / name
+        assert main(["bogo-check", *extra, "--out", str(out), *_args(cache_dir)]) == 0
+        report = json.loads((out / "bogo_check.json").read_text())
+        assert (report["h"], report["u"]) == (h, u), name
+        assert report["identity_at_h_max"] == float(np.max(full_maps(fit20, u).identity_residuals_at(h)[:5]))
+        assert json.loads((out / "manifest.json").read_text())["parameters"] == {"n_max": 20, "h": h}
 
 
 def test_invariants_csv(cache_dir, fit20, tmp_path):

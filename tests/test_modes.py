@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss import modes
-from rqss.channel import channel_invariants, grid_segments, t2_from_sums
+from rqss.channel import channel_invariants, grid_segments, reduced_channel, t2_from_sums
 from rqss.modes import (
     DEFAULT_LADDER,
     DEFAULT_VALIDATION_H,
@@ -47,6 +47,8 @@ from oracles import (
     kg_inner_product,
     minkowski_frequency,
     minkowski_slice,
+    nbar_from_sums,
+    nbar_row_only,
     phase_u,
     rindler_frequency,
     rindler_frequency_proper,
@@ -238,10 +240,9 @@ def test_quarter_phase_t2_on_closed_form_coefficients(n_max):
     # segment maps and channel invariants on the closed-form coefficients:
     # within two ulps at every cutoff.
     modes_ = (1, 2, 3)
-    chans, _ = grid_segments(closed_form_transition(n_max), np.array([0.25]), modes_, sums=False)
-    for k, chan in zip(modes_, chans):
+    for k, sums in zip(modes_, grid_segments(closed_form_transition(n_max), np.array([0.25]), modes_)):
         target = k * k * np.pi**2 / 60.0
-        assert abs(channel_invariants(chan).t2[0] - target) <= 2 * np.spacing(target), k
+        assert abs(channel_invariants(reduced_channel(sums)).t2[0] - target) <= 2 * np.spacing(target), k
 
 
 def test_both_t2_routes_reach_the_exact_limit_at_n_max_640():
@@ -251,11 +252,27 @@ def test_both_t2_routes_reach_the_exact_limit_at_n_max_640():
     # errors 9.6e-13 and 2.4e-13), on u = i/64.
     us = np.arange(1, 64) / 64
     modes_ = (1, 2, 3)
-    chans, sums = grid_segments(closed_form_transition(640), us, modes_)
-    for k, chan, per_mode in zip(modes_, chans, sums):
+    for k, per_mode in zip(modes_, grid_segments(closed_form_transition(640), us, modes_)):
         limit = t2_limit(k, us)
-        np.testing.assert_allclose(channel_invariants(chan).t2, limit, rtol=2e-12, atol=0.0)
+        np.testing.assert_allclose(channel_invariants(reduced_channel(per_mode)).t2, limit, rtol=2e-12, atol=0.0)
         np.testing.assert_allclose(t2_from_sums(per_mode), limit, rtol=2e-12, atol=0.0)
+
+
+def test_nbar_at_n_max_160_is_within_its_truncation_of_a_row_only_nbar_at_n_max_10000():
+    # Row k of the closed-form first order gives the mode sums at N = 10^4
+    # in O(N) per phase, with no N x N matrix.  On u = i/32 both nbar routes
+    # at n_max 160 sit within its cutoff's truncation of that nbar (largest
+    # measured 1.45e-5 through the channel invariants and 1.32e-5 from the
+    # sums, both at k = 3).  At n_max 160 the row-only route meets the sums
+    # route within the rounding of the subtracted 1/2 (2.0e-11 measured).
+    us = np.arange(1, 32) / 32
+    modes_ = (1, 2, 3)
+    for k, sums in zip(modes_, grid_segments(closed_form_transition(160), us, modes_)):
+        converged = nbar_row_only(k, us, 10_000)
+        np.testing.assert_allclose(channel_invariants(reduced_channel(sums)).nbar, converged, rtol=2e-5, atol=0.0)
+        from_sums = [nbar_from_sums(sums[i]) for i in range(us.size)]
+        np.testing.assert_allclose(from_sums, converged, rtol=2e-5, atol=0.0)
+        np.testing.assert_allclose(nbar_row_only(k, us, 160), from_sums, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -446,10 +446,10 @@ def test_journeys_equal_the_identity_start_bit_for_bit(fit20, scenario):
     # composing onto the identity could flip; the journeys keep every bit.
     us, k = np.array([0.0, 0.5, 1.0]), 1
     journeys, _ = protocol._journeys(scenario, fit20, k, us)
-    (seg,), _ = channel.grid_segments(fit20, us, (k,), sums=False)
+    seg = channel.reduced_channel(*channel.grid_segments(fit20, us, (k,)))
     leg = channel.free_channel(inertial_phase(k, us))
     if scenario == "12":
-        (seg_mid,), _ = channel.grid_segments(fit20, 2.0 * us, (k,), sums=False)
+        seg_mid = channel.reduced_channel(*channel.grid_segments(fit20, 2.0 * us, (k,)))
         parts = [seg, leg, seg_mid, leg, seg]
     else:
         parts = [seg, leg, seg]
@@ -513,21 +513,20 @@ def test_simulation_equals_stage_sequence_oracle(fit20, scenario, secret, params
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
-def test_journeys_build_mode_sums_only_where_they_are_read(fit20, monkeypatch, scenario):
-    # A squeezed secret's fidelities, one acceleration's simulation and the
-    # squeezed round-trip figure read no mode sum; a coherent secret's closed
-    # form reads those of its one walk.
+def test_journeys_reduce_each_map_stack_once(fit20, monkeypatch, scenario):
+    # Each journey build walks one stack of segment maps here and reduces it
+    # once, on mode k, to the mode sums that its channels and a coherent
+    # secret's closed form are both built from, whatever the secret.
     calls = []
     mode_sums = channel.mode_sums
-    monkeypatch.setattr(channel, "mode_sums", lambda *args: calls.append(args) or mode_sums(*args))
+    monkeypatch.setattr(channel, "mode_sums", lambda bogo, k: calls.append(k) or mode_sums(bogo, k))
     squeezed = _cfg(k=1, s=1.0, secret="squeezed", secret_params=(0.25,))
     fidelity_grid(scenario, squeezed, TABLE_GRID, fit20)
     fidelity_report(scenario, replace(squeezed, u=0.3), fit20)
     simulate_fidelity(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     figure_tables(["F2_12_squeezed"], fit20, TABLE_GRID, squeezed)
-    assert calls == []
     fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
-    assert len(calls) == 1
+    assert calls == [1] * 5
 
 
 def test_a_fit_of_another_cutoff_is_rejected(fit20):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rqss import channel, cli, protocol
-from rqss.channel import channel_invariants, cp_residual, grid_segments, segment_channel
+from rqss.channel import channel_invariants, cp_residual, grid_segments, reduced_channel, segment_channel
 from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
 from rqss.modes import STACK_ENTRIES, BogoliubovSet, get_transition, mode_sums, segment_maps
@@ -29,6 +29,7 @@ TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 QUARTER_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # u = 0 and 1 carry no noise block
 EDGE_GRID = [0.0, 0.5, 1.0, 1.5]  # no noise block at whole u; 1.5 beyond the first period
 MAP_NAMES = ("alpha0", "alpha1", "beta1", "alpha2", "beta2")
+SUM_NAMES = ("f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")  # the stacked `ModeSums` fields but u
 SECRETS = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
 
 
@@ -61,7 +62,7 @@ def _map_stacks(fit, us, modes):
     stacks, build = [], channel.segment_maps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(channel, "segment_maps", lambda *args: stacks.append(build(*args)) or stacks[-1])
-        grid_segments(fit, us, modes, channels=False, sums=False)
+        grid_segments(fit, us, modes)
     return stacks
 
 
@@ -156,7 +157,7 @@ def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_d
         return events[-1]
 
     monkeypatch.setattr(channel, "segment_maps", watched)
-    chans, sums = grid_segments(fit, FIGURE_GRID, FIGURE_MODES)
+    sums = grid_segments(fit, FIGURE_GRID, FIGURE_MODES)
     events.append("returned")
     stacks = events[1:-1:2]
     assert events == [event for maps in stacks for event in ("called", maps)] + ["returned"]
@@ -170,20 +171,21 @@ def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_d
         # The (U, n, 2m) factor of the second-order product, and each array handed out.
         assert maps.u.size * n_max * 2 * m <= STACK_ENTRIES
         assert all(getattr(maps, name).size <= STACK_ENTRIES for name in MAP_NAMES)
-    assert [chan.m0.shape for chan in chans] == [(len(FIGURE_GRID), 2, 2)] * m
     assert [per_mode.u.size for per_mode in sums] == [len(FIGURE_GRID)] * m
+    assert all(np.shape(getattr(per_mode, name)) == (len(FIGURE_GRID),) for per_mode in sums for name in SUM_NAMES)
 
 
 def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
     us = np.array(QUARTER_GRID + TABLE_GRID)
-    chans, grid_sums = grid_segments(fit20, us, (1, 2, 3))
+    grid_sums = grid_segments(fit20, us, (1, 2, 3))
+    chans = [reduced_channel(per_mode) for per_mode in grid_sums]
     assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * 3
     for j, k in enumerate((1, 2, 3)):
         inv = channel_invariants(chans[j])
         cp = cp_residual(*chans[j].evaluate(1e-2))
         per_mode = grid_sums[j]
         assert per_mode.k == k and np.array_equal(per_mode.u, us)
-        sums = [(per_mode.f_alpha[i], per_mode.f_beta[i], per_mode.g_cross[i]) for i in range(us.size)]
+        sums = [tuple(getattr(per_mode, name)[i] for name in SUM_NAMES) for i in range(us.size)]
         for i, u in enumerate(us):
             bogo = full_maps(fit20, u)
             one = segment_channel(bogo, k)
@@ -194,7 +196,7 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
             np.testing.assert_array_equal(inv.nbar[i], single.nbar)
             assert cp[i] == cp_residual(*one.evaluate(1e-2))
             one_sums = mode_sums(bogo, k)
-            assert sums[i] == (one_sums.f_alpha, one_sums.f_beta, one_sums.g_cross)
+            assert sums[i] == tuple(getattr(one_sums, name) for name in SUM_NAMES)
 
 
 @pytest.mark.parametrize("modes", [(1,), (2,), (1, 2, 3)])
@@ -205,9 +207,8 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
     us = _phases()
     stacks = _map_stacks(any_fit, us, modes)
     assert len(stacks) > 1 or (any_fit.n_max, len(modes)) == (20, 1)
-    chans, sums = grid_segments(any_fit, us, modes)
-    assert grid_segments(any_fit, us, modes, channels=False)[0] == []
-    assert grid_segments(any_fit, us, modes, sums=False)[1] == []
+    sums = grid_segments(any_fit, us, modes)
+    chans = [reduced_channel(per_mode) for per_mode in sums]
     assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * len(modes) and len(sums) == len(modes)
     at = 0
     for maps in stacks:
@@ -219,17 +220,18 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
                 assert np.array_equal(getattr(chans[j], name)[rows], getattr(one, name)), (name, k)
             one_sums = mode_sums(maps, k)
             assert (sums[j].k, sums[j].n_max) == (k, any_fit.n_max)
-            for name in ("u", "f_alpha", "f_beta", "g_cross"):
+            for name in ("u", *SUM_NAMES):
                 assert np.array_equal(getattr(sums[j], name)[rows], getattr(one_sums, name)), (name, k)
     assert at == us.size
 
 
 def _count_walks(monkeypatch):
-    """Count the walks over a grid (`grid_segments` calls) and, within them, the map stacks, segment channels and mode sums built."""
-    counts = {"grid_segments": 0, "segment_maps": 0, "_segment_channel": 0, "mode_sums": 0}
+    """Count the walks over a grid (`grid_segments` calls), the map stacks and mode sums they build, and the channels built from the sums."""
+    counts = {"grid_segments": 0, "segment_maps": 0, "mode_sums": 0, "reduced_channel": 0}
     for name in counts:
-        # The package walks a grid from `rqss.protocol` and from the CLI's invariants table.
-        namespaces = (protocol, cli) if name == "grid_segments" else (channel,)
+        # The package walks a grid and builds channels from `rqss.protocol`
+        # and from the CLI's invariants table.
+        namespaces = (protocol, cli) if name in ("grid_segments", "reduced_channel") else (channel,)
         build = getattr(namespaces[0], name)
 
         def counting(*args, _name=name, _build=build, **kwargs):
@@ -244,10 +246,10 @@ def _count_walks(monkeypatch):
 @pytest.mark.parametrize("n_max", [20, 40])
 @pytest.mark.parametrize("consumer", ["invariants", *FIGURES, "fidelity 12", "fidelity 23"])
 def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
-    # One walk per table, whatever the number of map stacks it spans; the
-    # mode-sum figures build no segment channel, and the channel tables
-    # compute no mode sums.  A coherent secret's journeys read both, on
-    # mode k alone; the squeezed round-trip figure reads the channels only.
+    # One walk per table, whatever the number of map stacks it spans, and
+    # one reduction of each stack per mode (`mode_sums`).  The channel
+    # tables build one channel per mode from the joined sums, the journeys
+    # one on mode k alone, and the mode-sum figures none.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
@@ -263,10 +265,8 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
         figure_tables([consumer], fit, FIGURE_GRID, config)
-    builds = stacks * len(modes)
-    no_sums = {"nbar": (builds, 0), "invariants": (builds, 0), "F2_12_squeezed": (builds, 0)}
-    channels, sums = {"T2": (0, builds), "F2_23": (0, builds), **no_sums}.get(consumer, (builds, builds))
-    assert counts == {"grid_segments": 1, "segment_maps": stacks, "_segment_channel": channels, "mode_sums": sums}
+    channels = {"T2": 0, "F2_23": 0}.get(consumer, len(modes))
+    assert counts == {"grid_segments": 1, "segment_maps": stacks, "mode_sums": stacks * len(modes), "reduced_channel": channels}
 
 
 def test_figures_equal_per_u_route_on_the_figure_grid(fit20):
@@ -296,9 +296,9 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
-    # T2, nbar and F2_23 read one walk of the plotted modes, which builds
-    # their channels and their mode sums; F2_12_squeezed walks its round
-    # trips on mode k alone and builds their channels, not their mode sums.
+    # T2, nbar and F2_23 read one walk of the plotted modes, and nbar builds
+    # one channel per plotted mode from its sums; F2_12_squeezed walks its
+    # round trips on mode k alone and builds one channel from their sums.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     plotted_stacks = len(_map_stacks(fit, FIGURE_GRID, FIGURE_MODES))
@@ -307,7 +307,8 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     counts = _count_walks(monkeypatch)
     figure_tables(FIGURES, fit, FIGURE_GRID, config)
     stacks = plotted_stacks + round_trips
-    assert counts == {"grid_segments": 2, "segment_maps": stacks, "_segment_channel": plotted + round_trips, "mode_sums": plotted}
+    channels = len(FIGURE_MODES) + 1
+    assert counts == {"grid_segments": 2, "segment_maps": stacks, "mode_sums": plotted + round_trips, "reduced_channel": channels}
 
 
 def _subsets(names):
@@ -432,3 +433,12 @@ def test_fidelity_grid_rejects_bad_points(fit20):
     for bad in ([0.1, math.inf], [math.nan], [[0.1, 0.2]]):
         with pytest.raises(ValueError, match="u-grid"):
             fidelity_grid("23", ProtocolConfig(), bad, fit20)
+
+
+def test_figure_tables_reject_non_finite_points(fit20):
+    # The u-grid check of `fidelity_grid`: a NaN would reach the SVD of the
+    # invariants, an inf the phase of the segment maps.
+    for bad in ([0.1, math.inf], [math.nan], [-math.inf, 0.5]):
+        for name in FIGURES:
+            with pytest.raises(ValueError, match="u-grid must be a list of finite numbers"):
+                figure_tables([name], fit20, bad, ProtocolConfig())
