@@ -15,12 +15,12 @@ phase, goes through the same arithmetic as a single channel, matrix by matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
-from .modes import _STACKED_SUMS, STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
+from .modes import STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -119,14 +119,7 @@ def grid_segments(fit: TransitionFit, us, modes) -> list:
     for start in range(0, max(us.size, 1), size):
         maps = segment_maps(fit, us[start : start + size], modes)
         per_stack.append([mode_sums(maps, k) for k in modes])
-    return [_join(per_mode) for per_mode in zip(*per_stack)]
-
-
-def _join(stacks) -> ModeSums:
-    """Consecutive stacks of a mode's sums as one stack along u; a single stack as it is."""
-    if len(stacks) == 1:
-        return stacks[0]
-    return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_SUMS})
+    return [ModeSums.join(per_mode) for per_mode in zip(*per_stack)]
 
 
 def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> PerturbativeChannel:

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .gaussian import UnphysicalStateError
 from .modes import CorruptCacheError, quadrature_error, segment_maps
-from .channel import channel_invariants, cp_residual, grid_segments, reduced_channel
 from .protocol import (
     CalibrationError,
     FIGURE_MODES,
@@ -38,7 +37,9 @@ from .protocol import (
     calibrate_decoder,
     fidelity_grid,
     fidelity_report,
+    fidelity_table,
     figure_tables,
+    invariant_table,
 )
 
 
@@ -217,14 +218,6 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     return 0 if ok else 2
 
 
-def _invariant_rows(fit, grid, h: float):
-    """Rows (u, k, T2, nbar, rank) over the grid and the plotted modes, and the least CP residual at h."""
-    chans = [reduced_channel(sums) for sums in grid_segments(fit, grid, FIGURE_MODES)]  # one stack over u per mode
-    per_mode = [[v.tolist() for v in (inv.t2, inv.nbar, inv.rank)] for inv in map(channel_invariants, chans)]
-    rows = [[u, k, *(col[i] for col in cols)] for i, u in enumerate(grid) for k, cols in zip(FIGURE_MODES, per_mode)]
-    return rows, min([np.inf, *(cp for chan in chans for cp in cp_residual(*chan.evaluate(h)).tolist())])
-
-
 def _grid_and_fit(args, config: ProtocolConfig):
     """The --grid and the fit; the grid, and the cutoff of tables on the plotted modes, checked before fitting."""
     grid = _parse_grid(args.grid)
@@ -235,10 +228,8 @@ def _grid_and_fit(args, config: ProtocolConfig):
 
 def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
     grid, fit = _grid_and_fit(args, config)
-    header = ["u", "k", "T2", "nbar", "r"]
-    rows, worst_cp = _invariant_rows(fit, grid, config.h)
-    valid_nbar = [row[3] for row in rows if not np.isnan(row[3])]
-    breach = (valid_nbar and min(valid_nbar) < -1e-10) or worst_cp < -1e-10
+    header, rows, worst_cp = invariant_table(fit, grid, config)
+    breach = any(row[3] < -1e-10 for row in rows) or worst_cp < -1e-10  # a nan nbar is no breach
 
     parameters = {"grid": args.grid, "n_max": config.n_max, "h": config.h}
     _emit_table(args, argv, "invariants.csv", header, rows, parameters, f", min CP residual {worst_cp:.3e}")
@@ -254,18 +245,8 @@ def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
         reports = fidelity_grid(args.scenario, config, _parse_grid(args.grid))
     else:
         reports = [fidelity_report(args.scenario, config)]
-    header = ["u", "f0", "f2", "f2_extrapolated", "f_sim", "rel_gap"]
-    rows = []
-    breach = False
-    for rep in reports:
-        have_both = not np.isnan(rep.f2_closed) and not np.isnan(rep.f2_extrapolated)
-        if have_both and abs(rep.f2_closed) > 1e-9:
-            gap = abs(rep.f2_extrapolated - rep.f2_closed) / abs(rep.f2_closed)
-            if gap > args.tol:
-                breach = True
-        else:
-            gap = float("nan")
-        rows.append([rep.u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
+    header, rows = fidelity_table(reports)
+    breach = any(gap > args.tol for *_, gap in rows)
 
     parameters = {
         "scenario": args.scenario,

@@ -208,7 +208,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 def _embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarray:
     """Place a block acting on `modes` into the 2n x 2n identity."""
     full = np.eye(2 * n_modes)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
+    idx = _quadratures(modes)
     full[np.ix_(idx, idx)] = block
     return full
 

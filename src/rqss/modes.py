@@ -457,6 +457,13 @@ class ModeSums:
         """The sums and entries at `index` of a stack."""
         return replace(self, **{name: getattr(self, name)[index] for name in _STACKED_SUMS})
 
+    @classmethod
+    def join(cls, stacks) -> "ModeSums":
+        """Consecutive stacks of a mode's sums as one stack along u; a single stack as it is."""
+        if len(stacks) == 1:
+            return stacks[0]
+        return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_SUMS})
+
 
 # The fields of `ModeSums` that carry the u axis of a stack.
 _STACKED_SUMS = ("u", "f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")

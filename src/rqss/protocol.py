@@ -45,6 +45,7 @@ from .channel import (
     apply_channel,
     channel_invariants,
     compose,
+    cp_residual,
     free_channel,
     grid_segments,
     reduced_channel,
@@ -313,21 +314,6 @@ def collaborate(
     return partial_trace(state, [decoder.target])
 
 
-def _decoded_fidelity(secret: GaussianState, encoded: GaussianState, M: np.ndarray, N: np.ndarray, decoder):
-    """Fidelity of the secret decoded after journeys (M, N): an array for (..., 2, 2) stacks of them."""
-    return fidelity_pure_mixed(secret, collaborate(distribute(encoded, M, N), M, N, decoder))
-
-
-def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit, h: float | None = None) -> float:
-    """Full-pipeline fidelity between the secret and the decoded mode, at config.u and h (default config.h)."""
-    if h is not None:
-        config = replace(config, h=h)
-    decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    journeys, _ = _journeys(scenario, config.transition(fit), config.k, np.array([config.u]))
-    secret = config.make_secret()
-    return _decoded_fidelity(secret, encode(secret, config.s), *journeys[0].evaluate(config.h), decoder)
-
-
 # ---------------------------------------------------------------------------
 # perturbative fidelities
 
@@ -476,7 +462,8 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     sims = np.empty((len(DEFAULT_F2_LADDER) + 1, us.size))
     for start in range(0, us.size, _GRID_STACK):
         at = slice(start, start + _GRID_STACK)
-        sims[:, at] = _decoded_fidelity(secret, encoded, M[:, at], N[:, at], decoder)
+        m, n = M[:, at], N[:, at]
+        sims[:, at] = fidelity_pure_mixed(secret, collaborate(distribute(encoded, m, n), m, n, decoder))
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
@@ -522,6 +509,21 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     return fidelity_grid(scenario, config, [config.u], fit)[0]
 
 
+def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit, h: float | None = None) -> float:
+    """Full-pipeline fidelity of the decoded secret at config.u and h (default config.h): its report's `f_sim`."""
+    return fidelity_report(scenario, config if h is None else replace(config, h=h), fit).f_sim
+
+
+def fidelity_table(reports) -> tuple:
+    """(header, rows) of `rqss fidelity`, a row per report; rel_gap is nan if an f2 is nan or |f2_closed| <= 1e-9."""
+    rows = []
+    for rep in reports:
+        closed = abs(rep.f2_closed)  # a nan is not > 1e-9
+        gap = abs(rep.f2_extrapolated - rep.f2_closed) / closed if closed > 1e-9 else float("nan")
+        rows.append([rep.u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
+    return ["u", "f0", "f2", "f2_extrapolated", "f_sim", "rel_gap"], rows
+
+
 # ---------------------------------------------------------------------------
 # decoder calibration (h = 0)
 
@@ -542,10 +544,10 @@ class DecoderCalibration:
 _HALF_TURN, _NO_NOISE = rotation_block(math.pi), np.zeros((2, 2))
 
 
-def _pipeline_h0(secret: GaussianState, s: float, gain: float, r_out: float) -> GaussianState:
-    """Scenario-23 pipeline at h = 0 with decoder (gain, r_out); stacked if the secret is."""
-    decoder = PairDecoder.build((1, 2), gain, r_out, flip=False)
-    return collaborate(distribute(encode(secret, s), _HALF_TURN, _NO_NOISE), _HALF_TURN, _NO_NOISE, decoder)
+def _pipeline_h0(encoded: GaussianState, gain: float, r_out: float) -> GaussianState:
+    """Scenario-23 pipeline at h = 0 on encoded shares, its decoder at (gain, r_out); stacked if the shares are."""
+    decoder = replace(_DECODERS["23"], gain=gain, rescale=squeeze(r_out, _DECODERS["23"].target, 2))
+    return collaborate(distribute(encoded, _HALF_TURN, _NO_NOISE), _HALF_TURN, _NO_NOISE, decoder)
 
 
 def calibrate_decoder() -> DecoderCalibration:
@@ -561,10 +563,12 @@ def calibrate_decoder() -> DecoderCalibration:
     is affine in the gain, so two evaluations fix the gain of unit response.
     The result is verified to hand back 1/(1 + e^{-s}) for each probe secret
     and squeezing, and certified to beat nearby decoders on large-amplitude
-    probes; each set of probe secrets runs through the pipeline as one stack.
+    probes; each set of probe secrets runs through the pipeline as one stack,
+    encoded once for all the decoders it meets.
     """
-    r_out = -math.log(_pipeline_h0(coherent(0.0, 1.0), CALIBRATION_S, 0.0, 0.0).d[1])
-    q_g0, q_g1 = (_pipeline_h0(coherent(1.0, 0.0), CALIBRATION_S, g, r_out).d[0] for g in (0.0, 1.0))
+    r_out = -math.log(_pipeline_h0(encode(coherent(0.0, 1.0), CALIBRATION_S), 0.0, 0.0).d[1])
+    q_shares = encode(coherent(1.0, 0.0), CALIBRATION_S)
+    q_g0, q_g1 = (_pipeline_h0(q_shares, g, r_out).d[0] for g in (0.0, 1.0))
     gain = float((1.0 - q_g0) / (q_g1 - q_g0))
 
     fids, targets = {}, {}
@@ -573,7 +577,7 @@ def calibrate_decoder() -> DecoderCalibration:
     for s in CALIBRATION_S_CHECKS:
         target = 1.0 / (1.0 + math.exp(-s))
         targets[str(s)] = target
-        row = fidelity_pure_mixed(secrets, _pipeline_h0(secrets, s, gain, r_out)).tolist()
+        row = fidelity_pure_mixed(secrets, _pipeline_h0(encode(secrets, s), gain, r_out)).tolist()
         fids[str(s)] = {f"({q0},{p0})": f for (q0, p0), f in zip(CALIBRATION_ENSEMBLE, row)}
         worst = max(worst, *(abs(f - target) for f in row))
     if worst > CALIBRATION_TOL:
@@ -588,9 +592,10 @@ def calibrate_decoder() -> DecoderCalibration:
     # decoder dominates its linear noise benefit.
     amp = 200.0
     probes = coherent(np.array([amp, 0.0, -amp, 0.0]), np.array([0.0, amp, 0.0, -amp]))
+    probe_shares = encode(probes, CALIBRATION_S)
 
     def guaranteed(g, r):
-        return min(fidelity_pure_mixed(probes, _pipeline_h0(probes, CALIBRATION_S, g, r)).tolist())
+        return min(fidelity_pure_mixed(probes, _pipeline_h0(probe_shares, g, r)).tolist())
 
     here = guaranteed(gain, r_out)
     for dg, dr in ((0.05, 0.0), (-0.05, 0.0), (0.0, 0.05), (0.0, -0.05)):
@@ -610,7 +615,7 @@ def calibrate_decoder() -> DecoderCalibration:
 FIGURES = ("T2", "nbar", "F2_23", "F2_12_squeezed")
 
 
-# The modes of the T2, nbar and F2_23 figures, and of the `rqss invariants` rows.
+# The modes of the T2, nbar and F2_23 figures, and of the `invariant_table` rows.
 FIGURE_MODES = (1, 2, 3)
 _FIGURE_SQUEEZINGS = (0.0625, 0.125, 0.25)
 
@@ -647,3 +652,16 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
             columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
         tables.append((header, np.column_stack([us, *columns]).tolist()))
     return tables
+
+
+def invariant_table(fit: TransitionFit, grid, config: ProtocolConfig) -> tuple:
+    """(header, rows, least CP residual at config.h) of `rqss invariants`: (u, k, T2, nbar, rank) per u and mode.
+
+    One walk of the plotted modes, their channels and invariants built as in the nbar figure.
+    """
+    us = _u_grid(list(grid))
+    chans = [reduced_channel(per_mode) for per_mode in grid_segments(config.transition(fit), us, FIGURE_MODES)]
+    per_mode = [[v.tolist() for v in (inv.t2, inv.nbar, inv.rank)] for inv in map(channel_invariants, chans)]
+    rows = [[u, k, *(col[i] for col in cols)] for i, u in enumerate(us.tolist()) for k, cols in zip(FIGURE_MODES, per_mode)]
+    worst_cp = min([np.inf, *(cp for chan in chans for cp in cp_residual(*chan.evaluate(config.h)).tolist())])
+    return ["u", "k", "T2", "nbar", "r"], rows, worst_cp

@@ -7,7 +7,6 @@ lines with the measured values next to their tolerances.
 import math
 
 import numpy as np
-import pytest
 
 from rqss.channel import channel_invariants, cp_residual, segment_channel
 from rqss.gaussian import beam_splitter, check_symplectic, phase_rotation, squeeze

@@ -19,7 +19,7 @@ from rqss.channel import (
     segment_channel,
     t2_from_sums,
 )
-from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum, vacuum
+from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum
 from rqss.modes import get_transition, mode_sums
 from rqss.protocol import _journeys
 

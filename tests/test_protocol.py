@@ -1,5 +1,6 @@
 """Threshold secret sharing protocol: encoding, transit, decoding, fidelity."""
 
+import itertools
 import json
 import math
 import sys
@@ -123,7 +124,7 @@ def test_scenario_13_matches_23_at_zero_acceleration(fit20):
     s=st.floats(0.0, 3.0),
 )
 def test_two_three_recovery_is_secret_independent(q0, p0, s):
-    out = _pipeline_h0(coherent(q0, p0), s, DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE)
+    out = _pipeline_h0(encode(coherent(q0, p0), s), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE)
     f = fidelity_pure_mixed(coherent(q0, p0), out)
     assert f == pytest.approx(1.0 / (1.0 + np.exp(-s)), abs=1e-10)
 
@@ -163,7 +164,7 @@ def test_biased_decoder_beats_mean_but_fails_guarantee():
     means, worsts = [], []
     for g, r in (faithful, biased):
         fids = [
-            fidelity_pure_mixed(coherent(*qp), _pipeline_h0(coherent(*qp), 1.0, g, r))
+            fidelity_pure_mixed(coherent(*qp), _pipeline_h0(encode(coherent(*qp), 1.0), g, r))
             for qp in CALIBRATION_ENSEMBLE
         ]
         means.append(np.mean(fids))
@@ -491,6 +492,32 @@ def test_calibration_runs_its_probes_as_stacks(monkeypatch):
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
     calibrate_decoder()
     assert len(count) <= 125
+
+
+def test_calibration_encodes_each_secret_set_once_and_builds_only_rescalings(monkeypatch):
+    # Seven encodings feed the twelve pipeline runs: one per solve secret,
+    # one per checked squeezing, one for the certificate's probes.  Every
+    # decoder is scenario 23's with its splitter built at import, so the
+    # only maps built are the twelve output rescalings.
+    maps, encodes, states = [], [], []
+    check_map, check_state, encode = SymplecticMap.__post_init__, GaussianState.__post_init__, protocol.encode
+    monkeypatch.setattr(SymplecticMap, "__post_init__", lambda smap: maps.append(1) or check_map(smap))
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: states.append(1) or check_state(state))
+    monkeypatch.setattr(protocol, "encode", lambda secret, s: encodes.append(s) or encode(secret, s))
+    calibrate_decoder()
+    assert (len(maps), len(encodes), len(states)) == (12, 7, 97)
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_simulation_is_the_report_f_sim_and_the_stage_sequence_bit_for_bit(fit20, scenario):
+    # 144 configs per scenario: three squeezings, three kinds of secret, four
+    # phases and four accelerations, h = 0 included.
+    secrets = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
+    for s, (secret, params), u, h in itertools.product([0.5, 1.0, 2.0], secrets, [0.1, 0.3, 0.55, 0.9], [0.0, 1e-2, 3e-2, 0.1]):
+        cfg = _cfg(s=s, secret=secret, secret_params=params, u=u, h=h)
+        f_sim = simulate_fidelity(scenario, cfg, fit20)
+        assert simulate_fidelity(scenario, replace(cfg, h=0.5), fit20, h=h) == f_sim
+        assert f_sim == fidelity_report(scenario, cfg, fit20).f_sim == fidelity_by_stages(scenario, cfg, fit20, h)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])

@@ -15,12 +15,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rqss import channel, cli, protocol
+from rqss import channel, protocol
 from rqss.channel import channel_invariants, cp_residual, grid_segments, reduced_channel, segment_channel
-from rqss.cli import _invariant_rows
 from rqss.gaussian import GaussianState
 from rqss.modes import STACK_ENTRIES, BogoliubovSet, get_transition, mode_sums, segment_maps
-from rqss.protocol import _GRID_STACK, FIGURE_MODES, FIGURES, ProtocolConfig, figure_tables, fidelity_grid
+from rqss.protocol import (
+    _GRID_STACK,
+    FIGURE_MODES,
+    FIGURES,
+    ProtocolConfig,
+    fidelity_grid,
+    fidelity_table,
+    figure_tables,
+    invariant_table,
+)
 
 from oracles import fidelity_report_per_u, figure_data_per_u, full_maps, invariant_rows_per_u
 
@@ -50,6 +58,13 @@ def assert_same_table(table, reference):
     np.testing.assert_array_equal(np.array(rows, dtype=float), np.array(ref_rows, dtype=float), strict=True)
     assert np.array(rows, dtype=float).tobytes() == np.array(ref_rows, dtype=float).tobytes()
     assert [[type(v) for v in row] for row in rows] == [[type(v) for v in row] for row in ref_rows]
+
+
+def _invariant_rows(fit, grid):
+    """The rows and least CP residual of `invariant_table` at h = 1e-2, the h of `invariant_rows_per_u` here."""
+    header, rows, worst_cp = invariant_table(fit, grid, ProtocolConfig(n_max=fit.n_max, h=1e-2))
+    assert header == ["u", "k", "T2", "nbar", "r"]
+    return rows, worst_cp
 
 
 def _phases():
@@ -229,17 +244,15 @@ def _count_walks(monkeypatch):
     """Count the walks over a grid (`grid_segments` calls), the map stacks and mode sums they build, and the channels built from the sums."""
     counts = {"grid_segments": 0, "segment_maps": 0, "mode_sums": 0, "reduced_channel": 0}
     for name in counts:
-        # The package walks a grid and builds channels from `rqss.protocol`
-        # and from the CLI's invariants table.
-        namespaces = (protocol, cli) if name in ("grid_segments", "reduced_channel") else (channel,)
-        build = getattr(namespaces[0], name)
+        # The package walks a grid and builds channels from `rqss.protocol` alone.
+        namespace = protocol if name in ("grid_segments", "reduced_channel") else channel
+        build = getattr(namespace, name)
 
         def counting(*args, _name=name, _build=build, **kwargs):
             counts[_name] += 1
             return _build(*args, **kwargs)
 
-        for namespace in namespaces:
-            monkeypatch.setattr(namespace, name, counting)
+        monkeypatch.setattr(namespace, name, counting)
     return counts
 
 
@@ -260,7 +273,7 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
     stacks = len(_map_stacks(fit, phases, modes))
     counts = _count_walks(monkeypatch)
     if consumer == "invariants":
-        _invariant_rows(fit, FIGURE_GRID, 1e-2)
+        _invariant_rows(fit, FIGURE_GRID)
     elif consumer.startswith("fidelity"):
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
@@ -351,7 +364,7 @@ def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache
 @pytest.mark.parametrize("n_max, grid", [(20, TABLE_GRID), (20, FIGURE_GRID), (40, TABLE_GRID)])
 def test_invariant_rows_equal_per_u_route(request, n_max, grid):
     fit = request.getfixturevalue(f"fit{n_max}")
-    rows, worst_cp = _invariant_rows(fit, grid, 1e-2)
+    rows, worst_cp = _invariant_rows(fit, grid)
     ref_rows, ref_worst_cp = invariant_rows_per_u(fit, grid, 1e-2)
     assert_same_table((None, rows), (None, ref_rows))
     assert worst_cp == ref_worst_cp
@@ -361,7 +374,7 @@ def test_degenerate_invariant_rows_are_quiet(fit20):
     grid = QUARTER_GRID + [2.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, worst_cp = _invariant_rows(fit20, grid, 1e-2)
+        rows, worst_cp = _invariant_rows(fit20, grid)
     assert_same_table((None, rows), (None, invariant_rows_per_u(fit20, grid, 1e-2)[0]))
     for u, k, t2, nbar, rank in rows:
         if u in (0.0, 1.0, 2.0):
@@ -400,6 +413,30 @@ def test_fidelity_grid_equals_per_u_reports_on_edge_points(request, n_max, scena
             assert [repr(r) for r in reports] == _reprs_per_u(scenario, config, fit, EDGE_GRID)
             extrapolated += [r.f2_extrapolated for r in reports]
     assert any(math.isnan(f2) for f2 in extrapolated)
+
+
+def _fidelity_rows_per_u(scenario, config, fit, grid):
+    """The `rqss fidelity` rows of one-u reports; rel_gap only where both f2 are known and |f2_closed| > 1e-9."""
+    rows = []
+    for u in grid:
+        rep = fidelity_report_per_u(scenario, replace(config, u=u), fit)
+        known = not (math.isnan(rep.f2_closed) or math.isnan(rep.f2_extrapolated)) and abs(rep.f2_closed) > 1e-9
+        gap = abs(rep.f2_extrapolated - rep.f2_closed) / abs(rep.f2_closed) if known else math.nan
+        rows.append([u, rep.f0, rep.f2, rep.f2_extrapolated, rep.f_sim, gap])
+    return rows
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_fidelity_table_equals_rows_of_per_u_reports(fit20, scenario):
+    # s = 8 makes some extrapolations nan; u = 0 and 1 have f2_closed = 0.
+    gaps = []
+    for (secret, params), s in itertools.product(SECRETS, (0.5, 8.0)):
+        config = ProtocolConfig(s=s, secret=secret, secret_params=params)
+        header, rows = fidelity_table(fidelity_grid(scenario, config, EDGE_GRID, fit20))
+        assert header == ["u", "f0", "f2", "f2_extrapolated", "f_sim", "rel_gap"]
+        assert_same_table((header, rows), (header, _fidelity_rows_per_u(scenario, config, fit20, EDGE_GRID)))
+        gaps += [row[-1] for row in rows]
+    assert any(math.isnan(gap) for gap in gaps) and any(gap < 1e-3 for gap in gaps)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
