@@ -20,7 +20,6 @@ from .gaussian import (
     symplectic_form,
     tensor,
     two_mode_squeezed_vacuum,
-    vacuum,
 )
 from .modes import (
     BogoliubovSet,
@@ -29,6 +28,7 @@ from .modes import (
     TransitionFit,
     fit_transition,
     get_transition,
+    grid_segments,
     mode_sums,
     segment_maps,
 )
@@ -40,7 +40,6 @@ from .channel import (
     compose,
     cp_residual,
     free_channel,
-    grid_segments,
     reduced_channel,
     segment_channel,
     t2_from_sums,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
-from .modes import STACK_ENTRIES, BogoliubovSet, ModeSums, TransitionFit, mode_sums, segment_maps
+from .modes import BogoliubovSet, ModeSums, mode_sums
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
 _RANK_CUTOFF = 1e-12
@@ -63,10 +63,6 @@ class PerturbativeChannel:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __getitem__(self, index) -> "PerturbativeChannel":
-        """The channels at `index` of a stack; the index acts on the leading axes."""
-        return PerturbativeChannel._adopt(self.m0[index], self.m2[index], self.n2[index])
-
     def evaluate(self, h):
         """(M, N) of the channel at a concrete acceleration.
 
@@ -102,24 +98,6 @@ def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
     # One segment only: the benchmark's tracer (perfbench/tracing.py) hashes
     # this call's `bogo.u`, so the stacked walks call `reduced_channel`.
     return reduced_channel(mode_sums(bogo, k))
-
-
-def grid_segments(fit: TransitionFit, us, modes) -> list:
-    """The `ModeSums` of each mode of `modes` at every phase in `us`: one stack over u per mode, in order.
-
-    The maps are built on the rows of `modes` only, in consecutive stacks of
-    at most `STACK_ENTRIES` entries per stacked array (at least one phase),
-    so a large cutoff walks the grid a few phases at a time.  Each stack is
-    reduced at once, and the sums of consecutive stacks are joined along u.
-    """
-    us = np.asarray(us, dtype=float)
-    m = len(modes) or 1  # no modes at all: the build raises
-    size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
-    per_stack = []
-    for start in range(0, max(us.size, 1), size):
-        maps = segment_maps(fit, us[start : start + size], modes)
-        per_stack.append([mode_sums(maps, k) for k in modes])
-    return [ModeSums.join(per_mode) for per_mode in zip(*per_stack)]
 
 
 def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> PerturbativeChannel:
@@ -189,9 +167,6 @@ class ChannelInvariants:
     nbar: float
     rank: int
     degenerate: bool
-
-    def transmissivity(self, h: float) -> float:
-        return 1.0 - self.t2 * h * h
 
 
 def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:

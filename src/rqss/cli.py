@@ -58,36 +58,36 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_dir(out) -> Path:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: Path, text: str):
-    """Write `text` to `path`; return (file name, sha256 of the bytes written) for the manifest."""
-    data = text.encode()
-    path.write_bytes(data)
-    return path.name, hashlib.sha256(data).hexdigest()
+def _write_outputs(out, args, argv, parameters: dict, files: dict) -> Path:
+    """Write each {name: text} of `files` into the directory `out`, then its manifest; return the directory.
 
-
-def _write_manifest(out_dir: Path, command: str, argv, parameters: dict, outputs):
+    The manifest lists the command, its argv and parameters, the sha256 of
+    every file written and the versions that wrote them.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, text in files.items():
+        data = text.encode()
+        (out_dir / name).write_bytes(data)
+        outputs[name] = hashlib.sha256(data).hexdigest()
     doc = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
         "parameters": parameters,
-        "outputs": dict(outputs),
+        "outputs": outputs,
         "versions": {
             "rqss": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
     }
-    _write(out_dir / "manifest.json", _json_text(doc))
+    (out_dir / "manifest.json").write_bytes(_json_text(doc).encode())
+    return out_dir
 
 
 def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str = ""):
@@ -95,17 +95,8 @@ def _emit_table(args, argv, name: str, header, rows, parameters: dict, note: str
     if args.out is None:
         print(_csv_text(header, rows), end="")
         return
-    out_dir = _output_dir(args.out)
-    path = out_dir / name
-    _write_manifest(out_dir, args.command, argv, parameters, [_write(path, _csv_text(header, rows))])
-    print(f"wrote {path} ({len(rows)} rows){note}")
-
-
-def _emit_json(args, argv, name: str, doc: dict, parameters: dict):
-    """Write a JSON report and its manifest under --out, if given."""
-    if args.out is not None:
-        out_dir = _output_dir(args.out)
-        _write_manifest(out_dir, args.command, argv, parameters, [_write(out_dir / name, _json_text(doc))])
+    out_dir = _write_outputs(args.out, args, argv, parameters, {name: _csv_text(header, rows)})
+    print(f"wrote {out_dir / name} ({len(rows)} rows){note}")
 
 
 # The most points a --grid may hold; it is checked before the grid is built.
@@ -214,7 +205,9 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     print(f"fit validation rel err      : {fit.validation['max_rel_err']:.3e}")
     print("PASS" if ok else "FAIL")
 
-    _emit_json(args, argv, "bogo_check.json", report, {"n_max": config.n_max, "h": config.h})
+    if args.out is not None:
+        parameters = {"n_max": config.n_max, "h": config.h}
+        _write_outputs(args.out, args, argv, parameters, {"bogo_check.json": _json_text(report)})
     return 0 if ok else 2
 
 
@@ -269,24 +262,19 @@ def _cmd_calibrate(args, config: ProtocolConfig, argv) -> int:
     print(f"gain    : {cal.gain:.12f}")
     print(f"squeeze : {cal.squeeze:.12f}")
     print(f"max |F - 1/(1+e^-s)| : {cal.max_deviation:.3e}")
-    _emit_json(args, argv, "calibration.json", cal.to_json_dict(), {})
+    if args.out is not None:
+        _write_outputs(args.out, args, argv, {}, {"calibration.json": _json_text(cal.to_json_dict())})
     return 0
 
 
 def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
     grid, fit = _grid_and_fit(args, config)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-    out_dir = _output_dir(Path.cwd() if args.out is None else args.out)
     tables = figure_tables(names, fit, grid, config)
-    outputs = [_write(out_dir / f"figure_{name}.csv", _csv_text(*table)) for name, table in zip(names, tables)]
-    _write_manifest(
-        out_dir,
-        args.command,
-        argv,
-        {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max},
-        outputs,
-    )
-    print(f"wrote {len(outputs)} figure file(s) to {out_dir}")
+    files = {f"figure_{name}.csv": _csv_text(*table) for name, table in zip(names, tables)}
+    parameters = {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max}
+    out_dir = _write_outputs(Path.cwd() if args.out is None else args.out, args, argv, parameters, files)
+    print(f"wrote {len(files)} figure file(s) to {out_dir}")
     return 0
 
 

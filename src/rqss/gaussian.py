@@ -158,12 +158,6 @@ class SymplecticMap:
 # state constructors
 
 
-def vacuum(n_modes: int = 1) -> GaussianState:
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-
 def coherent(q0, p0) -> GaussianState:
     """Single-mode coherent state centred at (q0, p0), |alpha|^2 = (q0^2+p0^2)/2; arrays give a stack."""
     d = np.stack(np.broadcast_arrays(q0, p0), axis=-1)
@@ -284,10 +278,9 @@ def homodyne_feedforward(
     state: GaussianState,
     measured_mode: int,
     target_mode: int,
-    quadrature: str = "q",
     gain: float = 0.0,
 ) -> GaussianState:
-    """Homodyne one mode and displace a target quadrature by gain * outcome.
+    """Homodyne one mode's q and displace the target's q by gain * outcome.
 
     Returns the ensemble-averaged state of the unmeasured modes (measured mode
     removed, remaining modes in their original order).  The average over
@@ -298,8 +291,6 @@ def homodyne_feedforward(
     n = state.n_modes
     if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
         raise ValueError("measured and target modes must be distinct valid modes")
-    if quadrature not in ("q", "p"):
-        raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
 
     rest = [m for m in range(n) if m != measured_mode]
     ridx = _quadratures(rest)
@@ -309,26 +300,25 @@ def homodyne_feedforward(
     b = _block(state.sigma, midx, midx)
     c = _block(state.sigma, ridx, midx)
 
-    iq = 0 if quadrature == "q" else 1
-    b_qq = b[..., iq, iq]
+    b_qq = b[..., 0, 0]
     if (b_qq <= _PINV_RCOND * np.abs(b).max(axis=(-2, -1), initial=1.0)).any():
         raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
 
     e_t = np.zeros(len(ridx))
-    e_t[2 * rest.index(target_mode) + iq] = 1.0
+    e_t[2 * rest.index(target_mode)] = 1.0
 
     # Conditional covariance plus the outcome-averaged spread of the
-    # feed-forward displaced means.  The measured block projected on the
-    # quadrature, pi b pi, has the one nonzero entry b_qq, so its
-    # pseudo-inverse is 1/b_qq there: c pinv is c's quadrature column over
-    # b_qq, and c pinv c^T the outer product of that column with c's.
-    c_q = c[..., iq]
+    # feed-forward displaced means.  The measured block projected on q,
+    # pi b pi, has the one nonzero entry b_qq, so its pseudo-inverse is
+    # 1/b_qq there: c pinv is c's q column over b_qq, and c pinv c^T the
+    # outer product of that column with c's.
+    c_q = c[..., 0]
     v = c_q * (1.0 / b_qq)[..., None]
     sigma_cond = a - v[..., :, None] * c_q[..., None, :]
     shift = v + gain * e_t
     sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
 
-    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[iq]])[..., None] * e_t
+    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[0]])[..., None] * e_t
     return GaussianState(d_avg, 0.5 * (sigma_avg + _transpose(sigma_avg)))
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -374,7 +374,7 @@ class BogoliubovSet:
 # Largest number of complex entries of one stacked array of a map build on m
 # of n modes: the (U, n, 2m) right factor of the second-order product, twice
 # the size of the (U, m, n) first-order rows (or, past 2m = n, the product's
-# (U, 2m, 2m) result).  `channel.grid_segments` walks a u-grid in stacks of
+# (U, 2m, 2m) result).  `grid_segments` walks a u-grid in stacks of
 # at most this many entries (64 KiB), so memory stays bounded at large
 # n_max.  Larger stacks were no faster at n_max 20 and cost memory: at 2**16
 # entries the allocator mapped every temporary afresh (about 3000 minor page
@@ -430,7 +430,7 @@ def segment_maps(fit: TransitionFit, u, modes) -> BogoliubovSet:
 
 
 # ---------------------------------------------------------------------------
-# the six numbers of a mode's reduced channel
+# the six numbers of a mode's reduced channel, and the walk of a u-grid
 
 
 @dataclass(frozen=True)
@@ -443,9 +443,6 @@ class ModeSums:
     (k, k).  Arrays over u for a stack of segments.
     """
 
-    k: int
-    u: float
-    n_max: int
     f_alpha: float
     f_beta: float
     g_cross: complex
@@ -455,18 +452,14 @@ class ModeSums:
 
     def __getitem__(self, index) -> "ModeSums":
         """The sums and entries at `index` of a stack."""
-        return replace(self, **{name: getattr(self, name)[index] for name in _STACKED_SUMS})
+        return ModeSums(*(getattr(self, f.name)[index] for f in fields(self)))
 
     @classmethod
     def join(cls, stacks) -> "ModeSums":
         """Consecutive stacks of a mode's sums as one stack along u; a single stack as it is."""
         if len(stacks) == 1:
             return stacks[0]
-        return replace(stacks[0], **{name: np.concatenate([getattr(s, name) for s in stacks]) for name in _STACKED_SUMS})
-
-
-# The fields of `ModeSums` that carry the u axis of a stack.
-_STACKED_SUMS = ("u", "f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")
+        return cls(*(np.concatenate([getattr(s, f.name) for s in stacks]) for f in fields(cls)))
 
 
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
@@ -484,4 +477,22 @@ def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     f_beta = 0.5 * np.add.reduce(np.abs(brow) ** 2, axis=-1)
     g_cross = np.add.reduce(arow * brow, axis=-1)
     diagonal = (bogo.alpha0[..., row], bogo.alpha2[..., row, row], bogo.beta2[..., row, row])
-    return ModeSums(k, bogo.u, bogo.n_max, *map(_item, (f_alpha, f_beta, g_cross, *diagonal)))
+    return ModeSums(*map(_item, (f_alpha, f_beta, g_cross, *diagonal)))
+
+
+def grid_segments(fit: TransitionFit, us, modes) -> list:
+    """The `ModeSums` of each mode of `modes` at every phase in `us`: one stack over u per mode, in order.
+
+    The maps are built on the rows of `modes` only, in consecutive stacks of
+    at most `STACK_ENTRIES` entries per stacked array (at least one phase),
+    so a large cutoff walks the grid a few phases at a time.  Each stack is
+    reduced at once, and the sums of consecutive stacks are joined along u.
+    """
+    us = np.asarray(us, dtype=float)
+    m = len(modes) or 1  # no modes at all: the build raises
+    size = max(1, STACK_ENTRIES // (2 * m * max(fit.n_max, 2 * m)))
+    per_stack = []
+    for start in range(0, max(us.size, 1), size):
+        maps = segment_maps(fit, us[start : start + size], modes)
+        per_stack.append([mode_sums(maps, k) for k in modes])
+    return [ModeSums.join(per_mode) for per_mode in zip(*per_stack)]

@@ -39,7 +39,7 @@ from .gaussian import (
     two_mode_squeezed_vacuum,
     SymplecticMap,
 )
-from .modes import DEFAULT_NMAX, STACK_ENTRIES, ModeSums, TransitionFit, get_transition
+from .modes import DEFAULT_NMAX, STACK_ENTRIES, ModeSums, TransitionFit, get_transition, grid_segments
 from .channel import (
     PerturbativeChannel,
     apply_channel,
@@ -47,7 +47,6 @@ from .channel import (
     compose,
     cp_residual,
     free_channel,
-    grid_segments,
     reduced_channel,
     second_order_moments,
     t2_from_sums,
@@ -208,7 +207,7 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     them on a round trip, whose two middle segments merge into one of phase
     2u: a rotation by exactly 2 pi.  A transit has the sums of its u
     segments, a round trip those of its u and of its 2u segments, each
-    distinct phase of u and 2u built and reduced once.
+    distinct phase of u and 2u built and reduced to its sums once.
     """
     leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
@@ -223,11 +222,10 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     index = {phase: i for i, phase in enumerate(phases)}
     where = np.array([index[phase] for phase in both], dtype=int)
     (sums,) = grid_segments(fit, np.array(phases), (k,))
-    segs = reduced_channel(sums)
-    out, mid = where[: us.size], where[us.size :]
-    seg = segs[out]
-    journeys = compose(seg, compose(leg, compose(segs[mid], compose(leg, seg))))
-    return journeys, [sums[out], sums[mid]]
+    out, mid = sums[where[: us.size]], sums[where[us.size :]]
+    seg = reduced_channel(out)
+    journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
+    return journeys, [out, mid]
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
@@ -307,7 +305,7 @@ def collaborate(
     if not isinstance(decoder, PairDecoder):
         return partial_trace(apply_symplectic(decoder, distributed), [0])
     state = apply_symplectic(decoder.recombine, apply_channel(M, N, distributed, mode=2))
-    state = homodyne_feedforward(state, decoder.pair[1], decoder.pair[0], quadrature="q", gain=decoder.gain)
+    state = homodyne_feedforward(state, decoder.pair[1], decoder.pair[0], gain=decoder.gain)
     state = apply_symplectic(decoder.rescale, state)
     if decoder.half_turn is not None:
         state = apply_symplectic(decoder.half_turn, state)
@@ -323,28 +321,26 @@ def fidelity_closed_forms(
     sums_u: ModeSums,
     sums_2u: ModeSums | None = None,
     s: float | None = None,
-) -> dict:
-    """Zeroth- and second-order fidelity for a coherent secret.
+):
+    """Second-order fidelity coefficient f2 for a coherent secret: a float, or an array over stacked sums.
 
     Scenario 12 needs the mode sums of both the u and the 2u segments;
-    scenario 23 needs the squeezing s.
+    scenarios 23 and 13 need the squeezing s.
     """
     if scenario == "12":
         if sums_2u is None:
             raise ValueError("scenario 12 needs the 2u-segment sums")
-        return {"f0": 1.0, "f2": 2.0 * (2.0 * sums_u.f_beta + sums_2u.f_beta)}
+        return 2.0 * (2.0 * sums_u.f_beta + sums_2u.f_beta)
     if scenario in ("23", "13"):
         if s is None:
             raise ValueError(f"scenario {scenario} needs the squeezing s")
         es = math.exp(s)
-        f0 = 1.0 / (1.0 + math.exp(-s))
-        f2 = (
+        return (
             4.0
             * es
             / (1.0 + es) ** 2
             * (sums_u.f_beta - sums_u.f_alpha + es * (sums_u.f_alpha + 2.0 * sums_u.f_beta))
         )
-        return {"f0": f0, "f2": f2}
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -396,11 +392,6 @@ class FidelityReport:
     f0_source: str
     f2_source: str
     f_sim_source: str
-
-    def perturbative(self, h: float | None = None) -> float:
-        """F0 - F2 h^2, the truncated prediction; displacement independent."""
-        h = self.h if h is None else h
-        return self.f0 - self.f2 * h * h
 
     def to_json_dict(self) -> dict:
         return dict(self.__dict__)
@@ -467,7 +458,7 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
-        f2_closed = fidelity_closed_forms(scenario, *sums, s=config.s)["f2"].tolist()
+        f2_closed = fidelity_closed_forms(scenario, *sums, s=config.s).tolist()
     if scenario == "12":
         f0, f0_source = 1.0, "round trip is the identity at h = 0"
         f2_direct = _direct_f2_scenario12(journeys, secret).tolist()
@@ -509,9 +500,9 @@ def fidelity_report(scenario: str, config: ProtocolConfig, fit: TransitionFit | 
     return fidelity_grid(scenario, config, [config.u], fit)[0]
 
 
-def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit, h: float | None = None) -> float:
-    """Full-pipeline fidelity of the decoded secret at config.u and h (default config.h): its report's `f_sim`."""
-    return fidelity_report(scenario, config if h is None else replace(config, h=h), fit).f_sim
+def simulate_fidelity(scenario: str, config: ProtocolConfig, fit: TransitionFit) -> float:
+    """Full-pipeline fidelity of the decoded secret at config.u and config.h: its report's `f_sim`."""
+    return fidelity_report(scenario, config, fit).f_sim
 
 
 def fidelity_table(reports) -> tuple:
@@ -642,7 +633,7 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
             columns = [t2_from_sums(per_mode) for per_mode in plotted]
         elif name == "F2_23":
             header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
-            columns = [fidelity_closed_forms("23", per_mode, s=config.s)["f2"] for per_mode in plotted]
+            columns = [fidelity_closed_forms("23", per_mode, s=config.s) for per_mode in plotted]
         elif name == "nbar":
             header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
             columns = [channel_invariants(reduced_channel(per_mode)).nbar for per_mode in plotted]

@@ -12,9 +12,10 @@ place of one array call, each CSV value converted by its type before it
 is printed, per-state maxima and per-call constants in the state check, a
 pseudo-inverse in the homodyne update, an identity composed in ahead of a
 journey), so the tests can compare the two routes.
-The cavity geometry, mode functions, frequencies and segment durations the
-routes need live here too: the package itself works only with their
-overlaps, as functions of h = a L alone.
+The vacuum state, which only tests build, lives here too, as do the cavity
+geometry, mode functions, frequencies and segment durations the routes
+need: the package itself works only with their overlaps, as functions of
+h = a L alone.
 """
 
 import math
@@ -85,6 +86,11 @@ from rqss.protocol import (
     fidelity_closed_forms,
     inertial_phase,
 )
+
+
+def vacuum(n_modes: int = 1) -> GaussianState:
+    """The n-mode vacuum: zero means, identity covariance; zero modes are rejected by the state check."""
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 @dataclass(frozen=True)
@@ -571,7 +577,7 @@ def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> f
     partner = {"23": 1, "13": 0}[scenario]  # keeps its index once mode 2 is measured
     state = apply_channel(M, N, state, mode=2)
     state = apply_symplectic(beam_splitter(2.0 / 3.0, (partner, 2), 3), state)
-    state = homodyne_feedforward(state, measured_mode=2, target_mode=partner, quadrature="q", gain=DEFAULT_DECODER_GAIN)
+    state = homodyne_feedforward(state, measured_mode=2, target_mode=partner, gain=DEFAULT_DECODER_GAIN)
     state = apply_symplectic(squeeze(DEFAULT_DECODER_SQUEEZE, partner, 2), state)
     if scenario == "13":
         state = apply_symplectic(phase_rotation(math.pi, partner, 2), state)
@@ -582,7 +588,7 @@ def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> f
 _MODE_FIGURES = {
     "T2": ("T2", lambda bogo, k, u, config: t2_from_sums(mode_sums(bogo, k))),
     "nbar": ("nbar", lambda bogo, k, u, config: channel_invariants(segment_channel(bogo, k)).nbar),
-    "F2_23": ("F2", lambda bogo, k, u, config: fidelity_closed_forms("23", mode_sums(bogo, k), s=config.s)["f2"]),
+    "F2_23": ("F2", lambda bogo, k, u, config: fidelity_closed_forms("23", mode_sums(bogo, k), s=config.s)),
 }
 
 
@@ -650,13 +656,13 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
         f0_source = "round trip is the identity at h = 0"
         f2 = _direct_f2_scenario12(journey, secret)
         f2_source = "trace of the round-trip second-order moments"
-        f2_closed = fidelity_closed_forms("12", *sums)["f2"] if coherent_secret else float("nan")
+        f2_closed = fidelity_closed_forms("12", *sums) if coherent_secret else float("nan")
     else:
         ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
         f0 = fidelity_pure_mixed(secret, ideal)
         f0_source = "decoded zeroth-order moments: sigma + 2 e^{-s} I"
         if coherent_secret:
-            f2 = f2_closed = fidelity_closed_forms(scenario, sums[0], s=config.s)["f2"]
+            f2 = f2_closed = fidelity_closed_forms(scenario, sums[0], s=config.s)
             f2_source = "closed form from first-order mode sums"
         else:
             f2, f2_closed, f2_source = f2_extrap, float("nan"), extrap_source
@@ -707,15 +713,11 @@ def check_state_by_reductions(d, sigma) -> None:
             raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
 
 
-def homodyne_by_pseudo_inverse(
-    state: GaussianState, measured_mode: int, target_mode: int, quadrature: str = "q", gain: float = 0.0
-) -> GaussianState:
-    """`homodyne_feedforward` with the pseudo-inverse of the projected measured block from `np.linalg.pinv`."""
+def homodyne_by_pseudo_inverse(state: GaussianState, measured_mode: int, target_mode: int, gain: float = 0.0) -> GaussianState:
+    """`homodyne_feedforward` with the pseudo-inverse of the q-projected measured block from `np.linalg.pinv`."""
     n = state.n_modes
     if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
         raise ValueError("measured and target modes must be distinct valid modes")
-    if quadrature not in ("q", "p"):
-        raise ValueError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
 
     rest = [m for m in range(n) if m != measured_mode]
     ridx = _quadratures(rest)
@@ -725,26 +727,23 @@ def homodyne_by_pseudo_inverse(
     b = _block(state.sigma, midx, midx)
     c = _block(state.sigma, ridx, midx)
 
-    iq = 0 if quadrature == "q" else 1
-    b_qq = b[..., iq, iq]
+    b_qq = b[..., 0, 0]
     if (b_qq <= _PINV_RCOND * np.maximum(1.0, np.abs(b).max(axis=(-2, -1)))).any():
         raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
 
-    pi = np.zeros((2, 2))
-    pi[iq, iq] = 1.0
+    pi = np.diag([1.0, 0.0])
     pinv = np.linalg.pinv(pi @ b @ pi, rcond=_PINV_RCOND)
 
-    e_q = np.zeros(2)
-    e_q[iq] = 1.0
+    e_q = np.array([1.0, 0.0])
     e_t = np.zeros(len(ridx))
-    e_t[2 * rest.index(target_mode) + iq] = 1.0
+    e_t[2 * rest.index(target_mode)] = 1.0
 
     sigma_cond = a - c @ pinv @ _transpose(c)
     v = _mat_vec(c @ pinv, e_q)
     shift = v + gain * e_t
     sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
 
-    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[iq]])[..., None] * e_t
+    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[0]])[..., None] * e_t
     return GaussianState(d_avg, 0.5 * (sigma_avg + _transpose(sigma_avg)))
 
 

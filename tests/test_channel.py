@@ -13,14 +13,13 @@ from rqss.channel import (
     compose,
     cp_residual,
     free_channel,
-    grid_segments,
     reduced_channel,
     second_order_moments,
     segment_channel,
     t2_from_sums,
 )
 from rqss.gaussian import coherent, rotation_block, squeeze, tensor, two_mode_squeezed_vacuum
-from rqss.modes import get_transition, mode_sums
+from rqss.modes import get_transition, grid_segments, mode_sums
 from rqss.protocol import _journeys
 
 from oracles import (
@@ -74,10 +73,9 @@ def test_public_constructor_keeps_its_own_read_only_copies():
 
 
 def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
-    # Segment channels, free legs, compositions and items of a stack are
-    # built on blocks no caller holds: they are made read-only in place,
-    # never copied (the public constructor's copy would go through
-    # `_frozen`), and an item of a stack is a view of the stack's blocks.
+    # Segment channels, free legs and compositions are built on blocks no
+    # caller holds: they are made read-only in place, never copied (the
+    # public constructor's copy would go through `_frozen`).
     copies = []
     monkeypatch.setattr("rqss.channel._frozen", lambda arr: copies.append(arr) or np.array(arr))
     us = np.array([0.1, 0.3, 0.45])
@@ -85,8 +83,6 @@ def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
     chans = [
         journeys,
         reduced_channel(mode_sums(full_maps(fit20, 0.3), 1)),
-        journeys[1],
-        journeys[np.array([0, 2])],
         free_channel(us),
         segment_channel(full_maps(fit20, 0.3), 1),
         compose(free_channel(0.2), IDENTITY),
@@ -94,7 +90,6 @@ def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
     assert copies == []
     for chan in chans:
         assert not any(getattr(chan, name).flags.writeable for name in ("m0", "m2", "n2"))
-    assert np.shares_memory(journeys[1].n2, journeys.n2)
 
 
 def test_a_walk_of_several_stacks_and_its_channels_copy_no_block(cache_dir, monkeypatch):
@@ -220,7 +215,7 @@ def test_degenerate_at_integer_phase(fit20):
 def test_transmissivity_below_one(fit20):
     ch = segment_channel(full_maps(fit20, 0.3), 1)
     inv = channel_invariants(ch)
-    t = inv.transmissivity(0.05)
+    t = 1.0 - inv.t2 * 0.05**2
     assert 0.0 < t < 1.0
 
 

@@ -25,11 +25,10 @@ from rqss.gaussian import (
     symplectic_form,
     tensor,
     two_mode_squeezed_vacuum,
-    vacuum,
     UnphysicalStateError,
 )
 
-from oracles import check_state_by_reductions, homodyne_by_pseudo_inverse
+from oracles import check_state_by_reductions, homodyne_by_pseudo_inverse, vacuum
 
 # Frozen oracle: |<alpha|0>|^2 = e^{-|alpha|^2} with |alpha|^2 = (q^2 + p^2)/2,
 # so the fidelity of coherent(1, 0) to vacuum is e^{-1/2}.
@@ -168,17 +167,17 @@ def test_homodyne_feedforward_epr_oracle():
     # outcome into the other with gain -tanh(s) leaves q-variance 1/cosh(s).
     s = 1.1
     state = two_mode_squeezed_vacuum(s)
-    out = homodyne_feedforward(state, 1, 0, quadrature="q", gain=-np.tanh(s))
+    out = homodyne_feedforward(state, 1, 0, gain=-np.tanh(s))
     assert out.sigma[0, 0] == pytest.approx(1.0 / np.cosh(s), rel=1e-12)
     assert out.sigma[1, 1] == pytest.approx(np.cosh(s), rel=1e-12)
     # Any other gain is worse in the fed quadrature.
-    worse = homodyne_feedforward(state, 1, 0, quadrature="q", gain=-np.tanh(s) + 0.2)
+    worse = homodyne_feedforward(state, 1, 0, gain=-np.tanh(s) + 0.2)
     assert worse.sigma[0, 0] > out.sigma[0, 0]
 
 
 def test_homodyne_feedforward_mean_response():
     state = tensor(coherent(0.0, 0.0), coherent(2.0, 0.0))
-    out = homodyne_feedforward(state, 1, 0, quadrature="q", gain=0.5)
+    out = homodyne_feedforward(state, 1, 0, gain=0.5)
     assert out.d[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -187,7 +186,7 @@ def test_homodyne_rejects_bad_arguments():
     with pytest.raises(ValueError):
         homodyne_feedforward(state, 0, 0)
     with pytest.raises(ValueError):
-        homodyne_feedforward(state, 1, 0, quadrature="x")
+        homodyne_feedforward(state, 1, 2)
 
 
 def _random_pure(rng):
@@ -241,7 +240,7 @@ def test_pure_states_stay_physical(r, phi, q0, p0):
 @given(s=st.floats(0.0, 2.5), gain=st.floats(-2.0, 2.0))
 def test_homodyne_output_is_physical(s, gain):
     state = two_mode_squeezed_vacuum(s)
-    out = homodyne_feedforward(state, 1, 0, quadrature="q", gain=gain)
+    out = homodyne_feedforward(state, 1, 0, gain=gain)
     herm = out.sigma + 1j * symplectic_form(1)
     assert np.min(np.linalg.eigvalsh(herm)) > -1e-9
 
@@ -287,10 +286,9 @@ def test_stacked_ops_equal_per_item_results():
         got = apply_channel(m, n, stack, mode)
         _assert_items_equal(got, [apply_channel(mi, ni, st, mode) for mi, ni, st in zip(m, n, states)])
 
-    for quadrature in ("q", "p"):
-        for gain in (0.0, -1.3):
-            got = homodyne_feedforward(stack, 2, 0, quadrature=quadrature, gain=gain)
-            _assert_items_equal(got, [homodyne_feedforward(st, 2, 0, quadrature=quadrature, gain=gain) for st in states])
+    for gain in (0.0, -1.3):
+        got = homodyne_feedforward(stack, 2, 0, gain=gain)
+        _assert_items_equal(got, [homodyne_feedforward(st, 2, 0, gain=gain) for st in states])
 
     _assert_items_equal(partial_trace(stack, [2, 0]), [partial_trace(state, [2, 0]) for state in states])
 
@@ -562,14 +560,13 @@ def test_homodyne_closed_form_equals_the_pseudo_inverse_route():
     d, sigma, _, _ = _random_stack(rng, 3, (4, 9))
     for state in (one, GaussianState(d, sigma)):
         for measured, target in ((2, 0), (0, 1), (1, 2)):
-            for quadrature in ("q", "p"):
-                for gain in (0.0, -1.3):
-                    got = homodyne_feedforward(state, measured, target, quadrature=quadrature, gain=gain)
-                    want = homodyne_by_pseudo_inverse(state, measured, target, quadrature=quadrature, gain=gain)
-                    assert got.d.tobytes() == want.d.tobytes()
-                    assert got.sigma.tobytes() == want.sigma.tobytes()
+            for gain in (0.0, -1.3):
+                got = homodyne_feedforward(state, measured, target, gain=gain)
+                want = homodyne_by_pseudo_inverse(state, measured, target, gain=gain)
+                assert got.d.tobytes() == want.d.tobytes()
+                assert got.sigma.tobytes() == want.sigma.tobytes()
     # q-variance e^-30 against p-variance e^30: a measured quadrature with no variance.
     flat = tensor(coherent(0.0, 0.0), squeezed_vacuum(15.0))
     for route in (homodyne_feedforward, homodyne_by_pseudo_inverse):
         with pytest.raises(ValueError, match="no variance"):
-            route(flat, 1, 0, quadrature="q")
+            route(flat, 1, 0)

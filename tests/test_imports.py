@@ -33,6 +33,14 @@ def test_channel_imports_no_private_name_from_modes():
     assert names and not [name for name in names if name.startswith("_")]
 
 
+def test_channel_leaves_the_segment_walk_to_modes():
+    # The walk of a u-grid (`grid_segments`) sizes its stacks by the arrays
+    # `segment_maps` builds, so it lives beside them: the channel layer
+    # reduces sums it is handed and never builds or sizes a map stack.
+    names = _imports_from("channel")["modes"]
+    assert names and not names & {"STACK_ENTRIES", "segment_maps"}
+
+
 def _checker():
     spec = importlib.util.spec_from_file_location("unused_imports", ROOT / "scripts" / "unused_imports.py")
     module = importlib.util.module_from_spec(spec)

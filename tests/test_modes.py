@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqss import modes
-from rqss.channel import channel_invariants, grid_segments, reduced_channel, t2_from_sums
+from rqss.channel import channel_invariants, reduced_channel, t2_from_sums
 from rqss.modes import (
     DEFAULT_LADDER,
     DEFAULT_VALIDATION_H,
@@ -18,6 +18,7 @@ from rqss.modes import (
     cache_path,
     fit_transition,
     get_transition,
+    grid_segments,
     load_transition,
     mode_sums,
     resolve_cache_dir,

@@ -18,9 +18,8 @@ from rqss.gaussian import (
     fidelity_pure_mixed,
     partial_trace,
     squeezed_vacuum,
-    vacuum,
 )
-from rqss import channel, protocol
+from rqss import channel, modes, protocol
 from rqss.cli import main
 from rqss.modes import mode_sums
 from rqss.protocol import (
@@ -45,7 +44,7 @@ from rqss.protocol import (
     simulate_fidelity,
 )
 
-from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, full_maps, journey_per_u
+from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, full_maps, journey_per_u, vacuum
 
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
@@ -87,7 +86,7 @@ def test_round_trip_zeroth_order(fit20):
 def test_scenario_12_exact_at_zero_acceleration(fit20):
     for secret, params in ((("coherent"), (0.0, 0.0)), (("coherent"), (3.0, -2.0)), (("squeezed"), (0.4,))):
         cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
-        f = simulate_fidelity("12", cfg, fit20, h=0.0)
+        f = simulate_fidelity("12", replace(cfg, h=0.0), fit20)
         assert f == pytest.approx(1.0, abs=1e-12)
 
 
@@ -104,15 +103,15 @@ def test_collaborate_12_returns_secret_exactly(fit20):
 def test_scenario_23_zero_acceleration_table(fit20):
     for s, f0 in S_TABLE.items():
         cfg = _cfg(u=0.3, k=1, s=s)
-        f = simulate_fidelity("23", cfg, fit20, h=0.0)
+        f = simulate_fidelity("23", replace(cfg, h=0.0), fit20)
         assert f == pytest.approx(f0, abs=1e-9)
 
 
 def test_scenario_13_matches_23_at_zero_acceleration(fit20):
     for s in (0.5, 1.0):
         cfg = _cfg(u=0.3, k=1, s=s, secret_params=(1.0, -2.0))
-        f23 = simulate_fidelity("23", cfg, fit20, h=0.0)
-        f13 = simulate_fidelity("13", cfg, fit20, h=0.0)
+        f23 = simulate_fidelity("23", replace(cfg, h=0.0), fit20)
+        f13 = simulate_fidelity("13", replace(cfg, h=0.0), fit20)
         assert f13 == pytest.approx(f23, abs=1e-10)
         assert f13 == pytest.approx(S_TABLE[s], abs=1e-9)
 
@@ -136,12 +135,23 @@ def test_closed_forms_name_the_scenario_that_needs_s(fit20, scenario):
         fidelity_closed_forms(scenario, sums)
 
 
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_closed_forms_give_a_float_per_segment_and_an_array_per_stack(fit20, scenario):
+    us = np.array(TABLE_GRID)
+    (stack,), (stack_2u,) = (modes.grid_segments(fit20, phases, (1,)) for phases in (us, 2.0 * us))
+    stacked = fidelity_closed_forms(scenario, stack, stack_2u, s=1.0)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == us.shape
+    for u, f2 in zip(TABLE_GRID, stacked):
+        one = fidelity_closed_forms(scenario, *(mode_sums(full_maps(fit20, v), 1) for v in (u, 2.0 * u)), s=1.0)
+        assert type(one) is float and one == f2
+
+
 def test_squeezed_secret_zero_acceleration(fit20):
     # At h = 0 the recovered state is the secret plus 2 e^{-s} of added noise,
     # so for a squeezed secret F = 1/sqrt((e^{-2r}+e^{-s})(e^{2r}+e^{-s})).
     r, s = 0.4, 1.0
     cfg = _cfg(u=0.3, k=1, s=s, secret="squeezed", secret_params=(r,))
-    f = simulate_fidelity("23", cfg, fit20, h=0.0)
+    f = simulate_fidelity("23", replace(cfg, h=0.0), fit20)
     expected = 1.0 / np.sqrt((np.exp(-2 * r) + np.exp(-s)) * (np.exp(2 * r) + np.exp(-s)))
     assert f == pytest.approx(expected, abs=1e-10)
 
@@ -224,7 +234,8 @@ def test_report_displacement_invariance(fit20):
         cfg = _cfg(u=0.3, k=1, s=1.0, secret_params=qp, h=1e-2)
         reports.append(fidelity_report("12", cfg, fit20))
     assert reports[0].f2 == pytest.approx(reports[1].f2, abs=1e-10)
-    assert reports[0].perturbative() == pytest.approx(reports[1].perturbative(), abs=1e-10)
+    h2 = reports[0].h ** 2
+    assert reports[0].f0 - reports[0].f2 * h2 == pytest.approx(reports[1].f0 - reports[1].f2 * h2, abs=1e-10)
 
 
 def test_report_provenance(fit20):
@@ -232,7 +243,6 @@ def test_report_provenance(fit20):
     assert rep.f0_source
     assert rep.f2_source
     assert rep.f_sim_source
-    assert rep.perturbative(0.01) == pytest.approx(rep.f0 - rep.f2 * 1e-4, rel=1e-12)
     payload = rep.to_json_dict()
     json.dumps(payload)
 
@@ -405,8 +415,8 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     # record a float u, not a list); a round trip builds its u and 2u phases
     # once each, over a whole grid too.
     calls, single = [], []
-    build, one_channel = channel.segment_maps, channel.segment_channel
-    monkeypatch.setattr(channel, "segment_maps", lambda fit, us, rows: calls.append((us.tolist(), rows)) or build(fit, us, rows))
+    build, one_channel = modes.segment_maps, channel.segment_channel
+    monkeypatch.setattr(modes, "segment_maps", lambda fit, us, rows: calls.append((us.tolist(), rows)) or build(fit, us, rows))
     for namespace in (channel, protocol):
         monkeypatch.setattr(namespace, "segment_channel", lambda *args: single.append(args) or one_channel(*args))
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
@@ -447,10 +457,10 @@ def test_journeys_equal_the_identity_start_bit_for_bit(fit20, scenario):
     # composing onto the identity could flip; the journeys keep every bit.
     us, k = np.array([0.0, 0.5, 1.0]), 1
     journeys, _ = protocol._journeys(scenario, fit20, k, us)
-    seg = channel.reduced_channel(*channel.grid_segments(fit20, us, (k,)))
+    seg = channel.reduced_channel(*modes.grid_segments(fit20, us, (k,)))
     leg = channel.free_channel(inertial_phase(k, us))
     if scenario == "12":
-        seg_mid = channel.reduced_channel(*channel.grid_segments(fit20, 2.0 * us, (k,)))
+        seg_mid = channel.reduced_channel(*modes.grid_segments(fit20, 2.0 * us, (k,)))
         parts = [seg, leg, seg_mid, leg, seg]
     else:
         parts = [seg, leg, seg]
@@ -516,7 +526,6 @@ def test_simulation_is_the_report_f_sim_and_the_stage_sequence_bit_for_bit(fit20
     for s, (secret, params), u, h in itertools.product([0.5, 1.0, 2.0], secrets, [0.1, 0.3, 0.55, 0.9], [0.0, 1e-2, 3e-2, 0.1]):
         cfg = _cfg(s=s, secret=secret, secret_params=params, u=u, h=h)
         f_sim = simulate_fidelity(scenario, cfg, fit20)
-        assert simulate_fidelity(scenario, replace(cfg, h=0.5), fit20, h=h) == f_sim
         assert f_sim == fidelity_report(scenario, cfg, fit20).f_sim == fidelity_by_stages(scenario, cfg, fit20, h)
 
 
@@ -525,8 +534,8 @@ def test_simulation_is_the_report_f_sim_and_the_stage_sequence_bit_for_bit(fit20
 def test_report_equals_per_h_simulation_bit_for_bit(fit20, scenario, secret, params):
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params, h=7e-3)
     rep = fidelity_report(scenario, cfg, fit20)
-    assert rep.f_sim == simulate_fidelity(scenario, cfg, fit20, h=cfg.h)
-    ladder = [simulate_fidelity(scenario, cfg, fit20, h=h) for h in DEFAULT_F2_LADDER]
+    assert rep.f_sim == simulate_fidelity(scenario, cfg, fit20)
+    ladder = [simulate_fidelity(scenario, replace(cfg, h=h), fit20) for h in DEFAULT_F2_LADDER]
     assert not math.isnan(rep.f2_extrapolated)
     assert rep.f2_extrapolated == extrapolate_f2(ladder)[0]
 
@@ -536,7 +545,7 @@ def test_report_equals_per_h_simulation_bit_for_bit(fit20, scenario, secret, par
 def test_simulation_equals_stage_sequence_oracle(fit20, scenario, secret, params):
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
     for h in (2.5e-3, 1e-2):
-        assert simulate_fidelity(scenario, cfg, fit20, h=h) == fidelity_by_stages(scenario, cfg, fit20, h)
+        assert simulate_fidelity(scenario, replace(cfg, h=h), fit20) == fidelity_by_stages(scenario, cfg, fit20, h)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
@@ -545,8 +554,8 @@ def test_journeys_reduce_each_map_stack_once(fit20, monkeypatch, scenario):
     # once, on mode k, to the mode sums that its channels and a coherent
     # secret's closed form are both built from, whatever the secret.
     calls = []
-    mode_sums = channel.mode_sums
-    monkeypatch.setattr(channel, "mode_sums", lambda bogo, k: calls.append(k) or mode_sums(bogo, k))
+    mode_sums = modes.mode_sums
+    monkeypatch.setattr(modes, "mode_sums", lambda bogo, k: calls.append(k) or mode_sums(bogo, k))
     squeezed = _cfg(k=1, s=1.0, secret="squeezed", secret_params=(0.25,))
     fidelity_grid(scenario, squeezed, TABLE_GRID, fit20)
     fidelity_report(scenario, replace(squeezed, u=0.3), fit20)

@@ -15,10 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rqss import channel, protocol
-from rqss.channel import channel_invariants, cp_residual, grid_segments, reduced_channel, segment_channel
+from rqss import modes as rqss_modes
+from rqss import protocol
+from rqss.channel import channel_invariants, cp_residual, reduced_channel, segment_channel
 from rqss.gaussian import GaussianState
-from rqss.modes import STACK_ENTRIES, BogoliubovSet, get_transition, mode_sums, segment_maps
+from rqss.modes import STACK_ENTRIES, BogoliubovSet, get_transition, grid_segments, mode_sums, segment_maps
 from rqss.protocol import (
     _GRID_STACK,
     FIGURE_MODES,
@@ -37,7 +38,7 @@ TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 QUARTER_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # u = 0 and 1 carry no noise block
 EDGE_GRID = [0.0, 0.5, 1.0, 1.5]  # no noise block at whole u; 1.5 beyond the first period
 MAP_NAMES = ("alpha0", "alpha1", "beta1", "alpha2", "beta2")
-SUM_NAMES = ("f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")  # the stacked `ModeSums` fields but u
+SUM_NAMES = ("f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")  # the `ModeSums` fields
 SECRETS = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
 
 
@@ -74,9 +75,9 @@ def _phases():
 
 def _map_stacks(fit, us, modes):
     """The map stacks that one `grid_segments` walk of `us` builds, in order."""
-    stacks, build = [], channel.segment_maps
+    stacks, build = [], rqss_modes.segment_maps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channel, "segment_maps", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        patch.setattr(rqss_modes, "segment_maps", lambda *args: stacks.append(build(*args)) or stacks[-1])
         grid_segments(fit, us, modes)
     return stacks
 
@@ -160,18 +161,18 @@ def test_stacks_stay_bounded(request, n_max):
 
 @pytest.mark.parametrize("n_max", [20, 160])
 def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_dir, n_max):
-    # The walk is eager: one `segment_maps` call per stack, through the name
-    # `rqss.channel` holds, each returning its built maps before the next
-    # starts and before the walk returns, each within `STACK_ENTRIES`.
+    # The walk is eager: one `segment_maps` call per stack, each returning
+    # its built maps before the next starts and before the walk returns,
+    # each within `STACK_ENTRIES`.
     fit = get_transition(n_max=n_max, cache_dir=cache_dir)
-    build, events = channel.segment_maps, []
+    build, events = rqss_modes.segment_maps, []
 
     def watched(*args):
         events.append("called")
         events.append(build(*args))
         return events[-1]
 
-    monkeypatch.setattr(channel, "segment_maps", watched)
+    monkeypatch.setattr(rqss_modes, "segment_maps", watched)
     sums = grid_segments(fit, FIGURE_GRID, FIGURE_MODES)
     events.append("returned")
     stacks = events[1:-1:2]
@@ -186,7 +187,6 @@ def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_d
         # The (U, n, 2m) factor of the second-order product, and each array handed out.
         assert maps.u.size * n_max * 2 * m <= STACK_ENTRIES
         assert all(getattr(maps, name).size <= STACK_ENTRIES for name in MAP_NAMES)
-    assert [per_mode.u.size for per_mode in sums] == [len(FIGURE_GRID)] * m
     assert all(np.shape(getattr(per_mode, name)) == (len(FIGURE_GRID),) for per_mode in sums for name in SUM_NAMES)
 
 
@@ -199,7 +199,6 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
         inv = channel_invariants(chans[j])
         cp = cp_residual(*chans[j].evaluate(1e-2))
         per_mode = grid_sums[j]
-        assert per_mode.k == k and np.array_equal(per_mode.u, us)
         sums = [tuple(getattr(per_mode, name)[i] for name in SUM_NAMES) for i in range(us.size)]
         for i, u in enumerate(us):
             bogo = full_maps(fit20, u)
@@ -234,8 +233,7 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
             for name in ("m0", "m2", "n2"):
                 assert np.array_equal(getattr(chans[j], name)[rows], getattr(one, name)), (name, k)
             one_sums = mode_sums(maps, k)
-            assert (sums[j].k, sums[j].n_max) == (k, any_fit.n_max)
-            for name in ("u", *SUM_NAMES):
+            for name in SUM_NAMES:
                 assert np.array_equal(getattr(sums[j], name)[rows], getattr(one_sums, name)), (name, k)
     assert at == us.size
 
@@ -244,8 +242,9 @@ def _count_walks(monkeypatch):
     """Count the walks over a grid (`grid_segments` calls), the map stacks and mode sums they build, and the channels built from the sums."""
     counts = {"grid_segments": 0, "segment_maps": 0, "mode_sums": 0, "reduced_channel": 0}
     for name in counts:
-        # The package walks a grid and builds channels from `rqss.protocol` alone.
-        namespace = protocol if name in ("grid_segments", "reduced_channel") else channel
+        # The package walks a grid and builds channels from `rqss.protocol`
+        # alone, and a walk builds and reduces its maps in `rqss.modes`.
+        namespace = protocol if name in ("grid_segments", "reduced_channel") else rqss_modes
         build = getattr(namespace, name)
 
         def counting(*args, _name=name, _build=build, **kwargs):
@@ -261,8 +260,9 @@ def _count_walks(monkeypatch):
 def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
     # One walk per table, whatever the number of map stacks it spans, and
     # one reduction of each stack per mode (`mode_sums`).  The channel
-    # tables build one channel per mode from the joined sums, the journeys
-    # one on mode k alone, and the mode-sum figures none.
+    # tables build one channel per mode from the joined sums, a transit one
+    # on mode k alone, a round trip two (its u and its 2u segments), and
+    # the mode-sum figures none.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
@@ -278,7 +278,7 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
         figure_tables([consumer], fit, FIGURE_GRID, config)
-    channels = {"T2": 0, "F2_23": 0}.get(consumer, len(modes))
+    channels = {"T2": 0, "F2_23": 0, "F2_12_squeezed": 2, "fidelity 12": 2}.get(consumer, len(modes))
     assert counts == {"grid_segments": 1, "segment_maps": stacks, "mode_sums": stacks * len(modes), "reduced_channel": channels}
 
 
@@ -311,7 +311,8 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
 def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     # T2, nbar and F2_23 read one walk of the plotted modes, and nbar builds
     # one channel per plotted mode from its sums; F2_12_squeezed walks its
-    # round trips on mode k alone and builds one channel from their sums.
+    # round trips on mode k alone and builds two channels from their sums,
+    # one for the u segments and one for the 2u segments.
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig(n_max=n_max)
     plotted_stacks = len(_map_stacks(fit, FIGURE_GRID, FIGURE_MODES))
@@ -320,7 +321,7 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     counts = _count_walks(monkeypatch)
     figure_tables(FIGURES, fit, FIGURE_GRID, config)
     stacks = plotted_stacks + round_trips
-    channels = len(FIGURE_MODES) + 1
+    channels = len(FIGURE_MODES) + 2
     assert counts == {"grid_segments": 2, "segment_maps": stacks, "mode_sums": plotted + round_trips, "reduced_channel": channels}
 
 
