@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _frozen, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
+from .gaussian import GaussianState, _identity, _item, _mat_vec, _transpose, rotation_block, symplectic_form
 from .modes import BogoliubovSet, ModeSums, mode_sums
 
 _DEGENERATE_NOISE_FLOOR = 1e-18
@@ -38,8 +38,8 @@ class PerturbativeChannel:
     """Gaussian channel kept to second order in the acceleration h.
 
     Blocks are 2x2, or (..., 2, 2) for a stack of channels.  The constructor
-    keeps read-only float copies of the blocks it is given; the channels this
-    module builds adopt their freshly built blocks instead (`_adopt`).
+    adopts the float blocks it is given: it makes them read-only and does not
+    copy them, so a caller hands over blocks it no longer writes to.
     """
 
     m0: np.ndarray
@@ -47,17 +47,8 @@ class PerturbativeChannel:
     n2: np.ndarray
 
     def __post_init__(self):
-        self._set_blocks(*(_frozen(getattr(self, name)) for name in ("m0", "m2", "n2")))
-
-    @classmethod
-    def _adopt(cls, m0: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> "PerturbativeChannel":
-        """A channel on float blocks that the caller has just built and does not keep: made read-only, not copied."""
-        chan = object.__new__(cls)
-        chan._set_blocks(m0, m2, n2)
-        return chan
-
-    def _set_blocks(self, m0: np.ndarray, m2: np.ndarray, n2: np.ndarray):
-        for name, arr in (("m0", m0), ("m2", m2), ("n2", n2)):
+        for name in ("m0", "m2", "n2"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape[-2:] != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got {arr.shape}")
             arr.flags.writeable = False
@@ -75,7 +66,7 @@ class PerturbativeChannel:
 
 def free_channel(phi: float) -> PerturbativeChannel:
     """Noiseless free evolution by inertial phase phi (an array: a stack)."""
-    return PerturbativeChannel._adopt(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
+    return PerturbativeChannel(rotation_block(phi), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def reduced_channel(sums: ModeSums) -> PerturbativeChannel:
@@ -90,7 +81,7 @@ def reduced_channel(sums: ModeSums) -> PerturbativeChannel:
     m0 = complex_pair_block(sums.alpha0, 0.0)
     m2 = complex_pair_block(sums.alpha2, sums.beta2)
     iso = np.multiply.outer(2.0 * (sums.f_alpha + sums.f_beta), _identity(1))
-    return PerturbativeChannel._adopt(m0, m2, iso + 2.0 * complex_pair_block(0.0, sums.g_cross))
+    return PerturbativeChannel(m0, m2, iso + 2.0 * complex_pair_block(0.0, sums.g_cross))
 
 
 def segment_channel(bogo: BogoliubovSet, k: int) -> PerturbativeChannel:
@@ -105,7 +96,7 @@ def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> Perturba
     m0 = after.m0 @ before.m0
     m2 = after.m2 @ before.m0 + after.m0 @ before.m2
     n2 = after.m0 @ before.n2 @ _transpose(after.m0) + after.n2
-    return PerturbativeChannel._adopt(m0, m2, n2)
+    return PerturbativeChannel(m0, m2, n2)
 
 
 def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int | tuple[int, ...] = 0) -> GaussianState:
@@ -129,25 +120,6 @@ def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int 
     return GaussianState(_mat_vec(full_m, state.d), 0.5 * (sigma + _transpose(sigma)))
 
 
-def second_order_moments(channel: PerturbativeChannel, state: GaussianState):
-    """Output moments split by order: (d0, d2, sigma0, sigma2).
-
-    For a single-mode input, output d = d0 + d2 h^2 and
-    sigma = sigma0 + sigma2 h^2 up to O(h^4).
-    """
-    if state.n_modes != 1:
-        raise ValueError("second_order_moments expects a single-mode state")
-    d0 = channel.m0 @ state.d
-    d2 = channel.m2 @ state.d
-    sigma0 = channel.m0 @ state.sigma @ _transpose(channel.m0)
-    sigma2 = (
-        channel.m2 @ state.sigma @ _transpose(channel.m0)
-        + channel.m0 @ state.sigma @ _transpose(channel.m2)
-        + channel.n2
-    )
-    return d0, d2, sigma0, sigma2
-
-
 # ---------------------------------------------------------------------------
 # channel invariants and the thermal-lossy canonical form
 
@@ -166,7 +138,6 @@ class ChannelInvariants:
     t2: float
     nbar: float
     rank: int
-    degenerate: bool
 
 
 def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
@@ -184,7 +155,7 @@ def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
     rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
     rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
     rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))
-    return ChannelInvariants(_item(t2), _item(nbar), _item(rank), _item(degenerate))
+    return ChannelInvariants(_item(t2), _item(nbar), _item(rank))
 
 
 def t2_from_sums(sums: ModeSums) -> float:

@@ -116,8 +116,11 @@ def _parse_grid(text: str):
     count = round(steps) + 1
     if count > _GRID_POINTS_MAX:
         raise ValueError(f"bad grid {text!r}: {count} points, more than {_GRID_POINTS_MAX}")
-    grid = np.round(start + np.arange(count) * step, 12).tolist()
-    return [u for u in grid if u <= stop + 1e-12]
+    grid = np.round(start + np.arange(count) * step, 12)
+    grid = grid[grid <= stop + 1e-12]
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"bad grid {text!r}: its points round to the same u at the grid's 1e-12 resolution")
+    return grid.tolist()
 
 
 def _out_dir(text: str) -> str:

@@ -330,10 +330,9 @@ class BogoliubovSet:
     diagonal of the zeroth order), ``alpha1`` and ``beta1`` their first-order
     rows over all ``n_max`` input modes, shape (m, n_max), and ``alpha2`` and
     ``beta2`` the m x m block of the second order among them.  The full maps
-    have modes 1..n_max, and only they have `alpha_at`, `beta_at` and
-    `identity_residuals_at`.  A stack of segments carries a leading u axis on
-    every array, and ``u`` is then the array of phases; `alpha_at`, `beta_at`
-    and the residuals take one segment.
+    have modes 1..n_max, and only they have `identity_residuals_at`.  A stack
+    of segments carries a leading u axis on every array, and ``u`` is then
+    the array of phases; the residuals take one segment.
     """
 
     u: float
@@ -347,17 +346,9 @@ class BogoliubovSet:
 
     def row(self, k: int) -> int:
         """Position of mode k (numbered from 1) among the map's rows."""
-        if not 1 <= k <= self.n_max:
-            raise ValueError(f"mode {k} outside 1..{self.n_max}")
         if k not in self.modes:
             raise ValueError(f"mode {k} is not among the map's modes {self.modes}")
         return self.modes.index(k)
-
-    def alpha_at(self, h: float) -> np.ndarray:
-        return np.diag(self.alpha0) + self.alpha1 * h + self.alpha2 * h * h
-
-    def beta_at(self, h: float) -> np.ndarray:
-        return self.beta1 * h + self.beta2 * h * h
 
     def identity_residuals_order2(self) -> np.ndarray:
         """Per-mode h^2 coefficient of sum_l |alpha_jl|^2 - |beta_jl|^2 - 1."""
@@ -366,8 +357,8 @@ class BogoliubovSet:
         return np.abs(cross + first)
 
     def identity_residuals_at(self, h: float) -> np.ndarray:
-        alpha = self.alpha_at(h)
-        beta = self.beta_at(h)
+        alpha = np.diag(self.alpha0) + self.alpha1 * h + self.alpha2 * h * h
+        beta = self.beta1 * h + self.beta2 * h * h
         return np.abs(np.sum(np.abs(alpha) ** 2 - np.abs(beta) ** 2, axis=1) - 1.0)
 
 

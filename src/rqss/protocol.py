@@ -25,6 +25,7 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     _item,
+    _transpose,
     apply_symplectic,
     beam_splitter,
     coherent,
@@ -48,7 +49,6 @@ from .channel import (
     cp_residual,
     free_channel,
     reduced_channel,
-    second_order_moments,
     t2_from_sums,
 )
 # Unused here; bound because perfbench/tests/test_harness.py checks rqss.protocol.segment_channel.
@@ -368,9 +368,9 @@ def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> f
     Valid for any pure secret: the balanced recombination commutes with the
     identical per-share channels, so the decoded port sees the round-trip
     channel `chan` applied straight to the secret.  An array over a stack of
-    round trips.
+    round trips.  Only the h^2 term of the output covariance enters.
     """
-    _, _, _, sigma2 = second_order_moments(chan, secret)
+    sigma2 = chan.m2 @ secret.sigma @ _transpose(chan.m0) + chan.m0 @ secret.sigma @ _transpose(chan.m2) + chan.n2
     return _item(0.25 * np.trace(np.linalg.solve(secret.sigma, sigma2), axis1=-2, axis2=-1))
 
 

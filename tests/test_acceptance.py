@@ -35,8 +35,8 @@ F0_TABLE = {
 
 
 def _interior_residual(bogo, h, top=5):
-    alpha = bogo.alpha_at(h)
-    beta = bogo.beta_at(h)
+    alpha = np.diag(bogo.alpha0) + bogo.alpha1 * h + bogo.alpha2 * h * h
+    beta = bogo.beta1 * h + bogo.beta2 * h * h
     g1 = alpha @ alpha.conj().T - beta @ beta.conj().T - np.eye(bogo.n_max)
     g2 = alpha @ beta.T - (alpha @ beta.T).T
     return max(np.max(np.abs(g1[:top, :top])), np.max(np.abs(g2[:top, :top])))

@@ -14,7 +14,6 @@ from rqss.channel import (
     cp_residual,
     free_channel,
     reduced_channel,
-    second_order_moments,
     segment_channel,
     t2_from_sums,
 )
@@ -59,25 +58,47 @@ def test_blocks_of_arrays_are_stacks_of_the_one_value_blocks():
     assert complex_pair_block(np.cosh(0.6), np.sinh(0.6)).shape == rotation_block(0.6).shape == (2, 2)
 
 
-def test_public_constructor_keeps_its_own_read_only_copies():
+BLOCKS = ("m0", "m2", "n2")
+
+
+def _record_adoptions(monkeypatch):
+    """Spy on the constructor: one [(given, kept), ...] entry per channel built, block by block."""
+    built = []
+    adopt = PerturbativeChannel.__post_init__
+
+    def spy(chan):
+        given = [getattr(chan, name) for name in BLOCKS]
+        adopt(chan)
+        built.append([(block, getattr(chan, name)) for block, name in zip(given, BLOCKS)])
+
+    monkeypatch.setattr(PerturbativeChannel, "__post_init__", spy)
+    return built
+
+
+def test_constructor_adopts_its_float_blocks_read_only():
+    # Float blocks are kept as given, not copied: the channel shares their
+    # data and makes them read-only, so neither it nor the caller can write.
     blocks = [np.eye(2), np.full((2, 2), 0.5), np.array([[2.0, 0.0], [0.0, 3.0]])]
     chan = PerturbativeChannel(*blocks)
-    before = [block.copy() for block in blocks]
-    for block in blocks:
-        block += 1.0
-    for name, original in zip(("m0", "m2", "n2"), before):
+    for name, block in zip(BLOCKS, blocks):
         arr = getattr(chan, name)
-        assert np.array_equal(arr, original) and not arr.flags.writeable
+        assert arr is block and not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         chan.m0[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[1] += 1.0
+    # Anything else is converted to float first: that is the one copy.
+    ints = PerturbativeChannel([[1, 0], [0, 1]], np.zeros((2, 2), dtype=int), np.zeros((3, 2, 2)))
+    assert ints.m0.dtype == ints.m2.dtype == float and not ints.m2.flags.writeable
+    with pytest.raises(ValueError, match="n2 must be 2x2"):
+        PerturbativeChannel(np.eye(2), np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
-    # Segment channels, free legs and compositions are built on blocks no
-    # caller holds: they are made read-only in place, never copied (the
-    # public constructor's copy would go through `_frozen`).
-    copies = []
-    monkeypatch.setattr("rqss.channel._frozen", lambda arr: copies.append(arr) or np.array(arr))
+    # Segment channels, free legs, compositions and the stacked journeys are
+    # built on float blocks no caller holds: each is made read-only in place,
+    # never copied.
+    built = _record_adoptions(monkeypatch)
     us = np.array([0.1, 0.3, 0.45])
     journeys, _ = _journeys("12", fit20, 2, us)
     chans = [
@@ -87,21 +108,25 @@ def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
         segment_channel(full_maps(fit20, 0.3), 1),
         compose(free_channel(0.2), IDENTITY),
     ]
-    assert copies == []
+    assert built
+    for blocks in built:
+        for given, kept in blocks:
+            assert kept is given and kept.dtype == float and not kept.flags.writeable
     for chan in chans:
-        assert not any(getattr(chan, name).flags.writeable for name in ("m0", "m2", "n2"))
+        assert not any(getattr(chan, name).flags.writeable for name in BLOCKS)
 
 
 def test_a_walk_of_several_stacks_and_its_channels_copy_no_block(cache_dir, monkeypatch):
     # At n_max 160 the 31-point grid of three modes spans several map
     # stacks.  The walk joins each mode's sums, and each channel is built
-    # once from the joined sums, so no block goes through `_frozen`.
-    copies = []
-    monkeypatch.setattr("rqss.channel._frozen", lambda arr: copies.append(arr) or np.array(arr))
+    # once from the joined sums and adopts its blocks as built.
+    built = _record_adoptions(monkeypatch)
     sums = grid_segments(get_transition(n_max=160, cache_dir=cache_dir), np.arange(1, 32) / 32, (1, 2, 3))
     chans = [reduced_channel(per_mode) for per_mode in sums]
     assert [chan.n2.shape for chan in chans] == [(31, 2, 2)] * 3
-    assert copies == []
+    assert len(built) == 3
+    for blocks in built:
+        assert all(kept is given for given, kept in blocks)
 
 
 def test_free_channel():
@@ -178,7 +203,6 @@ def test_invariants_dual_route(fit20):
     assert inv.nbar == pytest.approx(nbar_from_sums(sums), abs=1e-6)
     assert ch.n2.tobytes() == noise_block_from_sums(sums).tobytes()
     assert inv.rank == 2
-    assert not inv.degenerate
 
 
 @pytest.mark.parametrize("u", [0.05, 0.3, 0.5, 0.77, 1.3])
@@ -206,7 +230,6 @@ def test_noise_trace_identity(fit20):
 def test_degenerate_at_integer_phase(fit20):
     ch = segment_channel(full_maps(fit20, 1.0), 1)
     inv = channel_invariants(ch)
-    assert inv.degenerate
     assert inv.t2 == 0.0
     assert np.isnan(inv.nbar)
     assert inv.rank == 0
@@ -258,25 +281,6 @@ def test_apply_channel_on_several_modes_is_one_map_per_mode(fit20):
     for bad in [(0, 3), (), (-1,)]:
         with pytest.raises(ValueError, match="outside"):
             apply_channel(m, n, state, mode=bad)
-
-
-def test_second_order_moments_identity_channel():
-    d0, d2, s0, s2 = second_order_moments(IDENTITY, coherent(1.0, 2.0))
-    assert np.allclose(d0, [1.0, 2.0])
-    assert np.max(np.abs(d2)) == 0.0
-    assert np.allclose(s0, np.eye(2))
-    assert np.max(np.abs(s2)) == 0.0
-
-
-def test_second_order_moments_segment(fit20):
-    ch = segment_channel(full_maps(fit20, 0.3), 1)
-    state = coherent(2.0, 0.0)
-    d0, d2, s0, s2 = second_order_moments(ch, state)
-    h = 1e-3
-    m, n = ch.evaluate(h)
-    full = apply_channel(m, n, state, 0)
-    assert np.max(np.abs(full.d - (d0 + d2 * h * h))) < 1e-11
-    assert np.max(np.abs(full.sigma - (s0 + s2 * h * h))) < 1e-11
 
 
 @settings(deadline=None, max_examples=25)

@@ -489,6 +489,18 @@ def test_grid_above_the_point_bound_exits_one(tmp_path, capsys):
     assert len(_parse_grid("1:1000000:1")) == 10**6
 
 
+@pytest.mark.parametrize("command", [["invariants"], ["figure-data"], ["fidelity", "--scenario", "23"]])
+@pytest.mark.parametrize("grid", ["1e-300:1e-299:1e-300", "0.5:0.5000000000001:1e-14", "0:1e-9:5e-13"])
+def test_grid_finer_than_its_rounding_exits_one_and_writes_nothing(cache_dir, fit20, tmp_path, capsys, command, grid):
+    # Grid points are rounded to 12 decimals; points that round to the same u
+    # would print one row per point at one u, so the grid is refused.
+    out = tmp_path / "out"
+    assert main([*command, "--grid", grid, "--out", str(out), *_args(cache_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: bad grid {grid!r}") and "1e-12" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("figure", [None, "all", "T2", "nbar", "F2_23"])
 def test_cutoff_below_the_plotted_modes_exits_one_before_fitting(tmp_path, capsys, figure):
     cache = tmp_path / "cache"

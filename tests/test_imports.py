@@ -1,4 +1,4 @@
-"""Module boundaries and imports, read with `ast`: which module imports what, and no unused import."""
+"""Module boundaries read with `ast`: which module imports what, no unused import, no unreached definition."""
 
 import ast
 import importlib.util
@@ -41,8 +41,8 @@ def test_channel_leaves_the_segment_walk_to_modes():
     assert names and not names & {"STACK_ENTRIES", "segment_maps"}
 
 
-def _checker():
-    spec = importlib.util.spec_from_file_location("unused_imports", ROOT / "scripts" / "unused_imports.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -64,9 +64,52 @@ def test_unused_import_checker_flags_unread_names_only(tmp_path):
         "print(xml.dom, loads)\n"
     )
     (tmp_path / "__init__.py").write_text("from json import dumps\n")
-    checker = _checker()
+    checker = _script("unused_imports")
     assert checker.unused_imports(module) == [(2, "os"), (3, "osp"), (5, "dumps"), (8, "e")]
     assert checker.unused_imports(tmp_path / "__init__.py") == []
     assert checker.main([str(tmp_path)]) == 1
     module.write_text("import os\nos.getcwd()\n")
     assert checker.main([str(tmp_path)]) == 0
+
+
+def test_unreached_definitions_fail_the_reachability_check(tmp_path, capsys):
+    (tmp_path / "cli.py").write_text(
+        "from .tools import Tool\n"
+        "def main():\n"
+        "    return Tool().run()\n"
+    )
+    (tmp_path / "tools.py").write_text(
+        "LIMIT = clamp(3)\n"  # module code runs on import, so it reaches `clamp`
+        "def clamp(x):\n"
+        "    return x\n"
+        "def orphan():\n"
+        "    return main()\n"  # reads `main`, but nothing reads `orphan`
+        "class Tool:\n"
+        "    def __init__(self):\n"  # called by Python when the class is reached
+        "        self.n = 1\n"
+        "    def run(self):\n"
+        "        return self.n\n"
+        "    def spare(self):\n"
+        "        return 0\n"
+    )
+    checker = _script("unreachable")
+    assert checker.unreachable(tmp_path) == ["tools.Tool.spare", "tools.orphan"]
+    assert checker.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "tools.Tool.spare: not reached from cli.main",
+        "tools.orphan: not reached from cli.main",
+    ]
+
+
+def test_a_method_reached_only_by_attribute_name_passes_the_reachability_check(tmp_path):
+    (tmp_path / "cli.py").write_text("from .report import Report\ndef main():\n    return Report().summary()\n")
+    (tmp_path / "report.py").write_text("class Report:\n    def summary(self):\n        return 'ok'\n")
+    checker = _script("unreachable")
+    assert checker.unreachable(tmp_path) == []
+    assert checker.main([str(tmp_path)]) == 0
+
+
+def test_the_package_leaves_exactly_the_allowed_names_unreached():
+    checker = _script("unreachable")
+    assert checker.unreachable(PACKAGE) == sorted(checker.ALLOWED)
+    assert all(checker.ALLOWED.values())

@@ -228,6 +228,18 @@ def test_closed_forms_match_extrapolation(fit20):
         assert rep.f2_extrapolated == pytest.approx(rep.f2_closed, rel=1e-3)
 
 
+@pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,)), ("squeezed", (-0.5,))])
+def test_scenario_12_direct_f2_matches_extrapolation(fit20, secret, params):
+    # The report's f2 is read off the round-trip channel's h^2 covariance
+    # block alone, m2 sigma m0^T + m0 sigma m2^T + n2; the extrapolation
+    # fits the simulated pipeline at three accelerations.  The two agree to
+    # the fit's h^4 remainder (at most 1.9e-8 relative measured).
+    for u in (0.1, 0.35, 0.8):
+        rep = fidelity_report("12", _cfg(u=u, s=1.0, secret=secret, secret_params=params), fit20)
+        assert rep.f2 != 0.0
+        assert rep.f2 == pytest.approx(rep.f2_extrapolated, rel=1e-6), u
+
+
 def test_report_displacement_invariance(fit20):
     reports = []
     for qp in ((0.0, 0.0), (3.0, -2.0)):

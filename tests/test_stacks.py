@@ -206,7 +206,7 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
             for name in ("m0", "m2", "n2"):
                 assert np.array_equal(getattr(chans[j], name)[i], getattr(one, name))
             single = channel_invariants(one)
-            assert (inv.t2[i], inv.rank[i], inv.degenerate[i]) == (single.t2, single.rank, single.degenerate)
+            assert (inv.t2[i], inv.rank[i]) == (single.t2, single.rank)
             np.testing.assert_array_equal(inv.nbar[i], single.nbar)
             assert cp[i] == cp_residual(*one.evaluate(1e-2))
             one_sums = mode_sums(bogo, k)
