@@ -15,12 +15,14 @@ only through h, so they are computed at ``L = 1``: every quantity here is a
 function of h, not of L.
 
 The instantaneous basis change between the two mode sets is evaluated by a
-vectorized fixed-panel Gauss-Legendre rule for whole matrices.  On top of
-the exact matrices a small-``h`` power series is extracted by evaluating at a
-ladder of accelerations and solving the scaled Vandermonde system exactly,
-making the extraction reproducible bit for bit; its first two orders are kept.
-The fit evaluates one rule; `quadrature_error` measures that rule against
-one with half its panels, on demand.
+fixed-panel Gauss-Legendre rule: two (n_max x Q) @ (Q x n_max) products
+per acceleration over the Q nodes, whose operands one rule allocates once
+and refills in place for every acceleration, a few rows at a time.  On top
+of the exact matrices a small-``h`` power series is extracted by evaluating
+at a ladder of accelerations and solving the scaled Vandermonde system
+exactly, making the extraction reproducible bit for bit; its first two
+orders are kept.  The fit evaluates one rule; `quadrature_error` measures
+that rule against one with half its panels, on demand.
 """
 
 from __future__ import annotations
@@ -65,63 +67,80 @@ def _gauss_panels(x_lo: float, x_hi: float, panels: int):
     return xs, ws
 
 
-def _inertial_rule(n_max: int, panels: int):
-    """Nodes, weights and normalized inertial sine table of one rule; h-independent."""
-    xi, ws = _gauss_panels(0.0, 1.0, panels)
-    n = np.arange(1, n_max + 1)
-    s_inertial = np.sin(np.outer(n * np.pi, xi))
-    s_inertial /= np.sqrt(n * np.pi)[:, None]
-    return xi, ws, s_inertial
-
-
-def _transition_matrices(h: float, n_max: int, xi, ws, s_inertial):
-    # Integrate in the wall offset xi = x - x_left: log1p(xi/x_left) keeps the
-    # wedge-mode argument at full precision at small h, where ln(x/x_left)
-    # would lose ~5 digits to the rounding of the ratio itself.
-    x_l = 1.0 / h - 0.5
-    span = 2.0 * np.arctanh(0.5 * h)  # the wall separation D in ln(x)
-    n = np.arange(1, n_max + 1)
-    om = n * np.pi
-    big_om = n * np.pi / span
-
-    s_wedge = np.sin(np.outer(n * np.pi / span, np.log1p(xi / x_l)))
-    s_wedge /= np.sqrt(n * np.pi)[:, None]
-
-    # alpha_ij = Int (omega_j + Omega_i/x) S_i s_j dx ; beta flips the sign of
-    # the Omega term.  Both are real with the slice phase convention.
-    overlap = (s_wedge * ws) @ s_inertial.T
-    overlap_inv_x = (s_wedge * (ws / (x_l + xi))) @ s_inertial.T
-    freq_term = overlap * om[None, :]
-    wedge_term = big_om[:, None] * overlap_inv_x
-    return freq_term + wedge_term, freq_term - wedge_term
-
-
 def _panels(n_max: int) -> int:
     """Panels of the fit's rule; the coarse rule of `quadrature_error` has half as many."""
     return 2 * max(16, 2 * n_max)
 
 
-def _exact_matrices(hs, n_max: int) -> list:
-    """Real (alpha, beta) at each acceleration h of `hs`, each in (0, 2).
+# Rows of the wedge table per pass of its elementwise work.  Every step
+# (outer product, sine, norm, the two weightings) is elementwise, so a pass
+# over a few rows at a time gives each entry the bits of the whole-array
+# expressions while the rows stay in cache between steps.  The two matrix
+# products are never split: cutting their rows into blocks of 1 to 32 changed
+# the products' bits at n_max 40 (and at every cutoff for 1-row blocks), and
+# the ladder fit amplifies any change of summation order, as one stacked
+# (2 n_max x Q) product showed at n_max 20 (CHANGES.md, the FOUND line on it).
+# Timed alone at n_max 160 (five accelerations, best of 20, x86-64 Xeon
+# with 2 MiB of L2 per core, one thread), passes of 4 to 16 rows took
+# 0.094-0.096 s against 0.101 s for whole-array passes into the same two
+# operands and 0.124 s for the whole-array temporaries they replace; 8 rows
+# of both operands (1.25 MiB at n_max 160) stay within that L2.
+_ROW_BLOCK = 8
 
-    One rule of `_panels(n_max)` panels of `_GAUSS_ORDER` nodes, whose
-    inertial table serves every acceleration.
+
+def _exact_matrices(hs, n_max: int, panels: int) -> list:
+    """Real (alpha, beta) at each acceleration h of `hs`, each in (0, 2), on one rule of `panels` panels.
+
+    The rule's panels hold `_GAUSS_ORDER` nodes each, Q in all.  Its memory
+    is fixed: three (n_max x Q) arrays, the h-independent inertial sine
+    table and the two weighted wedge operands, allocated once; every
+    acceleration refills the operands in place, `_ROW_BLOCK` rows at a time.
     """
-    rule = _inertial_rule(n_max, _panels(n_max))
-    return [_transition_matrices(h, n_max, *rule) for h in hs]
+    xi, ws = _gauss_panels(0.0, 1.0, panels)
+    om = np.arange(1, n_max + 1) * np.pi
+    norm = np.sqrt(om)[:, None]
+    s_inertial = np.multiply.outer(om, xi)
+    np.sin(s_inertial, out=s_inertial)
+    s_inertial /= norm
+    weighted, weighted_inv_x = np.empty_like(s_inertial), np.empty_like(s_inertial)
+    pairs = []
+    for h in hs:
+        # Integrate in the wall offset xi = x - x_left: log1p(xi/x_left) keeps
+        # the wedge-mode argument at full precision at small h, where
+        # ln(x/x_left) would lose ~5 digits to the rounding of the ratio itself.
+        x_l = 1.0 / h - 0.5
+        span = 2.0 * np.arctanh(0.5 * h)  # the wall separation D in ln(x)
+        big_om = om / span
+        log_x = np.log1p(xi / x_l)
+        ws_inv_x = ws / (x_l + xi)
+        for start in range(0, n_max, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            # The normalized wedge sines of these rows, built in place in the
+            # second operand, weighted into the first and then in place.
+            s_wedge = weighted_inv_x[rows]
+            np.multiply.outer(big_om[rows], log_x, out=s_wedge)
+            np.sin(s_wedge, out=s_wedge)
+            s_wedge /= norm[rows]
+            np.multiply(s_wedge, ws, out=weighted[rows])
+            np.multiply(s_wedge, ws_inv_x, out=s_wedge)
+
+        # alpha_ij = Int (omega_j + Omega_i/x) S_i s_j dx ; beta flips the sign
+        # of the Omega term.  Both are real with the slice phase convention.
+        freq_term = (weighted @ s_inertial.T) * om[None, :]
+        wedge_term = big_om[:, None] * (weighted_inv_x @ s_inertial.T)
+        pairs.append((freq_term + wedge_term, freq_term - wedge_term))
+    return pairs
 
 
 def quadrature_error(n_max: int) -> float:
     """Largest change of an alpha or beta entry at the `DEFAULT_LADDER` rungs from a rule of half the panels to the fit's.
 
     No fit reads it, so it is measured on demand (by `rqss bogo-check`), one
-    inertial table at a time: the coarse rule's is dropped before the fit's
+    rule at a time: the coarse rule's arrays are dropped before the fit's
     rule is built.
     """
-    rule = _inertial_rule(n_max, _panels(n_max) // 2)
-    coarse = [_transition_matrices(h, n_max, *rule) for h in DEFAULT_LADDER]
-    del rule
-    refined = _exact_matrices(DEFAULT_LADDER, n_max)
+    coarse = _exact_matrices(DEFAULT_LADDER, n_max, _panels(n_max) // 2)
+    refined = _exact_matrices(DEFAULT_LADDER, n_max, _panels(n_max))
     return float(max(np.max(np.abs(c - r)) for pair in zip(coarse, refined) for c, r in zip(*pair)))
 
 
@@ -160,7 +179,7 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
     t = np.array(DEFAULT_LADDER) / scale
     vand = np.vander(t, 5, increasing=True)[:, 1:]  # columns t, t^2, t^3, t^4
 
-    *rungs, (ref_a, ref_b) = _exact_matrices((*DEFAULT_LADDER, DEFAULT_VALIDATION_H), n_max)
+    *rungs, (ref_a, ref_b) = _exact_matrices((*DEFAULT_LADDER, DEFAULT_VALIDATION_H), n_max, _panels(n_max))
     ya = np.stack([(alpha - np.eye(n_max)).ravel() for alpha, _ in rungs])
     yb = np.stack([beta.ravel() for _, beta in rungs])
 

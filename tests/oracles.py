@@ -3,7 +3,8 @@
 None of these is on a CLI path.  Each one reaches a result of `rqss` by a
 different method (adaptive quadrature, first-order mode sums, a physical
 dilation, a plain loop in place of a batched expression or of shared
-quadrature tables, the protocol's stages written out one by one, the
+quadrature tables, whole-array temporaries in place of operands refilled in
+place, the protocol's stages written out one by one, the
 closed-form first- and second-order coefficients, T2 at n_max -> infinity
 as a Bernoulli polynomial, nbar from one row of the closed-form first order,
 the noise block as a sum over coupled modes, one segment or one report
@@ -64,10 +65,8 @@ from rqss.modes import (
     BogoliubovSet,
     ModeSums,
     TransitionFit,
-    _exact_matrices,
-    _inertial_rule,
+    _gauss_panels,
     _panels,
-    _transition_matrices,
     mode_sums,
     segment_maps,
 )
@@ -206,20 +205,57 @@ class ExactBogoliubov:
         return np.abs(np.sum(self.alpha**2 - self.beta**2, axis=1) - 1.0)
 
 
+def _inertial_rule(n_max: int, panels: int):
+    """Nodes, weights and normalized inertial sine table of one rule; h-independent."""
+    xi, ws = _gauss_panels(0.0, 1.0, panels)
+    n = np.arange(1, n_max + 1)
+    s_inertial = np.sin(np.outer(n * np.pi, xi))
+    s_inertial /= np.sqrt(n * np.pi)[:, None]
+    return xi, ws, s_inertial
+
+
+def _transition_matrices(h: float, n_max: int, xi, ws, s_inertial):
+    """(alpha, beta) at one acceleration, each (n_max x Q) operand a fresh whole array."""
+    x_l = 1.0 / h - 0.5
+    span = 2.0 * np.arctanh(0.5 * h)
+    n = np.arange(1, n_max + 1)
+    om = n * np.pi
+    big_om = n * np.pi / span
+
+    s_wedge = np.sin(np.outer(n * np.pi / span, np.log1p(xi / x_l)))
+    s_wedge /= np.sqrt(n * np.pi)[:, None]
+
+    overlap = (s_wedge * ws) @ s_inertial.T
+    overlap_inv_x = (s_wedge * (ws / (x_l + xi))) @ s_inertial.T
+    freq_term = overlap * om[None, :]
+    wedge_term = big_om[:, None] * overlap_inv_x
+    return freq_term + wedge_term, freq_term - wedge_term
+
+
+def exact_matrices_whole_array(hs, n_max: int, panels: int) -> list:
+    """`rqss.modes._exact_matrices` with whole-array temporaries: one table, then fresh operands per h.
+
+    The package fills its two operands in place, a few rows at a time; every
+    step is elementwise, so the bits must be these.
+    """
+    rule = _inertial_rule(n_max, panels)
+    return [_transition_matrices(h, n_max, *rule) for h in hs]
+
+
 def bogoliubov_exact(geometry: CavityGeometry) -> ExactBogoliubov:
     """Real transition matrices of one acceleration, by the package's fixed-panel Gauss-Legendre quadrature.
 
     Rows index wedge modes, columns inertial modes.  The matrices are the
-    fit's rule; its largest change from a rule of half the panels, at this
-    acceleration alone, is reported as `quadrature_error`.  The package's
-    quadrature works at L = 1 only.
+    fit's rule, built with whole-array temporaries; its largest change from
+    a rule of half the panels, at this acceleration alone, is reported as
+    `quadrature_error`.  The package's quadrature works at L = 1 only.
     """
     geometry._require_accelerated()
     if geometry.length != 1.0:
         raise ValueError(f"the package's quadrature takes h alone (L = 1), got length {geometry.length}")
     h, n_max = geometry.h, geometry.n_max
-    [refined] = _exact_matrices([h], n_max)
-    coarse = _transition_matrices(h, n_max, *_inertial_rule(n_max, _panels(n_max) // 2))
+    [refined] = exact_matrices_whole_array([h], n_max, _panels(n_max))
+    [coarse] = exact_matrices_whole_array([h], n_max, _panels(n_max) // 2)
     err = float(max(np.max(np.abs(c - r)) for c, r in zip(coarse, refined)))
     return ExactBogoliubov(alpha=refined[0], beta=refined[1], quadrature_error=err)
 

@@ -1,6 +1,7 @@
 """Cavity mode structure, transition matrices, the small-h fit, segments."""
 
 import json
+import platform
 import subprocess
 import sys
 
@@ -42,6 +43,7 @@ from oracles import (
     bogoliubov_exact,
     closed_form_transition,
     duration_from_u,
+    exact_matrices_whole_array,
     first_order_closed_form,
     fit_by_exact_loop,
     full_maps,
@@ -209,7 +211,7 @@ def test_exact_matrices_leave_a_cubic_remainder_after_two_closed_form_orders(n_m
     a1, b1 = first_order_closed_form(n_max)
     a2, b2 = second_order_closed_form(n_max)
     residuals = []
-    for h, (alpha, beta) in zip(hs, modes._exact_matrices(hs, n_max)):
+    for h, (alpha, beta) in zip(hs, modes._exact_matrices(hs, n_max, modes._panels(n_max))):
         res_a = np.abs(alpha - np.eye(n_max) - a1 * h - a2 * h * h)
         res_b = np.abs(beta - b1 * h - b2 * h * h)
         residuals.append([np.max(res[block]) for res in (res_a, res_b) for block in (..., np.s_[:20, :20])])
@@ -230,7 +232,7 @@ def test_second_order_closed_form_diagonals(n_max):
     np.testing.assert_allclose(np.diag(a2), a2_diag, rtol=4e-16, atol=0.0)
     np.testing.assert_allclose(np.diag(b2), b2_diag, rtol=4e-16, atol=0.0)
     h = 2.0e-3
-    [(alpha, beta)] = modes._exact_matrices([h], n_max)
+    [(alpha, beta)] = modes._exact_matrices([h], n_max, modes._panels(n_max))
     np.testing.assert_allclose(np.diag(alpha - np.eye(n_max)) / (h * h), a2_diag, rtol=1e-4, atol=0.0)
     np.testing.assert_allclose(np.diag(beta) / (h * h), b2_diag, rtol=1e-4, atol=0.0)
 
@@ -545,50 +547,115 @@ def test_fit_matches_per_acceleration_loop(ladder10):
     assert fit.validation == ladder10.validation
 
 
-@pytest.mark.parametrize("n_max", [10, 20])
+@pytest.mark.parametrize("n_max", [10, 20, 40])
 def test_quadrature_error_equals_the_per_acceleration_loop(n_max):
     # The largest coarse-to-fine change over the ladder, as the fit measured
-    # it before it moved out of the fit, bit for bit.
+    # it before it moved out of the fit, bit for bit: each acceleration and
+    # rule on whole-array temporaries of its own.
     assert modes.quadrature_error(n_max) == fit_by_exact_loop(n_max=n_max).quadrature_error
+
+
+@pytest.mark.parametrize("n_max", [13, 20, 40, 80, 160])
+@pytest.mark.parametrize("coarse", [False, True], ids=["fit_rule", "coarse_rule"])
+def test_exact_matrices_equal_the_whole_array_route(n_max, coarse):
+    # The rule's operands are refilled in place in blocks of rows, and only
+    # elementwise work is blocked, so every acceleration keeps the bits of the
+    # whole-array temporaries, also where n_max is no multiple of the block.
+    panels = modes._panels(n_max) // 2 if coarse else modes._panels(n_max)
+    hs = (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)
+    got = modes._exact_matrices(hs, n_max, panels)
+    want = exact_matrices_whole_array(hs, n_max, panels)
+    assert len(got) == len(want) == len(hs)
+    for pair, oracle in zip(got, want):
+        for matrix, expected in zip(pair, oracle):
+            assert matrix.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_max", [10, 20])
 def test_fit_equals_the_route_through_all_five_accelerations(monkeypatch, n_max):
-    # The fit evaluates all five accelerations on one shared inertial table.
-    # Each acceleration on a table of its own gives the same bits, and so
-    # does the fit built on those matrices.
+    # The fit evaluates all five accelerations on one rule, refilling its
+    # operands for each.  Each acceleration on a rule of its own gives the
+    # same bits, and so does the fit built on those matrices.
     hs = (*DEFAULT_LADDER, DEFAULT_VALIDATION_H)
-    shared = modes._exact_matrices(hs, n_max)
-    one_by_one = [modes._exact_matrices([h], n_max)[0] for h in hs]
+    panels = modes._panels(n_max)
+    shared = modes._exact_matrices(hs, n_max, panels)
+    one_by_one = [modes._exact_matrices([h], n_max, panels)[0] for h in hs]
     for (a, b), (a_1, b_1) in zip(shared, one_by_one):
         assert np.array_equal(a, a_1) and np.array_equal(b, b_1)
 
     fit = fit_transition(n_max=n_max)
-    monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max: one_by_one)
+    monkeypatch.setattr(modes, "_exact_matrices", lambda hs, n_max, panels: one_by_one)
     route = fit_transition(n_max=n_max)
     assert _same_coefficients(fit, route)
     assert fit.validation == route.validation
 
 
+def _count_rules(monkeypatch):
+    """Record each `_exact_matrices` call as (panels, accelerations) and each rule's node build by its panels."""
+    routes, node_builds = [], []
+    exact_matrices, gauss_panels = modes._exact_matrices, modes._gauss_panels
+
+    def counted_route(hs, n_max, panels):
+        routes.append((panels, tuple(hs)))
+        return exact_matrices(hs, n_max, panels)
+
+    def counted_nodes(x_lo, x_hi, panels):
+        node_builds.append(panels)
+        return gauss_panels(x_lo, x_hi, panels)
+
+    monkeypatch.setattr(modes, "_exact_matrices", counted_route)
+    monkeypatch.setattr(modes, "_gauss_panels", counted_nodes)
+    return routes, node_builds
+
+
 def test_fit_builds_one_table_and_five_matrix_pairs(monkeypatch):
-    # One rule: its inertial table is built once, and the four rungs and the
-    # held-out acceleration each take one pair of matrices from it.
-    tables, calls = [], []
-    inertial_rule, transition_matrices = modes._inertial_rule, modes._transition_matrices
-
-    def counted_rule(n_max, panels):
-        tables.append(panels)
-        return inertial_rule(n_max, panels)
-
-    def counted_matrices(h, *rest):
-        calls.append(h)
-        return transition_matrices(h, *rest)
-
-    monkeypatch.setattr(modes, "_inertial_rule", counted_rule)
-    monkeypatch.setattr(modes, "_transition_matrices", counted_matrices)
+    # One rule: the four rungs and the held-out acceleration all go through
+    # one `_exact_matrices` call, which builds its nodes (and so its tables)
+    # once.
+    routes, node_builds = _count_rules(monkeypatch)
     fit_transition(n_max=10)
-    assert tables == [modes._panels(10)] == [40]
-    assert calls == [*DEFAULT_LADDER, DEFAULT_VALIDATION_H]
+    assert routes == [(modes._panels(10), (*DEFAULT_LADDER, DEFAULT_VALIDATION_H))]
+    assert node_builds == [modes._panels(10)] == [40]
+
+
+def test_quadrature_error_builds_the_coarse_rule_then_the_fit_rule(monkeypatch):
+    # One route per rule, the coarse one first, each at the four rungs.
+    routes, node_builds = _count_rules(monkeypatch)
+    modes.quadrature_error(10)
+    assert routes == [(20, DEFAULT_LADDER), (40, DEFAULT_LADDER)]
+    assert node_builds == [20, 40]
+
+
+_TWO_FITS = """
+from pathlib import Path
+from rqss.modes import fit_transition
+
+def peak_kib():
+    status = Path("/proc/self/status").read_text()
+    return int(next(line for line in status.splitlines() if line.startswith("VmHWM:")).split()[1])
+
+peaks = []
+for _ in range(2):
+    fit_transition(160)
+    peaks.append(peak_kib())
+print(peaks[1] - peaks[0])
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the peak after a free depends on the allocator; measured with glibc on Linux",
+)
+def test_a_second_fit_in_a_process_raises_the_peak_by_at_most_2_mb(child_env):
+    # A fit's rule keeps three (n_max x Q) arrays, 12.5 MB each at n_max 160,
+    # and makes no other array of that size.  glibc keeps freed chunks, so a
+    # fit that allocated fresh temporaries per acceleration peaked about
+    # 11 MB higher on its second run in a process.  The child reads its peak
+    # resident set from VmHWM, not ru_maxrss: ru_maxrss keeps the peak of the
+    # image it was started from (this test process, larger than any fit).
+    run = subprocess.run([sys.executable, "-c", _TWO_FITS], env=child_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 2 * 1024
 
 
 def test_cache_hit_equals_fresh_fit(tmp_path):
