@@ -9,8 +9,9 @@ Subcommands::
     rqss figure-data   CSV data behind the summary figures
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific breach
-(tolerance violation, corrupted coefficient cache, failed calibration, a
-pipeline state that is not finite or violates the uncertainty bound).
+(tolerance violation, a negative occupation in the invariants or the nbar
+figure, corrupted coefficient cache, failed calibration, a pipeline state
+that is not finite or violates the uncertainty bound).
 Outputs are written without timestamps so repeated runs are byte-identical;
 every output directory gets a manifest listing parameters and content hashes.
 """
@@ -222,17 +223,20 @@ def _grid_and_fit(args, config: ProtocolConfig):
     return grid, config.transition()
 
 
-def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
-    grid, fit = _grid_and_fit(args, config)
-    header, rows, worst_cp = invariant_table(fit, grid, config)
-    breach = any(row[3] < -1e-10 for row in rows) or worst_cp < -1e-10  # a nan nbar is no breach
-
-    parameters = {"grid": args.grid, "n_max": config.n_max, "h": config.h}
-    _emit_table(args, argv, "invariants.csv", header, rows, parameters, f", min CP residual {worst_cp:.3e}")
-    if breach:
+def _physical(values) -> int:
+    """Exit code of occupations and CP residuals: 2, with a FAIL line, if one lies below -1e-10 (a nan does not), else 0."""
+    if any(value < -1e-10 for value in values):
         print("FAIL: negative occupation or CP violation detected", file=sys.stderr)
         return 2
     return 0
+
+
+def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
+    grid, fit = _grid_and_fit(args, config)
+    header, rows, worst_cp = invariant_table(fit, grid, config)
+    parameters = {"grid": args.grid, "n_max": config.n_max, "h": config.h}
+    _emit_table(args, argv, "invariants.csv", header, rows, parameters, f", min CP residual {worst_cp:.3e}")
+    return _physical([worst_cp, *(row[3] for row in rows)])
 
 
 def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
@@ -278,7 +282,8 @@ def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
     parameters = {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max}
     out_dir = _write_outputs(Path.cwd() if args.out is None else args.out, args, argv, parameters, files)
     print(f"wrote {len(files)} figure file(s) to {out_dir}")
-    return 0
+    nbar_rows = tables[names.index("nbar")][1] if "nbar" in names else []
+    return _physical([value for row in nbar_rows for value in row[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +155,9 @@ class TransitionFit:
     The fit solves for orders three and four too; they mostly absorb model
     truncation and serve only its held-out validation, so they are not kept.
     `validation` holds the held-out errors of the four-order series at
-    `DEFAULT_VALIDATION_H`.
+    `DEFAULT_VALIDATION_H`.  `journeys` holds the journeys that
+    `rqss.protocol` built on this fit, so each is built once per fit; it is
+    not saved, compared or printed, and it dies with the fit.
     """
 
     n_max: int
@@ -164,6 +166,7 @@ class TransitionFit:
     b1: np.ndarray
     b2: np.ndarray
     validation: dict
+    journeys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
@@ -450,7 +453,8 @@ class ModeSums:
     The row sums of the first-order couplings to every other mode (f_alpha,
     f_beta and the cross sum g), and mode k's diagonal map entries: the
     zeroth-order phase alpha0 and the second-order alpha2 and beta2, taken at
-    (k, k).  Arrays over u for a stack of segments.
+    (k, k).  Arrays over u for a stack of segments.  The constructor adopts
+    the arrays it is given: it makes them read-only and does not copy them.
     """
 
     f_alpha: float
@@ -459,6 +463,11 @@ class ModeSums:
     alpha0: complex
     alpha2: complex
     beta2: complex
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def __getitem__(self, index) -> "ModeSums":
         """The sums and entries at `index` of a stack."""

@@ -206,14 +206,35 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     segment, a rotation by exactly pi at zeroth order.  Scenario 12 sends
     them on a round trip, whose two middle segments merge into one of phase
     2u: a rotation by exactly 2 pi.  A transit has the sums of its u
-    segments, a round trip those of its u and of its 2u segments, each
-    distinct phase of u and 2u built and reduced to its sums once.
+    segments, a round trip those of its u and of its 2u segments.
+
+    A journey depends on the fit, its kind, k and the phases alone, never on
+    the secret or the squeezing, so each is built once per fit and kept in
+    `fit.journeys`: a later call at the same (kind, k, phases), scenarios 23
+    and 13 alike, returns the same read-only channel and sums.  The fit
+    holds at most `STACK_ENTRIES` u-points of journeys: a larger grid is not
+    kept, and the oldest grids make room for a new one.
     """
+    held = fit.journeys
+    key = (scenario == "12", k, us.tobytes())
+    if key in held:
+        return held[key]
+    built = _build_journeys(scenario, fit, k, us)
+    if us.size <= STACK_ENTRIES:
+        # The oldest grids make room; a key holds its grid's phases as float64 bytes.
+        while sum(len(phases) for *_, phases in held) // us.itemsize + us.size > STACK_ENTRIES:
+            del held[next(iter(held))]
+        held[key] = built
+    return built
+
+
+def _build_journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
+    """`_journeys` built anew: each distinct phase of u and 2u built and reduced to its sums once."""
     leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
         (sums,) = grid_segments(fit, us, (k,))
         seg = reduced_channel(sums)
-        return compose(seg, compose(leg, seg)), [sums]
+        return compose(seg, compose(leg, seg)), (sums,)
     # The distinct phases of u and 2u in order, and where each one went: a
     # set, because the first np.unique call of a process maps about 0.5 MB
     # more of numpy into memory.
@@ -225,7 +246,7 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     out, mid = sums[where[: us.size]], sums[where[us.size :]]
     seg = reduced_channel(out)
     journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
-    return journeys, [out, mid]
+    return journeys, (out, mid)
 
 
 def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:

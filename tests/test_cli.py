@@ -241,6 +241,58 @@ def test_unphysical_pipeline_state_exits_two(cache_dir, capsys):
     assert "CP violation" in capsys.readouterr().err
 
 
+# The grid on which a cutoff of 20 gives negative occupations (ROADMAP, M1).
+_NEGATIVE_NBAR_GRID = "0.0009765625:0.9990234375:0.0009765625"
+
+
+def _negative_cells(invariants_csv, figure_csv):
+    """The (u, k) cells with nbar < -1e-10 of an invariants CSV and of an nbar figure CSV."""
+    table = [line.split(",") for line in invariants_csv.read_text().splitlines()[1:]]
+    figure = [line.split(",") for line in figure_csv.read_text().splitlines()[1:]]
+    return (
+        {(u, k) for u, k, _, nbar, _ in table if float(nbar) < -1e-10},
+        {(row[0], str(k)) for row in figure for k, nbar in enumerate(row[1:], 1) if float(nbar) < -1e-10},
+    )
+
+
+def test_figure_data_and_invariants_flag_the_same_negative_occupations(cache_dir, tmp_path, capsys):
+    grid = ["--grid", _NEGATIVE_NBAR_GRID]
+    codes = [
+        main(["invariants", *grid, "--out", str(tmp_path / "table"), *_args(cache_dir)]),
+        main(["figure-data", "--figure", "nbar", *grid, "--out", str(tmp_path / "figure"), *_args(cache_dir)]),
+    ]
+    err = capsys.readouterr().err
+    table, figure = _negative_cells(tmp_path / "table" / "invariants.csv", tmp_path / "figure" / "figure_nbar.csv")
+    assert table == figure
+    assert codes == ([2, 2] if table else [0, 0])
+    assert err.count("FAIL: negative occupation or CP violation detected") == (2 if table else 0)
+
+
+@pytest.mark.parametrize("figure", ["nbar", "all", "T2"])
+def test_figure_data_writes_its_files_and_exits_two_on_a_negative_nbar(cache_dir, tmp_path, monkeypatch, capsys, figure):
+    # Only a negative nbar cell is a breach; a nan one is none.
+    tables = cli.figure_tables
+
+    def negative(names, *args):
+        return [
+            (header, [[rows[0][0], -1e-9, math.nan, *rows[0][3:]], *rows[1:]]) if name in ("nbar", "T2") else (header, rows)
+            for name, (header, rows) in zip(names, tables(names, *args))
+        ]
+
+    monkeypatch.setattr(cli, "figure_tables", negative)
+    rc = main(["figure-data", "--figure", figure, "--grid", "0.25:0.75:0.25", "--out", str(tmp_path), *_args(cache_dir)])
+    out, err = capsys.readouterr()
+    names = ["T2", "nbar", "F2_23", "F2_12_squeezed"] if figure == "all" else [figure]
+    listed = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+    assert sorted(listed) == sorted(f"figure_{name}.csv" for name in names)
+    assert all(_sha(tmp_path / name) == digest for name, digest in listed.items())
+    assert f"wrote {len(names)} figure file(s)" in out
+    if figure == "T2":
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (2, "FAIL: negative occupation or CP violation detected\n")
+
+
 def test_figure_csv_same_on_cache_miss_and_hit(tmp_path):
     cache = tmp_path / "cache"
     argv = ["figure-data", "--figure", "nbar", "--nmax", "20", "--cache-dir", str(cache)]

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from rqss.gaussian import (
 )
 from rqss import channel, modes, protocol
 from rqss.cli import main
-from rqss.modes import mode_sums
+from rqss.modes import STACK_ENTRIES, mode_sums
 from rqss.protocol import (
     CALIBRATION_ENSEMBLE,
     DEFAULT_DECODER_GAIN,
@@ -425,17 +425,19 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     # The coherent secret's mode sums come from the journeys' own segment
     # maps, built in one stacked call and no one-segment call (which would
     # record a float u, not a list); a round trip builds its u and 2u phases
-    # once each, over a whole grid too.
+    # once each, over a whole grid too.  The count runs on a copy of the fit
+    # with no journeys built on it yet.
+    fit = replace(fit20)
     calls, single = [], []
     build, one_channel = modes.segment_maps, channel.segment_channel
     monkeypatch.setattr(modes, "segment_maps", lambda fit, us, rows: calls.append((us.tolist(), rows)) or build(fit, us, rows))
     for namespace in (channel, protocol):
         monkeypatch.setattr(namespace, "segment_channel", lambda *args: single.append(args) or one_channel(*args))
     cfg = _cfg(u=0.3, k=1, s=1.0, secret=secret, secret_params=params)
-    fidelity_report(scenario, cfg, fit20)
+    fidelity_report(scenario, cfg, fit)
     assert calls == [([0.3, 0.6][:builds], (1,))]
     calls.clear()
-    fidelity_grid(scenario, cfg, TABLE_GRID, fit20)
+    fidelity_grid(scenario, cfg, TABLE_GRID, fit)
     phases = sorted({*TABLE_GRID, *(2.0 * u for u in TABLE_GRID)}) if scenario == "12" else TABLE_GRID
     assert calls == [(phases, (1,))]
     assert single == []
@@ -455,11 +457,11 @@ def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, ch
 @pytest.mark.parametrize("scenario, composes", [("12", 4), ("23", 2), ("13", 2)])
 def test_report_composes_each_journey_from_its_first_channel(fit20, monkeypatch, scenario, composes):
     # A transit is three channels, a round trip five: one `compose` fewer
-    # than channels, none onto an identity.
+    # than channels, none onto an identity.  On a fit with no journeys built.
     count = []
     compose = protocol.compose
     monkeypatch.setattr(protocol, "compose", lambda after, before: count.append(1) or compose(after, before))
-    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), replace(fit20))
     assert len(count) == composes
 
 
@@ -564,17 +566,126 @@ def test_simulation_equals_stage_sequence_oracle(fit20, scenario, secret, params
 def test_journeys_reduce_each_map_stack_once(fit20, monkeypatch, scenario):
     # Each journey build walks one stack of segment maps here and reduces it
     # once, on mode k, to the mode sums that its channels and a coherent
-    # secret's closed form are both built from, whatever the secret.
+    # secret's closed form are both built from, whatever the secret.  Each
+    # call gets a copy of the fit with no journeys built on it, as a fit
+    # would reuse its journeys from the calls before.
     calls = []
     mode_sums = modes.mode_sums
     monkeypatch.setattr(modes, "mode_sums", lambda bogo, k: calls.append(k) or mode_sums(bogo, k))
     squeezed = _cfg(k=1, s=1.0, secret="squeezed", secret_params=(0.25,))
-    fidelity_grid(scenario, squeezed, TABLE_GRID, fit20)
-    fidelity_report(scenario, replace(squeezed, u=0.3), fit20)
-    simulate_fidelity(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
-    figure_tables(["F2_12_squeezed"], fit20, TABLE_GRID, squeezed)
-    fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
+    fidelity_grid(scenario, squeezed, TABLE_GRID, replace(fit20))
+    fidelity_report(scenario, replace(squeezed, u=0.3), replace(fit20))
+    simulate_fidelity(scenario, _cfg(u=0.3, k=1, s=1.0), replace(fit20))
+    figure_tables(["F2_12_squeezed"], replace(fit20), TABLE_GRID, squeezed)
+    fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, replace(fit20))
     assert calls == [1] * 5
+
+
+def _count_builds(monkeypatch):
+    """Count the segment-map stacks, channels and compositions that journey builds make."""
+    counts = {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
+    for namespace, name in ((modes, "segment_maps"), (protocol, "reduced_channel"), (protocol, "compose")):
+        build = getattr(namespace, name)
+
+        def counting(*args, _name=name, _build=build):
+            counts[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(namespace, name, counting)
+    return counts
+
+
+def _held_sizes(fit) -> list:
+    """u-points of each grid of journeys a fit holds, oldest first (a key holds its phases as float64 bytes)."""
+    return [len(phases) // 8 for *_, phases in fit.journeys]
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_a_second_report_on_the_same_journey_builds_nothing(fit20, monkeypatch, scenario):
+    # The journey depends on neither the secret nor the squeezing: a second
+    # report at the same k and u reuses it, with no map, channel or compose.
+    fit = replace(fit20)
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit)
+    built = protocol._journeys(scenario, fit, 1, np.array([0.3]))
+    counts = _count_builds(monkeypatch)
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=2.0, secret="squeezed", secret_params=(0.25,)), fit)
+    assert counts == {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
+    assert protocol._journeys(scenario, fit, 1, np.array([0.3])) is built
+    assert list(fit.journeys) == [(scenario == "12", 1, np.array([0.3]).tobytes())]
+
+
+def test_scenarios_23_and_13_share_the_transit(fit20, monkeypatch):
+    fit = replace(fit20)
+    fidelity_report("23", _cfg(u=0.3, k=1), fit)
+    counts = _count_builds(monkeypatch)
+    fidelity_report("13", _cfg(u=0.3, k=1, s=0.5), fit)
+    assert counts == {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
+    # The round trip at the same u is another journey.
+    fidelity_report("12", _cfg(u=0.3, k=1), fit)
+    assert counts == {"segment_maps": 1, "reduced_channel": 2, "compose": 4}
+    assert len(fit.journeys) == 2
+
+
+def test_another_u_k_or_fit_builds_anew(fit20, monkeypatch):
+    fit = replace(fit20)
+    fidelity_report("23", _cfg(u=0.3, k=1), fit)
+    counts = _count_builds(monkeypatch)
+    fidelity_report("23", _cfg(u=0.4, k=1), fit)
+    assert counts["segment_maps"] == 1
+    fidelity_report("23", _cfg(u=0.3, k=2), fit)
+    assert counts["segment_maps"] == 2
+    other = replace(fit20)
+    fidelity_report("23", _cfg(u=0.3, k=1), other)
+    assert counts == {"segment_maps": 3, "reduced_channel": 3, "compose": 6}
+    # The grid [0.3, 0.4] is another key than its points one by one.
+    fidelity_grid("23", _cfg(k=1), [0.3, 0.4], fit)
+    assert counts["segment_maps"] == 4
+    assert (len(fit.journeys), len(other.journeys)) == (4, 1)
+
+
+def test_reports_on_one_fit_equal_reports_on_a_fresh_fit_per_call(fit20):
+    # 81 reports per scenario from one fit, against the same reports each
+    # built from scratch on a copy of the fit with no journeys on it.
+    fit = replace(fit20)
+    secrets = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
+    for scenario, s, (secret, params), u in itertools.product(["12", "23", "13"], [0.5, 1.0, 2.0], secrets, [0.1, 0.3, 0.55]):
+        cfg = _cfg(s=s, secret=secret, secret_params=params, u=u)
+        shared, fresh = (fidelity_report(scenario, cfg, f).to_json_dict() for f in (fit, replace(fit20)))
+        assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+    # A transit and a round trip per u.
+    assert len(fit.journeys) == 6
+
+
+def test_a_fit_holds_at_most_stack_entries_u_points_of_journeys(fit10):
+    # Oldest first out; a grid larger than the budget is built, not kept.
+    fit = replace(fit10)
+    half = STACK_ENTRIES // 2 - 1
+    grids = [np.linspace(0.0, 1.0, half), np.linspace(0.0, 0.5, half), np.linspace(0.0, 1.0, 20)]
+    for us in grids:
+        protocol._journeys("23", fit, 1, us)
+        assert sum(_held_sizes(fit)) <= STACK_ENTRIES
+    assert _held_sizes(fit) == [half, 20]
+    protocol._journeys("12", fit, 1, grids[0])
+    assert _held_sizes(fit) == [20, half]
+    too_many = np.linspace(0.0, 1.0, STACK_ENTRIES + 1)
+    journeys, (sums,) = protocol._journeys("23", fit, 1, too_many)
+    assert journeys.m0.shape == (STACK_ENTRIES + 1, 2, 2) and sums.f_alpha.shape == (STACK_ENTRIES + 1,)
+    assert _held_sizes(fit) == [20, half]
+    assert protocol._journeys("23", fit, 1, too_many) is not protocol._journeys("23", fit, 1, too_many)
+
+
+@pytest.mark.parametrize("scenario", ["12", "23"])
+def test_kept_journeys_and_their_sums_are_read_only(fit20, scenario):
+    fit = replace(fit20)
+    journeys, sums = protocol._journeys(scenario, fit, 1, np.array([0.2, 0.3]))
+    held = fit.journeys[(scenario == "12", 1, np.array([0.2, 0.3]).tobytes())]
+    assert held[0] is journeys and held[1] is sums
+    arrays = [getattr(journeys, name) for name in ("m0", "m2", "n2")]
+    arrays += [getattr(per_segment, f.name) for per_segment in sums for f in fields(per_segment)]
+    assert len(arrays) == 3 + 6 * len(sums)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_a_fit_of_another_cutoff_is_rejected(fit20):

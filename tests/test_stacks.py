@@ -262,8 +262,8 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
     # one reduction of each stack per mode (`mode_sums`).  The channel
     # tables build one channel per mode from the joined sums, a transit one
     # on mode k alone, a round trip two (its u and its 2u segments), and
-    # the mode-sum figures none.
-    fit = request.getfixturevalue(f"fit{n_max}")
+    # the mode-sum figures none.  On a copy of the fit with no journeys built.
+    fit = replace(request.getfixturevalue(f"fit{n_max}"))
     config = ProtocolConfig(n_max=n_max)
     modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
     if consumer in ("F2_12_squeezed", "fidelity 12"):
@@ -312,8 +312,9 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     # T2, nbar and F2_23 read one walk of the plotted modes, and nbar builds
     # one channel per plotted mode from its sums; F2_12_squeezed walks its
     # round trips on mode k alone and builds two channels from their sums,
-    # one for the u segments and one for the 2u segments.
-    fit = request.getfixturevalue(f"fit{n_max}")
+    # one for the u segments and one for the 2u segments.  On a copy of the
+    # fit with no journeys built.
+    fit = replace(request.getfixturevalue(f"fit{n_max}"))
     config = ProtocolConfig(n_max=n_max)
     plotted_stacks = len(_map_stacks(fit, FIGURE_GRID, FIGURE_MODES))
     plotted = plotted_stacks * len(FIGURE_MODES)
