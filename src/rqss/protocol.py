@@ -15,6 +15,7 @@ by exactly pi at vanishing acceleration (a round trip by 2 pi).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -192,6 +193,41 @@ def encode(secret: GaussianState, s: float) -> GaussianState:
     if secret.n_modes != 1:
         raise ValueError("the secret must be a single-mode state")
     return apply_symplectic(_SPLITTER, tensor(secret, two_mode_squeezed_vacuum(s)))
+
+
+# Dealings a process keeps (`_dealt`): an entry is three small checked states,
+# a few kilobytes, so this bound only stops a sweep over ever new secrets or
+# squeezings from growing the memo without end.
+_DEALINGS_KEPT = 64
+
+
+class _Dealing:
+    """A secret dealt at one squeezing: its checked state, the encoded shares and, once read, `f0`."""
+
+    def __init__(self, config: ProtocolConfig):
+        self.secret = config.make_secret()
+        self.encoded = encode(self.secret, config.s)
+        self._s = config.s
+
+    @functools.cached_property
+    def f0(self) -> float:
+        """Fidelity at h = 0 of scenarios 23 and 13, whose decoded state is sigma + 2 e^{-s} I."""
+        ideal = GaussianState(self.secret.d, self.secret.sigma + 2.0 * math.exp(-self._s) * np.eye(2))
+        return fidelity_pure_mixed(self.secret, ideal)
+
+
+@functools.lru_cache(maxsize=_DEALINGS_KEPT)
+def _dealt(secret: str, params: tuple, s: str) -> _Dealing:
+    """The dealing of a secret kind at its parameters and squeezing, given as their `float.hex` bits.
+
+    The dealer's states depend on the secret and s alone, never on the
+    journey, so a process deals each (secret, s) once: every state is checked
+    when it is first built, and its arrays are read-only.  Keyed by the float
+    bits, -0.0 and 0.0 get their own dealings, while 1 and 1.0 share one, as
+    they build the same states.
+    """
+    params = tuple(float.fromhex(x) for x in params)
+    return _Dealing(ProtocolConfig(s=float.fromhex(s), secret=secret, secret_params=params))
 
 
 def inertial_phase(k: int, u: float) -> float:
@@ -454,12 +490,15 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
 
     `config.u` is not read.  The journeys of the whole grid are built as one
     stack (each distinct segment phase once, on the monitored mode's rows),
-    the secret is encoded once, and the journeys at the h-ladder and at
-    `config.h` run through `distribute` and `collaborate` as one stack per
-    `_GRID_STACK` u-points.  `f0` of scenarios 23 and 13 does not depend on
-    u and is computed once; the three-point h^2 extrapolations and their
-    window guard run once on the grid's (U, 3) ladder fidelities.  Each
-    report has the bits of a one-u grid.
+    and the journeys at the h-ladder and at `config.h` run through
+    `distribute` and `collaborate` as one stack per `_GRID_STACK` u-points.
+    What does not depend on the grid is built once and reused: the fit keeps
+    each journey it builds (`_journeys`), and the process keeps the dealing
+    of each (secret, s), its secret state, encoded shares and the `f0` of
+    scenarios 23 and 13, for its latest `_DEALINGS_KEPT` pairs (`_dealt`).
+    Every state is checked once, when it is first built.  The three-point
+    h^2 extrapolations and their window guard run once on the grid's (U, 3)
+    ladder fidelities.  Each report has the bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     fit = config.transition(fit)
@@ -467,8 +506,8 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     us = _u_grid(grid)
     coherent_secret = config.secret == "coherent"
     journeys, sums = _journeys(scenario, fit, config.k, us)
-    secret = config.make_secret()
-    encoded = encode(secret, config.s)
+    dealing = _dealt(config.secret, tuple(float(x).hex() for x in config.secret_params), float(config.s).hex())
+    secret, encoded = dealing.secret, dealing.encoded
     # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
     M, N = journeys.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
     sims = np.empty((len(DEFAULT_F2_LADDER) + 1, us.size))
@@ -485,8 +524,7 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
         f2_direct = _direct_f2_scenario12(journeys, secret).tolist()
         direct_source = "trace of the round-trip second-order moments"
     else:
-        ideal = GaussianState(secret.d, secret.sigma + 2.0 * math.exp(-config.s) * np.eye(2))
-        f0, f0_source = fidelity_pure_mixed(secret, ideal), "decoded zeroth-order moments: sigma + 2 e^{-s} I"
+        f0, f0_source = dealing.f0, "decoded zeroth-order moments: sigma + 2 e^{-s} I"
         f2_direct, direct_source = f2_closed, "closed form from first-order mode sums"
     # Scenarios 23 and 13 have no closed form for other secrets: f2 is the ladder fit.
     from_ladder = scenario != "12" and not coherent_secret

@@ -443,15 +443,25 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     assert single == []
 
 
+# States a second identical report checks: the dealing (secret, TMSV, their
+# product, the split shares, and f0's state in scenarios 23 and 13) is kept.
+WARM_CHECKS = {"12": 3, "23": 6, "13": 7}
+
+
 @pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 11), ("13", 12)])
 def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, checks):
     # The four accelerations run as one stack: one checked state per step,
-    # and `distribute` sends both shares with one map.
+    # and `distribute` sends both shares with one map.  On an empty dealing
+    # memo, then again on the dealing the first report kept.
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    protocol._dealt.cache_clear()
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert len(count) == checks
+    count.clear()
+    fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
+    assert len(count) == WARM_CHECKS[scenario]
 
 
 @pytest.mark.parametrize("scenario, composes", [("12", 4), ("23", 2), ("13", 2)])
@@ -490,12 +500,101 @@ def test_grid_checks_no_more_states_than_one_report(fit20, cache_dir, tmp_path, 
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    # Each side deals its secret anew, so both count the dealing's states.
+    protocol._dealt.cache_clear()
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     one = len(count)
     count.clear()
+    protocol._dealt.cache_clear()
     argv = ["fidelity", "--scenario", scenario, "--grid", "0.1:0.9:0.1", "--nmax", "20"]
     assert main([*argv, "--cache-dir", str(cache_dir), "--out", str(tmp_path)]) == 0
     assert 0 < len(count) <= one
+
+
+def _dealing_key(secret: str, params: tuple, s: float) -> tuple:
+    return secret, tuple(float(x).hex() for x in params), float(s).hex()
+
+
+def _bits(report) -> dict:
+    """A report's fields, each float as its exact bits."""
+    return {name: value.hex() if isinstance(value, float) else value for name, value in report.to_json_dict().items()}
+
+
+def test_a_sweep_over_scenarios_and_u_deals_its_secret_once(fit20, monkeypatch):
+    # 27 reports on one (secret, s): three scenarios at each u of the table grid.
+    encodes = []
+    encode = protocol.encode
+    monkeypatch.setattr(protocol, "encode", lambda secret, s: encodes.append(s) or encode(secret, s))
+    protocol._dealt.cache_clear()
+    for scenario, u in itertools.product(["12", "23", "13"], TABLE_GRID):
+        fidelity_report(scenario, _cfg(u=u, s=0.75, secret_params=(0.4, -0.2)), fit20)
+    assert encodes == [0.75]
+    assert protocol._dealt.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("secret, params", [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
+def test_reports_on_a_kept_dealing_equal_their_cold_route(fit20, secret, params):
+    cases = list(itertools.product(["12", "23", "13"], [0.5, 2.0], [0.1, 0.55, 0.9]))
+    cold = []
+    for scenario, s, u in cases:
+        protocol._dealt.cache_clear()
+        cold.append(fidelity_report(scenario, _cfg(u=u, s=s, secret=secret, secret_params=params), fit20))
+    warm = [
+        fidelity_report(scenario, _cfg(u=u, s=s, secret=secret, secret_params=params), fit20)
+        for scenario, s, u in cases
+    ]
+    assert protocol._dealt.cache_info().hits >= len(cases) - 2
+    assert json.dumps([r.to_json_dict() for r in warm]) == json.dumps([r.to_json_dict() for r in cold])
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_a_signed_zero_secret_has_its_own_dealing(fit20, scenario):
+    # -0.0 == 0.0, so the two secrets are told apart by position, not as dict keys.
+    secrets = [(-0.0, 0.0), (0.0, 0.0)]
+    cold = []
+    for params in secrets:
+        protocol._dealt.cache_clear()
+        cold.append(_bits(fidelity_report(scenario, _cfg(u=0.3, secret_params=params), fit20)))
+    protocol._dealt.cache_clear()
+    for i in [0, 1, 0]:
+        assert _bits(fidelity_report(scenario, _cfg(u=0.3, secret_params=secrets[i]), fit20)) == cold[i]
+    assert protocol._dealt.cache_info().currsize == 2
+    negative = protocol._dealt(*_dealing_key("coherent", (-0.0, 0.0), 1.0))
+    assert math.copysign(1.0, negative.secret.d[0]) == -1.0
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_integer_and_float_parameters_share_a_dealing_and_echo_the_config(fit20, scenario):
+    protocol._dealt.cache_clear()
+    by_int = fidelity_report(scenario, _cfg(u=0.3, s=1, secret_params=(0, 0)), fit20).to_json_dict()
+    by_float = fidelity_report(scenario, _cfg(u=0.3, s=1.0, secret_params=(0.0, 0.0)), fit20).to_json_dict()
+    assert protocol._dealt.cache_info().currsize == 1
+    s_int, s_float = by_int.pop("s"), by_float.pop("s")
+    assert (type(s_int), type(s_float), s_int) == (int, float, s_float)
+    assert (by_int.pop("secret"), by_float.pop("secret")) == ("coherent(0, 0)", "coherent(0.0, 0.0)")
+    assert json.dumps(by_int) == json.dumps(by_float)
+
+
+def test_the_dealing_memo_keeps_at_most_its_bound(fit20):
+    protocol._dealt.cache_clear()
+    bound = protocol._dealt.cache_info().maxsize
+    assert bound == protocol._DEALINGS_KEPT
+    for i in range(bound + 5):
+        fidelity_report("23", _cfg(u=0.3, secret_params=(0.01 * i, 0.0)), fit20)
+        assert protocol._dealt.cache_info().currsize <= bound
+    assert protocol._dealt.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("secret, params", [("coherent", (0.7, -0.4)), ("squeezed", (0.25,))])
+def test_dealt_states_are_read_only(secret, params):
+    protocol._dealt.cache_clear()
+    dealing = protocol._dealt(*_dealing_key(secret, params, 1.0))
+    assert isinstance(dealing.f0, float)
+    for state in (dealing.secret, dealing.encoded):
+        for array in (state.d, state.sigma):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 1.0
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
