@@ -12,7 +12,6 @@ from .gaussian import (
     check_symplectic,
     coherent,
     fidelity_pure_mixed,
-    homodyne_feedforward,
     partial_trace,
     phase_rotation,
     squeeze,
@@ -47,7 +46,6 @@ from .channel import (
 from .protocol import (
     DecoderCalibration,
     FidelityReport,
-    PairDecoder,
     ProtocolConfig,
     calibrate_decoder,
     collaborate,

@@ -25,7 +25,6 @@ import numpy as np
 # against genuinely broken inputs.
 PHYSICALITY_TOL = 1e-9
 SYMPLECTIC_TOL = 1e-10
-_PINV_RCOND = 1e-12
 
 
 class UnphysicalStateError(ValueError):
@@ -253,7 +252,7 @@ def apply_symplectic(smap: SymplecticMap, state: GaussianState) -> GaussianState
 
 
 # ---------------------------------------------------------------------------
-# reduction, measurement, fidelity
+# reduction, fidelity
 
 
 def _quadratures(modes) -> np.ndarray:
@@ -272,54 +271,6 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise ValueError(f"bad mode selection {keep} for {state.n_modes} modes")
     idx = _quadratures(keep)
     return GaussianState(state.d[..., idx], _block(state.sigma, idx, idx))
-
-
-def homodyne_feedforward(
-    state: GaussianState,
-    measured_mode: int,
-    target_mode: int,
-    gain: float = 0.0,
-) -> GaussianState:
-    """Homodyne one mode's q and displace the target's q by gain * outcome.
-
-    Returns the ensemble-averaged state of the unmeasured modes (measured mode
-    removed, remaining modes in their original order).  The average over
-    outcomes of the conditional states restores the outcome-independent
-    Gaussian below; `gain` = 0 reproduces the plain marginal.  A stack of
-    states gives the stack of their averaged states.
-    """
-    n = state.n_modes
-    if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
-        raise ValueError("measured and target modes must be distinct valid modes")
-
-    rest = [m for m in range(n) if m != measured_mode]
-    ridx = _quadratures(rest)
-    midx = _quadratures([measured_mode])
-
-    a = _block(state.sigma, ridx, ridx)
-    b = _block(state.sigma, midx, midx)
-    c = _block(state.sigma, ridx, midx)
-
-    b_qq = b[..., 0, 0]
-    if (b_qq <= _PINV_RCOND * np.abs(b).max(axis=(-2, -1), initial=1.0)).any():
-        raise ValueError("measured quadrature has no variance; homodyne statistics degenerate")
-
-    e_t = np.zeros(len(ridx))
-    e_t[2 * rest.index(target_mode)] = 1.0
-
-    # Conditional covariance plus the outcome-averaged spread of the
-    # feed-forward displaced means.  The measured block projected on q,
-    # pi b pi, has the one nonzero entry b_qq, so its pseudo-inverse is
-    # 1/b_qq there: c pinv is c's q column over b_qq, and c pinv c^T the
-    # outer product of that column with c's.
-    c_q = c[..., 0]
-    v = c_q * (1.0 / b_qq)[..., None]
-    sigma_cond = a - v[..., :, None] * c_q[..., None, :]
-    shift = v + gain * e_t
-    sigma_avg = sigma_cond + b_qq[..., None, None] * (shift[..., :, None] * shift[..., None, :])
-
-    d_avg = state.d[..., ridx] + (gain * state.d[..., midx[0]])[..., None] * e_t
-    return GaussianState(d_avg, 0.5 * (sigma_avg + _transpose(sigma_avg)))
 
 
 def fidelity_pure_mixed(pure: GaussianState, other: GaussianState):

@@ -19,23 +19,22 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _embed,
     _item,
     _transpose,
     apply_symplectic,
     beam_splitter,
     coherent,
     fidelity_pure_mixed,
-    homodyne_feedforward,
     partial_trace,
     phase_rotation,
     rotation_block,
-    squeeze,
     squeezed_vacuum,
     tensor,
     two_mode_squeezed_vacuum,
@@ -296,77 +295,72 @@ def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> Gaussian
 # collaborations
 
 
-@dataclass(frozen=True)
-class PairDecoder:
-    """Two-share decoder at one working point, with its symplectic maps built.
+# The 2:1 splitters on which share 2 meets share 1 (scenario 23) or share 0
+# (scenario 13), built once for every decoder gain and rescaling.
+_RECOMBINERS = {pair: beam_splitter(2.0 / 3.0, pair, 3).matrix for pair in ((1, 2), (0, 2))}
 
-    Recombines shares `pair` on a 2:1 beam splitter, homodynes the second
-    share's port, feeds its q outcome forward to the first with `gain`, then
-    rescales the kept port and, if `half_turn` is set, rotates it by pi.
+
+def _pair_decoder(pair: tuple[int, int], gain: float, r_out: float, half_turn: bool = False) -> SymplecticMap:
+    """The decoder of shares `pair` = (kept, measured) as one map on the three shares.
+
+    The shares meet on a 2:1 splitter, and the q outcome of a homodyne on
+    the measured port is fed forward to the kept port's q with `gain`.
+    Averaged over outcomes, that feed-forward is the gate
+    q_kept += gain q_measured, p_measured -= gain p_kept followed by
+    discarding the measured port (Weedbrook et al., RMP 84, 621 (2012)).
+    The map is the splitter, the gate, the kept port's rescaling by
+    squeezing `r_out` and, with `half_turn`, its rotation by pi, multiplied
+    into one matrix and checked once; the caller discards the measured port.
     """
-
-    pair: tuple[int, int]
-    gain: float
-    target: int
-    recombine: SymplecticMap
-    rescale: SymplecticMap
-    half_turn: SymplecticMap | None
-
-    @classmethod
-    def build(cls, pair: tuple[int, int], gain: float, r_out: float, flip: bool) -> "PairDecoder":
-        rest = [m for m in range(3) if m != pair[1]]
-        target = rest.index(pair[0])
-        return cls(
-            pair=pair,
-            gain=gain,
-            target=target,
-            recombine=beam_splitter(2.0 / 3.0, pair, 3),
-            rescale=squeeze(r_out, target, 2),
-            half_turn=phase_rotation(math.pi, target, 2) if flip else None,
-        )
+    kept, measured = pair
+    gate = np.eye(6)
+    gate[2 * kept, 2 * measured] = gain
+    gate[2 * measured + 1, 2 * kept + 1] = -gain
+    out = _embed(np.diag([np.exp(-r_out), np.exp(r_out)]), (kept,), 3)
+    if half_turn:
+        out = phase_rotation(math.pi, kept, 3).matrix @ out
+    return SymplecticMap(out @ gate @ _RECOMBINERS[pair])
 
 
-# Each scenario's decoder, independent of h, built once.  Scenario 12 undoes
-# the dealer's balanced splitter (an orthogonal map, so its transpose);
-# scenarios 23 and 13 pair the home share 2 with its partner, and the decoder
-# of players 1 and 3 ends with a half-turn.
+# Each scenario's decoder, independent of h, built once: (map on the three
+# shares, the share it keeps, whether share 2 travels to meet its partner).
+# Scenario 12 undoes the dealer's balanced splitter (an orthogonal map, so
+# its transpose) while share 2 stays home; scenarios 23 and 13 pair the home
+# share 2 with its partner.  Share 0 carries the secret with the opposite
+# sign to share 1, so the decoder of players 1 and 3 ends with a half-turn.
 _DECODERS = {
-    "12": SymplecticMap(_SPLITTER.matrix.T),
-    "23": PairDecoder.build((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip=False),
-    "13": PairDecoder.build((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, flip=True),
+    "12": (SymplecticMap(_SPLITTER.matrix.T), 0, False),
+    "23": (_pair_decoder((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE), 1, True),
+    "13": (_pair_decoder((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, half_turn=True), 0, True),
 }
 
 
-def decoder_maps(scenario: str) -> SymplecticMap | PairDecoder:
-    """The prebuilt decoder of a scenario, used at every h."""
+def decoder_maps(scenario: str) -> tuple[SymplecticMap, int, bool]:
+    """The prebuilt decoder of a scenario, used at every h: (map, kept share, whether share 2 travels)."""
     if scenario not in _DECODERS:
         raise ValueError(f"unknown scenario {scenario!r}")
     return _DECODERS[scenario]
 
 
 def collaborate(
-    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: SymplecticMap | PairDecoder
+    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: tuple[SymplecticMap, int, bool]
 ) -> GaussianState:
-    """Two players reunite their shares and decode the secret with `decoder`.
+    """Two players reunite their shares and decode the secret with `decoder`, a `decoder_maps` entry.
 
     `distributed` holds shares 0 and 1 after their journeys (M, N).  With the
-    inverse splitter of `decoder_maps("12")` players 1 and 2 return to the
-    dealer's lab: (M, N) is then the round trip, out-and-back legs merged into
-    one channel, and the recombination frees the secret port exactly.  With a
-    `PairDecoder` the home share 2 travels out (M, N) to meet its partner.
-    Share 0 carries the secret with the opposite sign to share 1, so the
-    decoder of players 1 and 3 ends with a half-turn.
+    decoder of scenario 12 players 1 and 2 return to the dealer's lab: (M, N)
+    is then the round trip, out-and-back legs merged into one channel, and
+    the recombination frees the secret port exactly.  In scenarios 23 and 13
+    the home share 2 first travels out (M, N) to meet its partner.  The
+    decoder's map acts on the three shares, and the decoded secret is the
+    share it keeps.
     """
     if distributed.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
-    if not isinstance(decoder, PairDecoder):
-        return partial_trace(apply_symplectic(decoder, distributed), [0])
-    state = apply_symplectic(decoder.recombine, apply_channel(M, N, distributed, mode=2))
-    state = homodyne_feedforward(state, decoder.pair[1], decoder.pair[0], gain=decoder.gain)
-    state = apply_symplectic(decoder.rescale, state)
-    if decoder.half_turn is not None:
-        state = apply_symplectic(decoder.half_turn, state)
-    return partial_trace(state, [decoder.target])
+    smap, kept, travels = decoder
+    if travels:
+        distributed = apply_channel(M, N, distributed, mode=2)
+    return partial_trace(apply_symplectic(smap, distributed), [kept])
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +590,7 @@ _HALF_TURN, _NO_NOISE = rotation_block(math.pi), np.zeros((2, 2))
 
 def _pipeline_h0(encoded: GaussianState, gain: float, r_out: float) -> GaussianState:
     """Scenario-23 pipeline at h = 0 on encoded shares, its decoder at (gain, r_out); stacked if the shares are."""
-    decoder = replace(_DECODERS["23"], gain=gain, rescale=squeeze(r_out, _DECODERS["23"].target, 2))
+    decoder = (_pair_decoder((1, 2), gain, r_out), 1, True)
     return collaborate(distribute(encoded, _HALF_TURN, _NO_NOISE), _HALF_TURN, _NO_NOISE, decoder)
 
 

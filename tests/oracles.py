@@ -37,10 +37,8 @@ from rqss.channel import (
     t2_from_sums,
 )
 from rqss.gaussian import (
-    _PINV_RCOND,
     PHYSICALITY_TOL,
     GaussianState,
-    SymplecticMap,
     UnphysicalStateError,
     _block,
     _frozen,
@@ -50,10 +48,7 @@ from rqss.gaussian import (
     apply_symplectic,
     beam_splitter,
     fidelity_pure_mixed,
-    homodyne_feedforward,
     partial_trace,
-    phase_rotation,
-    squeeze,
     squeezed_vacuum,
     symplectic_form,
     tensor,
@@ -71,8 +66,6 @@ from rqss.modes import (
     segment_maps,
 )
 from rqss.protocol import (
-    DEFAULT_DECODER_GAIN,
-    DEFAULT_DECODER_SQUEEZE,
     DEFAULT_F2_LADDER,
     FIGURES,
     FidelityReport,
@@ -597,27 +590,17 @@ def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> Pertur
 def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> float:
     """`simulate_fidelity` as its stage sequence, each stage a public primitive.
 
-    Shares 0 and 1 take the journey.  Scenario 12 then undoes the balanced
-    splitter and keeps mode 0; scenarios 23 and 13 send share 2 out too,
-    recombine it with its partner on a 2:1 splitter, homodyne share 2's port
-    and feed its q outcome forward, rescale, half-turn (13 only) and trace.
+    Shares 0 and 1 take the journey one at a time.  Scenarios 23 and 13 send
+    share 2 out too.  The scenario's decoder map then acts on the three
+    shares, and the fidelity is read off the share it keeps.
     """
     secret = config.make_secret()
     state = encode(secret, config.s)
     M, N = journey_per_u(scenario, fit, config.k, config.u).evaluate(h)
-    for mode in (0, 1):
+    smap, kept, travels = decoder_maps(scenario)
+    for mode in (0, 1, 2) if travels else (0, 1):
         state = apply_channel(M, N, state, mode=mode)
-    if scenario == "12":
-        state = apply_symplectic(SymplecticMap(beam_splitter(0.5, (0, 1), 3).matrix.T), state)
-        return fidelity_pure_mixed(secret, partial_trace(state, [0]))
-    partner = {"23": 1, "13": 0}[scenario]  # keeps its index once mode 2 is measured
-    state = apply_channel(M, N, state, mode=2)
-    state = apply_symplectic(beam_splitter(2.0 / 3.0, (partner, 2), 3), state)
-    state = homodyne_feedforward(state, measured_mode=2, target_mode=partner, gain=DEFAULT_DECODER_GAIN)
-    state = apply_symplectic(squeeze(DEFAULT_DECODER_SQUEEZE, partner, 2), state)
-    if scenario == "13":
-        state = apply_symplectic(phase_rotation(math.pi, partner, 2), state)
-    return fidelity_pure_mixed(secret, partial_trace(state, [partner]))
+    return fidelity_pure_mixed(secret, partial_trace(apply_symplectic(smap, state), [kept]))
 
 
 # Per-mode value of each u-grid figure: (column prefix, value(bogo, k, u, config)).
@@ -749,8 +732,18 @@ def check_state_by_reductions(d, sigma) -> None:
             raise UnphysicalStateError(f"state violates the uncertainty bound: min eig {eigmin[low].min():.3e}")
 
 
+# Singular values of the q-projected measured block below this share of the largest count as zero.
+_PINV_RCOND = 1e-12
+
+
 def homodyne_by_pseudo_inverse(state: GaussianState, measured_mode: int, target_mode: int, gain: float = 0.0) -> GaussianState:
-    """`homodyne_feedforward` with the pseudo-inverse of the q-projected measured block from `np.linalg.pinv`."""
+    """Homodyne one mode's q and displace the target's q by gain * outcome, averaged over outcomes.
+
+    The conditional covariance takes the pseudo-inverse of the q-projected
+    measured block from `np.linalg.pinv`; the average over outcomes adds the
+    spread of the fed-forward means.  Returns the state of the unmeasured
+    modes in their original order, or the stack of them.
+    """
     n = state.n_modes
     if measured_mode == target_mode or not (0 <= measured_mode < n and 0 <= target_mode < n):
         raise ValueError("measured and target modes must be distinct valid modes")

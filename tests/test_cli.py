@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rqss import cli, modes
+from rqss import cli, modes, protocol
+from rqss.channel import PerturbativeChannel
+from rqss.gaussian import GaussianState
 from rqss.cli import _parse_grid, build_parser, main
 from rqss.modes import cache_path, get_transition
 from rqss.protocol import ProtocolConfig
@@ -229,16 +231,43 @@ def test_corrupted_cache_exits_two(tmp_path, capsys):
     assert "breach" in capsys.readouterr().err
 
 
-def test_unphysical_pipeline_state_exits_two(cache_dir, capsys):
-    # At n_max 3 the truncated journey channel is not completely positive:
-    # `invariants` flags the CP violation and `fidelity` meets a decoded
-    # state below the uncertainty bound; both are the same scientific breach.
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_unphysical_pipeline_state_exits_two(cache_dir, tmp_path, monkeypatch, capsys, scenario):
+    # A journey whose noise block is negative is not completely positive:
+    # `fidelity` meets a pipeline state below the uncertainty bound, in every
+    # scenario and through its decoder.  At n_max 3 the truncated journey
+    # channel is not completely positive either, and `invariants` flags the
+    # CP violation; both are the same scientific breach.
     grid = ["--grid", "0.1:0.9:0.1"]
-    assert main(["fidelity", "--scenario", "23", *grid, *_args(cache_dir, nmax=3)]) == 2
+    journeys = protocol._journeys
+
+    def noisy(*args):
+        chan, sums = journeys(*args)
+        return PerturbativeChannel(chan.m0, chan.m2, chan.n2 - 1e4 * np.eye(2)), sums
+
+    monkeypatch.setattr(protocol, "_journeys", noisy)
+    argv = ["fidelity", "--scenario", scenario, *grid, "--out", str(tmp_path), *_args(cache_dir)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("scientific breach: state violates the uncertainty bound")
     assert main(["invariants", *grid, "--h", "0.01", *_args(cache_dir, nmax=3)]) == 2
     assert "CP violation" in capsys.readouterr().err
+
+
+def test_a_strongly_squeezed_secret_decodes_with_every_state_checked(cache_dir, tmp_path, monkeypatch):
+    # A secret squeezed by r = 40 gives the measured port a q-variance below
+    # 1e-12 of its p-variance.  The decoder is one linear map, with no
+    # division by that variance, so the run decodes and checks each of a
+    # cold scenario-23 report's nine states.
+    count = []
+    check = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    protocol._dealt.cache_clear()
+    argv = ["fidelity", "--scenario", "23", "--secret", "squeezed:40", "--u", "0.3", "--out", str(tmp_path)]
+    assert main([*argv, *_args(cache_dir)]) == 0
+    assert len(count) == 9
+    (row,) = [line.split(",") for line in (tmp_path / "fidelity_23.csv").read_text().splitlines()[1:]]
+    assert 0.0 <= float(row[4]) <= 1.0
 
 
 # The grid on which a cutoff of 20 gives negative occupations (ROADMAP, M1).

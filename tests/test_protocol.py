@@ -445,14 +445,15 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
 
 # States a second identical report checks: the dealing (secret, TMSV, their
 # product, the split shares, and f0's state in scenarios 23 and 13) is kept.
-WARM_CHECKS = {"12": 3, "23": 6, "13": 7}
+WARM_CHECKS = {"12": 3, "23": 4, "13": 4}
 
 
-@pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 11), ("13", 12)])
+@pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 9), ("13", 9)])
 def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, checks):
     # The four accelerations run as one stack: one checked state per step,
-    # and `distribute` sends both shares with one map.  On an empty dealing
-    # memo, then again on the dealing the first report kept.
+    # `distribute` sends both shares with one map, and each decoder is one
+    # map on the three shares.  On an empty dealing memo, then again on the
+    # dealing the first report kept.
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
@@ -617,18 +618,20 @@ def test_calibration_runs_its_probes_as_stacks(monkeypatch):
     assert len(count) <= 125
 
 
-def test_calibration_encodes_each_secret_set_once_and_builds_only_rescalings(monkeypatch):
+def test_calibration_encodes_each_secret_set_once_and_checks_one_map_per_decoder(monkeypatch):
     # Seven encodings feed the twelve pipeline runs: one per solve secret,
     # one per checked squeezing, one for the certificate's probes.  Every
-    # decoder is scenario 23's with its splitter built at import, so the
-    # only maps built are the twelve output rescalings.
+    # decoder is scenario 23's at another gain and rescaling, multiplied
+    # from blocks and its splitter built at import, so the only maps checked
+    # are the twelve decoders.  Each run checks four states: the journeyed
+    # shares, share 2's journey, the decoded shares and the kept one.
     maps, encodes, states = [], [], []
     check_map, check_state, encode = SymplecticMap.__post_init__, GaussianState.__post_init__, protocol.encode
     monkeypatch.setattr(SymplecticMap, "__post_init__", lambda smap: maps.append(1) or check_map(smap))
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: states.append(1) or check_state(state))
     monkeypatch.setattr(protocol, "encode", lambda secret, s: encodes.append(s) or encode(secret, s))
     calibrate_decoder()
-    assert (len(maps), len(encodes), len(states)) == (12, 7, 97)
+    assert (len(maps), len(encodes), len(states)) == (12, 7, 73)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
