@@ -5,12 +5,21 @@
 
 Parses every .py file of the package directory with the standard-library
 `ast` and walks by name from `cli.main`.  A reached definition reaches
-every definition whose name it reads: a bare name, or the attribute of an
-attribute access (so `obj.method()` reaches each method called `method`).
+every definition whose name it reads as a bare name, and every method
+whose name it reads as the attribute of an attribute access (so
+`obj.method()` reaches each method called `method`).  Two rules keep a
+name collision from counting as a call:
+
+- a stored name is not a read: an assignment target, or a field
+  declaration such as `squeeze: float`, reaches nothing;
+- an attribute read such as `cal.squeeze` reaches methods only, never a
+  module-level function or class, since the package imports every
+  cross-module function by its bare name.
+
 The code of every module outside its definitions runs on import and is a
 root as well; a reached class reaches its dunder methods, which Python
 calls on its own.  Names are `module.function`, `module.Class` and
-`module.Class.method`.  Matching by bare name over-approximates what is
+`module.Class.method`.  Matching by name over-approximates what is
 reached: any read of a name reaches every definition of that name.
 Prints each unreached name that is not in `ALLOWED` and exits 1 if there
 is one.
@@ -33,21 +42,21 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _reads(nodes) -> set:
-    """Names read anywhere in `nodes`: bare names and attribute names."""
+    """Names read anywhere in `nodes`: bare names, and attribute names as `.name`; stored names are not read."""
     found = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 found.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                found.add("." + sub.attr)
     return found
 
 
 def unreachable(package) -> list:
     """Sorted names of the definitions in `package` (a directory) that `ROOT` does not reach."""
     defs = {}  # qualified name -> names its code reads
-    by_name = {}  # bare name -> qualified names
+    by_name = {}  # bare name -> qualified names; `.name` -> the methods of that name
     dunders = {}  # class -> its dunder methods
     todo = []
     for path in sorted(Path(package).glob("*.py")):
@@ -69,6 +78,7 @@ def unreachable(package) -> list:
                     method = f"{qual}.{item.name}"
                     defs[method] = _reads([item])
                     by_name.setdefault(item.name, []).append(method)
+                    by_name.setdefault("." + item.name, []).append(method)
                     if item.name.startswith("__") and item.name.endswith("__"):
                         dunders.setdefault(qual, []).append(method)
     todo = [qual for name in todo for qual in by_name.get(name, [])] + [ROOT]

@@ -50,7 +50,6 @@ from .protocol import (
     calibrate_decoder,
     collaborate,
     decoder_maps,
-    distribute,
     encode,
     fidelity_closed_forms,
     fidelity_grid,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -88,21 +89,33 @@ def _panels(n_max: int) -> int:
 _ROW_BLOCK = 8
 
 
+def _mapped(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised (rows x cols) float array in an anonymous memory map of its own, unmapped when it goes.
+
+    From malloc, the first freed operand of a rule (12.5 MB at n_max 160)
+    raises glibc's mmap threshold to its size; later rules then take their
+    operands from the heap, where a block allocated above them while they
+    are live keeps their pages resident after they are freed.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=float).reshape(rows, cols)
+
+
 def _exact_matrices(hs, n_max: int, panels: int) -> list:
     """Real (alpha, beta) at each acceleration h of `hs`, each in (0, 2), on one rule of `panels` panels.
 
     The rule's panels hold `_GAUSS_ORDER` nodes each, Q in all.  Its memory
     is fixed: three (n_max x Q) arrays, the h-independent inertial sine
-    table and the two weighted wedge operands, allocated once; every
-    acceleration refills the operands in place, `_ROW_BLOCK` rows at a time.
+    table and the two weighted wedge operands, allocated once, each in a
+    map of its own (`_mapped`); every acceleration refills the operands in
+    place, `_ROW_BLOCK` rows at a time.
     """
     xi, ws = _gauss_panels(0.0, 1.0, panels)
     om = np.arange(1, n_max + 1) * np.pi
     norm = np.sqrt(om)[:, None]
-    s_inertial = np.multiply.outer(om, xi)
+    s_inertial = np.multiply.outer(om, xi, out=_mapped(n_max, xi.size))
     np.sin(s_inertial, out=s_inertial)
     s_inertial /= norm
-    weighted, weighted_inv_x = np.empty_like(s_inertial), np.empty_like(s_inertial)
+    weighted, weighted_inv_x = _mapped(n_max, xi.size), _mapped(n_max, xi.size)
     pairs = []
     for h in hs:
         # Integrate in the wall offset xi = x - x_left: log1p(xi/x_left) keeps

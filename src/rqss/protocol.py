@@ -25,7 +25,6 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    _embed,
     _item,
     _transpose,
     apply_symplectic,
@@ -35,6 +34,7 @@ from .gaussian import (
     partial_trace,
     phase_rotation,
     rotation_block,
+    squeeze,
     squeezed_vacuum,
     tensor,
     two_mode_squeezed_vacuum,
@@ -264,31 +264,17 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
 
 
 def _build_journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
-    """`_journeys` built anew: each distinct phase of u and 2u built and reduced to its sums once."""
+    """`_journeys` built anew: a round trip walks its u and its 2u phases as one grid."""
     leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
         (sums,) = grid_segments(fit, us, (k,))
         seg = reduced_channel(sums)
         return compose(seg, compose(leg, seg)), (sums,)
-    # The distinct phases of u and 2u in order, and where each one went: a
-    # set, because the first np.unique call of a process maps about 0.5 MB
-    # more of numpy into memory.
-    both = np.concatenate([us, 2.0 * us]).tolist()
-    phases = sorted(set(both))
-    index = {phase: i for i, phase in enumerate(phases)}
-    where = np.array([index[phase] for phase in both], dtype=int)
-    (sums,) = grid_segments(fit, np.array(phases), (k,))
-    out, mid = sums[where[: us.size]], sums[where[us.size :]]
+    (sums,) = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))
+    out, mid = sums[: us.size], sums[us.size :]
     seg = reduced_channel(out)
     journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
     return journeys, (out, mid)
-
-
-def distribute(encoded: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
-    """Send shares 0 and 1 through one-way journeys (M, N), as one map on both; share 2 stays home."""
-    if encoded.n_modes != 3:
-        raise ValueError("distribute expects the three-share state")
-    return apply_channel(M, N, encoded, mode=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -316,51 +302,49 @@ def _pair_decoder(pair: tuple[int, int], gain: float, r_out: float, half_turn: b
     gate = np.eye(6)
     gate[2 * kept, 2 * measured] = gain
     gate[2 * measured + 1, 2 * kept + 1] = -gain
-    out = _embed(np.diag([np.exp(-r_out), np.exp(r_out)]), (kept,), 3)
+    out = squeeze(r_out, kept, 3).matrix
     if half_turn:
         out = phase_rotation(math.pi, kept, 3).matrix @ out
     return SymplecticMap(out @ gate @ _RECOMBINERS[pair])
 
 
 # Each scenario's decoder, independent of h, built once: (map on the three
-# shares, the share it keeps, whether share 2 travels to meet its partner).
-# Scenario 12 undoes the dealer's balanced splitter (an orthogonal map, so
-# its transpose) while share 2 stays home; scenarios 23 and 13 pair the home
-# share 2 with its partner.  Share 0 carries the secret with the opposite
-# sign to share 1, so the decoder of players 1 and 3 ends with a half-turn.
+# shares, the share it keeps, the shares that travel).  Scenario 12 undoes
+# the dealer's balanced splitter (an orthogonal map, so its transpose) while
+# share 2 stays home; in scenarios 23 and 13 share 2 travels out to meet its
+# partner.  Share 0 carries the secret with the opposite sign to share 1, so
+# the decoder of players 1 and 3 ends with a half-turn.
 _DECODERS = {
-    "12": (SymplecticMap(_SPLITTER.matrix.T), 0, False),
-    "23": (_pair_decoder((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE), 1, True),
-    "13": (_pair_decoder((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, half_turn=True), 0, True),
+    "12": (SymplecticMap(_SPLITTER.matrix.T), 0, (0, 1)),
+    "23": (_pair_decoder((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE), 1, (0, 1, 2)),
+    "13": (_pair_decoder((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, half_turn=True), 0, (0, 1, 2)),
 }
 
 
-def decoder_maps(scenario: str) -> tuple[SymplecticMap, int, bool]:
-    """The prebuilt decoder of a scenario, used at every h: (map, kept share, whether share 2 travels)."""
+def decoder_maps(scenario: str) -> tuple[SymplecticMap, int, tuple[int, ...]]:
+    """The prebuilt decoder of a scenario, used at every h: (map, kept share, travelling shares)."""
     if scenario not in _DECODERS:
         raise ValueError(f"unknown scenario {scenario!r}")
     return _DECODERS[scenario]
 
 
 def collaborate(
-    distributed: GaussianState, M: np.ndarray, N: np.ndarray, decoder: tuple[SymplecticMap, int, bool]
+    encoded: GaussianState, M: np.ndarray, N: np.ndarray, decoder: tuple[SymplecticMap, int, tuple[int, ...]]
 ) -> GaussianState:
-    """Two players reunite their shares and decode the secret with `decoder`, a `decoder_maps` entry.
+    """The travelling shares take their journeys (M, N), and two players decode with `decoder`, a `decoder_maps` entry.
 
-    `distributed` holds shares 0 and 1 after their journeys (M, N).  With the
-    decoder of scenario 12 players 1 and 2 return to the dealer's lab: (M, N)
-    is then the round trip, out-and-back legs merged into one channel, and
-    the recombination frees the secret port exactly.  In scenarios 23 and 13
-    the home share 2 first travels out (M, N) to meet its partner.  The
-    decoder's map acts on the three shares, and the decoded secret is the
-    share it keeps.
+    In scenario 12 shares 0 and 1 go out and come back: (M, N) is the round
+    trip, out-and-back legs merged into one channel, and the recombination
+    frees the secret port exactly.  In scenarios 23 and 13 shares 0 and 1 go
+    out at distribution and share 2 goes out (M, N) to meet its partner.
+    Journeys on different shares commute, so they are one block-diagonal
+    map.  The decoder's map acts on the three shares, and the decoded secret
+    is the share it keeps.
     """
-    if distributed.n_modes != 3:
+    if encoded.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
-    smap, kept, travels = decoder
-    if travels:
-        distributed = apply_channel(M, N, distributed, mode=2)
-    return partial_trace(apply_symplectic(smap, distributed), [kept])
+    smap, kept, travelling = decoder
+    return partial_trace(apply_symplectic(smap, apply_channel(M, N, encoded, travelling)), [kept])
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +467,9 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     """Closed-form, perturbative and simulated fidelities at every u of `grid`, one report per u.
 
     `config.u` is not read.  The journeys of the whole grid are built as one
-    stack (each distinct segment phase once, on the monitored mode's rows),
+    stack (one walk of its segment phases, on the monitored mode's rows),
     and the journeys at the h-ladder and at `config.h` run through
-    `distribute` and `collaborate` as one stack per `_GRID_STACK` u-points.
+    `collaborate` as one stack per `_GRID_STACK` u-points.
     What does not depend on the grid is built once and reused: the fit keeps
     each journey it builds (`_journeys`), and the process keeps the dealing
     of each (secret, s), its secret state, encoded shares and the `f0` of
@@ -508,7 +492,7 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     for start in range(0, us.size, _GRID_STACK):
         at = slice(start, start + _GRID_STACK)
         m, n = M[:, at], N[:, at]
-        sims[:, at] = fidelity_pure_mixed(secret, collaborate(distribute(encoded, m, n), m, n, decoder))
+        sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, m, n, decoder))
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
@@ -590,8 +574,8 @@ _HALF_TURN, _NO_NOISE = rotation_block(math.pi), np.zeros((2, 2))
 
 def _pipeline_h0(encoded: GaussianState, gain: float, r_out: float) -> GaussianState:
     """Scenario-23 pipeline at h = 0 on encoded shares, its decoder at (gain, r_out); stacked if the shares are."""
-    decoder = (_pair_decoder((1, 2), gain, r_out), 1, True)
-    return collaborate(distribute(encoded, _HALF_TURN, _NO_NOISE), _HALF_TURN, _NO_NOISE, decoder)
+    decoder = (_pair_decoder((1, 2), gain, r_out), 1, (0, 1, 2))
+    return collaborate(encoded, _HALF_TURN, _NO_NOISE, decoder)
 
 
 def calibrate_decoder() -> DecoderCalibration:

@@ -70,9 +70,7 @@ from rqss.protocol import (
     FIGURES,
     FidelityReport,
     _direct_f2_scenario12,
-    collaborate,
     decoder_maps,
-    distribute,
     encode,
     extrapolate_f2,
     fidelity_closed_forms,
@@ -587,20 +585,24 @@ def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> Pertur
     return compose(seg, compose(leg, compose(seg_mid, compose(leg, seg))))
 
 
+def _decoded_by_stages(scenario: str, state: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
+    """The decoded share of encoded shares `state`, each travelling share sent through (M, N) on its own."""
+    smap, kept, travelling = decoder_maps(scenario)
+    for mode in travelling:
+        state = apply_channel(M, N, state, mode=mode)
+    return partial_trace(apply_symplectic(smap, state), [kept])
+
+
 def fidelity_by_stages(scenario: str, config, fit: TransitionFit, h: float) -> float:
     """`simulate_fidelity` as its stage sequence, each stage a public primitive.
 
-    Shares 0 and 1 take the journey one at a time.  Scenarios 23 and 13 send
-    share 2 out too.  The scenario's decoder map then acts on the three
-    shares, and the fidelity is read off the share it keeps.
+    The travelling shares take the journey one at a time: shares 0 and 1,
+    and in scenarios 23 and 13 share 2 too.  The scenario's decoder map then
+    acts on the three shares, and the fidelity is read off the share it keeps.
     """
     secret = config.make_secret()
-    state = encode(secret, config.s)
     M, N = journey_per_u(scenario, fit, config.k, config.u).evaluate(h)
-    smap, kept, travels = decoder_maps(scenario)
-    for mode in (0, 1, 2) if travels else (0, 1):
-        state = apply_channel(M, N, state, mode=mode)
-    return fidelity_pure_mixed(secret, partial_trace(apply_symplectic(smap, state), [kept]))
+    return fidelity_pure_mixed(secret, _decoded_by_stages(scenario, encode(secret, config.s), M, N))
 
 
 # Per-mode value of each u-grid figure: (column prefix, value(bogo, k, u, config)).
@@ -650,17 +652,17 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
     """`fidelity_report` at config.u with its own journey, encoding and mode sums: one u, no grid.
 
     The journey is the one-u `journey_per_u`, the mode sums come from the
-    full one-segment maps at u (and 2u on a round trip), and
-    the three ladder accelerations and h run through the stages as one stack.
+    full one-segment maps at u (and 2u on a round trip), and the three
+    ladder accelerations and h run through the stages as one stack, each
+    travelling share on its own.
     """
-    decoder = decoder_maps(scenario)
     u, k = config.u, config.k
     journey = journey_per_u(scenario, fit, k, u)
     phases = (u, 2.0 * u) if scenario == "12" else (u,)
     sums = [mode_sums(full_maps(fit, v), k) for v in phases]
     secret = config.make_secret()
     M, N = journey.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
-    *sims, f_sim = fidelity_pure_mixed(secret, collaborate(distribute(encode(secret, config.s), M, N), M, N, decoder)).tolist()
+    *sims, f_sim = fidelity_pure_mixed(secret, _decoded_by_stages(scenario, encode(secret, config.s), M, N)).tolist()
 
     f2_extrap, _, curvature = extrapolate_f2(sims)
     h_top = max(DEFAULT_F2_LADDER)

@@ -109,6 +109,23 @@ def test_a_method_reached_only_by_attribute_name_passes_the_reachability_check(t
     assert checker.main([str(tmp_path)]) == 0
 
 
+def test_a_field_or_attribute_sharing_a_dead_function_name_does_not_reach_it(tmp_path):
+    # `scale` is a dataclass field, a stored name, and `.scale` an attribute
+    # read; neither is a call of the module-level function `scale`.
+    (tmp_path / "cli.py").write_text("from .config import Config\ndef main():\n    return Config(2.0).scale\n")
+    (tmp_path / "config.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    scale: float\n"
+        "def scale(x):\n"
+        "    return 2.0 * x\n"
+    )
+    checker = _script("unreachable")
+    assert checker.unreachable(tmp_path) == ["config.scale"]
+    assert checker.main([str(tmp_path)]) == 1
+
+
 def test_the_package_leaves_exactly_the_allowed_names_unreached():
     checker = _script("unreachable")
     assert checker.unreachable(PACKAGE) == sorted(checker.ALLOWED)

@@ -658,6 +658,48 @@ def test_a_second_fit_in_a_process_raises_the_peak_by_at_most_2_mb(child_env):
     assert int(run.stdout) <= 2 * 1024
 
 
+_PINNED_FIT = """
+from pathlib import Path
+import numpy as np
+from rqss.modes import fit_transition
+
+def peak_kib():
+    status = Path("/proc/self/status").read_text()
+    return int(next(line for line in status.splitlines() if line.startswith("VmHWM:")).split()[1])
+
+kept, log1p = [], np.log1p
+
+def keeping_log1p(x):
+    # A 6 MB block allocated and kept while the n_max 80 rule's operands are live.
+    if not kept and x.size == 5120:
+        kept.append(np.ones(6 << 17))
+    return log1p(x)
+
+np.log1p = keeping_log1p
+fit_transition(160)
+first = peak_kib()
+fit_transition(80)
+fit_transition(160)
+print(len(kept), peak_kib() - first)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the peak after a free depends on the allocator; measured with glibc on Linux",
+)
+def test_a_block_kept_during_a_fit_keeps_none_of_its_operands_resident(child_env):
+    # After a fit at n_max 160, glibc serves the operands of an n_max 80
+    # rule (3.1 MB each) from its heap, and a block allocated above them
+    # while they are live kept their 9.4 MB resident after they were freed,
+    # under the next fit's peak: 16.4 MB above the first peak, the block's
+    # 6 MB included.  Operands in maps of their own leave only the block.
+    run = subprocess.run([sys.executable, "-c", _PINNED_FIT], env=child_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    kept, rise_kib = map(int, run.stdout.split())
+    assert kept == 1 and rise_kib <= 8 * 1024
+
+
 def test_cache_hit_equals_fresh_fit(tmp_path):
     for n_max in (20, 160):
         fresh = fit_transition(n_max=n_max)

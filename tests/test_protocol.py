@@ -17,9 +17,11 @@ from rqss.gaussian import (
     coherent,
     fidelity_pure_mixed,
     partial_trace,
+    rotation_block,
     squeezed_vacuum,
 )
 from rqss import channel, modes, protocol
+from rqss.channel import apply_channel
 from rqss.cli import main
 from rqss.modes import STACK_ENTRIES, mode_sums
 from rqss.protocol import (
@@ -33,7 +35,6 @@ from rqss.protocol import (
     calibrate_decoder,
     collaborate,
     decoder_maps,
-    distribute,
     encode,
     extrapolate_f2,
     fidelity_closed_forms,
@@ -44,7 +45,15 @@ from rqss.protocol import (
     simulate_fidelity,
 )
 
-from oracles import compose_from_identity, fidelity_by_stages, figure_data_per_u, full_maps, journey_per_u, vacuum
+from oracles import (
+    compose_from_identity,
+    fidelity_by_stages,
+    figure_data_per_u,
+    full_maps,
+    journey_per_u,
+    thermal_lossy_forms,
+    vacuum,
+)
 
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 S_TABLE = {0.0: 0.5, 0.5: 0.6224593312018546, 1.0: 0.7310585786300049, 2.0: 0.8807970779778823}
@@ -95,7 +104,7 @@ def test_collaborate_12_returns_secret_exactly(fit20):
     squeezed = squeezed_vacuum(0.3)
     secret = GaussianState(squeezed.d + np.array([1.0, -1.0]), squeezed.sigma)
     m, n = journey_per_u("12", fit20, cfg.k, cfg.u).evaluate(0.0)
-    decoded = collaborate(distribute(encode(secret, cfg.s), m, n), m, n, decoder_maps("12"))
+    decoded = collaborate(encode(secret, cfg.s), m, n, decoder_maps("12"))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
     assert np.allclose(decoded.sigma, secret.sigma, atol=1e-12)
 
@@ -361,16 +370,54 @@ def test_make_secret():
         _cfg(secret="cat", secret_params=()).make_secret()
 
 
-def test_distribute_moves_two_shares(fit20):
+@pytest.mark.parametrize("scenario, travelling", [("12", (0, 1)), ("23", (0, 1, 2)), ("13", (0, 1, 2))])
+def test_collaborate_sends_the_travelling_shares_through_one_channel(fit20, monkeypatch, scenario, travelling):
+    # One channel call on the travelling shares: shares 0 and 1 on the round
+    # trip of scenario 12, where share 2 stays home untouched, and all three
+    # on the transit of scenarios 23 and 13, where share 2 goes out to meet
+    # its partner (a half-turn at leading order plus O(h^2) corrections).
     cfg = _cfg(u=0.3, k=1, s=1.0, h=1e-2)
     encoded = encode(coherent(1.0, 0.0), cfg.s)
-    out = distribute(encoded, *journey_per_u("23", fit20, cfg.k, cfg.u).evaluate(cfg.h))
-    # Shares 0 and 1 take the one-way journey (a half-turn at leading order
-    # plus O(h^2) corrections); share 2 stays home untouched.
-    assert np.allclose(out.d[:2], -encoded.d[:2], atol=1e-3)
-    assert np.allclose(out.d[2:4], -encoded.d[2:4], atol=1e-3)
-    assert np.allclose(out.d[4:], encoded.d[4:], atol=1e-14)
-    assert np.allclose(out.sigma[4:, 4:], encoded.sigma[4:, 4:], atol=1e-14)
+    M, N = journey_per_u(scenario, fit20, cfg.k, cfg.u).evaluate(cfg.h)
+    sent, send = [], protocol.apply_channel
+    monkeypatch.setattr(protocol, "apply_channel", lambda *args: sent.append((args[3], send(*args))) or sent[-1][1])
+    collaborate(encoded, M, N, decoder_maps(scenario))
+    ((shares, out),) = sent
+    assert shares == travelling
+    turn = 1.0 if scenario == "12" else -1.0
+    for share in travelling:
+        at = slice(2 * share, 2 * share + 2)
+        assert np.allclose(out.d[at], turn * encoded.d[at], atol=1e-3)
+    if scenario == "12":
+        assert out.d[4:].tobytes() == encoded.d[4:].tobytes()
+        assert out.sigma[4:, 4:].tobytes() == encoded.sigma[4:, 4:].tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    secret=st.one_of(
+        st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)).map(lambda qp: coherent(*qp)),
+        st.floats(-1.5, 1.5).map(squeezed_vacuum),
+    ),
+    s=st.floats(0.0, 3.0),
+    channels=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)), min_size=1, max_size=4
+    ),
+)
+@pytest.mark.parametrize("pair", [(1, 2), (0, 2), (0, 1)])
+def test_a_channel_on_the_discarded_share_leaves_the_pair_marginal_bit_for_bit(pair, secret, s, channels):
+    # Each decoder keeps a pair of shares; `collaborate` sends all three
+    # shares of scenarios 23 and 13 through one block-diagonal channel, so
+    # the share outside the pair must not move a bit of the pair's moments.
+    # The channels are a stack of CP thermal-loss channels after a rotation.
+    forms = [thermal_lossy_forms(t, nbar) for t, nbar, _ in channels]
+    M = np.stack([rotation_block(phi) @ m for (_, _, phi), (m, _) in zip(channels, forms)])
+    N = np.stack([n for _, n in forms])
+    encoded = encode(secret, s)
+    three = partial_trace(apply_channel(M, N, encoded, (0, 1, 2)), pair)
+    two = partial_trace(apply_channel(M, N, encoded, pair), pair)
+    assert three.d.tobytes() == two.d.tobytes()
+    assert three.sigma.tobytes() == two.sigma.tobytes()
 
 
 def test_figure_data_headers(fit20):
@@ -424,9 +471,9 @@ def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
 def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, builds, secret, params):
     # The coherent secret's mode sums come from the journeys' own segment
     # maps, built in one stacked call and no one-segment call (which would
-    # record a float u, not a list); a round trip builds its u and 2u phases
-    # once each, over a whole grid too.  The count runs on a copy of the fit
-    # with no journeys built on it yet.
+    # record a float u, not a list); a round trip walks its u phases and then
+    # its 2u phases as one grid, over a whole grid too.  The count runs on a
+    # copy of the fit with no journeys built on it yet.
     fit = replace(fit20)
     calls, single = [], []
     build, one_channel = modes.segment_maps, channel.segment_channel
@@ -438,22 +485,23 @@ def test_report_builds_each_segment_map_once(fit20, monkeypatch, scenario, build
     assert calls == [([0.3, 0.6][:builds], (1,))]
     calls.clear()
     fidelity_grid(scenario, cfg, TABLE_GRID, fit)
-    phases = sorted({*TABLE_GRID, *(2.0 * u for u in TABLE_GRID)}) if scenario == "12" else TABLE_GRID
+    phases = [*TABLE_GRID, *(2.0 * u for u in TABLE_GRID)] if scenario == "12" else TABLE_GRID
     assert calls == [(phases, (1,))]
     assert single == []
 
 
-# States a second identical report checks: the dealing (secret, TMSV, their
-# product, the split shares, and f0's state in scenarios 23 and 13) is kept.
-WARM_CHECKS = {"12": 3, "23": 4, "13": 4}
+# States a second identical report checks: the journeyed shares, the decoded
+# shares and the kept one.  The dealing (secret, TMSV, their product, the
+# split shares, and f0's state in scenarios 23 and 13) is kept.
+WARM_CHECKS = 3
 
 
-@pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 9), ("13", 9)])
+@pytest.mark.parametrize("scenario, checks", [("12", 7), ("23", 8), ("13", 8)])
 def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, checks):
     # The four accelerations run as one stack: one checked state per step,
-    # `distribute` sends both shares with one map, and each decoder is one
-    # map on the three shares.  On an empty dealing memo, then again on the
-    # dealing the first report kept.
+    # `collaborate` sends the travelling shares through one channel, and
+    # each decoder is one map on the three shares.  On an empty dealing
+    # memo, then again on the dealing the first report kept.
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
@@ -462,7 +510,7 @@ def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, ch
     assert len(count) == checks
     count.clear()
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
-    assert len(count) == WARM_CHECKS[scenario]
+    assert len(count) == WARM_CHECKS
 
 
 @pytest.mark.parametrize("scenario, composes", [("12", 4), ("23", 2), ("13", 2)])
@@ -618,20 +666,21 @@ def test_calibration_runs_its_probes_as_stacks(monkeypatch):
     assert len(count) <= 125
 
 
-def test_calibration_encodes_each_secret_set_once_and_checks_one_map_per_decoder(monkeypatch):
+def test_calibration_encodes_each_secret_set_once_and_checks_two_maps_per_decoder(monkeypatch):
     # Seven encodings feed the twelve pipeline runs: one per solve secret,
     # one per checked squeezing, one for the certificate's probes.  Every
     # decoder is scenario 23's at another gain and rescaling, multiplied
-    # from blocks and its splitter built at import, so the only maps checked
-    # are the twelve decoders.  Each run checks four states: the journeyed
-    # shares, share 2's journey, the decoded shares and the kept one.
+    # from blocks, its output squeeze and its splitter built at import, so
+    # the only maps checked are the twelve squeezes and the twelve decoders.
+    # Each run checks three states: the journeyed shares, the decoded shares
+    # and the kept one.
     maps, encodes, states = [], [], []
     check_map, check_state, encode = SymplecticMap.__post_init__, GaussianState.__post_init__, protocol.encode
     monkeypatch.setattr(SymplecticMap, "__post_init__", lambda smap: maps.append(1) or check_map(smap))
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: states.append(1) or check_state(state))
     monkeypatch.setattr(protocol, "encode", lambda secret, s: encodes.append(s) or encode(secret, s))
     calibrate_decoder()
-    assert (len(maps), len(encodes), len(states)) == (12, 7, 73)
+    assert (len(maps), len(encodes), len(states)) == (24, 7, 61)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])

@@ -69,8 +69,8 @@ def _invariant_rows(fit, grid):
 
 
 def _phases():
-    # The round trip's grid: u and 2u, 95 distinct phases.
-    return np.unique(np.concatenate([FIGURE_GRID, 2.0 * np.array(FIGURE_GRID)]))
+    # The round trip's grid: u then 2u, 126 phases, the 31 repeated ones included.
+    return np.concatenate([FIGURE_GRID, 2.0 * np.array(FIGURE_GRID)])
 
 
 def _map_stacks(fit, us, modes):
@@ -215,12 +215,12 @@ def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
 
 @pytest.mark.parametrize("modes", [(1,), (2,), (1, 2, 3)])
 def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
-    # The 95 phases of the figure grid's round trips span several map stacks
-    # at every cutoff but n_max 20 on one mode; the joined walk holds, stack
-    # after stack, what each stack reduces to.
+    # The 126 phases of the figure grid's round trips span several map
+    # stacks at every cutoff; the joined walk holds, stack after stack, what
+    # each stack reduces to.
     us = _phases()
     stacks = _map_stacks(any_fit, us, modes)
-    assert len(stacks) > 1 or (any_fit.n_max, len(modes)) == (20, 1)
+    assert len(stacks) > 1
     sums = grid_segments(any_fit, us, modes)
     chans = [reduced_channel(per_mode) for per_mode in sums]
     assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * len(modes) and len(sums) == len(modes)
@@ -445,8 +445,8 @@ def test_fidelity_table_equals_rows_of_per_u_reports(fit20, scenario):
 @pytest.mark.parametrize("secret, params", SECRETS[1:])
 def test_fidelity_grid_spanning_several_stacks_equals_per_u_reports(fit20, monkeypatch, scenario, secret, params):
     runs = []
-    distribute = protocol.distribute
-    monkeypatch.setattr(protocol, "distribute", lambda encoded, M, N: runs.append(M.shape[:-2]) or distribute(encoded, M, N))
+    collaborate = protocol.collaborate
+    monkeypatch.setattr(protocol, "collaborate", lambda encoded, M, N, decoder: runs.append(M.shape[:-2]) or collaborate(encoded, M, N, decoder))
     config = ProtocolConfig(s=0.5, secret=secret, secret_params=params)
     got = [repr(r) for r in fidelity_grid(scenario, config, FIGURE_GRID, fit20)]
     full, rest = divmod(len(FIGURE_GRID), _GRID_STACK)
