@@ -12,7 +12,6 @@ from .gaussian import (
     check_symplectic,
     coherent,
     fidelity_pure_mixed,
-    partial_trace,
     phase_rotation,
     squeeze,
     squeezed_vacuum,

@@ -198,6 +198,10 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 # symplectic constructors
 
 
+def _quadratures(modes) -> np.ndarray:
+    return np.concatenate([[2 * m, 2 * m + 1] for m in modes])
+
+
 def _embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarray:
     """Place a block acting on `modes` into the 2n x 2n identity."""
     full = np.eye(2 * n_modes)
@@ -252,25 +256,7 @@ def apply_symplectic(smap: SymplecticMap, state: GaussianState) -> GaussianState
 
 
 # ---------------------------------------------------------------------------
-# reduction, fidelity
-
-
-def _quadratures(modes) -> np.ndarray:
-    return np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-
-
-def _block(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The (rows, cols) block of each covariance in a stack."""
-    return sigma[..., rows[:, None], cols]
-
-
-def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Marginal state on the listed modes, in the order given."""
-    keep = list(keep)
-    if not keep or len(set(keep)) != len(keep) or not all(0 <= m < state.n_modes for m in keep):
-        raise ValueError(f"bad mode selection {keep} for {state.n_modes} modes")
-    idx = _quadratures(keep)
-    return GaussianState(state.d[..., idx], _block(state.sigma, idx, idx))
+# fidelity
 
 
 def fidelity_pure_mixed(pure: GaussianState, other: GaussianState):

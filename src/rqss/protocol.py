@@ -31,7 +31,6 @@ from .gaussian import (
     beam_splitter,
     coherent,
     fidelity_pure_mixed,
-    partial_trace,
     phase_rotation,
     rotation_block,
     squeeze,
@@ -47,6 +46,7 @@ from .channel import (
     channel_invariants,
     compose,
     cp_residual,
+    embed_channel,
     free_channel,
     reduced_channel,
     t2_from_sums,
@@ -234,8 +234,33 @@ def inertial_phase(k: int, u: float) -> float:
     return math.pi - 2.0 * (2.0 * math.pi * k * u)
 
 
-def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
-    """The journeys of a scenario at every phase in `us` as one stack, and their segments' mode sums.
+class _Journey:
+    """A scenario's journeys at every phase of a u-grid, as a fit keeps them (`_journeys`).
+
+    `channel` is the stacked journey channel and `sums` its segments' mode
+    sums.  `travelling` names the shares that take the journey: shares 0
+    and 1 on a round trip, where share 2 stays home, and all three on a
+    transit, where shares 0 and 1 went out at distribution and share 2 goes
+    out to meet its partner.
+    """
+
+    def __init__(self, channel: PerturbativeChannel, sums: tuple, travelling: tuple[int, ...]):
+        self.channel, self.sums, self.travelling = channel, sums, travelling
+
+    def blocks(self, hs):
+        """The travelling shares' channel at accelerations `hs`, as (H, U, 6, 6) stacks of M and N on the three shares."""
+        return embed_channel(*self.channel.evaluate(np.asarray(hs, dtype=float)), 3, self.travelling)
+
+    @functools.cached_property
+    def ladder(self):
+        """`blocks` at the `DEFAULT_F2_LADDER` rungs: built on the first read, then kept read-only."""
+        M, N = self.blocks(DEFAULT_F2_LADDER)
+        M.flags.writeable = N.flags.writeable = False
+        return M, N
+
+
+def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Journey:
+    """The journeys of a scenario at every phase in `us`, as one stack.
 
     Scenarios 23 and 13 send shares on a transit: segment, tuned free leg,
     segment, a rotation by exactly pi at zeroth order.  Scenario 12 sends
@@ -246,7 +271,10 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     A journey depends on the fit, its kind, k and the phases alone, never on
     the secret or the squeezing, so each is built once per fit and kept in
     `fit.journeys`: a later call at the same (kind, k, phases), scenarios 23
-    and 13 alike, returns the same read-only channel and sums.  The fit
+    and 13 alike, returns the same `_Journey`, whose channel and sums are
+    read-only.  On a grid of at most `_GRID_STACK` u-points, `fidelity_grid`
+    also keeps on it the three-share blocks at the f2 ladder
+    (`_Journey.ladder`, 2 x 3 x 36 float64 = 1728 B per u-point).  The fit
     holds at most `STACK_ENTRIES` u-points of journeys: a larger grid is not
     kept, and the oldest grids make room for a new one.
     """
@@ -263,18 +291,18 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
     return built
 
 
-def _build_journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray):
+def _build_journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Journey:
     """`_journeys` built anew: a round trip walks its u and its 2u phases as one grid."""
     leg = free_channel(inertial_phase(k, us))
     if scenario != "12":
         (sums,) = grid_segments(fit, us, (k,))
         seg = reduced_channel(sums)
-        return compose(seg, compose(leg, seg)), (sums,)
+        return _Journey(compose(seg, compose(leg, seg)), (sums,), (0, 1, 2))
     (sums,) = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))
     out, mid = sums[: us.size], sums[us.size :]
     seg = reduced_channel(out)
     journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
-    return journeys, (out, mid)
+    return _Journey(journeys, (out, mid), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -309,42 +337,45 @@ def _pair_decoder(pair: tuple[int, int], gain: float, r_out: float, half_turn: b
 
 
 # Each scenario's decoder, independent of h, built once: (map on the three
-# shares, the share it keeps, the shares that travel).  Scenario 12 undoes
-# the dealer's balanced splitter (an orthogonal map, so its transpose) while
-# share 2 stays home; in scenarios 23 and 13 share 2 travels out to meet its
-# partner.  Share 0 carries the secret with the opposite sign to share 1, so
-# the decoder of players 1 and 3 ends with a half-turn.
+# shares, the share it keeps).  Scenario 12 undoes the dealer's balanced
+# splitter (an orthogonal map, so its transpose).  Share 0 carries the
+# secret with the opposite sign to share 1, so the decoder of players 1
+# and 3 ends with a half-turn.
 _DECODERS = {
-    "12": (SymplecticMap(_SPLITTER.matrix.T), 0, (0, 1)),
-    "23": (_pair_decoder((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE), 1, (0, 1, 2)),
-    "13": (_pair_decoder((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, half_turn=True), 0, (0, 1, 2)),
+    "12": (SymplecticMap(_SPLITTER.matrix.T), 0),
+    "23": (_pair_decoder((1, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE), 1),
+    "13": (_pair_decoder((0, 2), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE, half_turn=True), 0),
 }
 
 
-def decoder_maps(scenario: str) -> tuple[SymplecticMap, int, tuple[int, ...]]:
-    """The prebuilt decoder of a scenario, used at every h: (map, kept share, travelling shares)."""
+def decoder_maps(scenario: str) -> tuple[SymplecticMap, int]:
+    """The prebuilt decoder of a scenario, used at every h: (map, kept share)."""
     if scenario not in _DECODERS:
         raise ValueError(f"unknown scenario {scenario!r}")
     return _DECODERS[scenario]
 
 
 def collaborate(
-    encoded: GaussianState, M: np.ndarray, N: np.ndarray, decoder: tuple[SymplecticMap, int, tuple[int, ...]]
+    encoded: GaussianState, M: np.ndarray, N: np.ndarray, decoder: tuple[SymplecticMap, int]
 ) -> GaussianState:
-    """The travelling shares take their journeys (M, N), and two players decode with `decoder`, a `decoder_maps` entry.
+    """The travelling shares take their journeys, and two players decode with `decoder`, a `decoder_maps` entry.
 
-    In scenario 12 shares 0 and 1 go out and come back: (M, N) is the round
-    trip, out-and-back legs merged into one channel, and the recombination
-    frees the secret port exactly.  In scenarios 23 and 13 shares 0 and 1 go
-    out at distribution and share 2 goes out (M, N) to meet its partner.
-    Journeys on different shares commute, so they are one block-diagonal
-    map.  The decoder's map acts on the three shares, and the decoded secret
-    is the share it keeps.
+    (M, N) is the journeys' channel on the three shares, (..., 6, 6) blocks
+    as `_Journey.blocks` builds them.  In scenario 12 shares 0 and 1 go out
+    and come back on the round trip, and the recombination frees the secret
+    port exactly.  In scenarios 23 and 13 shares 0 and 1 go out at
+    distribution and share 2 goes out to meet its partner.  Journeys on
+    different shares commute, so they are one block-diagonal map.  Three
+    steps, each ending in a checked state: the blocks act on the shares,
+    the decoder's map acts on the three shares, and the decoded secret is
+    the kept share's 2x2 block.
     """
     if encoded.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
-    smap, kept, travelling = decoder
-    return partial_trace(apply_symplectic(smap, apply_channel(M, N, encoded, travelling)), [kept])
+    smap, kept = decoder
+    decoded = apply_symplectic(smap, apply_channel(M, N, encoded, None))
+    at = slice(2 * kept, 2 * kept + 2)
+    return GaussianState(decoded.d[..., at], decoded.sigma[..., at, at])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +481,7 @@ def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
 
 
 # u-points per pipeline stack: the (4, U, 6, 6) covariances of the three-share
-# states at the four accelerations (the ladder and h) hold at most
+# states at up to four accelerations (the ladder, and h off it) hold at most
 # STACK_ENTRIES entries, so a long u-grid runs a few stacks in turn.
 _GRID_STACK = STACK_ENTRIES // ((len(DEFAULT_F2_LADDER) + 1) * 36)
 
@@ -467,9 +498,13 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     """Closed-form, perturbative and simulated fidelities at every u of `grid`, one report per u.
 
     `config.u` is not read.  The journeys of the whole grid are built as one
-    stack (one walk of its segment phases, on the monitored mode's rows),
-    and the journeys at the h-ladder and at `config.h` run through
-    `collaborate` as one stack per `_GRID_STACK` u-points.
+    stack (one walk of its segment phases, on the monitored mode's rows).
+    The pipeline runs each distinct acceleration once: the three h-ladder
+    rungs, and `config.h` only when it is not one of them.  A grid of at
+    most `_GRID_STACK` u-points runs as one stack on the ladder blocks its
+    journey keeps (`_Journey.ladder`), plus the blocks at `config.h`; a
+    larger grid embeds its blocks one stack of `_GRID_STACK` u-points at a
+    time and keeps none of them.
     What does not depend on the grid is built once and reused: the fit keeps
     each journey it builds (`_journeys`), and the process keeps the dealing
     of each (secret, s), its secret state, encoded shares and the `f0` of
@@ -483,23 +518,31 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     grid = list(grid)
     us = _u_grid(grid)
     coherent_secret = config.secret == "coherent"
-    journeys, sums = _journeys(scenario, fit, config.k, us)
+    journey = _journeys(scenario, fit, config.k, us)
     dealing = _dealt(config.secret, tuple(float(x).hex() for x in config.secret_params), float(config.s).hex())
     secret, encoded = dealing.secret, dealing.encoded
-    # (4, U, 2, 2): the ladder's and h's axis in front of the grid's.
-    M, N = journeys.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
-    sims = np.empty((len(DEFAULT_F2_LADDER) + 1, us.size))
-    for start in range(0, us.size, _GRID_STACK):
-        at = slice(start, start + _GRID_STACK)
-        m, n = M[:, at], N[:, at]
-        sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, m, n, decoder))
+    hs = DEFAULT_F2_LADDER if config.h in DEFAULT_F2_LADDER else (*DEFAULT_F2_LADDER, config.h)
+    sims = np.empty((len(hs), us.size))
+    if us.size <= _GRID_STACK:
+        M, N = journey.ladder
+        if len(hs) > len(DEFAULT_F2_LADDER):
+            m, n = journey.blocks(hs[-1:])
+            M, N = np.concatenate([M, m]), np.concatenate([N, n])
+        sims[:] = fidelity_pure_mixed(secret, collaborate(encoded, M, N, decoder))
+    else:
+        # (H, U, 2, 2): the accelerations' axis in front of the grid's.
+        M, N = journey.channel.evaluate(np.asarray(hs, dtype=float))
+        for start in range(0, us.size, _GRID_STACK):
+            at = slice(start, start + _GRID_STACK)
+            m, n = embed_channel(M[:, at], N[:, at], 3, journey.travelling)
+            sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, m, n, decoder))
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
-        f2_closed = fidelity_closed_forms(scenario, *sums, s=config.s).tolist()
+        f2_closed = fidelity_closed_forms(scenario, *journey.sums, s=config.s).tolist()
     if scenario == "12":
         f0, f0_source = 1.0, "round trip is the identity at h = 0"
-        f2_direct = _direct_f2_scenario12(journeys, secret).tolist()
+        f2_direct = _direct_f2_scenario12(journey.channel, secret).tolist()
         direct_source = "trace of the round-trip second-order moments"
     else:
         f0, f0_source = dealing.f0, "decoded zeroth-order moments: sigma + 2 e^{-s} I"
@@ -508,7 +551,8 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     from_ladder = scenario != "12" and not coherent_secret
 
     reports = []
-    rows = zip(grid, sims[-1].tolist(), _extrapolated_f2(sims[:-1].T), f2_direct, f2_closed)
+    f_sims = sims[hs.index(config.h)].tolist()
+    rows = zip(grid, f_sims, _extrapolated_f2(sims[: len(DEFAULT_F2_LADDER)].T), f2_direct, f2_closed)
     for u, f_sim, (f2_extrap, extrap_source), direct, closed in rows:
         f2, f2_source = (f2_extrap, extrap_source) if from_ladder else (direct, direct_source)
         reports.append(
@@ -568,14 +612,14 @@ class DecoderCalibration:
         return dict(self.__dict__)
 
 
-# The exact h = 0 journey: a half-turn without noise.
-_HALF_TURN, _NO_NOISE = rotation_block(math.pi), np.zeros((2, 2))
+# The exact h = 0 transit of the three shares: a half-turn of each, without noise.
+_TRANSIT_H0 = embed_channel(rotation_block(math.pi), np.zeros((2, 2)), 3, (0, 1, 2))
+_TRANSIT_H0[0].flags.writeable = _TRANSIT_H0[1].flags.writeable = False
 
 
 def _pipeline_h0(encoded: GaussianState, gain: float, r_out: float) -> GaussianState:
     """Scenario-23 pipeline at h = 0 on encoded shares, its decoder at (gain, r_out); stacked if the shares are."""
-    decoder = (_pair_decoder((1, 2), gain, r_out), 1, (0, 1, 2))
-    return collaborate(encoded, _HALF_TURN, _NO_NOISE, decoder)
+    return collaborate(encoded, *_TRANSIT_H0, (_pair_decoder((1, 2), gain, r_out), 1))
 
 
 def calibrate_decoder() -> DecoderCalibration:
@@ -676,7 +720,7 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
             columns = [channel_invariants(reduced_channel(per_mode)).nbar for per_mode in plotted]
         else:
             header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
-            chan, _ = _journeys("12", fit, config.k, us)
+            chan = _journeys("12", fit, config.k, us).channel
             columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
         tables.append((header, np.column_stack([us, *columns]).tolist()))
     return tables

@@ -12,7 +12,8 @@ at a time in place of the stacked u-grid, one rounding per grid point in
 place of one array call, each CSV value converted by its type before it
 is printed, per-state maxima and per-call constants in the state check, a
 pseudo-inverse in the homodyne update, an identity composed in ahead of a
-journey), so the tests can compare the two routes.
+journey, a marginal picked by index in place of one share's contiguous
+block), so the tests can compare the two routes.
 The vacuum state, which only tests build, lives here too, as do the cavity
 geometry, mode functions, frequencies and segment durations the routes
 need: the package itself works only with their overlaps, as functions of
@@ -40,7 +41,6 @@ from rqss.gaussian import (
     PHYSICALITY_TOL,
     GaussianState,
     UnphysicalStateError,
-    _block,
     _frozen,
     _mat_vec,
     _quadratures,
@@ -48,7 +48,6 @@ from rqss.gaussian import (
     apply_symplectic,
     beam_splitter,
     fidelity_pure_mixed,
-    partial_trace,
     squeezed_vacuum,
     symplectic_form,
     tensor,
@@ -585,10 +584,31 @@ def journey_per_u(scenario: str, fit: TransitionFit, k: int, u: float) -> Pertur
     return compose(seg, compose(leg, compose(seg_mid, compose(leg, seg))))
 
 
+def _block(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (rows, cols) block of each covariance in a stack."""
+    return sigma[..., rows[:, None], cols]
+
+
+def partial_trace(state: GaussianState, keep) -> GaussianState:
+    """Marginal state on the listed modes, in the order given, picked by fancy indexing.
+
+    The package reads a decoded share as the contiguous 2x2 block of its
+    mode (`protocol.collaborate`); this route picks any modes, reordered.
+    """
+    keep = list(keep)
+    if not keep or len(set(keep)) != len(keep) or not all(0 <= m < state.n_modes for m in keep):
+        raise ValueError(f"bad mode selection {keep} for {state.n_modes} modes")
+    idx = _quadratures(keep)
+    return GaussianState(state.d[..., idx], _block(state.sigma, idx, idx))
+
+
 def _decoded_by_stages(scenario: str, state: GaussianState, M: np.ndarray, N: np.ndarray) -> GaussianState:
-    """The decoded share of encoded shares `state`, each travelling share sent through (M, N) on its own."""
-    smap, kept, travelling = decoder_maps(scenario)
-    for mode in travelling:
+    """The decoded share of encoded shares `state`, each travelling share sent through (M, N) on its own.
+
+    Shares 0 and 1 travel in every scenario, share 2 in scenarios 23 and 13 only.
+    """
+    smap, kept = decoder_maps(scenario)
+    for mode in (0, 1) if scenario == "12" else (0, 1, 2):
         state = apply_channel(M, N, state, mode=mode)
     return partial_trace(apply_symplectic(smap, state), [kept])
 

@@ -100,7 +100,7 @@ def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
     # never copied.
     built = _record_adoptions(monkeypatch)
     us = np.array([0.1, 0.3, 0.45])
-    journeys, _ = _journeys("12", fit20, 2, us)
+    journeys = _journeys("12", fit20, 2, us).channel
     chans = [
         journeys,
         reduced_channel(mode_sums(full_maps(fit20, 0.3), 1)),

@@ -242,8 +242,10 @@ def test_unphysical_pipeline_state_exits_two(cache_dir, tmp_path, monkeypatch, c
     journeys = protocol._journeys
 
     def noisy(*args):
-        chan, sums = journeys(*args)
-        return PerturbativeChannel(chan.m0, chan.m2, chan.n2 - 1e4 * np.eye(2)), sums
+        journey = journeys(*args)
+        chan = journey.channel
+        noisy_chan = PerturbativeChannel(chan.m0, chan.m2, chan.n2 - 1e4 * np.eye(2))
+        return protocol._Journey(noisy_chan, journey.sums, journey.travelling)
 
     monkeypatch.setattr(protocol, "_journeys", noisy)
     argv = ["fidelity", "--scenario", scenario, *grid, "--out", str(tmp_path), *_args(cache_dir)]

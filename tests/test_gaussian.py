@@ -24,7 +24,6 @@ from rqss.gaussian import (
     check_symplectic,
     coherent,
     fidelity_pure_mixed,
-    partial_trace,
     phase_rotation,
     rotation_block,
     squeeze,
@@ -35,7 +34,7 @@ from rqss.gaussian import (
     UnphysicalStateError,
 )
 
-from oracles import check_state_by_reductions, homodyne_by_pseudo_inverse, vacuum
+from oracles import check_state_by_reductions, homodyne_by_pseudo_inverse, partial_trace, vacuum
 
 # Frozen oracle: |<alpha|0>|^2 = e^{-|alpha|^2} with |alpha|^2 = (q^2 + p^2)/2,
 # so the fidelity of coherent(1, 0) to vacuum is e^{-1/2}.

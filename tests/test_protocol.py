@@ -16,12 +16,11 @@ from rqss.gaussian import (
     SymplecticMap,
     coherent,
     fidelity_pure_mixed,
-    partial_trace,
     rotation_block,
     squeezed_vacuum,
 )
 from rqss import channel, modes, protocol
-from rqss.channel import apply_channel
+from rqss.channel import apply_channel, embed_channel
 from rqss.cli import main
 from rqss.modes import STACK_ENTRIES, mode_sums
 from rqss.protocol import (
@@ -31,6 +30,7 @@ from rqss.protocol import (
     DEFAULT_F2_LADDER,
     FIGURES,
     ProtocolConfig,
+    _GRID_STACK,
     _pipeline_h0,
     calibrate_decoder,
     collaborate,
@@ -51,6 +51,7 @@ from oracles import (
     figure_data_per_u,
     full_maps,
     journey_per_u,
+    partial_trace,
     thermal_lossy_forms,
     vacuum,
 )
@@ -86,9 +87,9 @@ def test_inertial_phase_convention():
 
 def test_round_trip_zeroth_order(fit20):
     us = np.array([0.3, 0.7])
-    ch, _ = protocol._journeys("12", fit20, 1, us)
+    ch = protocol._journeys("12", fit20, 1, us).channel
     assert np.allclose(ch.m0, np.eye(2), atol=1e-12)
-    tr, _ = protocol._journeys("23", fit20, 1, us)
+    tr = protocol._journeys("23", fit20, 1, us).channel
     assert np.allclose(tr.m0, -np.eye(2), atol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_collaborate_12_returns_secret_exactly(fit20):
     cfg = _cfg(u=0.3, k=1, s=1.0)
     squeezed = squeezed_vacuum(0.3)
     secret = GaussianState(squeezed.d + np.array([1.0, -1.0]), squeezed.sigma)
-    m, n = journey_per_u("12", fit20, cfg.k, cfg.u).evaluate(0.0)
+    m, n = embed_channel(*journey_per_u("12", fit20, cfg.k, cfg.u).evaluate(0.0), 3, (0, 1))
     decoded = collaborate(encode(secret, cfg.s), m, n, decoder_maps("12"))
     assert np.allclose(decoded.d, secret.d, atol=1e-12)
     assert np.allclose(decoded.sigma, secret.sigma, atol=1e-12)
@@ -372,18 +373,21 @@ def test_make_secret():
 
 @pytest.mark.parametrize("scenario, travelling", [("12", (0, 1)), ("23", (0, 1, 2)), ("13", (0, 1, 2))])
 def test_collaborate_sends_the_travelling_shares_through_one_channel(fit20, monkeypatch, scenario, travelling):
-    # One channel call on the travelling shares: shares 0 and 1 on the round
-    # trip of scenario 12, where share 2 stays home untouched, and all three
-    # on the transit of scenarios 23 and 13, where share 2 goes out to meet
-    # its partner (a half-turn at leading order plus O(h^2) corrections).
+    # One channel call with the journey's three-share blocks: shares 0 and 1
+    # travel on the round trip of scenario 12, where share 2 stays home
+    # untouched, and all three on the transit of scenarios 23 and 13, where
+    # share 2 goes out to meet its partner (a half-turn at leading order
+    # plus O(h^2) corrections).
     cfg = _cfg(u=0.3, k=1, s=1.0, h=1e-2)
     encoded = encode(coherent(1.0, 0.0), cfg.s)
-    M, N = journey_per_u(scenario, fit20, cfg.k, cfg.u).evaluate(cfg.h)
+    journey = protocol._journeys(scenario, replace(fit20), cfg.k, np.array([cfg.u]))
+    assert journey.travelling == travelling
+    M, N = (block[0, 0] for block in journey.blocks([cfg.h]))
     sent, send = [], protocol.apply_channel
     monkeypatch.setattr(protocol, "apply_channel", lambda *args: sent.append((args[3], send(*args))) or sent[-1][1])
     collaborate(encoded, M, N, decoder_maps(scenario))
     ((shares, out),) = sent
-    assert shares == travelling
+    assert shares is None
     turn = 1.0 if scenario == "12" else -1.0
     for share in travelling:
         at = slice(2 * share, 2 * share + 2)
@@ -529,7 +533,7 @@ def test_journeys_equal_the_identity_start_bit_for_bit(fit20, scenario):
     # At u = 0, 1/2 and 1 the segment blocks hold exact zeros, whose signs
     # composing onto the identity could flip; the journeys keep every bit.
     us, k = np.array([0.0, 0.5, 1.0]), 1
-    journeys, _ = protocol._journeys(scenario, fit20, k, us)
+    journeys = protocol._journeys(scenario, fit20, k, us).channel
     seg = channel.reduced_channel(*modes.grid_segments(fit20, us, (k,)))
     leg = channel.free_channel(inertial_phase(k, us))
     if scenario == "12":
@@ -819,7 +823,8 @@ def test_a_fit_holds_at_most_stack_entries_u_points_of_journeys(fit10):
     protocol._journeys("12", fit, 1, grids[0])
     assert _held_sizes(fit) == [20, half]
     too_many = np.linspace(0.0, 1.0, STACK_ENTRIES + 1)
-    journeys, (sums,) = protocol._journeys("23", fit, 1, too_many)
+    journey = protocol._journeys("23", fit, 1, too_many)
+    journeys, (sums,) = journey.channel, journey.sums
     assert journeys.m0.shape == (STACK_ENTRIES + 1, 2, 2) and sums.f_alpha.shape == (STACK_ENTRIES + 1,)
     assert _held_sizes(fit) == [20, half]
     assert protocol._journeys("23", fit, 1, too_many) is not protocol._journeys("23", fit, 1, too_many)
@@ -828,15 +833,117 @@ def test_a_fit_holds_at_most_stack_entries_u_points_of_journeys(fit10):
 @pytest.mark.parametrize("scenario", ["12", "23"])
 def test_kept_journeys_and_their_sums_are_read_only(fit20, scenario):
     fit = replace(fit20)
-    journeys, sums = protocol._journeys(scenario, fit, 1, np.array([0.2, 0.3]))
-    held = fit.journeys[(scenario == "12", 1, np.array([0.2, 0.3]).tobytes())]
-    assert held[0] is journeys and held[1] is sums
+    journey = protocol._journeys(scenario, fit, 1, np.array([0.2, 0.3]))
+    assert fit.journeys[(scenario == "12", 1, np.array([0.2, 0.3]).tobytes())] is journey
+    journeys, sums = journey.channel, journey.sums
     arrays = [getattr(journeys, name) for name in ("m0", "m2", "n2")]
     arrays += [getattr(per_segment, f.name) for per_segment in sums for f in fields(per_segment)]
     assert len(arrays) == 3 + 6 * len(sums)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def _has_ladder(journey) -> bool:
+    """Whether a kept journey holds its ladder blocks (`_Journey.ladder` is built on its first read)."""
+    return "ladder" in vars(journey)
+
+
+def test_a_journey_embeds_its_ladder_blocks_once_and_scenarios_23_and_13_share_them(fit20, monkeypatch):
+    fit = replace(fit20)
+    embeds = []
+    embed = protocol.embed_channel
+    monkeypatch.setattr(protocol, "embed_channel", lambda M, N, n, modes: embeds.append((M.shape, modes)) or embed(M, N, n, modes))
+    fidelity_report("23", _cfg(u=0.3, k=1, s=1.0), fit)
+    transit = fit.journeys[(False, 1, np.array([0.3]).tobytes())]
+    ladder = transit.ladder
+    for scenario, s in (("13", 0.5), ("23", 2.0), ("12", 1.0), ("12", 0.5), ("13", 1.0)):
+        fidelity_report(scenario, _cfg(u=0.3, k=1, s=s), fit)
+    # One embedding per journey, of its three rungs on its travelling shares.
+    assert embeds == [((3, 1, 2, 2), (0, 1, 2)), ((3, 1, 2, 2), (0, 1))]
+    assert transit.ladder is ladder
+    assert _has_ladder(fit.journeys[(True, 1, np.array([0.3]).tobytes())])
+    # An h off the ladder embeds its own row on each report, never the rungs again.
+    embeds.clear()
+    for _ in range(2):
+        fidelity_report("13", _cfg(u=0.3, k=1, h=7e-3), fit)
+    assert embeds == [((1, 1, 2, 2), (0, 1, 2))] * 2
+
+
+@pytest.mark.parametrize("scenario, travelling", [("12", (0, 1)), ("23", (0, 1, 2))])
+def test_kept_ladder_blocks_are_read_only_and_equal_a_fresh_embedding(fit20, scenario, travelling):
+    fit = replace(fit20)
+    us = np.array([0.2, 0.3, 0.55])
+    fidelity_grid(scenario, _cfg(k=1), us.tolist(), fit)
+    journey = fit.journeys[(scenario == "12", 1, us.tobytes())]
+    assert journey.travelling == travelling
+    M, N = journey.ladder
+    for arr in (M, N):
+        assert arr.shape == (3, us.size, 6, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0, 0] = 0.0
+    # The channel at the three rungs, placed by hand on each travelling share.
+    m, n = journey.channel.evaluate(np.array(DEFAULT_F2_LADDER))
+    want_m, want_n = np.broadcast_to(np.eye(6), M.shape).copy(), np.zeros(N.shape)
+    for share in travelling:
+        at = slice(2 * share, 2 * share + 2)
+        want_m[..., at, at], want_n[..., at, at] = m, n
+    assert M.tobytes() == want_m.tobytes() and N.tobytes() == want_n.tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["12", "23"])
+def test_a_grid_larger_than_one_stack_keeps_no_blocks(fit20, scenario):
+    fit = replace(fit20)
+    for size in (_GRID_STACK, _GRID_STACK + 1):
+        fidelity_grid(scenario, _cfg(k=1), np.linspace(0.0, 1.0, size).tolist(), fit)
+    assert {len(phases) // 8: _has_ladder(journey) for (*_, phases), journey in fit.journeys.items()} == {
+        _GRID_STACK: True,
+        _GRID_STACK + 1: False,
+    }
+
+
+def test_kept_blocks_leave_the_journey_bound_in_u_points(fit10):
+    # The bound counts u-points of journeys, with blocks or without: beside
+    # a grid that fills all but one u-point of it, a one-u report keeps its
+    # journey and its blocks, and the next journey evicts the oldest grid.
+    fit = replace(fit10)
+    protocol._journeys("23", fit, 1, np.linspace(0.0, 1.0, STACK_ENTRIES - 1))
+    fidelity_report("23", _cfg(n_max=10, u=0.3, k=1), fit)
+    assert _held_sizes(fit) == [STACK_ENTRIES - 1, 1]
+    assert _has_ladder(fit.journeys[(False, 1, np.array([0.3]).tobytes())])
+    fidelity_report("12", _cfg(n_max=10, u=0.3, k=1), fit)
+    assert _held_sizes(fit) == [1, 1]
+
+
+@pytest.mark.parametrize("h", [1e-2, 7e-3, 0.0])
+def test_reports_on_kept_blocks_equal_reports_on_a_fresh_fit(fit20, h):
+    fit = replace(fit20)
+    secrets = [("coherent", (0.0, 0.0)), ("coherent", (0.7, -0.4)), ("squeezed", (0.25,))]
+    for scenario, s, (secret, params), u in itertools.product(["12", "23", "13"], [0.5, 2.0], secrets, [0.1, 0.55]):
+        cfg = _cfg(s=s, secret=secret, secret_params=params, u=u, h=h)
+        shared, fresh = (json.dumps(fidelity_report(scenario, cfg, f).to_json_dict()) for f in (fit, replace(fit20)))
+        assert shared == fresh
+    for scenario in ("12", "23", "13"):
+        shared, fresh = (
+            json.dumps([r.to_json_dict() for r in fidelity_grid(scenario, _cfg(h=h), TABLE_GRID, f)]) for f in (fit, replace(fit20))
+        )
+        assert shared == fresh
+    assert len(fit.journeys) == 6 and all(map(_has_ladder, fit.journeys.values()))
+
+
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+@pytest.mark.parametrize("h, rows", [(1e-2, 3), (5e-3, 3), (2.5e-3, 3), (7e-3, 4), (0.0, 4)])
+def test_a_report_runs_each_distinct_acceleration_once(fit20, monkeypatch, scenario, h, rows):
+    # The three ladder rungs always run, and h as a fourth row only when it
+    # is not a rung; the default h is the top rung.  Counted on the stacked
+    # fidelities (f0's one-state fidelity is not a pipeline row).
+    stacks = []
+    fidelity = protocol.fidelity_pure_mixed
+    monkeypatch.setattr(protocol, "fidelity_pure_mixed", lambda pure, other: stacks.append(other.d.shape[:-1]) or fidelity(pure, other))
+    cfg = _cfg(u=0.3, k=1, s=1.0, h=h, secret_params=(0.7, -0.4))
+    f_sim = fidelity_report(scenario, cfg, fit20).f_sim
+    assert [shape for shape in stacks if shape] == [(rows, 1)]
+    assert f_sim == fidelity_by_stages(scenario, cfg, fit20, h)
 
 
 def test_a_fit_of_another_cutoff_is_rejected(fit20):

@@ -444,14 +444,18 @@ def test_fidelity_table_equals_rows_of_per_u_reports(fit20, scenario):
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
 @pytest.mark.parametrize("secret, params", SECRETS[1:])
 def test_fidelity_grid_spanning_several_stacks_equals_per_u_reports(fit20, monkeypatch, scenario, secret, params):
+    # Each stack runs the three ladder rungs, and h as a fourth row only
+    # when h is off the ladder (the default h is its top rung).
     runs = []
     collaborate = protocol.collaborate
     monkeypatch.setattr(protocol, "collaborate", lambda encoded, M, N, decoder: runs.append(M.shape[:-2]) or collaborate(encoded, M, N, decoder))
-    config = ProtocolConfig(s=0.5, secret=secret, secret_params=params)
-    got = [repr(r) for r in fidelity_grid(scenario, config, FIGURE_GRID, fit20)]
     full, rest = divmod(len(FIGURE_GRID), _GRID_STACK)
-    assert full >= 2 and runs == [(4, _GRID_STACK)] * full + [(4, rest)]
-    assert got == _reprs_per_u(scenario, config, fit20, FIGURE_GRID)
+    for h, rows in ((1e-2, 3), (7e-3, 4)):
+        runs.clear()
+        config = ProtocolConfig(s=0.5, secret=secret, secret_params=params, h=h)
+        got = [repr(r) for r in fidelity_grid(scenario, config, FIGURE_GRID, fit20)]
+        assert full >= 2 and runs == [(rows, _GRID_STACK)] * full + [(rows, rest)]
+        assert got == _reprs_per_u(scenario, config, fit20, FIGURE_GRID)
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
@@ -461,10 +465,14 @@ def test_fidelity_stacks_stay_bounded(request, monkeypatch, n_max):
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: sizes.append(state.sigma.size) or check(state))
     grid = [i / 256 for i in range(1, 256)]
-    for scenario in ("12", "23"):
-        assert len(fidelity_grid(scenario, ProtocolConfig(n_max=n_max), grid, fit)) == len(grid)
-    # The largest checked state, a (4, U, 6, 6) stack of three-share states.
-    assert max(sizes) == 4 * _GRID_STACK * 36 <= STACK_ENTRIES
+    # The largest checked state, a (H, U, 6, 6) stack of three-share states:
+    # the three ladder rungs at the default h, which is one of them, and
+    # four accelerations at an h off the ladder.
+    for h, rows in ((1e-2, 3), (7e-3, 4)):
+        sizes.clear()
+        for scenario in ("12", "23"):
+            assert len(fidelity_grid(scenario, ProtocolConfig(n_max=n_max, h=h), grid, fit)) == len(grid)
+        assert max(sizes) == rows * _GRID_STACK * 36 <= STACK_ENTRIES
 
 
 def test_fidelity_grid_rejects_bad_points(fit20):
