@@ -22,6 +22,7 @@ from .gaussian import (
 from .modes import (
     BogoliubovSet,
     CorruptCacheError,
+    FitValidationError,
     ModeSums,
     TransitionFit,
     fit_transition,

@@ -99,17 +99,14 @@ def compose(after: PerturbativeChannel, before: PerturbativeChannel) -> Perturba
     return PerturbativeChannel(m0, m2, n2)
 
 
-def embed_channel(M: np.ndarray, N: np.ndarray, n_modes: int, mode: int | tuple[int, ...] = 0):
-    """A concrete single-mode channel (M, N) on one mode of `n_modes`, as (M, N) blocks on all of them.
+def embed_channel(M: np.ndarray, N: np.ndarray, n_modes: int, modes: tuple[int, ...]):
+    """A concrete single-mode channel (M, N) on each of `modes` of `n_modes`, as one block-diagonal map on all of them.
 
-    `mode` may also be a tuple of modes: the channel then acts on each of
-    them, as one block-diagonal map.  Off those modes' diagonal blocks M is
-    the identity and N zero; (..., 2, 2) stacks of M and N give
-    (..., 2n, 2n) stacks.
+    Off those modes' diagonal blocks M is the identity and N zero;
+    (..., 2, 2) stacks of M and N give (..., 2n, 2n) stacks.
     """
-    modes = (mode,) if np.ndim(mode) == 0 else tuple(mode)
     if not modes or not all(0 <= m < n_modes for m in modes):
-        raise ValueError(f"mode {mode} outside state with {n_modes} modes")
+        raise ValueError(f"modes {modes} outside state with {n_modes} modes")
     full_m = np.broadcast_to(_identity(n_modes), M.shape[:-2] + (2 * n_modes, 2 * n_modes)).copy()
     full_n = np.zeros(N.shape[:-2] + (2 * n_modes, 2 * n_modes))
     for m in modes:
@@ -119,18 +116,13 @@ def embed_channel(M: np.ndarray, N: np.ndarray, n_modes: int, mode: int | tuple[
     return full_m, full_n
 
 
-def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState, mode: int | tuple[int, ...] | None = 0) -> GaussianState:
-    """Apply a concrete channel (M, N) to a state.
+def apply_channel(M: np.ndarray, N: np.ndarray, state: GaussianState) -> GaussianState:
+    """Apply a concrete channel (M, N) on all n modes of a state: (..., 2n, 2n) blocks, as `embed_channel` builds them.
 
-    (M, N) acts on `mode`, or on each of a tuple of modes, as `embed_channel`
-    places it; with `mode` None, M and N are already the (..., 2n, 2n)
-    blocks of a channel on all n modes of the state.  Stacks of M and N, a
-    stack of states, or both give the stack of outputs.
+    Stacks of M and N, a stack of states, or both give the stack of outputs.
     """
     n = state.n_modes
-    if mode is not None:
-        M, N = embed_channel(M, N, n, mode)
-    elif M.shape[-2:] != (2 * n, 2 * n) or N.shape[-2:] != (2 * n, 2 * n):
+    if M.shape[-2:] != (2 * n, 2 * n) or N.shape[-2:] != (2 * n, 2 * n):
         raise ValueError(f"channel blocks {M.shape} and {N.shape} do not act on a state with {n} modes")
     sigma = M @ state.sigma @ _transpose(M) + N
     return GaussianState(_mat_vec(M, state.d), 0.5 * (sigma + _transpose(sigma)))

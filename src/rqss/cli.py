@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific breach
 (tolerance violation, a negative occupation in the invariants or the nbar
-figure, corrupted coefficient cache, failed calibration, a pipeline state
-that is not finite or violates the uncertainty bound).
+figure, corrupted coefficient cache, a transition fit that fails its held-out
+validation, failed calibration, a pipeline state that is not finite or
+violates the uncertainty bound).
 Outputs are written without timestamps so repeated runs are byte-identical;
 every output directory gets a manifest listing parameters and content hashes.
 """
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .gaussian import UnphysicalStateError
-from .modes import CorruptCacheError, quadrature_error, segment_maps
+from .modes import CorruptCacheError, FitValidationError, quadrature_error, segment_maps
 from .protocol import (
     CalibrationError,
     FIGURE_MODES,
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.handler(args, config, raw_argv)
-    except (CorruptCacheError, CalibrationError, UnphysicalStateError) as exc:
+    except (CorruptCacheError, FitValidationError, CalibrationError, UnphysicalStateError) as exc:
         print(f"scientific breach: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:

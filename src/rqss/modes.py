@@ -54,6 +54,10 @@ class CorruptCacheError(RuntimeError):
     """A cached coefficient file failed integrity checks."""
 
 
+class FitValidationError(RuntimeError):
+    """A transition fit missed its held-out validation gate."""
+
+
 # ---------------------------------------------------------------------------
 # exact transition matrices (vectorized quadrature), at L = 1
 
@@ -207,7 +211,7 @@ def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:
 
     validation = _validate_fit(a, b, ref_a, ref_b)
     if not validation["max_rel_err"] <= _FIT_REL_GATE:  # a NaN error fails too
-        raise RuntimeError(
+        raise FitValidationError(
             f"transition fit failed validation: rel err {validation['max_rel_err']:.3e}"
         )
     return TransitionFit(n_max, *map(_frozen, (a[0], a[1], b[0], b[1])), validation)

@@ -272,11 +272,11 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Jou
     the secret or the squeezing, so each is built once per fit and kept in
     `fit.journeys`: a later call at the same (kind, k, phases), scenarios 23
     and 13 alike, returns the same `_Journey`, whose channel and sums are
-    read-only.  On a grid of at most `_GRID_STACK` u-points, `fidelity_grid`
-    also keeps on it the three-share blocks at the f2 ladder
-    (`_Journey.ladder`, 2 x 3 x 36 float64 = 1728 B per u-point).  The fit
-    holds at most `STACK_ENTRIES` u-points of journeys: a larger grid is not
-    kept, and the oldest grids make room for a new one.
+    read-only.  `fidelity_grid` also keeps on it the three-share blocks at
+    the f2 ladder (`_Journey.ladder`, 2 x 3 x 36 float64 = 1728 B per
+    u-point).  The fit holds at most `STACK_ENTRIES` u-points of journeys: a
+    larger grid is not kept, so its ladder lives only for the call, and the
+    oldest grids make room for a new one.
     """
     held = fit.journeys
     key = (scenario == "12", k, us.tobytes())
@@ -373,7 +373,7 @@ def collaborate(
     if encoded.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
     smap, kept = decoder
-    decoded = apply_symplectic(smap, apply_channel(M, N, encoded, None))
+    decoded = apply_symplectic(smap, apply_channel(M, N, encoded))
     at = slice(2 * kept, 2 * kept + 2)
     return GaussianState(decoded.d[..., at], decoded.sigma[..., at, at])
 
@@ -480,9 +480,9 @@ def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
     ]
 
 
-# u-points per pipeline stack: the (4, U, 6, 6) covariances of the three-share
-# states at up to four accelerations (the ladder, and h off it) hold at most
-# STACK_ENTRIES entries, so a long u-grid runs a few stacks in turn.
+# u-points per run of `collaborate`: the (4, U, 6, 6) covariances of the
+# three-share states at up to four accelerations (the ladder, and h off it)
+# hold at most STACK_ENTRIES entries, so a long u-grid runs a few stacks in turn.
 _GRID_STACK = STACK_ENTRIES // ((len(DEFAULT_F2_LADDER) + 1) * 36)
 
 
@@ -500,11 +500,10 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     `config.u` is not read.  The journeys of the whole grid are built as one
     stack (one walk of its segment phases, on the monitored mode's rows).
     The pipeline runs each distinct acceleration once: the three h-ladder
-    rungs, and `config.h` only when it is not one of them.  A grid of at
-    most `_GRID_STACK` u-points runs as one stack on the ladder blocks its
-    journey keeps (`_Journey.ladder`), plus the blocks at `config.h`; a
-    larger grid embeds its blocks one stack of `_GRID_STACK` u-points at a
-    time and keeps none of them.
+    rungs, and `config.h` only when it is not one of them.  Every grid reads
+    the ladder blocks of its journey (`_Journey.ladder`), plus one row of
+    blocks at `config.h` when it is off the ladder, and runs them through
+    `collaborate` `_GRID_STACK` u-points at a time.
     What does not depend on the grid is built once and reused: the fit keeps
     each journey it builds (`_journeys`), and the process keeps the dealing
     of each (secret, s), its secret state, encoded shares and the `f0` of
@@ -523,19 +522,13 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     secret, encoded = dealing.secret, dealing.encoded
     hs = DEFAULT_F2_LADDER if config.h in DEFAULT_F2_LADDER else (*DEFAULT_F2_LADDER, config.h)
     sims = np.empty((len(hs), us.size))
-    if us.size <= _GRID_STACK:
-        M, N = journey.ladder
-        if len(hs) > len(DEFAULT_F2_LADDER):
-            m, n = journey.blocks(hs[-1:])
-            M, N = np.concatenate([M, m]), np.concatenate([N, n])
-        sims[:] = fidelity_pure_mixed(secret, collaborate(encoded, M, N, decoder))
-    else:
-        # (H, U, 2, 2): the accelerations' axis in front of the grid's.
-        M, N = journey.channel.evaluate(np.asarray(hs, dtype=float))
-        for start in range(0, us.size, _GRID_STACK):
-            at = slice(start, start + _GRID_STACK)
-            m, n = embed_channel(M[:, at], N[:, at], 3, journey.travelling)
-            sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, m, n, decoder))
+    M, N = journey.ladder
+    if len(hs) > len(DEFAULT_F2_LADDER):
+        m, n = journey.blocks(hs[-1:])
+        M, N = np.concatenate([M, m]), np.concatenate([N, n])
+    for start in range(0, us.size, _GRID_STACK):
+        at = slice(start, start + _GRID_STACK)
+        sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, M[:, at], N[:, at], decoder))
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:

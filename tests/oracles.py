@@ -33,6 +33,7 @@ from rqss.channel import (
     complex_pair_block,
     compose,
     cp_residual,
+    embed_channel,
     free_channel,
     segment_channel,
     t2_from_sums,
@@ -609,7 +610,7 @@ def _decoded_by_stages(scenario: str, state: GaussianState, M: np.ndarray, N: np
     """
     smap, kept = decoder_maps(scenario)
     for mode in (0, 1) if scenario == "12" else (0, 1, 2):
-        state = apply_channel(M, N, state, mode=mode)
+        state = apply_channel(*embed_channel(M, N, 3, (mode,)), state)
     return partial_trace(apply_symplectic(smap, state), [kept])
 
 

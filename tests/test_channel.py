@@ -12,6 +12,7 @@ from rqss.channel import (
     complex_pair_block,
     compose,
     cp_residual,
+    embed_channel,
     free_channel,
     reduced_channel,
     segment_channel,
@@ -171,9 +172,9 @@ def test_compose_matches_sequential_application(fit20):
     state = coherent(1.0, -0.5)
     m1, n1 = seg.evaluate(h)
     m2, n2 = leg.evaluate(h)
-    stepwise = apply_channel(m2, n2, apply_channel(m1, n1, state, 0), 0)
+    stepwise = apply_channel(m2, n2, apply_channel(m1, n1, state))
     mc, nc = combined.evaluate(h)
-    direct = apply_channel(mc, nc, state, 0)
+    direct = apply_channel(mc, nc, state)
     # Agreement to the h^4 terms the truncation drops.
     assert np.max(np.abs(direct.d - stepwise.d)) < 1e-10
     assert np.max(np.abs(direct.sigma - stepwise.sigma)) < 1e-10
@@ -189,6 +190,47 @@ def test_compose_associativity(fit20):
     assert np.allclose(left.m0, right.m0, atol=1e-14)
     assert np.allclose(left.m2, right.m2, atol=1e-13)
     assert np.allclose(left.n2, right.n2, atol=1e-13)
+
+
+@st.composite
+def _cp_channels(draw):
+    """A one-mode channel with a rotation m0, any m2 and a PSD n2 with sqrt(det n2) >= |T2|, T2 = -tr(m0^T m2)."""
+    m0 = rotation_block(draw(st.floats(-np.pi, np.pi)))
+    m2 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))).reshape(2, 2)
+    t2 = -np.trace(m0.T @ m2)
+    axes = rotation_block(draw(st.floats(-np.pi, np.pi)))
+    lam = np.array([draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))])
+    scale = draw(st.floats(1.0, 2.0)) * max(1.0, abs(t2) / np.sqrt(np.prod(lam)))
+    return PerturbativeChannel(m0, m2, scale * axes @ np.diag(lam) @ axes.T)
+
+
+def _root_det(chan) -> float:
+    return float(np.sqrt(np.linalg.det(chan.n2)))
+
+
+def _t2(chan) -> float:
+    """`channel_invariants(chan).t2`; its nbar divides by a T2 that may be 0 here, so that warning is off."""
+    with np.errstate(divide="ignore"):
+        return channel_invariants(chan).t2
+
+
+@settings(deadline=None, max_examples=200)
+@given(after=_cp_channels(), before=_cp_channels(), phi=st.floats(-np.pi, np.pi))
+def test_compose_adds_t2_and_keeps_the_noise_above_it(after, before, phi):
+    # The composition lemma behind a CP journey: `compose` adds T2 (the
+    # rotations drop out of tr(m0^T m2)), and sqrt(det n2) is superadditive
+    # on 2x2 PSD blocks (Minkowski's determinant inequality), so sqrt(det n2)
+    # >= |T2| on both legs holds for the composed channel too.
+    both = compose(after, before)
+    assert _t2(both) == pytest.approx(_t2(after) + _t2(before), rel=1e-12, abs=1e-12)
+    assert _root_det(both) >= _root_det(after) + _root_det(before) - 1e-12 * _root_det(both)
+    assert _root_det(both) >= abs(_t2(both)) * (1.0 - 1e-12)
+    # A free leg on either side adds no noise and no deformation.
+    for chan in (after, before):
+        t2, det = _t2(chan), np.linalg.det(chan.n2)
+        for legged in (compose(free_channel(phi), chan), compose(chan, free_channel(phi))):
+            assert _t2(legged) == pytest.approx(t2, rel=1e-13, abs=1e-14)
+            assert np.linalg.det(legged.n2) == pytest.approx(det, rel=1e-13, abs=1e-14)
 
 
 def test_invariants_dual_route(fit20):
@@ -261,7 +303,7 @@ def test_cp_residual_flags_unphysical():
 
 def test_apply_channel_embedding():
     state = tensor(coherent(1.0, 0.0), coherent(0.0, 2.0))
-    out = apply_channel(rotation_block(np.pi), 0.1 * np.eye(2), state, mode=1)
+    out = apply_channel(*embed_channel(rotation_block(np.pi), 0.1 * np.eye(2), 2, (1,)), state)
     assert np.allclose(out.d, [1.0, 0.0, 0.0, -2.0], atol=1e-14)
     assert out.sigma[2, 2] == pytest.approx(1.1, rel=1e-14)
     assert out.sigma[0, 0] == pytest.approx(1.0, rel=1e-14)
@@ -274,13 +316,24 @@ def test_apply_channel_on_several_modes_is_one_map_per_mode(fit20):
     # test_simulation_equals_stage_sequence_oracle).
     state = tensor(two_mode_squeezed_vacuum(1.0), coherent(1.0, -0.5))  # modes 0 and 1 correlated
     m, n = segment_channel(full_maps(fit20, 0.3), 1).evaluate(np.array([1e-2, 3e-2]))
-    both = apply_channel(m, n, state, mode=(0, 1))
-    one_by_one = apply_channel(m, n, apply_channel(m, n, state, mode=0), mode=1)
+    both = apply_channel(*embed_channel(m, n, 3, (0, 1)), state)
+    one_by_one = apply_channel(*embed_channel(m, n, 3, (1,)), apply_channel(*embed_channel(m, n, 3, (0,)), state))
     assert np.array_equal(both.d, one_by_one.d)
     np.testing.assert_allclose(both.sigma, one_by_one.sigma, rtol=1e-15, atol=1e-15)
     for bad in [(0, 3), (), (-1,)]:
         with pytest.raises(ValueError, match="outside"):
-            apply_channel(m, n, state, mode=bad)
+            embed_channel(m, n, 3, bad)
+
+
+def test_apply_channel_takes_only_blocks_on_every_mode_of_the_state():
+    # A one-mode (M, N) on a two-mode state is placed by `embed_channel`
+    # first; `apply_channel` itself embeds nothing.
+    state = tensor(coherent(1.0, 0.0), coherent(0.0, 2.0))
+    m, n = rotation_block(0.4), 0.1 * np.eye(2)
+    with pytest.raises(ValueError, match="do not act on a state with 2 modes"):
+        apply_channel(m, n, state)
+    with pytest.raises(ValueError, match="do not act on a state with 2 modes"):
+        apply_channel(np.eye(4), n, state)
 
 
 @settings(deadline=None, max_examples=25)

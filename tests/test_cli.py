@@ -73,6 +73,18 @@ def test_bogo_check_breach_exits_two(cache_dir, fit10, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["invariants", "--grid", "0.2:0.8:0.2"], ["bogo-check"]])
+def test_a_fit_that_fails_validation_is_a_scientific_breach(tmp_path, monkeypatch, capsys, command):
+    # The held-out gate below any error: the fit is rejected, the run exits
+    # 2 as a tolerance breach and saves nothing to the empty cache.
+    monkeypatch.setattr(modes, "_FIT_REL_GATE", -1.0)
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    assert main([*command, "--out", str(out), *_args(cache, nmax=4)]) == 2
+    assert capsys.readouterr().err.startswith("scientific breach: transition fit failed validation: rel err")
+    assert not cache.exists() or not any(cache.iterdir())
+    assert not out.exists()
+
+
 def test_bogo_check_parity_tolerance_is_one_constant(cache_dir, fit20, tmp_path, monkeypatch, capsys):
     # The check, the JSON field and the printed line all read `_PARITY_TOL`,
     # and --tol does not loosen it: below any residual, the run fails.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqss.channel import apply_channel
+from rqss.channel import apply_channel, embed_channel
 from rqss.protocol import (
     _MAX_SQUEEZE_EXPONENT,
     DEFAULT_DECODER_GAIN,
@@ -295,10 +295,11 @@ def test_stacked_ops_equal_per_item_results():
     n = hs**2 * np.array([[1.0, 0.2], [0.2, 0.5]])
     for mode in range(3):
         # A stack of channels on one state, and one channel per state of a stack.
-        got = apply_channel(m, n, states[0], mode)
-        _assert_items_equal(got, [apply_channel(mi, ni, states[0], mode) for mi, ni in zip(m, n)])
-        got = apply_channel(m, n, stack, mode)
-        _assert_items_equal(got, [apply_channel(mi, ni, st, mode) for mi, ni, st in zip(m, n, states)])
+        full_m, full_n = embed_channel(m, n, 3, (mode,))
+        got = apply_channel(full_m, full_n, states[0])
+        _assert_items_equal(got, [apply_channel(mi, ni, states[0]) for mi, ni in zip(full_m, full_n)])
+        got = apply_channel(full_m, full_n, stack)
+        _assert_items_equal(got, [apply_channel(mi, ni, st) for mi, ni, st in zip(full_m, full_n, states)])
 
     for gain in (0.0, -1.3):
         got = homodyne_by_pseudo_inverse(stack, 2, 0, gain=gain)

@@ -384,10 +384,10 @@ def test_collaborate_sends_the_travelling_shares_through_one_channel(fit20, monk
     assert journey.travelling == travelling
     M, N = (block[0, 0] for block in journey.blocks([cfg.h]))
     sent, send = [], protocol.apply_channel
-    monkeypatch.setattr(protocol, "apply_channel", lambda *args: sent.append((args[3], send(*args))) or sent[-1][1])
+    monkeypatch.setattr(protocol, "apply_channel", lambda *args: sent.append((args, send(*args))) or sent[-1][1])
     collaborate(encoded, M, N, decoder_maps(scenario))
-    ((shares, out),) = sent
-    assert shares is None
+    (((m, n, state), out),) = sent
+    assert m is M and n is N and state is encoded
     turn = 1.0 if scenario == "12" else -1.0
     for share in travelling:
         at = slice(2 * share, 2 * share + 2)
@@ -418,8 +418,8 @@ def test_a_channel_on_the_discarded_share_leaves_the_pair_marginal_bit_for_bit(p
     M = np.stack([rotation_block(phi) @ m for (_, _, phi), (m, _) in zip(channels, forms)])
     N = np.stack([n for _, n in forms])
     encoded = encode(secret, s)
-    three = partial_trace(apply_channel(M, N, encoded, (0, 1, 2)), pair)
-    two = partial_trace(apply_channel(M, N, encoded, pair), pair)
+    three = partial_trace(apply_channel(*embed_channel(M, N, 3, (0, 1, 2)), encoded), pair)
+    two = partial_trace(apply_channel(*embed_channel(M, N, 3, pair), encoded), pair)
     assert three.d.tobytes() == two.d.tobytes()
     assert three.sigma.tobytes() == two.sigma.tobytes()
 
@@ -892,16 +892,41 @@ def test_kept_ladder_blocks_are_read_only_and_equal_a_fresh_embedding(fit20, sce
 
 
 @pytest.mark.parametrize("scenario", ["12", "23"])
-def test_a_grid_larger_than_one_stack_keeps_no_blocks(fit20, scenario):
+def test_every_kept_grid_keeps_its_ladder_and_a_grid_past_the_bound_keeps_none(fit20, scenario):
+    # One route for every grid size: a grid the fit keeps, one stack of
+    # `collaborate` or many, keeps its ladder blocks on its journey; a grid
+    # past the journey bound is not kept, and neither are its blocks.
     fit = replace(fit20)
-    for size in (_GRID_STACK, _GRID_STACK + 1):
-        fidelity_grid(scenario, _cfg(k=1), np.linspace(0.0, 1.0, size).tolist(), fit)
-    assert {len(phases) // 8: _has_ladder(journey) for (*_, phases), journey in fit.journeys.items()} == {
-        _GRID_STACK: True,
-        _GRID_STACK + 1: False,
-    }
+    for size in (1, _GRID_STACK, _GRID_STACK + 1, STACK_ENTRIES):
+        us = np.linspace(0.0, 1.0, size)
+        fidelity_grid(scenario, _cfg(k=1), us.tolist(), fit)
+        journey = fit.journeys[(scenario == "12", 1, us.tobytes())]
+        assert _has_ladder(journey) and journey.ladder[0].shape == (3, size, 6, 6)
+    held = dict(fit.journeys)
+    assert _held_sizes(fit) == [STACK_ENTRIES]
+    fidelity_grid(scenario, _cfg(k=1), np.linspace(0.0, 1.0, STACK_ENTRIES + 1).tolist(), fit)
+    assert fit.journeys == held
 
 
+def _ladder_bytes(fit) -> int:
+    """Bytes of the ladder blocks the journeys of a fit hold."""
+    return sum(M.nbytes + N.nbytes for M, N in (j.ladder for j in fit.journeys.values() if _has_ladder(j)))
+
+
+def test_the_ladder_bytes_a_fit_holds_stay_within_the_journey_bound(fit20):
+    # 2 x 3 x 36 float64 = 1728 B per kept u-point, and at most
+    # STACK_ENTRIES kept u-points: mixed grid sizes, on and off the ladder,
+    # never hold more, and the sweep does reach the bound.
+    fit = replace(fit20)
+    bound = STACK_ENTRIES * 1728
+    held = []
+    sizes = (1, 9, _GRID_STACK, _GRID_STACK + 1, 255, 1023, 2048, 9, STACK_ENTRIES, 63, STACK_ENTRIES + 1, 3000, 1)
+    for i, (size, h) in enumerate(zip(sizes, itertools.cycle([1e-2, 7e-3]))):
+        us = np.linspace(0.0, 1.0, size) + 1e-3 * i  # every grid its own journey
+        fidelity_grid("12" if i % 2 else "23", _cfg(k=1, h=h), us.tolist(), fit)
+        held.append(_ladder_bytes(fit))
+        assert held[-1] == 1728 * sum(_held_sizes(fit)) <= bound
+    assert max(held) == bound
 def test_kept_blocks_leave_the_journey_bound_in_u_points(fit10):
     # The bound counts u-points of journeys, with blocks or without: beside
     # a grid that fills all but one u-point of it, a one-u report keeps its
