@@ -152,14 +152,16 @@ def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
     """Invariants of one channel, or arrays of them over a stack of channels.
 
     Degenerate channels are masked out before nbar divides by t2, so they
-    report their fixed values without a floating-point warning.
+    report their fixed values without a floating-point warning.  A live
+    channel with t2 = 0 adds noise with no loss: its nbar is inf, set
+    rather than divided for.
     """
     svals_n = np.linalg.svd(channel.n2, compute_uv=False)
     degenerate = svals_n[..., 0] < _DEGENERATE_NOISE_FLOOR  # the spectral norm of n2
     live = ~degenerate
     t2 = np.where(degenerate, 0.0, -np.trace(_transpose(channel.m0) @ channel.m2, axis1=-2, axis2=-1))
     root = np.sqrt(np.linalg.det(channel.n2), where=live, out=np.zeros(t2.shape))
-    nbar = np.divide(root, 2.0 * t2, where=live, out=np.full(t2.shape, np.nan)) - 0.5
+    nbar = np.divide(root, 2.0 * t2, where=live & (t2 != 0.0), out=np.where(live, np.inf, np.nan)) - 0.5
     rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
     rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
     rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))

@@ -26,6 +26,7 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     _item,
+    _mat_vec,
     _transpose,
     apply_symplectic,
     beam_splitter,
@@ -365,17 +366,20 @@ def collaborate(
     and come back on the round trip, and the recombination frees the secret
     port exactly.  In scenarios 23 and 13 shares 0 and 1 go out at
     distribution and share 2 goes out to meet its partner.  Journeys on
-    different shares commute, so they are one block-diagonal map.  Three
+    different shares commute, so they are one block-diagonal map.  Two
     steps, each ending in a checked state: the blocks act on the shares,
-    the decoder's map acts on the three shares, and the decoded secret is
-    the kept share's 2x2 block.
+    and the decoder's two rows of the kept share map them to the decoded
+    secret.  The decoded three-share state is never built: a checked
+    symplectic S has S (sigma + i Gamma) S^T = S sigma S^T + i Gamma, so it
+    is physical exactly when the journeyed shares are (Weedbrook et al.,
+    RMP 84, 621 (2012)).
     """
     if encoded.n_modes != 3:
         raise ValueError("collaborate expects the three-share state")
     smap, kept = decoder
-    decoded = apply_symplectic(smap, apply_channel(M, N, encoded))
-    at = slice(2 * kept, 2 * kept + 2)
-    return GaussianState(decoded.d[..., at], decoded.sigma[..., at, at])
+    shares = apply_channel(M, N, encoded)
+    rows = smap.matrix[2 * kept : 2 * kept + 2]
+    return GaussianState(_mat_vec(rows, shares.d), rows @ shares.sigma @ rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +512,12 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     each journey it builds (`_journeys`), and the process keeps the dealing
     of each (secret, s), its secret state, encoded shares and the `f0` of
     scenarios 23 and 13, for its latest `_DEALINGS_KEPT` pairs (`_dealt`).
-    Every state is checked once, when it is first built.  The three-point
-    h^2 extrapolations and their window guard run once on the grid's (U, 3)
-    ladder fidelities.  Each report has the bits of a one-u grid.
+    Every state is checked once, when it is first built; a run of
+    `collaborate` builds two, the journeyed shares and the kept share, and
+    not the decoded three-share state, which a checked symplectic decoder
+    keeps physical by congruence.  The three-point h^2 extrapolations and
+    their window guard run once on the grid's (U, 3) ladder fidelities.
+    Each report has the bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     fit = config.transition(fit)

@@ -1,5 +1,7 @@
 """Effective single-mode channels: blocks, composition, invariants, dilation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,9 +211,7 @@ def _root_det(chan) -> float:
 
 
 def _t2(chan) -> float:
-    """`channel_invariants(chan).t2`; its nbar divides by a T2 that may be 0 here, so that warning is off."""
-    with np.errstate(divide="ignore"):
-        return channel_invariants(chan).t2
+    return channel_invariants(chan).t2
 
 
 @settings(deadline=None, max_examples=200)
@@ -275,6 +275,19 @@ def test_degenerate_at_integer_phase(fit20):
     assert inv.t2 == 0.0
     assert np.isnan(inv.nbar)
     assert inv.rank == 0
+
+
+def test_lossless_noise_has_infinite_occupation_without_a_warning():
+    # Live noise (n2 = I) with no loss (m2 = 0, so T2 = 0): nbar is set, not
+    # divided for, so no warning is raised, and a stack of such channels too.
+    chan = PerturbativeChannel(np.eye(2), np.zeros((2, 2)), np.eye(2))
+    eyes = np.broadcast_to(np.eye(2), (3, 2, 2))
+    stack = PerturbativeChannel(eyes, np.zeros((3, 2, 2)), eyes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, invs = channel_invariants(chan), channel_invariants(stack)
+    assert (inv.t2, inv.nbar, inv.rank) == (0.0, np.inf, 2)
+    assert invs.nbar.tolist() == [np.inf] * 3
 
 
 def test_transmissivity_below_one(fit20):

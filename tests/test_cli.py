@@ -272,14 +272,14 @@ def test_a_strongly_squeezed_secret_decodes_with_every_state_checked(cache_dir, 
     # A secret squeezed by r = 40 gives the measured port a q-variance below
     # 1e-12 of its p-variance.  The decoder is one linear map, with no
     # division by that variance, so the run decodes and checks each of a
-    # cold scenario-23 report's eight states.
+    # cold scenario-23 report's seven states.
     count = []
     check = GaussianState.__post_init__
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
     protocol._dealt.cache_clear()
     argv = ["fidelity", "--scenario", "23", "--secret", "squeezed:40", "--u", "0.3", "--out", str(tmp_path)]
     assert main([*argv, *_args(cache_dir)]) == 0
-    assert len(count) == 8
+    assert len(count) == 7
     (row,) = [line.split(",") for line in (tmp_path / "fidelity_23.csv").read_text().splitlines()[1:]]
     assert 0.0 <= float(row[4]) <= 1.0
 
