@@ -154,14 +154,17 @@ def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
     Degenerate channels are masked out before nbar divides by t2, so they
     report their fixed values without a floating-point warning.  A live
     channel with t2 = 0 adds noise with no loss: its nbar is inf, set
-    rather than divided for.
+    rather than divided for.  A live t2 so small that sqrt(det n2) / (2 t2)
+    overflows (a subnormal t2 beside n2 = I) reads nbar = +-inf, the sign
+    of t2, also without a warning.
     """
     svals_n = np.linalg.svd(channel.n2, compute_uv=False)
     degenerate = svals_n[..., 0] < _DEGENERATE_NOISE_FLOOR  # the spectral norm of n2
     live = ~degenerate
     t2 = np.where(degenerate, 0.0, -np.trace(_transpose(channel.m0) @ channel.m2, axis1=-2, axis2=-1))
     root = np.sqrt(np.linalg.det(channel.n2), where=live, out=np.zeros(t2.shape))
-    nbar = np.divide(root, 2.0 * t2, where=live & (t2 != 0.0), out=np.where(live, np.inf, np.nan)) - 0.5
+    with np.errstate(over="ignore"):
+        nbar = np.divide(root, 2.0 * t2, where=live & (t2 != 0.0), out=np.where(live, np.inf, np.nan)) - 0.5
     rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
     rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
     rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))

@@ -259,18 +259,29 @@ def apply_symplectic(smap: SymplecticMap, state: GaussianState) -> GaussianState
 # fidelity
 
 
-def fidelity_pure_mixed(pure: GaussianState, other: GaussianState):
-    """Uhlmann fidelity between a pure single-mode state and any single-mode state.
+def _check_pure(state: GaussianState) -> None:
+    """Raise unless every state of `state` is pure: det sigma <= 1 + PHYSICALITY_TOL."""
+    det = np.linalg.det(state.sigma)
+    if (det > 1.0 + PHYSICALITY_TOL).any():
+        raise ValueError(f"first argument is not pure: det sigma = {det.max():.6f}")
 
-    F = 2 exp(-delta^T (s1+s2)^{-1} delta) / sqrt(det(s1+s2)) in the
-    vacuum = identity scaling.  A float, or an array over a stack of states.
-    """
-    if pure.n_modes != 1 or other.n_modes != 1:
-        raise ValueError("fidelity formula is for single-mode states")
-    det_pure = np.linalg.det(pure.sigma)
-    if (det_pure > 1.0 + PHYSICALITY_TOL).any():
-        raise ValueError(f"first argument is not pure: det sigma = {det_pure.max():.6f}")
+
+def _uhlmann_fidelity(pure: GaussianState, other: GaussianState):
+    """The formula of `fidelity_pure_mixed`, unchecked: `pure` is single-mode and has passed `_check_pure`."""
     total = pure.sigma + other.sigma
     delta = pure.d - other.d
     exponent = (delta[..., None, :] @ np.linalg.solve(total, delta[..., None]))[..., 0, 0]
     return _item(2.0 * np.exp(-exponent) / np.sqrt(np.linalg.det(total)))
+
+
+def fidelity_pure_mixed(pure: GaussianState, other: GaussianState):
+    """Uhlmann fidelity between a pure single-mode state and any single-mode state.
+
+    F = 2 exp(-delta^T (s1+s2)^{-1} delta) / sqrt(det(s1+s2)) in the
+    vacuum = identity scaling.  A float, or an array over a stack of states;
+    both are single-mode, and `pure` must pass `_check_pure`.
+    """
+    if pure.n_modes != 1 or other.n_modes != 1:
+        raise ValueError("fidelity formula is for single-mode states")
+    _check_pure(pure)
+    return _uhlmann_fidelity(pure, other)

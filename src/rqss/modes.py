@@ -31,7 +31,7 @@ import hashlib
 import json
 import mmap
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,16 +165,16 @@ def quadrature_error(n_max: int) -> float:
 # small-h power series of the transition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionFit:
     """Coefficients of alpha = I + a1 h + a2 h^2 + O(h^3), beta = b1 h + b2 h^2 + O(h^3).
 
     The fit solves for orders three and four too; they mostly absorb model
     truncation and serve only its held-out validation, so they are not kept.
     `validation` holds the held-out errors of the four-order series at
-    `DEFAULT_VALIDATION_H`.  `journeys` holds the journeys that
-    `rqss.protocol` built on this fit, so each is built once per fit; it is
-    not saved, compared or printed, and it dies with the fit.
+    `DEFAULT_VALIDATION_H`.  A fit compares and hashes by identity (its
+    arrays have no truth value), so `rqss.protocol` can key the journeys it
+    builds on a fit by the fit itself.
     """
 
     n_max: int
@@ -183,7 +183,6 @@ class TransitionFit:
     b1: np.ndarray
     b2: np.ndarray
     validation: dict
-    journeys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def fit_transition(n_max: int = DEFAULT_NMAX) -> TransitionFit:

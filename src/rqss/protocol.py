@@ -19,15 +19,18 @@ import functools
 import math
 import numbers
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _check_pure,
     _item,
     _mat_vec,
     _transpose,
+    _uhlmann_fidelity,
     apply_symplectic,
     beam_splitter,
     coherent,
@@ -202,10 +205,11 @@ _DEALINGS_KEPT = 64
 
 
 class _Dealing:
-    """A secret dealt at one squeezing: its checked state, the encoded shares and, once read, `f0`."""
+    """A secret dealt at one squeezing: its state, checked pure once, the encoded shares and, once read, `f0`."""
 
     def __init__(self, config: ProtocolConfig):
         self.secret = config.make_secret()
+        _check_pure(self.secret)
         self.encoded = encode(self.secret, config.s)
         self._s = config.s
 
@@ -260,6 +264,11 @@ class _Journey:
         return M, N
 
 
+# The journeys built on each fit (`_journeys`), keyed weakly by the fit:
+# they die with it, and a copy of a fit starts with none.
+_JOURNEY_MEMO = weakref.WeakKeyDictionary()
+
+
 def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Journey:
     """The journeys of a scenario at every phase in `us`, as one stack.
 
@@ -267,43 +276,37 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Jou
     segment, a rotation by exactly pi at zeroth order.  Scenario 12 sends
     them on a round trip, whose two middle segments merge into one of phase
     2u: a rotation by exactly 2 pi.  A transit has the sums of its u
-    segments, a round trip those of its u and of its 2u segments.
+    segments, a round trip those of its u and its 2u segments, walked as one grid.
 
     A journey depends on the fit, its kind, k and the phases alone, never on
     the secret or the squeezing, so each is built once per fit and kept in
-    `fit.journeys`: a later call at the same (kind, k, phases), scenarios 23
-    and 13 alike, returns the same `_Journey`, whose channel and sums are
-    read-only.  `fidelity_grid` also keeps on it the three-share blocks at
-    the f2 ladder (`_Journey.ladder`, 2 x 3 x 36 float64 = 1728 B per
-    u-point).  The fit holds at most `STACK_ENTRIES` u-points of journeys: a
-    larger grid is not kept, so its ladder lives only for the call, and the
-    oldest grids make room for a new one.
+    `_JOURNEY_MEMO[fit]`: a later call at the same (kind, k, phases),
+    scenarios 23 and 13 alike, returns the same `_Journey`, whose channel,
+    sums and ladder blocks (`_Journey.ladder`, 1728 B per u-point) are
+    read-only.  A fit holds at most `STACK_ENTRIES` u-points of journeys,
+    the oldest grids making room for a new one; a larger grid is not kept.
     """
-    held = fit.journeys
+    held = _JOURNEY_MEMO.setdefault(fit, {})
     key = (scenario == "12", k, us.tobytes())
     if key in held:
         return held[key]
-    built = _build_journeys(scenario, fit, k, us)
+    leg = free_channel(inertial_phase(k, us))
+    if scenario == "12":
+        (sums,) = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))
+        out, mid = sums[: us.size], sums[us.size :]
+        seg = reduced_channel(out)
+        journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
+        built = _Journey(journeys, (out, mid), (0, 1))
+    else:
+        (sums,) = grid_segments(fit, us, (k,))
+        seg = reduced_channel(sums)
+        built = _Journey(compose(seg, compose(leg, seg)), (sums,), (0, 1, 2))
     if us.size <= STACK_ENTRIES:
         # The oldest grids make room; a key holds its grid's phases as float64 bytes.
         while sum(len(phases) for *_, phases in held) // us.itemsize + us.size > STACK_ENTRIES:
             del held[next(iter(held))]
         held[key] = built
     return built
-
-
-def _build_journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Journey:
-    """`_journeys` built anew: a round trip walks its u and its 2u phases as one grid."""
-    leg = free_channel(inertial_phase(k, us))
-    if scenario != "12":
-        (sums,) = grid_segments(fit, us, (k,))
-        seg = reduced_channel(sums)
-        return _Journey(compose(seg, compose(leg, seg)), (sums,), (0, 1, 2))
-    (sums,) = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))
-    out, mid = sums[: us.size], sums[us.size :]
-    seg = reduced_channel(out)
-    journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
-    return _Journey(journeys, (out, mid), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +417,6 @@ def fidelity_closed_forms(
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def extrapolate_f2(fidelities):
-    """h^2 coefficient of fidelity curves sampled at the `DEFAULT_F2_LADDER` accelerations.
-
-    The pipeline fidelity is analytic in h^2, so an exact {1, h^2, h^4} fit
-    through three points isolates the coefficient; returns (f2, f0_fit,
-    curvature) with the h^4 coefficient as a diagnostic.  `fidelities` has
-    shape (..., 3), one curve per row: floats for one curve, arrays over
-    the leading axes for a stack.  Each row is solved as its own
-    one-right-hand-side system, so it gets the bits of its one-row call.
-    """
-    fs = np.asarray(fidelities, dtype=float)
-    if fs.ndim < 1 or fs.shape[-1] != 3:
-        raise ValueError(f"extrapolation needs exactly three (h, F) samples per curve, got shape {fs.shape}")
-    c = np.linalg.solve(_F2_VANDER, fs[..., None])[..., 0]
-    x_top = _F2_X.max()
-    return _item(-c[..., 1] / x_top), _item(c[..., 0]), _item(c[..., 2] / x_top**2)
-
-
 def _direct_f2_scenario12(chan: PerturbativeChannel, secret: GaussianState) -> float:
     """Second-order fidelity loss from the round-trip channel's moments.
 
@@ -468,13 +453,18 @@ class FidelityReport:
 
 
 def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
-    """(f2, source) of the three-point h-ladder fit of each row of the (U, 3) simulated fidelities `ladders`."""
-    f2, _, curvature = extrapolate_f2(ladders)
-    # The three-point fit isolates the h^2 coefficient only while the h^4
-    # term is subdominant on the ladder.  Strong squeezing inflates the
-    # quartic coefficient roughly like e^{2s}, so past s ~ 7 the default
-    # ladder leaves the perturbative window and the fit returns noise.
-    h_top = max(DEFAULT_F2_LADDER)
+    """(f2, source) of the three-point h-ladder fit of each row of the (U, 3) simulated fidelities `ladders`.
+
+    The fidelity is analytic in h^2, so an exact {1, h^2, h^4} fit through a
+    row's three `DEFAULT_F2_LADDER` samples isolates its h^2 coefficient;
+    each row is solved as its own system, with the bits of its one-row call.
+    Strong squeezing inflates the h^4 term roughly like e^{2s}: a row where
+    it dominates the ladder (past s ~ 7) is outside the perturbative window
+    and reads nan, with that reason as its source.
+    """
+    c = np.linalg.solve(_F2_VANDER, np.asarray(ladders, dtype=float)[..., None])[..., 0]
+    x_top, h_top = _F2_X.max(), max(DEFAULT_F2_LADDER)
+    f2, curvature = -c[:, 1] / x_top, c[:, 2] / x_top**2
     outside = np.abs(curvature) * h_top**4 > 0.25 * np.abs(f2) * h_top**2 + 1e-12
     return [
         (float("nan"), "unavailable: quartic term dominates the ladder, outside the perturbative window")
@@ -508,16 +498,17 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     the ladder blocks of its journey (`_Journey.ladder`), plus one row of
     blocks at `config.h` when it is off the ladder, and runs them through
     `collaborate` `_GRID_STACK` u-points at a time.
-    What does not depend on the grid is built once and reused: the fit keeps
-    each journey it builds (`_journeys`), and the process keeps the dealing
-    of each (secret, s), its secret state, encoded shares and the `f0` of
-    scenarios 23 and 13, for its latest `_DEALINGS_KEPT` pairs (`_dealt`).
+    What does not depend on the grid is built once and reused: the journeys
+    built on each fit (`_journeys`), and the dealing of each (secret, s),
+    its secret checked pure, encoded shares and the `f0` of scenarios 23
+    and 13, for the latest `_DEALINGS_KEPT` pairs (`_dealt`).  So each kept
+    share's fidelity is the bare Uhlmann formula (`_uhlmann_fidelity`).
     Every state is checked once, when it is first built; a run of
     `collaborate` builds two, the journeyed shares and the kept share, and
     not the decoded three-share state, which a checked symplectic decoder
-    keeps physical by congruence.  The three-point h^2 extrapolations and
-    their window guard run once on the grid's (U, 3) ladder fidelities.
-    Each report has the bits of a one-u grid.
+    keeps physical by congruence.  The h^2 ladder fit (`_extrapolated_f2`)
+    runs once on the grid's (U, 3) ladder fidelities.  Each report has the
+    bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
     fit = config.transition(fit)
@@ -535,7 +526,7 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
         M, N = np.concatenate([M, m]), np.concatenate([N, n])
     for start in range(0, us.size, _GRID_STACK):
         at = slice(start, start + _GRID_STACK)
-        sims[:, at] = fidelity_pure_mixed(secret, collaborate(encoded, M[:, at], N[:, at], decoder))
+        sims[:, at] = _uhlmann_fidelity(secret, collaborate(encoded, M[:, at], N[:, at], decoder))
 
     f2_closed = [float("nan")] * us.size
     if coherent_secret:
@@ -550,6 +541,11 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
     # Scenarios 23 and 13 have no closed form for other secrets: f2 is the ladder fit.
     from_ladder = scenario != "12" and not coherent_secret
 
+    # The fields every report of the grid shares, built once.
+    shared = dict(
+        scenario=scenario, k=config.k, h=config.h, s=config.s, secret=f"{config.secret}{tuple(config.secret_params)}",
+        f0=f0, f0_source=f0_source, f_sim_source=f"full pipeline at h = {config.h}",
+    )
     reports = []
     f_sims = sims[hs.index(config.h)].tolist()
     rows = zip(grid, f_sims, _extrapolated_f2(sims[: len(DEFAULT_F2_LADDER)].T), f2_direct, f2_closed)
@@ -557,20 +553,7 @@ def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFi
         f2, f2_source = (f2_extrap, extrap_source) if from_ladder else (direct, direct_source)
         reports.append(
             FidelityReport(
-                scenario=scenario,
-                k=config.k,
-                u=u,
-                h=config.h,
-                s=config.s,
-                secret=f"{config.secret}{tuple(config.secret_params)}",
-                f0=f0,
-                f2=f2,
-                f_sim=f_sim,
-                f2_extrapolated=f2_extrap,
-                f2_closed=closed,
-                f0_source=f0_source,
-                f2_source=f2_source,
-                f_sim_source=f"full pipeline at h = {config.h}",
+                u=u, f2=f2, f_sim=f_sim, f2_extrapolated=f2_extrap, f2_closed=closed, f2_source=f2_source, **shared
             )
         )
     return reports

@@ -70,9 +70,9 @@ from rqss.protocol import (
     FIGURES,
     FidelityReport,
     _direct_f2_scenario12,
+    _extrapolated_f2,
     decoder_maps,
     encode,
-    extrapolate_f2,
     fidelity_closed_forms,
     inertial_phase,
 )
@@ -675,7 +675,8 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
     The journey is the one-u `journey_per_u`, the mode sums come from the
     full one-segment maps at u (and 2u on a round trip), and the three
     ladder accelerations and h run through the stages as one stack, each
-    travelling share on its own.
+    travelling share on its own.  The h-ladder fit is `_extrapolated_f2` on
+    the one row of ladder fidelities.
     """
     u, k = config.u, config.k
     journey = journey_per_u(scenario, fit, k, u)
@@ -685,12 +686,7 @@ def fidelity_report_per_u(scenario: str, config, fit: TransitionFit) -> Fidelity
     M, N = journey.evaluate(np.array([*DEFAULT_F2_LADDER, config.h]))
     *sims, f_sim = fidelity_pure_mixed(secret, _decoded_by_stages(scenario, encode(secret, config.s), M, N)).tolist()
 
-    f2_extrap, _, curvature = extrapolate_f2(sims)
-    h_top = max(DEFAULT_F2_LADDER)
-    extrap_source = "three-point h-ladder fit of the simulated pipeline"
-    if abs(curvature) * h_top**4 > 0.25 * abs(f2_extrap) * h_top**2 + 1e-12:
-        f2_extrap = float("nan")
-        extrap_source = "unavailable: quartic term dominates the ladder, outside the perturbative window"
+    [(f2_extrap, extrap_source)] = _extrapolated_f2([sims])
 
     coherent_secret = config.secret == "coherent"
     if scenario == "12":

@@ -290,6 +290,19 @@ def test_lossless_noise_has_infinite_occupation_without_a_warning():
     assert invs.nbar.tolist() == [np.inf] * 3
 
 
+def test_a_subnormal_transmissivity_deficit_gives_a_signed_infinite_occupation_without_a_warning():
+    # Live noise (n2 = I) beside T2 = -+5e-324: sqrt(det n2) / (2 T2)
+    # overflows, and nbar reads inf with the sign of T2, single and stacked.
+    tiny = np.array([[0.0, 0.0], [0.0, 5e-324]])
+    chans = [PerturbativeChannel(np.eye(2), sign * tiny, np.eye(2)) for sign in (1.0, -1.0)]
+    stack = PerturbativeChannel(np.stack([np.eye(2)] * 2), np.stack([tiny, -tiny]), np.stack([np.eye(2)] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        invs, stacked = [channel_invariants(chan) for chan in chans], channel_invariants(stack)
+    assert [(inv.t2, inv.nbar, inv.rank) for inv in invs] == [(-5e-324, -np.inf, 2), (5e-324, np.inf, 2)]
+    assert (stacked.t2.tolist(), stacked.nbar.tolist()) == ([-5e-324, 5e-324], [-np.inf, np.inf])
+
+
 def test_transmissivity_below_one(fit20):
     ch = segment_channel(full_maps(fit20, 0.3), 1)
     inv = channel_invariants(ch)

@@ -85,9 +85,12 @@ def test_coherent_overlap_oracle():
 
 
 def test_fidelity_rejects_mixed_reference():
+    # One mixed state, and a stack holding one mixed state among pure ones.
     thermal = GaussianState(np.zeros(2), 2.0 * np.eye(2))
-    with pytest.raises(ValueError):
-        fidelity_pure_mixed(thermal, vacuum())
+    stack = GaussianState(np.zeros((3, 2)), np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)]))
+    for mixed in (thermal, stack):
+        with pytest.raises(ValueError, match="not pure: det sigma = 4.000000"):
+            fidelity_pure_mixed(mixed, vacuum())
 
 
 def test_squeezed_vacuum_variances():

@@ -1,9 +1,11 @@
 """Threshold secret sharing protocol: encoding, transit, decoding, fidelity."""
 
+import gc
 import itertools
 import json
 import math
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -41,7 +43,6 @@ from rqss.protocol import (
     collaborate,
     decoder_maps,
     encode,
-    extrapolate_f2,
     fidelity_closed_forms,
     fidelity_grid,
     fidelity_report,
@@ -202,10 +203,14 @@ def test_biased_decoder_beats_mean_but_fails_guarantee():
 def test_extrapolation_recovers_quadratic_coefficient():
     c1, c2 = -0.3, 7.0
     fids = [1.0 + c1 * h**2 + c2 * h**4 for h in DEFAULT_F2_LADDER]
-    f2, f0, c4 = extrapolate_f2(fids)
+    [(f2, source)] = protocol._extrapolated_f2([fids])
     assert f2 == pytest.approx(0.3, abs=1e-10)
-    assert f0 == pytest.approx(1.0, abs=1e-12)
-    assert c4 == pytest.approx(7.0, rel=1e-6)
+    assert source == "three-point h-ladder fit of the simulated pipeline"
+    # The window guard reads the fitted h^4 coefficient c4: at the top rung
+    # h = 1e-2 it fires once |c4| h^4 passes |f2| h^2 / 4, at |c4| = 750.
+    for c4, guarded in ((740.0, False), (-740.0, False), (760.0, True), (-760.0, True)):
+        [(f2, source)] = protocol._extrapolated_f2([[1.0 + c1 * h**2 + c4 * h**4 for h in DEFAULT_F2_LADDER]])
+        assert math.isnan(f2) == guarded == source.startswith("unavailable")
 
 
 def test_stacked_extrapolation_equals_one_row_calls():
@@ -217,22 +222,14 @@ def test_stacked_extrapolation_equals_one_row_calls():
     c2 = rng.uniform(0.1, 2.0, 2000)
     c4 = rng.choice([-1.0, 1.0], 2000) * np.concatenate([rng.uniform(0.0, 1.0, 1000), rng.uniform(1e5, 1e6, 1000)])
     ladders = 1.0 - c2[:, None] * x + c4[:, None] * x**2 + rng.normal(0.0, 1e-15, (2000, 3))
-    stacked = extrapolate_f2(ladders)
-    rows = [extrapolate_f2(row) for row in ladders.tolist()]
-    assert all(isinstance(value, float) for value in rows[0])
-    for got, want in zip(stacked, zip(*rows)):
-        assert got.shape == (2000,) and got.tolist() == list(want)
-    guarded = protocol._extrapolated_f2(ladders)
-    assert [f2 for f2, _ in guarded[:1000]] == stacked[0][:1000].tolist()
-    assert all(math.isnan(f2) and source.startswith("unavailable") for f2, source in guarded[1000:])
-    assert stacked[0].reshape(2, 1000).tolist() == extrapolate_f2(ladders.reshape(2, 1000, 3))[0].tolist()
-    assert [len(value) for value in extrapolate_f2(np.zeros((0, 3)))] == [0, 0, 0]
-
-
-@pytest.mark.parametrize("shape", [(), (2,), (4,), (5, 4), (3, 2)])
-def test_extrapolation_rejects_a_last_axis_other_than_three(shape):
-    with pytest.raises(ValueError, match="three"):
-        extrapolate_f2(np.ones(shape))
+    stacked = protocol._extrapolated_f2(ladders)
+    rows = [pair for row in ladders.tolist() for pair in protocol._extrapolated_f2([row])]
+    assert all(isinstance(f2, float) for f2, _ in stacked + rows)
+    assert [source for _, source in stacked] == [source for _, source in rows]
+    assert np.array([f2 for f2, _ in stacked]).tobytes() == np.array([f2 for f2, _ in rows]).tobytes()
+    assert all(math.isfinite(f2) and source.startswith("three-point") for f2, source in stacked[:1000])
+    assert all(math.isnan(f2) and source.startswith("unavailable") for f2, source in stacked[1000:])
+    assert protocol._extrapolated_f2(np.zeros((0, 3))) == []
 
 
 def test_closed_forms_match_extrapolation(fit20):
@@ -575,6 +572,28 @@ def test_report_checks_each_pipeline_state_once(fit20, monkeypatch, scenario, ch
     assert len(count) == WARM_CHECKS
 
 
+@pytest.mark.parametrize("scenario", ["12", "23", "13"])
+def test_a_cold_report_checks_its_secret_pure_once_per_new_dealing_and_a_warm_one_never(fit20, monkeypatch, scenario):
+    # The dealing checks its secret pure when it deals, and the decoded
+    # shares' fidelities are the bare formula on that secret.  Only f0 of
+    # scenarios 23 and 13, kept per dealing, calls the checked public function.
+    checks, checked = [], []
+    check, fidelity = protocol._check_pure, protocol.fidelity_pure_mixed
+    monkeypatch.setattr(protocol, "_check_pure", lambda state: checks.append(state.d.shape) or check(state))
+    monkeypatch.setattr(protocol, "fidelity_pure_mixed", lambda pure, other: checked.append(1) or fidelity(pure, other))
+    protocol._dealt.cache_clear()
+    cfgs = [_cfg(u=0.3, k=1, s=1.0), _cfg(u=0.3, k=1, s=2.0, secret="squeezed", secret_params=(0.25,))]
+    for cfg in cfgs:
+        fidelity_report(scenario, cfg, fit20)
+    f0s = 0 if scenario == "12" else 2
+    assert (checks, len(checked)) == ([(2,), (2,)], f0s)
+    # Warm: other u's and a grid on the kept dealings check nothing.
+    for cfg in cfgs:
+        fidelity_report(scenario, replace(cfg, u=0.55), fit20)
+        fidelity_grid(scenario, cfg, TABLE_GRID, fit20)
+    assert (len(checks), len(checked)) == (2, f0s)
+
+
 @pytest.mark.parametrize("scenario, composes", [("12", 4), ("23", 2), ("13", 2)])
 def test_report_composes_each_journey_from_its_first_channel(fit20, monkeypatch, scenario, composes):
     # A transit is three channels, a round trip five: one `compose` fewer
@@ -719,13 +738,17 @@ def test_report_builds_no_symplectic_map(fit20, monkeypatch, scenario):
 
 
 def test_calibration_runs_its_probes_as_stacks(monkeypatch):
-    # Twelve pipeline runs: three for the solve, one stack of four secrets per
-    # checked squeezing, one stack of four probes per certificate decoder.
-    count = []
-    check = GaussianState.__post_init__
-    monkeypatch.setattr(GaussianState, "__post_init__", lambda state: count.append(1) or check(state))
+    # Twelve `collaborate` runs: three on the single secrets of the solve,
+    # then one on the stack of four ensemble secrets per checked squeezing
+    # (four runs) and one on the stack of four probes per certificate
+    # decoder, the calibrated one and its four neighbours (five runs).
+    stacks = []
+    collaborate = protocol.collaborate
+    monkeypatch.setattr(
+        protocol, "collaborate", lambda encoded, *args: stacks.append(encoded.d.shape[:-1]) or collaborate(encoded, *args)
+    )
     calibrate_decoder()
-    assert len(count) <= 125
+    assert stacks == [()] * 3 + [(4,)] * 9
 
 
 def test_calibration_encodes_each_secret_set_once_and_checks_two_maps_per_decoder(monkeypatch):
@@ -762,8 +785,9 @@ def test_report_equals_per_h_simulation_bit_for_bit(fit20, scenario, secret, par
     rep = fidelity_report(scenario, cfg, fit20)
     assert rep.f_sim == simulate_fidelity(scenario, cfg, fit20)
     ladder = [simulate_fidelity(scenario, replace(cfg, h=h), fit20) for h in DEFAULT_F2_LADDER]
+    [(f2, _)] = protocol._extrapolated_f2([ladder])
     assert not math.isnan(rep.f2_extrapolated)
-    assert rep.f2_extrapolated == extrapolate_f2(ladder)[0]
+    assert rep.f2_extrapolated == f2
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
@@ -807,9 +831,14 @@ def _count_builds(monkeypatch):
     return counts
 
 
+def _held(fit) -> dict:
+    """The journeys `_journeys` keeps for a fit, by (round trip, k, phase bytes), oldest first."""
+    return protocol._JOURNEY_MEMO.get(fit, {})
+
+
 def _held_sizes(fit) -> list:
     """u-points of each grid of journeys a fit holds, oldest first (a key holds its phases as float64 bytes)."""
-    return [len(phases) // 8 for *_, phases in fit.journeys]
+    return [len(phases) // 8 for *_, phases in _held(fit)]
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
@@ -823,7 +852,7 @@ def test_a_second_report_on_the_same_journey_builds_nothing(fit20, monkeypatch, 
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=2.0, secret="squeezed", secret_params=(0.25,)), fit)
     assert counts == {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
     assert protocol._journeys(scenario, fit, 1, np.array([0.3])) is built
-    assert list(fit.journeys) == [(scenario == "12", 1, np.array([0.3]).tobytes())]
+    assert list(_held(fit)) == [(scenario == "12", 1, np.array([0.3]).tobytes())]
 
 
 def test_scenarios_23_and_13_share_the_transit(fit20, monkeypatch):
@@ -835,7 +864,7 @@ def test_scenarios_23_and_13_share_the_transit(fit20, monkeypatch):
     # The round trip at the same u is another journey.
     fidelity_report("12", _cfg(u=0.3, k=1), fit)
     assert counts == {"segment_maps": 1, "reduced_channel": 2, "compose": 4}
-    assert len(fit.journeys) == 2
+    assert len(_held(fit)) == 2
 
 
 def test_another_u_k_or_fit_builds_anew(fit20, monkeypatch):
@@ -852,7 +881,7 @@ def test_another_u_k_or_fit_builds_anew(fit20, monkeypatch):
     # The grid [0.3, 0.4] is another key than its points one by one.
     fidelity_grid("23", _cfg(k=1), [0.3, 0.4], fit)
     assert counts["segment_maps"] == 4
-    assert (len(fit.journeys), len(other.journeys)) == (4, 1)
+    assert (len(_held(fit)), len(_held(other))) == (4, 1)
 
 
 def test_reports_on_one_fit_equal_reports_on_a_fresh_fit_per_call(fit20):
@@ -865,7 +894,7 @@ def test_reports_on_one_fit_equal_reports_on_a_fresh_fit_per_call(fit20):
         shared, fresh = (fidelity_report(scenario, cfg, f).to_json_dict() for f in (fit, replace(fit20)))
         assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
     # A transit and a round trip per u.
-    assert len(fit.journeys) == 6
+    assert len(_held(fit)) == 6
 
 
 def test_a_fit_holds_at_most_stack_entries_u_points_of_journeys(fit10):
@@ -891,7 +920,7 @@ def test_a_fit_holds_at_most_stack_entries_u_points_of_journeys(fit10):
 def test_kept_journeys_and_their_sums_are_read_only(fit20, scenario):
     fit = replace(fit20)
     journey = protocol._journeys(scenario, fit, 1, np.array([0.2, 0.3]))
-    assert fit.journeys[(scenario == "12", 1, np.array([0.2, 0.3]).tobytes())] is journey
+    assert _held(fit)[(scenario == "12", 1, np.array([0.2, 0.3]).tobytes())] is journey
     journeys, sums = journey.channel, journey.sums
     arrays = [getattr(journeys, name) for name in ("m0", "m2", "n2")]
     arrays += [getattr(per_segment, f.name) for per_segment in sums for f in fields(per_segment)]
@@ -899,6 +928,18 @@ def test_kept_journeys_and_their_sums_are_read_only(fit20, scenario):
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_a_fits_journeys_die_with_it(fit20):
+    # The memo holds its fit weakly: once the fit is gone, so are its journeys.
+    fit = replace(fit20)
+    fidelity_grid("12", _cfg(k=1), TABLE_GRID, fit)
+    fidelity_report("23", _cfg(u=0.3, k=1), fit)
+    assert len(_held(fit)) == 2
+    alive, held = weakref.ref(fit), len(protocol._JOURNEY_MEMO)
+    del fit
+    gc.collect()
+    assert alive() is None and len(protocol._JOURNEY_MEMO) == held - 1
 
 
 def _has_ladder(journey) -> bool:
@@ -912,14 +953,14 @@ def test_a_journey_embeds_its_ladder_blocks_once_and_scenarios_23_and_13_share_t
     embed = protocol.embed_channel
     monkeypatch.setattr(protocol, "embed_channel", lambda M, N, n, modes: embeds.append((M.shape, modes)) or embed(M, N, n, modes))
     fidelity_report("23", _cfg(u=0.3, k=1, s=1.0), fit)
-    transit = fit.journeys[(False, 1, np.array([0.3]).tobytes())]
+    transit = _held(fit)[(False, 1, np.array([0.3]).tobytes())]
     ladder = transit.ladder
     for scenario, s in (("13", 0.5), ("23", 2.0), ("12", 1.0), ("12", 0.5), ("13", 1.0)):
         fidelity_report(scenario, _cfg(u=0.3, k=1, s=s), fit)
     # One embedding per journey, of its three rungs on its travelling shares.
     assert embeds == [((3, 1, 2, 2), (0, 1, 2)), ((3, 1, 2, 2), (0, 1))]
     assert transit.ladder is ladder
-    assert _has_ladder(fit.journeys[(True, 1, np.array([0.3]).tobytes())])
+    assert _has_ladder(_held(fit)[(True, 1, np.array([0.3]).tobytes())])
     # An h off the ladder embeds its own row on each report, never the rungs again.
     embeds.clear()
     for _ in range(2):
@@ -932,7 +973,7 @@ def test_kept_ladder_blocks_are_read_only_and_equal_a_fresh_embedding(fit20, sce
     fit = replace(fit20)
     us = np.array([0.2, 0.3, 0.55])
     fidelity_grid(scenario, _cfg(k=1), us.tolist(), fit)
-    journey = fit.journeys[(scenario == "12", 1, us.tobytes())]
+    journey = _held(fit)[(scenario == "12", 1, us.tobytes())]
     assert journey.travelling == travelling
     M, N = journey.ladder
     for arr in (M, N):
@@ -957,17 +998,17 @@ def test_every_kept_grid_keeps_its_ladder_and_a_grid_past_the_bound_keeps_none(f
     for size in (1, _GRID_STACK, _GRID_STACK + 1, STACK_ENTRIES):
         us = np.linspace(0.0, 1.0, size)
         fidelity_grid(scenario, _cfg(k=1), us.tolist(), fit)
-        journey = fit.journeys[(scenario == "12", 1, us.tobytes())]
+        journey = _held(fit)[(scenario == "12", 1, us.tobytes())]
         assert _has_ladder(journey) and journey.ladder[0].shape == (3, size, 6, 6)
-    held = dict(fit.journeys)
+    held = dict(_held(fit))
     assert _held_sizes(fit) == [STACK_ENTRIES]
     fidelity_grid(scenario, _cfg(k=1), np.linspace(0.0, 1.0, STACK_ENTRIES + 1).tolist(), fit)
-    assert fit.journeys == held
+    assert _held(fit) == held
 
 
 def _ladder_bytes(fit) -> int:
     """Bytes of the ladder blocks the journeys of a fit hold."""
-    return sum(M.nbytes + N.nbytes for M, N in (j.ladder for j in fit.journeys.values() if _has_ladder(j)))
+    return sum(M.nbytes + N.nbytes for M, N in (j.ladder for j in _held(fit).values() if _has_ladder(j)))
 
 
 def test_the_ladder_bytes_a_fit_holds_stay_within_the_journey_bound(fit20):
@@ -992,7 +1033,7 @@ def test_kept_blocks_leave_the_journey_bound_in_u_points(fit10):
     protocol._journeys("23", fit, 1, np.linspace(0.0, 1.0, STACK_ENTRIES - 1))
     fidelity_report("23", _cfg(n_max=10, u=0.3, k=1), fit)
     assert _held_sizes(fit) == [STACK_ENTRIES - 1, 1]
-    assert _has_ladder(fit.journeys[(False, 1, np.array([0.3]).tobytes())])
+    assert _has_ladder(_held(fit)[(False, 1, np.array([0.3]).tobytes())])
     fidelity_report("12", _cfg(n_max=10, u=0.3, k=1), fit)
     assert _held_sizes(fit) == [1, 1]
 
@@ -1010,7 +1051,7 @@ def test_reports_on_kept_blocks_equal_reports_on_a_fresh_fit(fit20, h):
             json.dumps([r.to_json_dict() for r in fidelity_grid(scenario, _cfg(h=h), TABLE_GRID, f)]) for f in (fit, replace(fit20))
         )
         assert shared == fresh
-    assert len(fit.journeys) == 6 and all(map(_has_ladder, fit.journeys.values()))
+    assert len(_held(fit)) == 6 and all(map(_has_ladder, _held(fit).values()))
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
@@ -1018,13 +1059,13 @@ def test_reports_on_kept_blocks_equal_reports_on_a_fresh_fit(fit20, h):
 def test_a_report_runs_each_distinct_acceleration_once(fit20, monkeypatch, scenario, h, rows):
     # The three ladder rungs always run, and h as a fourth row only when it
     # is not a rung; the default h is the top rung.  Counted on the stacked
-    # fidelities (f0's one-state fidelity is not a pipeline row).
+    # fidelities of the decoded shares (f0's checked fidelity is not a pipeline row).
     stacks = []
-    fidelity = protocol.fidelity_pure_mixed
-    monkeypatch.setattr(protocol, "fidelity_pure_mixed", lambda pure, other: stacks.append(other.d.shape[:-1]) or fidelity(pure, other))
+    fidelity = protocol._uhlmann_fidelity
+    monkeypatch.setattr(protocol, "_uhlmann_fidelity", lambda pure, other: stacks.append(other.d.shape[:-1]) or fidelity(pure, other))
     cfg = _cfg(u=0.3, k=1, s=1.0, h=h, secret_params=(0.7, -0.4))
     f_sim = fidelity_report(scenario, cfg, fit20).f_sim
-    assert [shape for shape in stacks if shape] == [(rows, 1)]
+    assert stacks == [(rows, 1)]
     assert f_sim == fidelity_by_stages(scenario, cfg, fit20, h)
 
 
