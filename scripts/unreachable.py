@@ -34,7 +34,7 @@ ROOT = "cli.main"
 # Unreached on purpose, each with its reason.
 ALLOWED = {
     "channel.segment_channel": "bound for the benchmark harness (perfbench), which times and traces it",
-    "protocol.simulate_fidelity": "bound for the benchmark harness (perfbench), which times and traces it",
+    "protocol.simulate_fidelity": "the benchmark harness (perfbench) records its reference through it (make_reference.py); no workload calls it",
     "cli._Parser.error": "argparse hook: argparse calls it on a usage error",
 }
 

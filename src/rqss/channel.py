@@ -9,8 +9,9 @@ The reduced channel is kept order by order:
 
 with ``m0`` a rotation.  Channels compose in the Markovian sense (environment
 refreshed between segments); products of two second-order blocks are dropped.
-Every block may carry leading u axes: a stack of channels, one per segment
-phase, goes through the same arithmetic as a single channel, matrix by matrix.
+Every block may carry leading axes: a stack of channels, one per segment
+phase (and per mode, for the (mode, u) stacks of `rqss.modes.grid_segments`),
+goes through the same arithmetic as a single channel, matrix by matrix.
 """
 
 from __future__ import annotations

@@ -163,14 +163,18 @@ def coherent(q0, p0) -> GaussianState:
     return GaussianState(d, np.broadcast_to(np.eye(2), d.shape + (2,)))
 
 
-def squeezed_vacuum(r: float) -> GaussianState:
-    """Single-mode squeezed vacuum, q-variance reduced by e^{-2r}.
+def squeezed_vacuum(r) -> GaussianState:
+    """Single-mode squeezed vacuum, q-variance reduced by e^{-2r}; an array of r gives a stack.
 
-    A variance that overflows is left infinite, for the state check to reject.
+    A variance that overflows is left infinite, for the state check to
+    reject; it is placed on the diagonal, never multiplied by a zero.
     """
+    r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):
-        variances = np.exp([-2.0 * r, 2.0 * r])
-    return GaussianState(np.zeros(2), np.diag(variances))
+        variances = np.exp(np.stack([-2.0 * r, 2.0 * r], axis=-1))
+    sigma = np.zeros(r.shape + (2, 2))
+    sigma[..., (0, 1), (0, 1)] = variances
+    return GaussianState(np.zeros(r.shape + (2,)), sigma)
 
 
 def two_mode_squeezed_vacuum(s: float) -> GaussianState:

@@ -345,11 +345,14 @@ def get_transition(n_max: int = DEFAULT_NMAX, cache_dir=None) -> TransitionFit:
     """Fitted transition coefficients, cached on disk keyed by all inputs.
 
     An empty (or new) `cache_dir` forces a fresh fit, which is then saved.
+    The file is read once, with no check that it exists first: a missing
+    file is a miss, also when another process clears the cache just then.
     """
     directory = resolve_cache_dir(cache_dir)
-    path = cache_path(directory, n_max)
-    if path.exists():
-        return load_transition(path)
+    try:
+        return load_transition(cache_path(directory, n_max))
+    except FileNotFoundError:
+        pass
     fit = fit_transition(n_max)
     save_transition(fit, directory)
     return fit
@@ -469,8 +472,9 @@ class ModeSums:
     The row sums of the first-order couplings to every other mode (f_alpha,
     f_beta and the cross sum g), and mode k's diagonal map entries: the
     zeroth-order phase alpha0 and the second-order alpha2 and beta2, taken at
-    (k, k).  Arrays over u for a stack of segments.  The constructor adopts
-    the arrays it is given: it makes them read-only and does not copy them.
+    (k, k).  Arrays over u for a stack of segments, and (mode, u) arrays for
+    the modes of a walk (`grid_segments`).  The constructor adopts the arrays
+    it is given: it makes them read-only and does not copy them.
     """
 
     f_alpha: float
@@ -488,13 +492,6 @@ class ModeSums:
     def __getitem__(self, index) -> "ModeSums":
         """The sums and entries at `index` of a stack."""
         return ModeSums(*(getattr(self, f.name)[index] for f in fields(self)))
-
-    @classmethod
-    def join(cls, stacks) -> "ModeSums":
-        """Consecutive stacks of a mode's sums as one stack along u; a single stack as it is."""
-        if len(stacks) == 1:
-            return stacks[0]
-        return cls(*(np.concatenate([getattr(s, f.name) for s in stacks]) for f in fields(cls)))
 
 
 def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
@@ -515,13 +512,17 @@ def mode_sums(bogo: BogoliubovSet, k: int) -> ModeSums:
     return ModeSums(*map(_item, (f_alpha, f_beta, g_cross, *diagonal)))
 
 
-def grid_segments(fit: TransitionFit, us, modes) -> list:
-    """The `ModeSums` of each mode of `modes` at every phase in `us`: one stack over u per mode, in order.
+def grid_segments(fit: TransitionFit, us, modes) -> ModeSums:
+    """The `ModeSums` of the modes of `modes` at every phase in `us`, as one stack of (len(modes), len(us)) arrays.
 
-    The maps are built on the rows of `modes` only, in consecutive stacks of
-    at most `STACK_ENTRIES` entries per stacked array (at least one phase),
-    so a large cutoff walks the grid a few phases at a time.  Each stack is
-    reduced at once, and the sums of consecutive stacks are joined along u.
+    Mode first: ``sums[j]`` is the stack over u of mode ``modes[j]``.  The
+    maps are built on the rows of `modes` only, in consecutive stacks of at
+    most `STACK_ENTRIES` entries per stacked array (at least one phase), so a
+    large cutoff walks the grid a few phases at a time.  Each stack is
+    reduced one mode at a time (`mode_sums`), and the modes' sums of
+    consecutive stacks are joined into the (mode, u) arrays.  A reduction of
+    all of a stack's rows at once would sum them in another order, and so
+    round differently.
     """
     us = np.asarray(us, dtype=float)
     m = len(modes) or 1  # no modes at all: the build raises
@@ -530,4 +531,5 @@ def grid_segments(fit: TransitionFit, us, modes) -> list:
     for start in range(0, max(us.size, 1), size):
         maps = segment_maps(fit, us[start : start + size], modes)
         per_stack.append([mode_sums(maps, k) for k in modes])
-    return [ModeSums.join(per_mode) for per_mode in zip(*per_stack)]
+    joined = (np.concatenate([[getattr(s, f.name) for s in stack] for stack in per_stack], axis=1) for f in fields(ModeSums))
+    return ModeSums(*joined)

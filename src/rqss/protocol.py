@@ -292,13 +292,13 @@ def _journeys(scenario: str, fit: TransitionFit, k: int, us: np.ndarray) -> _Jou
         return held[key]
     leg = free_channel(inertial_phase(k, us))
     if scenario == "12":
-        (sums,) = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))
+        sums = grid_segments(fit, np.concatenate([us, 2.0 * us]), (k,))[0]
         out, mid = sums[: us.size], sums[us.size :]
         seg = reduced_channel(out)
         journeys = compose(seg, compose(leg, compose(reduced_channel(mid), compose(leg, seg))))
         built = _Journey(journeys, (out, mid), (0, 1))
     else:
-        (sums,) = grid_segments(fit, us, (k,))
+        sums = grid_segments(fit, us, (k,))[0]
         seg = reduced_channel(sums)
         built = _Journey(compose(seg, compose(leg, seg)), (sums,), (0, 1, 2))
     if us.size <= STACK_ENTRIES:
@@ -680,8 +680,12 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
 
     The T2, nbar and F2_23 figures read one walk of the grid (`grid_segments`),
     each distinct phase built and reduced once, only on the plotted modes'
-    rows; the round trips are those of `fidelity_grid`, their 2u segments
-    built in the same walk as their u segments.
+    rows, and take the walk's (mode, u) sums as one stack: one call each of
+    `t2_from_sums`, `fidelity_closed_forms`, and `reduced_channel` followed
+    by `channel_invariants` gives a figure's (mode, u) columns.  The round
+    trips are those of `fidelity_grid`, their 2u segments built in the same
+    walk as their u segments; F2_12_squeezed takes them against the stack
+    of its three squeezed secrets in one call.
     """
     names = list(names)
     for name in names:
@@ -689,34 +693,38 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
             raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
     fit = config.transition(fit)
     us = _u_grid(list(grid))
-    plotted = grid_segments(fit, us, FIGURE_MODES) if set(names) - {"F2_12_squeezed"} else []
+    plotted = grid_segments(fit, us, FIGURE_MODES) if set(names) - {"F2_12_squeezed"} else None
     tables = []
     for name in names:
         if name == "T2":
             header = ["u"] + [f"T2_k{k}" for k in FIGURE_MODES]
-            columns = [t2_from_sums(per_mode) for per_mode in plotted]
+            columns = t2_from_sums(plotted)
         elif name == "F2_23":
             header = ["u"] + [f"F2_k{k}" for k in FIGURE_MODES]
-            columns = [fidelity_closed_forms("23", per_mode, s=config.s) for per_mode in plotted]
+            columns = fidelity_closed_forms("23", plotted, s=config.s)
         elif name == "nbar":
             header = ["u"] + [f"nbar_k{k}" for k in FIGURE_MODES]
-            columns = [channel_invariants(reduced_channel(per_mode)).nbar for per_mode in plotted]
+            columns = channel_invariants(reduced_channel(plotted)).nbar
         else:
             header = ["u"] + [f"F2_r{r}" for r in _FIGURE_SQUEEZINGS]
             chan = _journeys("12", fit, config.k, us).channel
-            columns = [_direct_f2_scenario12(chan, squeezed_vacuum(r)) for r in _FIGURE_SQUEEZINGS]
-        tables.append((header, np.column_stack([us, *columns]).tolist()))
+            # A (3, 1) stack of secrets against the (U,) stack of round trips.
+            secrets = squeezed_vacuum(np.array(_FIGURE_SQUEEZINGS)[:, None])
+            columns = _direct_f2_scenario12(chan, secrets)
+        tables.append((header, np.column_stack([us, columns.T]).tolist()))
     return tables
 
 
 def invariant_table(fit: TransitionFit, grid, config: ProtocolConfig) -> tuple:
     """(header, rows, least CP residual at config.h) of `rqss invariants`: (u, k, T2, nbar, rank) per u and mode.
 
-    One walk of the plotted modes, their channels and invariants built as in the nbar figure.
+    One walk of the plotted modes, as in the nbar figure: one stack of
+    (mode, u) channels, whose invariants and CP residuals are each one call.
     """
     us = _u_grid(list(grid))
-    chans = [reduced_channel(per_mode) for per_mode in grid_segments(config.transition(fit), us, FIGURE_MODES)]
-    per_mode = [[v.tolist() for v in (inv.t2, inv.nbar, inv.rank)] for inv in map(channel_invariants, chans)]
-    rows = [[u, k, *(col[i] for col in cols)] for i, u in enumerate(us.tolist()) for k, cols in zip(FIGURE_MODES, per_mode)]
-    worst_cp = min([np.inf, *(cp for chan in chans for cp in cp_residual(*chan.evaluate(config.h)).tolist())])
+    chans = reduced_channel(grid_segments(config.transition(fit), us, FIGURE_MODES))
+    inv = channel_invariants(chans)
+    t2, nbar, rank = (values.T.tolist() for values in (inv.t2, inv.nbar, inv.rank))  # (u, mode) lists
+    rows = [[u, k, t2[i][j], nbar[i][j], rank[i][j]] for i, u in enumerate(us.tolist()) for j, k in enumerate(FIGURE_MODES)]
+    worst_cp = min([np.inf, *cp_residual(*chans.evaluate(config.h)).ravel().tolist()])
     return ["u", "k", "T2", "nbar", "r"], rows, worst_cp

@@ -121,15 +121,15 @@ def test_channels_built_here_adopt_their_blocks_read_only(fit20, monkeypatch):
 
 def test_a_walk_of_several_stacks_and_its_channels_copy_no_block(cache_dir, monkeypatch):
     # At n_max 160 the 31-point grid of three modes spans several map
-    # stacks.  The walk joins each mode's sums, and each channel is built
-    # once from the joined sums and adopts its blocks as built.
+    # stacks.  The walk joins the modes' sums into (mode, u) arrays, and the
+    # channels are built once, as one stack, from the joined sums and adopt
+    # their blocks as built.
     built = _record_adoptions(monkeypatch)
     sums = grid_segments(get_transition(n_max=160, cache_dir=cache_dir), np.arange(1, 32) / 32, (1, 2, 3))
-    chans = [reduced_channel(per_mode) for per_mode in sums]
-    assert [chan.n2.shape for chan in chans] == [(31, 2, 2)] * 3
-    assert len(built) == 3
-    for blocks in built:
-        assert all(kept is given for given, kept in blocks)
+    chans = reduced_channel(sums)
+    assert chans.n2.shape == (3, 31, 2, 2)
+    (blocks,) = built
+    assert all(kept is given for given, kept in blocks)
 
 
 def test_free_channel():

@@ -93,6 +93,15 @@ def test_fidelity_rejects_mixed_reference():
             fidelity_pure_mixed(mixed, vacuum())
 
 
+def test_a_squeezed_vacuum_stack_equals_its_states_bit_for_bit():
+    rs = np.array([[0.0, -0.0, 0.0625], [0.125, 0.25, -0.7], [5e-324, 3.5, -170.0]])
+    stack = squeezed_vacuum(rs)
+    assert stack.d.shape == (3, 3, 2) and stack.sigma.shape == (3, 3, 2, 2)
+    for at in np.ndindex(rs.shape):
+        one = squeezed_vacuum(float(rs[at]))
+        assert stack.d[at].tobytes() == one.d.tobytes() and stack.sigma[at].tobytes() == one.sigma.tobytes()
+
+
 def test_squeezed_vacuum_variances():
     state = squeezed_vacuum(0.7)
     assert state.sigma[0, 0] == pytest.approx(np.exp(-1.4), rel=1e-14)
@@ -468,8 +477,9 @@ def test_non_finite_state_is_unphysical(eigvalsh_calls, value, where, stacked):
 @pytest.mark.parametrize(
     "make",
     [lambda: squeezed_vacuum(400.0), lambda: squeezed_vacuum(-400.0), lambda: coherent(np.nan, 0.0),
-     lambda: coherent(0.0, np.inf), lambda: two_mode_squeezed_vacuum(711.0), lambda: two_mode_squeezed_vacuum(800.0)],
-    ids=["squeezed-400", "squeezed-minus-400", "coherent-nan", "coherent-inf", "tmsv-711", "tmsv-800"],
+     lambda: coherent(0.0, np.inf), lambda: two_mode_squeezed_vacuum(711.0), lambda: two_mode_squeezed_vacuum(800.0),
+     lambda: squeezed_vacuum(np.array([[0.25], [400.0]]))],
+    ids=["squeezed-400", "squeezed-minus-400", "coherent-nan", "coherent-inf", "tmsv-711", "tmsv-800", "squeezed-stack-400"],
 )
 def test_constructor_with_a_non_finite_moment_raises_the_state_error(make):
     # An overflowing squeezing is left infinite for the state check, so it

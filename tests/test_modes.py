@@ -4,6 +4,7 @@ import json
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,9 +244,10 @@ def test_quarter_phase_t2_on_closed_form_coefficients(n_max):
     # segment maps and channel invariants on the closed-form coefficients:
     # within two ulps at every cutoff.
     modes_ = (1, 2, 3)
-    for k, sums in zip(modes_, grid_segments(closed_form_transition(n_max), np.array([0.25]), modes_)):
+    t2 = channel_invariants(reduced_channel(grid_segments(closed_form_transition(n_max), np.array([0.25]), modes_))).t2
+    for k, (value,) in zip(modes_, t2):
         target = k * k * np.pi**2 / 60.0
-        assert abs(channel_invariants(reduced_channel(sums)).t2[0] - target) <= 2 * np.spacing(target), k
+        assert abs(value - target) <= 2 * np.spacing(target), k
 
 
 def test_both_t2_routes_reach_the_exact_limit_at_n_max_640():
@@ -255,7 +257,9 @@ def test_both_t2_routes_reach_the_exact_limit_at_n_max_640():
     # errors 9.6e-13 and 2.4e-13), on u = i/64.
     us = np.arange(1, 64) / 64
     modes_ = (1, 2, 3)
-    for k, per_mode in zip(modes_, grid_segments(closed_form_transition(640), us, modes_)):
+    sums = grid_segments(closed_form_transition(640), us, modes_)
+    for j, k in enumerate(modes_):
+        per_mode = sums[j]
         limit = t2_limit(k, us)
         np.testing.assert_allclose(channel_invariants(reduced_channel(per_mode)).t2, limit, rtol=2e-12, atol=0.0)
         np.testing.assert_allclose(t2_from_sums(per_mode), limit, rtol=2e-12, atol=0.0)
@@ -270,7 +274,9 @@ def test_nbar_at_n_max_160_is_within_its_truncation_of_a_row_only_nbar_at_n_max_
     # route within the rounding of the subtracted 1/2 (2.0e-11 measured).
     us = np.arange(1, 32) / 32
     modes_ = (1, 2, 3)
-    for k, sums in zip(modes_, grid_segments(closed_form_transition(160), us, modes_)):
+    stack = grid_segments(closed_form_transition(160), us, modes_)
+    for j, k in enumerate(modes_):
+        sums = stack[j]
         converged = nbar_row_only(k, us, 10_000)
         np.testing.assert_allclose(channel_invariants(reduced_channel(sums)).nbar, converged, rtol=2e-5, atol=0.0)
         from_sums = [nbar_from_sums(sums[i]) for i in range(us.size)]
@@ -357,6 +363,33 @@ def test_cache_round_trip(tmp_path):
     assert path.exists()
     second = get_transition(n_max=4, cache_dir=tmp_path)
     assert _same_coefficients(first, second)
+
+
+def test_a_cache_file_cleared_as_it_is_read_is_a_miss(tmp_path, monkeypatch):
+    # Another process may clear the cache between a request's lookup and its
+    # read: the request then fits afresh and saves, as on an empty cache.
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    path = cache_path(tmp_path, fit.n_max)
+    read = modes.load_transition
+
+    def cleared_first(path):
+        Path(path).unlink()
+        return read(path)
+
+    monkeypatch.setattr(modes, "load_transition", cleared_first)
+    refit = get_transition(n_max=4, cache_dir=tmp_path)
+    assert refit is not fit and _same_coefficients(refit, fit)
+    assert path.exists()
+    monkeypatch.undo()
+    assert _same_coefficients(load_transition(path), fit)
+
+
+def test_a_cache_request_reads_its_file_without_a_stat_first(tmp_path):
+    fit = get_transition(n_max=4, cache_dir=tmp_path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Path, "exists", lambda self: pytest.fail(f"stat of {self}"))
+        hit = get_transition(n_max=4, cache_dir=tmp_path)
+    assert _same_coefficients(hit, fit)
 
 
 def test_cache_file_holds_the_two_kept_orders(tmp_path):

@@ -154,7 +154,7 @@ def test_closed_forms_name_the_scenario_that_needs_s(fit20, scenario):
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
 def test_closed_forms_give_a_float_per_segment_and_an_array_per_stack(fit20, scenario):
     us = np.array(TABLE_GRID)
-    (stack,), (stack_2u,) = (modes.grid_segments(fit20, phases, (1,)) for phases in (us, 2.0 * us))
+    stack, stack_2u = (modes.grid_segments(fit20, phases, (1,))[0] for phases in (us, 2.0 * us))
     stacked = fidelity_closed_forms(scenario, stack, stack_2u, s=1.0)
     assert isinstance(stacked, np.ndarray) and stacked.shape == us.shape
     for u, f2 in zip(TABLE_GRID, stacked):
@@ -611,10 +611,10 @@ def test_journeys_equal_the_identity_start_bit_for_bit(fit20, scenario):
     # composing onto the identity could flip; the journeys keep every bit.
     us, k = np.array([0.0, 0.5, 1.0]), 1
     journeys = protocol._journeys(scenario, fit20, k, us).channel
-    seg = channel.reduced_channel(*modes.grid_segments(fit20, us, (k,)))
+    seg = channel.reduced_channel(modes.grid_segments(fit20, us, (k,))[0])
     leg = channel.free_channel(inertial_phase(k, us))
     if scenario == "12":
-        seg_mid = channel.reduced_channel(*modes.grid_segments(fit20, 2.0 * us, (k,)))
+        seg_mid = channel.reduced_channel(modes.grid_segments(fit20, 2.0 * us, (k,))[0])
         parts = [seg, leg, seg_mid, leg, seg]
     else:
         parts = [seg, leg, seg]

@@ -36,6 +36,8 @@ from oracles import fidelity_report_per_u, figure_data_per_u, full_maps, invaria
 FIGURE_GRID = [i / 64 for i in range(1, 64)]  # the 63-point grid of reproduce_figures.py
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
 QUARTER_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # u = 0 and 1 carry no noise block
+M1_GRID = [i / 1024 for i in range(1, 1024)]  # the 1023-point grid where n_max 20 gives negative nbar
+CUTOFF_GRID = [i / 32 for i in range(1, 32)]  # the 31-point grid of the cutoff runs
 EDGE_GRID = [0.0, 0.5, 1.0, 1.5]  # no noise block at whole u; 1.5 beyond the first period
 MAP_NAMES = ("alpha0", "alpha1", "beta1", "alpha2", "beta2")
 SUM_NAMES = ("f_alpha", "f_beta", "g_cross", "alpha0", "alpha2", "beta2")  # the `ModeSums` fields
@@ -187,43 +189,45 @@ def test_grid_segments_builds_every_stack_before_it_returns(monkeypatch, cache_d
         # The (U, n, 2m) factor of the second-order product, and each array handed out.
         assert maps.u.size * n_max * 2 * m <= STACK_ENTRIES
         assert all(getattr(maps, name).size <= STACK_ENTRIES for name in MAP_NAMES)
-    assert all(np.shape(getattr(per_mode, name)) == (len(FIGURE_GRID),) for per_mode in sums for name in SUM_NAMES)
+    assert all(np.shape(getattr(sums, name)) == (m, len(FIGURE_GRID)) for name in SUM_NAMES)
 
 
 def test_stacked_sums_channels_and_invariants_equal_per_u(fit20):
+    # The (mode, u) stack of channels, invariants and CP residuals, each
+    # built in one call, against one segment's at a time.
     us = np.array(QUARTER_GRID + TABLE_GRID)
     grid_sums = grid_segments(fit20, us, (1, 2, 3))
-    chans = [reduced_channel(per_mode) for per_mode in grid_sums]
-    assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * 3
+    chans = reduced_channel(grid_sums)
+    assert chans.m0.shape == (3, us.size, 2, 2)
+    inv = channel_invariants(chans)
+    cp = cp_residual(*chans.evaluate(1e-2))
+    assert inv.t2.shape == inv.nbar.shape == inv.rank.shape == cp.shape == (3, us.size)
     for j, k in enumerate((1, 2, 3)):
-        inv = channel_invariants(chans[j])
-        cp = cp_residual(*chans[j].evaluate(1e-2))
-        per_mode = grid_sums[j]
-        sums = [tuple(getattr(per_mode, name)[i] for name in SUM_NAMES) for i in range(us.size)]
         for i, u in enumerate(us):
             bogo = full_maps(fit20, u)
             one = segment_channel(bogo, k)
             for name in ("m0", "m2", "n2"):
-                assert np.array_equal(getattr(chans[j], name)[i], getattr(one, name))
+                assert np.array_equal(getattr(chans, name)[j, i], getattr(one, name))
             single = channel_invariants(one)
-            assert (inv.t2[i], inv.rank[i]) == (single.t2, single.rank)
-            np.testing.assert_array_equal(inv.nbar[i], single.nbar)
-            assert cp[i] == cp_residual(*one.evaluate(1e-2))
+            assert (inv.t2[j, i], inv.rank[j, i]) == (single.t2, single.rank)
+            np.testing.assert_array_equal(inv.nbar[j, i], single.nbar)
+            assert cp[j, i] == cp_residual(*one.evaluate(1e-2))
             one_sums = mode_sums(bogo, k)
-            assert sums[i] == tuple(getattr(one_sums, name) for name in SUM_NAMES)
+            assert all(getattr(grid_sums, name)[j, i] == getattr(one_sums, name) for name in SUM_NAMES)
 
 
 @pytest.mark.parametrize("modes", [(1,), (2,), (1, 2, 3)])
 def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
     # The 126 phases of the figure grid's round trips span several map
-    # stacks at every cutoff; the joined walk holds, stack after stack, what
-    # each stack reduces to.
+    # stacks at every cutoff; the joined walk holds, mode by mode (mode
+    # first) and stack after stack, what each stack reduces to.
     us = _phases()
     stacks = _map_stacks(any_fit, us, modes)
     assert len(stacks) > 1
     sums = grid_segments(any_fit, us, modes)
-    chans = [reduced_channel(per_mode) for per_mode in sums]
-    assert [chan.m0.shape for chan in chans] == [(us.size, 2, 2)] * len(modes) and len(sums) == len(modes)
+    chans = reduced_channel(sums)
+    assert all(getattr(sums, name).shape == (len(modes), us.size) for name in SUM_NAMES)
+    assert chans.m0.shape == (len(modes), us.size, 2, 2)
     at = 0
     for maps in stacks:
         rows = slice(at, at + maps.u.size)
@@ -231,7 +235,7 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
         for j, k in enumerate(modes):
             one = segment_channel(maps, k)
             for name in ("m0", "m2", "n2"):
-                assert np.array_equal(getattr(chans[j], name)[rows], getattr(one, name)), (name, k)
+                assert np.array_equal(getattr(chans, name)[j, rows], getattr(one, name)), (name, k)
             one_sums = mode_sums(maps, k)
             for name in SUM_NAMES:
                 assert np.array_equal(getattr(sums[j], name)[rows], getattr(one_sums, name)), (name, k)
@@ -260,9 +264,9 @@ def _count_walks(monkeypatch):
 def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
     # One walk per table, whatever the number of map stacks it spans, and
     # one reduction of each stack per mode (`mode_sums`).  The channel
-    # tables build one channel per mode from the joined sums, a transit one
-    # on mode k alone, a round trip two (its u and its 2u segments), and
-    # the mode-sum figures none.  On a copy of the fit with no journeys built.
+    # tables build one (mode, u) stack of channels from the joined sums, a
+    # transit one on mode k alone, a round trip two (its u and its 2u
+    # segments), and the mode-sum figures none.  On a copy of the fit with no journeys built.
     fit = replace(request.getfixturevalue(f"fit{n_max}"))
     config = ProtocolConfig(n_max=n_max)
     modes, phases = (1, 2, 3), np.array(FIGURE_GRID)
@@ -278,7 +282,7 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
         figure_tables([consumer], fit, FIGURE_GRID, config)
-    channels = {"T2": 0, "F2_23": 0, "F2_12_squeezed": 2, "fidelity 12": 2}.get(consumer, len(modes))
+    channels = {"T2": 0, "F2_23": 0, "F2_12_squeezed": 2, "fidelity 12": 2}.get(consumer, 1)
     assert counts == {"grid_segments": 1, "segment_maps": stacks, "mode_sums": stacks * len(modes), "reduced_channel": channels}
 
 
@@ -307,10 +311,24 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
     assert all(np.isnan(nbar[0.0])) and all(np.isnan(nbar[1.0]))
 
 
+@pytest.mark.parametrize("n_max, grid", [(20, M1_GRID), (160, CUTOFF_GRID)], ids=["M1 grid at 20", "cutoff grid at 160"])
+def test_figures_equal_per_u_route_on_the_largest_stacks(cache_dir, n_max, grid):
+    # The nbar figure on the 1023-point grid at n_max 20, where some nbar
+    # are negative, and every figure on the 31-point grid at n_max 160.
+    fit = get_transition(n_max=n_max, cache_dir=cache_dir)
+    config = ProtocolConfig(n_max=n_max)
+    names = ["nbar"] if n_max == 20 else list(FIGURES)
+    tables = figure_tables(names, fit, grid, config)
+    for name, table in zip(names, tables):
+        assert_same_table(table, figure_data_per_u(name, fit, grid, config))
+    if n_max == 20:
+        assert any(nbar < -1e-10 for row in tables[0][1] for nbar in row[1:])
+
+
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     # T2, nbar and F2_23 read one walk of the plotted modes, and nbar builds
-    # one channel per plotted mode from its sums; F2_12_squeezed walks its
+    # one stack of channels from its (mode, u) sums; F2_12_squeezed walks its
     # round trips on mode k alone and builds two channels from their sums,
     # one for the u segments and one for the 2u segments.  On a copy of the
     # fit with no journeys built.
@@ -322,7 +340,7 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     counts = _count_walks(monkeypatch)
     figure_tables(FIGURES, fit, FIGURE_GRID, config)
     stacks = plotted_stacks + round_trips
-    channels = len(FIGURE_MODES) + 2
+    channels = 1 + 2
     assert counts == {"grid_segments": 2, "segment_maps": stacks, "mode_sums": plotted + round_trips, "reduced_channel": channels}
 
 
@@ -363,9 +381,14 @@ def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache
     assert_same_table(table, figure_data_per_u("F2_12_squeezed", fit, TABLE_GRID, config))
 
 
-@pytest.mark.parametrize("n_max, grid", [(20, TABLE_GRID), (20, FIGURE_GRID), (40, TABLE_GRID)])
-def test_invariant_rows_equal_per_u_route(request, n_max, grid):
-    fit = request.getfixturevalue(f"fit{n_max}")
+@pytest.mark.parametrize(
+    "n_max, grid", [(20, TABLE_GRID), (20, FIGURE_GRID), (40, TABLE_GRID), (20, M1_GRID), (160, CUTOFF_GRID)]
+)
+def test_invariant_rows_equal_per_u_route(cache_dir, n_max, grid):
+    # The largest (mode, u) stacks the CLI builds: the 1023-point grid at
+    # n_max 20 and the 31-point grid at n_max 160, each spanning several map
+    # stacks.
+    fit = get_transition(n_max=n_max, cache_dir=cache_dir)
     rows, worst_cp = _invariant_rows(fit, grid)
     ref_rows, ref_worst_cp = invariant_rows_per_u(fit, grid, 1e-2)
     assert_same_table((None, rows), (None, ref_rows))
