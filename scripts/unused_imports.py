@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List the imported names that a module never uses.
 
-    python scripts/unused_imports.py src/rqss tests scripts
+    python scripts/unused_imports.py src/rqss tests scripts perfbench
 
 Parses every .py file under the given paths with the standard-library
 `ast`.  An imported name counts as used when the module reads it anywhere

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage or configuration error, 2 scientific breach
 (tolerance violation, a negative occupation in the invariants or the nbar
 figure, corrupted coefficient cache, a transition fit that fails its held-out
 validation, failed calibration, a pipeline state that is not finite or
-violates the uncertainty bound).
+violates the uncertainty bound).  Table builders check the config and --grid
+before any coefficient is fitted or loaded; only bogo-check loads a fit here.
 Outputs are written without timestamps so repeated runs are byte-identical;
 every output directory gets a manifest listing parameters and content hashes.
 """
@@ -33,7 +34,6 @@ from .gaussian import UnphysicalStateError
 from .modes import CorruptCacheError, FitValidationError, quadrature_error, segment_maps
 from .protocol import (
     CalibrationError,
-    FIGURE_MODES,
     FIGURES,
     ProtocolConfig,
     calibrate_decoder,
@@ -216,14 +216,6 @@ def _cmd_bogo_check(args, config: ProtocolConfig, argv) -> int:
     return 0 if ok else 2
 
 
-def _grid_and_fit(args, config: ProtocolConfig):
-    """The --grid and the fit; the grid, and the cutoff of tables on the plotted modes, checked before fitting."""
-    grid = _parse_grid(args.grid)
-    if config.n_max < max(FIGURE_MODES) and getattr(args, "figure", None) != "F2_12_squeezed":
-        raise ValueError(f"--nmax {config.n_max} is below the plotted modes {FIGURE_MODES}")
-    return grid, config.transition()
-
-
 def _physical(values) -> int:
     """Exit code of occupations and CP residuals: 2, with a FAIL line, if one lies below -1e-10 (a nan does not), else 0."""
     if any(value < -1e-10 for value in values):
@@ -233,11 +225,11 @@ def _physical(values) -> int:
 
 
 def _cmd_invariants(args, config: ProtocolConfig, argv) -> int:
-    grid, fit = _grid_and_fit(args, config)
-    header, rows, worst_cp = invariant_table(fit, grid, config)
+    header, rows, worst_cp = invariant_table(config, _parse_grid(args.grid))
     parameters = {"grid": args.grid, "n_max": config.n_max, "h": config.h}
     _emit_table(args, argv, "invariants.csv", header, rows, parameters, f", min CP residual {worst_cp:.3e}")
-    return _physical([worst_cp, *(row[3] for row in rows)])
+    nbar = header.index("nbar")
+    return _physical([worst_cp, *(row[nbar] for row in rows)])
 
 
 def _cmd_fidelity(args, config: ProtocolConfig, argv) -> int:
@@ -276,9 +268,8 @@ def _cmd_calibrate(args, config: ProtocolConfig, argv) -> int:
 
 
 def _cmd_figure_data(args, config: ProtocolConfig, argv) -> int:
-    grid, fit = _grid_and_fit(args, config)
     names = list(FIGURES) if args.figure == "all" else [args.figure]
-    tables = figure_tables(names, fit, grid, config)
+    tables = figure_tables(names, config, _parse_grid(args.grid))
     files = {f"figure_{name}.csv": _csv_text(*table) for name, table in zip(names, tables)}
     parameters = {"figures": names, "grid": args.grid, "s": config.s, "k": config.k, "n_max": config.n_max}
     out_dir = _write_outputs(Path.cwd() if args.out is None else args.out, args, argv, parameters, files)

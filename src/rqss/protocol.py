@@ -480,40 +480,43 @@ def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
 _GRID_STACK = STACK_ENTRIES // ((len(DEFAULT_F2_LADDER) + 1) * 36)
 
 
-def _u_grid(grid) -> np.ndarray:
-    """The points of a u-grid as a 1-d float array; a grid of another shape or with a non-finite point raises."""
+def _u_grid_and_fit(config: ProtocolConfig, grid, fit: TransitionFit | None, plotted: bool = False) -> tuple:
+    """(u-grid as an array, fit, if `plotted` its walk on `FIGURE_MODES`); bad input raises before the fit loads."""
+    grid = list(grid)
     us = np.array(grid, dtype=float)
     if us.ndim != 1 or not np.isfinite(us).all():
         raise ValueError(f"u-grid must be a list of finite numbers, got {grid!r}")
-    return us
+    if plotted and config.n_max < max(FIGURE_MODES):
+        raise ValueError(f"n_max {config.n_max} is below the plotted modes {FIGURE_MODES}")
+    fit = config.transition(fit)
+    return us, fit, (grid_segments(fit, us, FIGURE_MODES) if plotted else None)
 
 
 def fidelity_grid(scenario: str, config: ProtocolConfig, grid, fit: TransitionFit | None = None) -> list[FidelityReport]:
     """Closed-form, perturbative and simulated fidelities at every u of `grid`, one report per u.
 
-    `config.u` is not read.  The journeys of the whole grid are built as one
-    stack (one walk of its segment phases, on the monitored mode's rows).
-    The pipeline runs each distinct acceleration once: the three h-ladder
-    rungs, and `config.h` only when it is not one of them.  Every grid reads
-    the ladder blocks of its journey (`_Journey.ladder`), plus one row of
-    blocks at `config.h` when it is off the ladder, and runs them through
-    `collaborate` `_GRID_STACK` u-points at a time.
-    What does not depend on the grid is built once and reused: the journeys
-    built on each fit (`_journeys`), and the dealing of each (secret, s),
-    its secret checked pure, encoded shares and the `f0` of scenarios 23
-    and 13, for the latest `_DEALINGS_KEPT` pairs (`_dealt`).  So each kept
-    share's fidelity is the bare Uhlmann formula (`_uhlmann_fidelity`).
-    Every state is checked once, when it is first built; a run of
-    `collaborate` builds two, the journeyed shares and the kept share, and
-    not the decoded three-share state, which a checked symplectic decoder
-    keeps physical by congruence.  The h^2 ladder fit (`_extrapolated_f2`)
-    runs once on the grid's (U, 3) ladder fidelities.  Each report has the
-    bits of a one-u grid.
+    `config.u` is not read; the scenario and the grid are checked before the
+    fit is loaded (`_u_grid_and_fit`).  The journeys of the whole grid are
+    built as one stack (one walk of its segment phases, on the monitored
+    mode's rows).  The pipeline runs each distinct acceleration once: the
+    three h-ladder rungs, and `config.h` only when it is not one of them.
+    Every grid reads the ladder blocks of its journey (`_Journey.ladder`),
+    plus one row of blocks at `config.h` when it is off the ladder, and runs
+    them through `collaborate` `_GRID_STACK` u-points at a time.  What does
+    not depend on the grid is built once and reused: the journeys built on
+    each fit (`_journeys`), and the dealing of each (secret, s), its secret
+    checked pure, encoded shares and the `f0` of scenarios 23 and 13, for the
+    latest `_DEALINGS_KEPT` pairs (`_dealt`).  So each kept share's fidelity
+    is the bare Uhlmann formula (`_uhlmann_fidelity`).  Every state is checked
+    once, when it is first built; a run of `collaborate` builds two, the
+    journeyed shares and the kept share, and not the decoded three-share
+    state, which a checked symplectic decoder keeps physical by congruence.
+    The h^2 ladder fit (`_extrapolated_f2`) runs once on the grid's (U, 3)
+    ladder fidelities.  Each report has the bits of a one-u grid.
     """
     decoder = decoder_maps(scenario)  # rejects an unknown scenario
-    fit = config.transition(fit)
     grid = list(grid)
-    us = _u_grid(grid)
+    us, fit, _ = _u_grid_and_fit(config, grid, fit)
     coherent_secret = config.secret == "coherent"
     journey = _journeys(scenario, fit, config.k, us)
     dealing = _dealt(config.secret, tuple(float(x).hex() for x in config.secret_params), float(config.s).hex())
@@ -600,9 +603,9 @@ _TRANSIT_H0 = embed_channel(rotation_block(math.pi), np.zeros((2, 2)), 3, (0, 1,
 _TRANSIT_H0[0].flags.writeable = _TRANSIT_H0[1].flags.writeable = False
 
 
-def _pipeline_h0(encoded: GaussianState, gain: float, r_out: float) -> GaussianState:
-    """Scenario-23 pipeline at h = 0 on encoded shares, its decoder at (gain, r_out); stacked if the shares are."""
-    return collaborate(encoded, *_TRANSIT_H0, (_pair_decoder((1, 2), gain, r_out), 1))
+def _pipeline_h0(encoded: GaussianState, decoder: SymplecticMap) -> GaussianState:
+    """Scenario-23 pipeline at h = 0 on encoded shares, stacked or not, through a `_pair_decoder((1, 2), ...)`."""
+    return collaborate(encoded, *_TRANSIT_H0, (decoder, 1))
 
 
 def calibrate_decoder() -> DecoderCalibration:
@@ -619,20 +622,24 @@ def calibrate_decoder() -> DecoderCalibration:
     The result is verified to hand back 1/(1 + e^{-s}) for each probe secret
     and squeezing, and certified to beat nearby decoders on large-amplitude
     probes; each set of probe secrets runs through the pipeline as one stack,
-    encoded once for all the decoders it meets.
+    encoded and checked pure once for all the decoders it meets, the
+    calibrated one built once.
     """
-    r_out = -math.log(_pipeline_h0(encode(coherent(0.0, 1.0), CALIBRATION_S), 0.0, 0.0).d[1])
+    decoder = functools.partial(_pair_decoder, (1, 2))  # at (gain, r_out)
+    r_out = -math.log(_pipeline_h0(encode(coherent(0.0, 1.0), CALIBRATION_S), decoder(0.0, 0.0)).d[1])
     q_shares = encode(coherent(1.0, 0.0), CALIBRATION_S)
-    q_g0, q_g1 = (_pipeline_h0(q_shares, g, r_out).d[0] for g in (0.0, 1.0))
+    q_g0, q_g1 = (_pipeline_h0(q_shares, decoder(g, r_out)).d[0] for g in (0.0, 1.0))
     gain = float((1.0 - q_g0) / (q_g1 - q_g0))
+    calibrated = decoder(gain, r_out)
 
     fids, targets = {}, {}
     worst = 0.0
     secrets = coherent(*np.transpose(CALIBRATION_ENSEMBLE))
+    _check_pure(secrets)
     for s in CALIBRATION_S_CHECKS:
         target = 1.0 / (1.0 + math.exp(-s))
         targets[str(s)] = target
-        row = fidelity_pure_mixed(secrets, _pipeline_h0(encode(secrets, s), gain, r_out)).tolist()
+        row = _uhlmann_fidelity(secrets, _pipeline_h0(encode(secrets, s), calibrated)).tolist()
         fids[str(s)] = {f"({q0},{p0})": f for (q0, p0), f in zip(CALIBRATION_ENSEMBLE, row)}
         worst = max(worst, *(abs(f - target) for f in row))
     if worst > CALIBRATION_TOL:
@@ -647,14 +654,15 @@ def calibrate_decoder() -> DecoderCalibration:
     # decoder dominates its linear noise benefit.
     amp = 200.0
     probes = coherent(np.array([amp, 0.0, -amp, 0.0]), np.array([0.0, amp, 0.0, -amp]))
+    _check_pure(probes)
     probe_shares = encode(probes, CALIBRATION_S)
 
-    def guaranteed(g, r):
-        return min(fidelity_pure_mixed(probes, _pipeline_h0(probe_shares, g, r)).tolist())
+    def guaranteed(smap):
+        return min(_uhlmann_fidelity(probes, _pipeline_h0(probe_shares, smap)).tolist())
 
-    here = guaranteed(gain, r_out)
+    here = guaranteed(calibrated)
     for dg, dr in ((0.05, 0.0), (-0.05, 0.0), (0.0, 0.05), (0.0, -0.05)):
-        if guaranteed(gain + dg, r_out + dr) >= here:
+        if guaranteed(decoder(gain + dg, r_out + dr)) >= here:
             raise CalibrationError(
                 f"decoder at ({gain:.6f}, {r_out:.6f}) is not a guaranteed-fidelity optimum"
             )
@@ -675,25 +683,25 @@ FIGURE_MODES = (1, 2, 3)
 _FIGURE_SQUEEZINGS = (0.0625, 0.125, 0.25)
 
 
-def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> list:
+def figure_tables(names, config: ProtocolConfig, grid, fit: TransitionFit | None = None) -> list:
     """(header, rows) of each summary figure in `names`, in that order, over a u-grid.
 
-    The T2, nbar and F2_23 figures read one walk of the grid (`grid_segments`),
-    each distinct phase built and reduced once, only on the plotted modes'
-    rows, and take the walk's (mode, u) sums as one stack: one call each of
-    `t2_from_sums`, `fidelity_closed_forms`, and `reduced_channel` followed
-    by `channel_invariants` gives a figure's (mode, u) columns.  The round
-    trips are those of `fidelity_grid`, their 2u segments built in the same
-    walk as their u segments; F2_12_squeezed takes them against the stack
+    The names, the grid and the cutoff are checked before the fit is loaded
+    (`_u_grid_and_fit`).  The T2, nbar and F2_23 figures read one walk of the
+    grid on the plotted modes' rows (`grid_segments`), each distinct phase
+    built and reduced once, and take its (mode, u) sums as one stack: one
+    call each of `t2_from_sums`, `fidelity_closed_forms`, and
+    `reduced_channel` followed by `channel_invariants` gives a figure's
+    (mode, u) columns.  F2_12_squeezed, the one figure that runs below the
+    plotted modes, takes the round trips of `fidelity_grid` on mode
+    `config.k`, their u and 2u segments walked together, against the stack
     of its three squeezed secrets in one call.
     """
     names = list(names)
     for name in names:
         if name not in FIGURES:
             raise ValueError(f"unknown figure {name!r}; choices: {FIGURES}")
-    fit = config.transition(fit)
-    us = _u_grid(list(grid))
-    plotted = grid_segments(fit, us, FIGURE_MODES) if set(names) - {"F2_12_squeezed"} else None
+    us, fit, plotted = _u_grid_and_fit(config, grid, fit, bool(set(names) - {"F2_12_squeezed"}))
     tables = []
     for name in names:
         if name == "T2":
@@ -715,14 +723,15 @@ def figure_tables(names, fit: TransitionFit, grid, config: ProtocolConfig) -> li
     return tables
 
 
-def invariant_table(fit: TransitionFit, grid, config: ProtocolConfig) -> tuple:
+def invariant_table(config: ProtocolConfig, grid, fit: TransitionFit | None = None) -> tuple:
     """(header, rows, least CP residual at config.h) of `rqss invariants`: (u, k, T2, nbar, rank) per u and mode.
 
-    One walk of the plotted modes, as in the nbar figure: one stack of
+    One walk of the plotted modes, as in the nbar figure, the grid and the
+    cutoff checked before the fit is loaded (`_u_grid_and_fit`): one stack of
     (mode, u) channels, whose invariants and CP residuals are each one call.
     """
-    us = _u_grid(list(grid))
-    chans = reduced_channel(grid_segments(config.transition(fit), us, FIGURE_MODES))
+    us, _, sums = _u_grid_and_fit(config, grid, fit, True)
+    chans = reduced_channel(sums)
     inv = channel_invariants(chans)
     t2, nbar, rank = (values.T.tolist() for values in (inv.t2, inv.nbar, inv.rank))  # (u, mode) lists
     rows = [[u, k, t2[i][j], nbar[i][j], rank[i][j]] for i, u in enumerate(us.tolist()) for j, k in enumerate(FIGURE_MODES)]

@@ -31,3 +31,23 @@ def fit20(cache_dir):
 @pytest.fixture(scope="session")
 def fit10(cache_dir):
     return get_transition(n_max=10, cache_dir=cache_dir)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls: `count_calls((namespace, name), ...)` wraps each function and returns the {name: calls} it updates."""
+
+    def wrap(*targets):
+        counts = {}
+        for namespace, name in targets:
+            counts[name] = 0
+            call = getattr(namespace, name)
+
+            def counting(*args, _name=name, _call=call, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(namespace, name, counting)
+        return counts
+
+    return wrap

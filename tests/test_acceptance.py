@@ -152,11 +152,11 @@ def test_criterion_7_figure_shapes(fit20):
         period = max(period, abs(fa - fb))
     assert period < 1e-8
 
-    _, t2_rows = figure_tables(["T2"], fit20, GRID_64, cfg)[0]
+    _, t2_rows = figure_tables(["T2"], cfg, GRID_64, fit20)[0]
     for row in t2_rows:
         assert row[1] < row[2] < row[3]
 
-    _, f23_rows = figure_tables(["F2_23"], fit20, GRID_64, cfg)[0]
+    _, f23_rows = figure_tables(["F2_23"], cfg, GRID_64, fit20)[0]
     for row in f23_rows:
         assert row[1] < row[2] < row[3]
 
@@ -168,7 +168,7 @@ def test_criterion_7_figure_shapes(fit20):
     # the full simulated pipeline, not a route artifact).  The check therefore
     # allows one line-width of slack everywhere and demands strict ordering on
     # the central region where the curves are resolvable.
-    _, f12_rows = figure_tables(["F2_12_squeezed"], fit20, GRID_64, cfg)[0]
+    _, f12_rows = figure_tables(["F2_12_squeezed"], cfg, GRID_64, fit20)[0]
     fig_max = max(max(row[1:]) for row in f12_rows)
     tol_fig = 2e-3 * fig_max
     worst_inversion = 0.0
@@ -179,7 +179,7 @@ def test_criterion_7_figure_shapes(fit20):
         if 0.125 <= row[0] <= 0.875:
             assert row[1] < row[2] < row[3]
 
-    _, nbar_rows = figure_tables(["nbar"], fit20, GRID_64, cfg)[0]
+    _, nbar_rows = figure_tables(["nbar"], cfg, GRID_64, fit20)[0]
     nbar_min = min(min(row[1:]) for row in nbar_rows)
     assert nbar_min >= -1e-12
     print(

@@ -245,26 +245,31 @@ def test_corrupted_cache_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
 def test_unphysical_pipeline_state_exits_two(cache_dir, tmp_path, monkeypatch, capsys, scenario):
-    # A journey whose noise block is negative is not completely positive:
-    # `fidelity` meets a pipeline state below the uncertainty bound, in every
-    # scenario and through its decoder.  At n_max 3 the truncated journey
-    # channel is not completely positive either, and `invariants` flags the
-    # CP violation; both are the same scientific breach.
+    # A channel whose noise block is negative is not completely positive:
+    # on the journeys, `fidelity` meets a pipeline state below the
+    # uncertainty bound, in every scenario and through its decoder; on the
+    # segments, `invariants` flags the CP violation.  Both are the same
+    # scientific breach, and both runs are at the default cutoff.
     grid = ["--grid", "0.1:0.9:0.1"]
-    journeys = protocol._journeys
+    journeys, reduced = protocol._journeys, protocol.reduced_channel
 
-    def noisy(*args):
+    def noisy(chan):
+        return PerturbativeChannel(chan.m0, chan.m2, chan.n2 - 1e4 * np.eye(2))
+
+    def noisy_journeys(*args):
         journey = journeys(*args)
-        chan = journey.channel
-        noisy_chan = PerturbativeChannel(chan.m0, chan.m2, chan.n2 - 1e4 * np.eye(2))
-        return protocol._Journey(noisy_chan, journey.sums, journey.travelling)
+        return protocol._Journey(noisy(journey.channel), journey.sums, journey.travelling)
 
-    monkeypatch.setattr(protocol, "_journeys", noisy)
+    monkeypatch.setattr(protocol, "_journeys", noisy_journeys)
     argv = ["fidelity", "--scenario", scenario, *grid, "--out", str(tmp_path), *_args(cache_dir)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("scientific breach: state violates the uncertainty bound")
-    assert main(["invariants", *grid, "--h", "0.01", *_args(cache_dir, nmax=3)]) == 2
+    invariants = ["invariants", *grid, "--h", "0.01", *_args(cache_dir)]
+    assert main(invariants) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(protocol, "reduced_channel", lambda sums: noisy(reduced(sums)))
+    assert main(invariants) == 2
     assert "CP violation" in capsys.readouterr().err
 
 
@@ -604,7 +609,7 @@ def test_cutoff_below_the_plotted_modes_exits_one_before_fitting(tmp_path, capsy
     rc = main([*command, "--nmax", "2", "--cache-dir", str(cache), "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --nmax") and "(1, 2, 3)" in err, err
+    assert err.startswith("error: n_max 2 is below the plotted modes (1, 2, 3)"), err
     assert list(cache.iterdir()) == []
 
 

@@ -139,7 +139,7 @@ def test_scenario_13_matches_23_at_zero_acceleration(fit20):
     s=st.floats(0.0, 3.0),
 )
 def test_two_three_recovery_is_secret_independent(q0, p0, s):
-    out = _pipeline_h0(encode(coherent(q0, p0), s), DEFAULT_DECODER_GAIN, DEFAULT_DECODER_SQUEEZE)
+    out = _pipeline_h0(encode(coherent(q0, p0), s), decoder_maps("23")[0])
     f = fidelity_pure_mixed(coherent(q0, p0), out)
     assert f == pytest.approx(1.0 / (1.0 + np.exp(-s)), abs=1e-10)
 
@@ -190,7 +190,7 @@ def test_biased_decoder_beats_mean_but_fails_guarantee():
     means, worsts = [], []
     for g, r in (faithful, biased):
         fids = [
-            fidelity_pure_mixed(coherent(*qp), _pipeline_h0(encode(coherent(*qp), 1.0), g, r))
+            fidelity_pure_mixed(coherent(*qp), _pipeline_h0(encode(coherent(*qp), 1.0), protocol._pair_decoder((1, 2), g, r)))
             for qp in CALIBRATION_ENSEMBLE
         ]
         means.append(np.mean(fids))
@@ -482,44 +482,31 @@ def test_figure_data_headers(fit20):
     grid = [0.25, 0.5]
     cfg = _cfg(s=1.0)
     for name in FIGURES:
-        ((header, rows),) = figure_tables([name], fit20, grid, cfg)
+        ((header, rows),) = figure_tables([name], cfg, grid, fit20)
         assert header[0] == "u"
         assert len(rows) == 2
         assert all(len(row) == len(header) for row in rows)
     with pytest.raises(ValueError):
-        figure_tables(["bogus"], fit20, grid, cfg)
-
-
-def _count_journey_builds(monkeypatch):
-    # The stacked journeys of a u-grid (`_journeys`), the one journey route.
-    counts = {"_journeys": 0}
-    build = protocol._journeys
-
-    def counting(*args, **kwargs):
-        counts["_journeys"] += 1
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "_journeys", counting)
-    return counts
+        figure_tables(["bogus"], cfg, grid, fit20)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
-def test_report_builds_its_journey_channel_once(fit20, monkeypatch, scenario):
+def test_report_builds_its_journey_channel_once(fit20, count_calls, scenario):
     # A report is the one-point grid: one stacked journey build; a 9-point
     # grid builds all its journeys in one call too.
-    counts = _count_journey_builds(monkeypatch)
+    counts = count_calls((protocol, "_journeys"))
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit20)
     assert counts == {"_journeys": 1}
     fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, fit20)
     assert counts == {"_journeys": 2}
 
 
-def test_squeezed_figure_builds_no_scalar_journeys(fit20, monkeypatch):
+def test_squeezed_figure_builds_no_scalar_journeys(fit20, count_calls):
     # The round trips of the whole grid are composed as one stack, the one
     # that `fidelity_grid` builds.
-    counts = _count_journey_builds(monkeypatch)
+    counts = count_calls((protocol, "_journeys"))
     grid = [0.2, 0.3, 0.4]
-    ((header, rows),) = figure_tables(["F2_12_squeezed"], fit20, grid, _cfg())
+    ((header, rows),) = figure_tables(["F2_12_squeezed"], _cfg(), grid, fit20)
     assert counts == {"_journeys": 1}
     assert (header, rows) == figure_data_per_u("F2_12_squeezed", fit20, grid, _cfg())
 
@@ -755,16 +742,18 @@ def test_calibration_encodes_each_secret_set_once_and_checks_two_maps_per_decode
     # Seven encodings feed the twelve pipeline runs: one per solve secret,
     # one per checked squeezing, one for the certificate's probes.  Every
     # decoder is scenario 23's at another gain and rescaling, multiplied
-    # from blocks, its output squeeze and its splitter built at import, so
-    # the only maps checked are the twelve squeezes and the twelve decoders.
-    # Each run checks two states: the journeyed shares and the kept one.
+    # from blocks around a splitter built at import, and checks two maps: its
+    # output squeeze and itself.  Eight decoders are built: three for the
+    # solve, the calibrated one once for the four checked squeezings and the
+    # certificate, and its four neighbours.  Each run checks two states: the
+    # journeyed shares and the kept one.
     maps, encodes, states = [], [], []
     check_map, check_state, encode = SymplecticMap.__post_init__, GaussianState.__post_init__, protocol.encode
     monkeypatch.setattr(SymplecticMap, "__post_init__", lambda smap: maps.append(1) or check_map(smap))
     monkeypatch.setattr(GaussianState, "__post_init__", lambda state: states.append(1) or check_state(state))
     monkeypatch.setattr(protocol, "encode", lambda secret, s: encodes.append(s) or encode(secret, s))
     calibrate_decoder()
-    assert (len(maps), len(encodes), len(states)) == (24, 7, 49)
+    assert (len(maps), len(encodes), len(states)) == (16, 7, 49)
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
@@ -812,23 +801,13 @@ def test_journeys_reduce_each_map_stack_once(fit20, monkeypatch, scenario):
     fidelity_grid(scenario, squeezed, TABLE_GRID, replace(fit20))
     fidelity_report(scenario, replace(squeezed, u=0.3), replace(fit20))
     simulate_fidelity(scenario, _cfg(u=0.3, k=1, s=1.0), replace(fit20))
-    figure_tables(["F2_12_squeezed"], replace(fit20), TABLE_GRID, squeezed)
+    figure_tables(["F2_12_squeezed"], squeezed, TABLE_GRID, replace(fit20))
     fidelity_grid(scenario, _cfg(k=1, s=1.0), TABLE_GRID, replace(fit20))
     assert calls == [1] * 5
 
 
-def _count_builds(monkeypatch):
-    """Count the segment-map stacks, channels and compositions that journey builds make."""
-    counts = {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
-    for namespace, name in ((modes, "segment_maps"), (protocol, "reduced_channel"), (protocol, "compose")):
-        build = getattr(namespace, name)
-
-        def counting(*args, _name=name, _build=build):
-            counts[_name] += 1
-            return _build(*args)
-
-        monkeypatch.setattr(namespace, name, counting)
-    return counts
+# The segment-map stacks, channels and compositions that journey builds make.
+_JOURNEY_BUILDS = ((modes, "segment_maps"), (protocol, "reduced_channel"), (protocol, "compose"))
 
 
 def _held(fit) -> dict:
@@ -842,23 +821,23 @@ def _held_sizes(fit) -> list:
 
 
 @pytest.mark.parametrize("scenario", ["12", "23", "13"])
-def test_a_second_report_on_the_same_journey_builds_nothing(fit20, monkeypatch, scenario):
+def test_a_second_report_on_the_same_journey_builds_nothing(fit20, count_calls, scenario):
     # The journey depends on neither the secret nor the squeezing: a second
     # report at the same k and u reuses it, with no map, channel or compose.
     fit = replace(fit20)
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=1.0), fit)
     built = protocol._journeys(scenario, fit, 1, np.array([0.3]))
-    counts = _count_builds(monkeypatch)
+    counts = count_calls(*_JOURNEY_BUILDS)
     fidelity_report(scenario, _cfg(u=0.3, k=1, s=2.0, secret="squeezed", secret_params=(0.25,)), fit)
     assert counts == {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
     assert protocol._journeys(scenario, fit, 1, np.array([0.3])) is built
     assert list(_held(fit)) == [(scenario == "12", 1, np.array([0.3]).tobytes())]
 
 
-def test_scenarios_23_and_13_share_the_transit(fit20, monkeypatch):
+def test_scenarios_23_and_13_share_the_transit(fit20, count_calls):
     fit = replace(fit20)
     fidelity_report("23", _cfg(u=0.3, k=1), fit)
-    counts = _count_builds(monkeypatch)
+    counts = count_calls(*_JOURNEY_BUILDS)
     fidelity_report("13", _cfg(u=0.3, k=1, s=0.5), fit)
     assert counts == {"segment_maps": 0, "reduced_channel": 0, "compose": 0}
     # The round trip at the same u is another journey.
@@ -867,10 +846,10 @@ def test_scenarios_23_and_13_share_the_transit(fit20, monkeypatch):
     assert len(_held(fit)) == 2
 
 
-def test_another_u_k_or_fit_builds_anew(fit20, monkeypatch):
+def test_another_u_k_or_fit_builds_anew(fit20, count_calls):
     fit = replace(fit20)
     fidelity_report("23", _cfg(u=0.3, k=1), fit)
-    counts = _count_builds(monkeypatch)
+    counts = count_calls(*_JOURNEY_BUILDS)
     fidelity_report("23", _cfg(u=0.4, k=1), fit)
     assert counts["segment_maps"] == 1
     fidelity_report("23", _cfg(u=0.3, k=2), fit)
@@ -1077,8 +1056,8 @@ def test_a_fit_of_another_cutoff_is_rejected(fit20):
         lambda: fidelity_report("23", cfg, fit20),
         lambda: fidelity_grid("12", cfg, TABLE_GRID, fit20),
         lambda: simulate_fidelity("13", cfg, fit20),
-        lambda: figure_tables(["T2"], fit20, TABLE_GRID, cfg),
-        lambda: figure_tables(["F2_12_squeezed"], fit20, TABLE_GRID, cfg),
+        lambda: figure_tables(["T2"], cfg, TABLE_GRID, fit20),
+        lambda: figure_tables(["F2_12_squeezed"], cfg, TABLE_GRID, fit20),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="n_max = 20.*n_max = 40"):

@@ -65,7 +65,7 @@ def assert_same_table(table, reference):
 
 def _invariant_rows(fit, grid):
     """The rows and least CP residual of `invariant_table` at h = 1e-2, the h of `invariant_rows_per_u` here."""
-    header, rows, worst_cp = invariant_table(fit, grid, ProtocolConfig(n_max=fit.n_max, h=1e-2))
+    header, rows, worst_cp = invariant_table(ProtocolConfig(n_max=fit.n_max, h=1e-2), grid, fit)
     assert header == ["u", "k", "T2", "nbar", "r"]
     return rows, worst_cp
 
@@ -242,26 +242,16 @@ def test_grid_segments_join_their_stacks_bit_for_bit(any_fit, modes):
     assert at == us.size
 
 
-def _count_walks(monkeypatch):
-    """Count the walks over a grid (`grid_segments` calls), the map stacks and mode sums they build, and the channels built from the sums."""
-    counts = {"grid_segments": 0, "segment_maps": 0, "mode_sums": 0, "reduced_channel": 0}
-    for name in counts:
-        # The package walks a grid and builds channels from `rqss.protocol`
-        # alone, and a walk builds and reduces its maps in `rqss.modes`.
-        namespace = protocol if name in ("grid_segments", "reduced_channel") else rqss_modes
-        build = getattr(namespace, name)
-
-        def counting(*args, _name=name, _build=build, **kwargs):
-            counts[_name] += 1
-            return _build(*args, **kwargs)
-
-        monkeypatch.setattr(namespace, name, counting)
-    return counts
+# The walks over a grid (`grid_segments` calls), the map stacks and mode sums
+# they build, and the channels built from the sums.  The package walks a grid
+# and builds channels from `rqss.protocol` alone, and a walk builds and
+# reduces its maps in `rqss.modes`.
+_WALKS = ((protocol, "grid_segments"), (rqss_modes, "segment_maps"), (rqss_modes, "mode_sums"), (protocol, "reduced_channel"))
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
 @pytest.mark.parametrize("consumer", ["invariants", *FIGURES, "fidelity 12", "fidelity 23"])
-def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer):
+def test_each_consumer_walks_its_grid_once(request, count_calls, n_max, consumer):
     # One walk per table, whatever the number of map stacks it spans, and
     # one reduction of each stack per mode (`mode_sums`).  The channel
     # tables build one (mode, u) stack of channels from the joined sums, a
@@ -275,13 +265,13 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
     elif consumer == "fidelity 23":
         modes = (config.k,)
     stacks = len(_map_stacks(fit, phases, modes))
-    counts = _count_walks(monkeypatch)
+    counts = count_calls(*_WALKS)
     if consumer == "invariants":
         _invariant_rows(fit, FIGURE_GRID)
     elif consumer.startswith("fidelity"):
         fidelity_grid(consumer[-2:], config, FIGURE_GRID, fit)
     else:
-        figure_tables([consumer], fit, FIGURE_GRID, config)
+        figure_tables([consumer], config, FIGURE_GRID, fit)
     channels = {"T2": 0, "F2_23": 0, "F2_12_squeezed": 2, "fidelity 12": 2}.get(consumer, 1)
     assert counts == {"grid_segments": 1, "segment_maps": stacks, "mode_sums": stacks * len(modes), "reduced_channel": channels}
 
@@ -289,14 +279,14 @@ def test_each_consumer_walks_its_grid_once(request, monkeypatch, n_max, consumer
 def test_figures_equal_per_u_route_on_the_figure_grid(fit20):
     config = ProtocolConfig()
     for name in FIGURES:
-        (table,) = figure_tables([name], fit20, FIGURE_GRID, config)
+        (table,) = figure_tables([name], config, FIGURE_GRID, fit20)
         assert_same_table(table, figure_data_per_u(name, fit20, FIGURE_GRID, config))
 
 
 def test_figures_equal_per_u_route_at_n_max_40(fit40):
     config = ProtocolConfig(n_max=40, k=2, s=0.5)
     for name in FIGURES:
-        (table,) = figure_tables([name], fit40, TABLE_GRID, config)
+        (table,) = figure_tables([name], config, TABLE_GRID, fit40)
         assert_same_table(table, figure_data_per_u(name, fit40, TABLE_GRID, config))
 
 
@@ -304,7 +294,7 @@ def test_figures_equal_per_u_route_on_degenerate_points(fit20):
     config = ProtocolConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tables = {name: figure_tables([name], fit20, QUARTER_GRID, config)[0] for name in FIGURES}
+        tables = {name: figure_tables([name], config, QUARTER_GRID, fit20)[0] for name in FIGURES}
     for name in FIGURES:
         assert_same_table(tables[name], figure_data_per_u(name, fit20, QUARTER_GRID, config))
     nbar = {row[0]: row[1:] for row in tables["nbar"][1]}
@@ -318,7 +308,7 @@ def test_figures_equal_per_u_route_on_the_largest_stacks(cache_dir, n_max, grid)
     fit = get_transition(n_max=n_max, cache_dir=cache_dir)
     config = ProtocolConfig(n_max=n_max)
     names = ["nbar"] if n_max == 20 else list(FIGURES)
-    tables = figure_tables(names, fit, grid, config)
+    tables = figure_tables(names, config, grid, fit)
     for name, table in zip(names, tables):
         assert_same_table(table, figure_data_per_u(name, fit, grid, config))
     if n_max == 20:
@@ -326,7 +316,7 @@ def test_figures_equal_per_u_route_on_the_largest_stacks(cache_dir, n_max, grid)
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
-def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
+def test_all_figures_walk_the_plotted_modes_once(request, count_calls, n_max):
     # T2, nbar and F2_23 read one walk of the plotted modes, and nbar builds
     # one stack of channels from its (mode, u) sums; F2_12_squeezed walks its
     # round trips on mode k alone and builds two channels from their sums,
@@ -337,8 +327,8 @@ def test_all_figures_walk_the_plotted_modes_once(request, monkeypatch, n_max):
     plotted_stacks = len(_map_stacks(fit, FIGURE_GRID, FIGURE_MODES))
     plotted = plotted_stacks * len(FIGURE_MODES)
     round_trips = len(_map_stacks(fit, _phases(), (config.k,)))
-    counts = _count_walks(monkeypatch)
-    figure_tables(FIGURES, fit, FIGURE_GRID, config)
+    counts = count_calls(*_WALKS)
+    figure_tables(FIGURES, config, FIGURE_GRID, fit)
     stacks = plotted_stacks + round_trips
     channels = 1 + 2
     assert counts == {"grid_segments": 2, "segment_maps": stacks, "mode_sums": plotted + round_trips, "reduced_channel": channels}
@@ -353,32 +343,35 @@ def _subsets(names):
 def test_figure_tables_equal_one_figure_calls_and_per_u_route(request, n_max, grid):
     fit = request.getfixturevalue(f"fit{n_max}")
     config = ProtocolConfig() if n_max == 20 else ProtocolConfig(n_max=40, k=2, s=0.5)
-    singles = {name: figure_tables([name], fit, grid, config)[0] for name in FIGURES}
+    singles = {name: figure_tables([name], config, grid, fit)[0] for name in FIGURES}
     for name in FIGURES:
         assert_same_table(singles[name], figure_data_per_u(name, fit, grid, config))
     for subset in _subsets(FIGURES):
         for names in (subset, subset[::-1]):
-            tables = figure_tables(names, fit, grid, config)
+            tables = figure_tables(names, config, grid, fit)
             assert len(tables) == len(names)
             for name, table in zip(names, tables):
                 assert_same_table(table, singles[name])
 
 
-def test_figure_tables_reject_an_unknown_name_before_any_walk(monkeypatch, fit20):
-    counts = _count_walks(monkeypatch)
+def test_figure_tables_reject_an_unknown_name_before_any_walk(count_calls, fit20):
+    counts = count_calls(*_WALKS)
     with pytest.raises(ValueError, match=re.escape(f"unknown figure 'bogus'; choices: {FIGURES}")):
-        figure_tables(["F2_12_squeezed", "T2", "bogus"], fit20, FIGURE_GRID, ProtocolConfig())
+        figure_tables(["F2_12_squeezed", "T2", "bogus"], ProtocolConfig(), FIGURE_GRID, fit20)
     assert counts["grid_segments"] == counts["segment_maps"] == 0
 
 
-def test_round_trip_figure_alone_runs_below_the_plotted_modes(monkeypatch, cache_dir):
+def test_round_trip_figure_alone_runs_below_the_plotted_modes(count_calls, cache_dir):
     # At n_max 2 there is no mode 3 to plot; the round trips walk mode k alone.
     fit = get_transition(n_max=2, cache_dir=cache_dir)
     config = ProtocolConfig(n_max=2)
-    counts = _count_walks(monkeypatch)
-    (table,) = figure_tables(["F2_12_squeezed"], fit, TABLE_GRID, config)
+    counts = count_calls(*_WALKS)
+    (table,) = figure_tables(["F2_12_squeezed"], config, TABLE_GRID, fit)
     assert counts["grid_segments"] == counts["segment_maps"] == 1
     assert_same_table(table, figure_data_per_u("F2_12_squeezed", fit, TABLE_GRID, config))
+    # Without a fit, the figure loads the cached one and gives the same table.
+    (loaded,) = figure_tables(["F2_12_squeezed"], replace(config, cache_dir=str(cache_dir)), TABLE_GRID)
+    assert_same_table(loaded, table)
 
 
 @pytest.mark.parametrize(
@@ -511,4 +504,35 @@ def test_figure_tables_reject_non_finite_points(fit20):
     for bad in ([0.1, math.inf], [math.nan], [-math.inf, 0.5]):
         for name in FIGURES:
             with pytest.raises(ValueError, match="u-grid must be a list of finite numbers"):
-                figure_tables([name], fit20, bad, ProtocolConfig())
+                figure_tables([name], ProtocolConfig(), bad, fit20)
+
+
+# Without a fit, a builder loads the config's from its cache directory, and a
+# miss fits the coefficients and writes them there.  Every input a builder
+# rejects is rejected first: the cache directory stays empty.
+
+
+@pytest.mark.parametrize("build", ["fidelity_grid", "invariant_table", *FIGURES])
+def test_builders_reject_a_non_finite_point_before_loading_a_fit(tmp_path, build):
+    config, grid = ProtocolConfig(cache_dir=str(tmp_path)), [0.3, math.nan]
+    with pytest.raises(ValueError, match="u-grid must be a list of finite numbers"):
+        if build == "fidelity_grid":
+            fidelity_grid("23", config, grid)
+        elif build == "invariant_table":
+            invariant_table(config, grid)
+        else:
+            figure_tables([build], config, grid)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("names", [None, ["T2"], ["nbar"], ["F2_23"], ["F2_12_squeezed", "nbar"], list(FIGURES)])
+def test_tables_on_the_plotted_modes_reject_a_lower_cutoff_before_loading_a_fit(tmp_path, names):
+    # `invariant_table` (names None) and every figure list but F2_12_squeezed
+    # alone read modes 1 to 3.
+    config = ProtocolConfig(n_max=2, cache_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=re.escape("n_max 2 is below the plotted modes (1, 2, 3)")):
+        if names is None:
+            invariant_table(config, TABLE_GRID)
+        else:
+            figure_tables(names, config, TABLE_GRID)
+    assert list(tmp_path.iterdir()) == []
