@@ -139,9 +139,9 @@ class ChannelInvariants:
 
     Transmissivity T(h) = 1 - t2 h^2 and the h-independent mean occupation
     nbar of the equivalent thermal-lossy channel.  `rank` is
-    min(rank M, rank N); a channel with no noise block (u integer) is
-    degenerate and reports t2 = 0, nbar = nan, rank 0.  Arrays over u for
-    a stack of channels.
+    min(rank M, rank N) of the blocks at h = 1, M = m0 + m2 and N = n2; a
+    channel with no noise block (u integer) is degenerate and reports
+    t2 = 0, nbar = nan, rank 0.  Arrays over u for a stack of channels.
     """
 
     t2: float
@@ -149,24 +149,48 @@ class ChannelInvariants:
     rank: int
 
 
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Both singular values of each block of a (..., 2, 2) stack, largest first, as a (..., 2) array.
+
+    In closed form: with e = |(a00 + a11, a01 - a10)| and
+    f = |(a00 - a11, a01 + a10)|, they are (e + f) / 2 and |e - f| / 2, the
+    smaller one to a few ulps of the larger.
+    """
+    a00, a01, a10, a11 = (blocks[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    e, f = np.hypot(a00 + a11, a01 - a10), np.hypot(a00 - a11, a01 + a10)
+    return 0.5 * np.stack([e + f, np.abs(e - f)], axis=-1)
+
+
 def channel_invariants(channel: PerturbativeChannel) -> ChannelInvariants:
     """Invariants of one channel, or arrays of them over a stack of channels.
 
-    Degenerate channels are masked out before nbar divides by t2, so they
-    report their fixed values without a floating-point warning.  A live
-    channel with t2 = 0 adds noise with no loss: its nbar is inf, set
+    A channel is degenerate when the larger singular value of n2 is below
+    1e-18.  Degenerate channels are masked out before nbar divides by t2,
+    so they report their fixed values without a floating-point warning.  A
+    live channel with t2 = 0 adds noise with no loss: its nbar is inf, set
     rather than divided for.  A live t2 so small that sqrt(det n2) / (2 t2)
     overflows (a subnormal t2 beside n2 = I) reads nbar = +-inf, the sign
-    of t2, also without a warning.
+    of t2, also without a warning.  The rank counts the singular values of
+    M = m0 + m2 and N = n2, the blocks at h = 1, above 1e-12 (relative to
+    the larger one for N, when that exceeds 1).  The singular values come
+    in closed form (`_singular_values`), and only these threshold tests
+    read them: t2 and nbar see them only through the degeneracy mask.  A
+    block holding a NaN or an inf is rejected, before any arithmetic, with
+    a `ValueError` that names it.
     """
-    svals_n = np.linalg.svd(channel.n2, compute_uv=False)
+    for name in ("m0", "m2", "n2"):
+        block = getattr(channel, name)
+        if not np.isfinite(block).all():
+            at = tuple(np.argwhere(~np.isfinite(block))[0].tolist())
+            raise ValueError(f"channel block {name} is not finite at index {at}")
+    svals_n = _singular_values(channel.n2)
     degenerate = svals_n[..., 0] < _DEGENERATE_NOISE_FLOOR  # the spectral norm of n2
     live = ~degenerate
     t2 = np.where(degenerate, 0.0, -np.trace(_transpose(channel.m0) @ channel.m2, axis1=-2, axis2=-1))
     root = np.sqrt(np.linalg.det(channel.n2), where=live, out=np.zeros(t2.shape))
     with np.errstate(over="ignore"):
         nbar = np.divide(root, 2.0 * t2, where=live & (t2 != 0.0), out=np.where(live, np.inf, np.nan)) - 0.5
-    rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
+    rank_m = np.sum(_singular_values(channel.m0 + channel.m2) > _RANK_CUTOFF, axis=-1)
     rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
     rank = np.where(degenerate, 0, np.minimum(rank_m, rank_n))
     return ChannelInvariants(_item(t2), _item(nbar), _item(rank))

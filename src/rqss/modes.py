@@ -27,6 +27,7 @@ that rule against one with half its panels, on demand.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import mmap
@@ -62,8 +63,15 @@ class FitValidationError(RuntimeError):
 # exact transition matrices (vectorized quadrature), at L = 1
 
 
-def _gauss_panels(x_lo: float, x_hi: float, panels: int):
+@functools.cache
+def _gauss_legendre():
+    """The `_GAUSS_ORDER` Gauss-Legendre nodes and weights on [-1, 1]: built on first use, then shared read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    return _frozen(nodes), _frozen(weights)
+
+
+def _gauss_panels(x_lo: float, x_hi: float, panels: int):
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(x_lo, x_hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -64,10 +64,13 @@ from .channel import segment_channel  # noqa: F401
 DEFAULT_DECODER_GAIN = -2.0 * math.sqrt(2.0)
 DEFAULT_DECODER_SQUEEZE = 0.5 * math.log(3.0)
 # Acceleration ladder used to pull the h^2 fidelity coefficient out of the
-# simulated pipeline, and the scaled Vandermonde matrix of {1, h^2, h^4} on it.
+# simulated pipeline, the scaled Vandermonde matrix of {1, h^2, h^4} on it,
+# and the top rung's h^2 and h with the powers the h-ladder fit reads.
 DEFAULT_F2_LADDER = (1.0e-2, 5.0e-3, 2.5e-3)
 _F2_X = np.asarray(DEFAULT_F2_LADDER) ** 2
-_F2_VANDER = np.vander(_F2_X / _F2_X.max(), 3, increasing=True)
+_F2_X_TOP, _F2_H_TOP = _F2_X.max(), max(DEFAULT_F2_LADDER)
+_F2_VANDER = np.vander(_F2_X / _F2_X_TOP, 3, increasing=True)
+_F2_X_TOP_2, _F2_H_TOP_2, _F2_H_TOP_4 = _F2_X_TOP**2, _F2_H_TOP**2, _F2_H_TOP**4
 # Calibration: dealer squeezing of the solve and the certificate, coherent
 # probe secrets and squeezings of the 1/(1 + e^{-s}) check, and its tolerance.
 CALIBRATION_S = 1.0
@@ -463,9 +466,8 @@ def _extrapolated_f2(ladders) -> list[tuple[float, str]]:
     and reads nan, with that reason as its source.
     """
     c = np.linalg.solve(_F2_VANDER, np.asarray(ladders, dtype=float)[..., None])[..., 0]
-    x_top, h_top = _F2_X.max(), max(DEFAULT_F2_LADDER)
-    f2, curvature = -c[:, 1] / x_top, c[:, 2] / x_top**2
-    outside = np.abs(curvature) * h_top**4 > 0.25 * np.abs(f2) * h_top**2 + 1e-12
+    f2, curvature = -c[:, 1] / _F2_X_TOP, c[:, 2] / _F2_X_TOP_2
+    outside = np.abs(curvature) * _F2_H_TOP_4 > 0.25 * np.abs(f2) * _F2_H_TOP_2 + 1e-12
     return [
         (float("nan"), "unavailable: quartic term dominates the ladder, outside the perturbative window")
         if out

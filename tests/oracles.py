@@ -13,7 +13,8 @@ place of one array call, each CSV value converted by its type before it
 is printed, per-state maxima and per-call constants in the state check, a
 pseudo-inverse in the homodyne update, an identity composed in ahead of a
 journey, a marginal picked by index in place of one share's contiguous
-block), so the tests can compare the two routes.
+block, LAPACK's singular values in place of their 2x2 closed form), so the
+tests can compare the two routes.
 The vacuum state, which only tests build, lives here too, as do the cavity
 geometry, mode functions, frequencies and segment durations the routes
 need: the package itself works only with their overlaps, as functions of
@@ -27,6 +28,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from rqss.channel import (
+    _DEGENERATE_NOISE_FLOOR,
+    _RANK_CUTOFF,
     PerturbativeChannel,
     apply_channel,
     channel_invariants,
@@ -470,6 +473,19 @@ def noise_block_from_sums(sums: ModeSums) -> np.ndarray:
     iso = 2.0 * (sums.f_alpha + sums.f_beta) * np.eye(2)
     skew = 2.0 * np.array([[-g.real, g.imag], [g.imag, g.real]])
     return iso + skew
+
+
+def invariant_decisions_by_svd(channel: PerturbativeChannel):
+    """(degeneracy mask, rank) of `channel_invariants` from LAPACK's singular values (`np.linalg.svd`), not the closed form.
+
+    The same threshold tests: the spectral norm of n2 below the noise floor,
+    and the singular values of M = m0 + m2 and N = n2 above the rank cutoff.
+    """
+    svals_n = np.linalg.svd(channel.n2, compute_uv=False)
+    degenerate = svals_n[..., 0] < _DEGENERATE_NOISE_FLOOR
+    rank_m = np.sum(np.linalg.svd(channel.m0 + channel.m2, compute_uv=False) > _RANK_CUTOFF, axis=-1)
+    rank_n = np.sum(svals_n > _RANK_CUTOFF * np.maximum(1.0, svals_n[..., :1]), axis=-1)
+    return degenerate, np.where(degenerate, 0, np.minimum(rank_m, rank_n))
 
 
 def thermal_lossy_forms(transmissivity: float, nbar: float):

@@ -1,5 +1,6 @@
 """Effective single-mode channels: blocks, composition, invariants, dilation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rqss.channel import (
     PerturbativeChannel,
+    _singular_values,
     apply_channel,
     channel_invariants,
     complex_pair_block,
@@ -26,6 +28,7 @@ from rqss.protocol import _journeys
 
 from oracles import (
     full_maps,
+    invariant_decisions_by_svd,
     nbar_from_sums,
     noise_block_from_sums,
     noise_block_loop,
@@ -277,6 +280,32 @@ def test_degenerate_at_integer_phase(fit20):
     assert inv.rank == 0
 
 
+def test_ranks_one_and_zero_and_the_noise_floor_follow_the_svd_route():
+    # M = m0 + m2 and N = n2 (the blocks at h = 1) of rank one, a noise block
+    # on either side of the 1e-18 floor, one below the 1e-12 rank cutoff, and
+    # one whose smaller singular value is above 1e-12 but below 1e-12 times
+    # the larger: ranks and degenerate rows (nbar nan) as LAPACK's singular
+    # values give them.
+    ones, eye = np.ones((2, 2)), np.eye(2)
+    cases = [
+        (eye, ones),
+        (ones, eye),
+        (eye, np.zeros((2, 2))),
+        (eye, 1e-19 * eye),
+        (eye, 1e-17 * eye),
+        (eye, np.diag([1e6, 1e-7])),
+        (np.diag([1.0, 1e-13]), eye),
+    ]
+    m, n = (np.stack(blocks) for blocks in zip(*cases))
+    chans = PerturbativeChannel(np.broadcast_to(eye, m.shape), m - eye, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = channel_invariants(chans)
+    degenerate, rank = invariant_decisions_by_svd(chans)
+    assert inv.rank.tolist() == rank.tolist() == [1, 1, 0, 0, 0, 1, 1]
+    assert np.isnan(inv.nbar).tolist() == degenerate.tolist() == [False, False, True, True, False, False, False]
+
+
 def test_lossless_noise_has_infinite_occupation_without_a_warning():
     # Live noise (n2 = I) with no loss (m2 = 0, so T2 = 0): nbar is set, not
     # divided for, so no warning is raised, and a stack of such channels too.
@@ -301,6 +330,65 @@ def test_a_subnormal_transmissivity_deficit_gives_a_signed_infinite_occupation_w
         invs, stacked = [channel_invariants(chan) for chan in chans], channel_invariants(stack)
     assert [(inv.t2, inv.nbar, inv.rank) for inv in invs] == [(-5e-324, -np.inf, 2), (5e-324, np.inf, 2)]
     assert (stacked.t2.tolist(), stacked.nbar.tolist()) == ([-5e-324, 5e-324], [-np.inf, np.inf])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", BLOCKS)
+def test_a_non_finite_block_is_rejected_by_name_before_any_arithmetic(name, bad, stacked):
+    # A NaN in n2 used to stop inside LAPACK's SVD and an inf to give a
+    # nan row after a warning; both are rejected before any arithmetic.
+    blocks = {"m0": np.eye(2), "m2": np.full((2, 2), 0.5), "n2": np.eye(2)}
+    if stacked:
+        blocks = {key: np.stack([block] * 3) for key, block in blocks.items()}
+    at = (1, 0, 1) if stacked else (0, 1)
+    blocks[name][at] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"channel block {name} is not finite at index {at}")):
+            channel_invariants(PerturbativeChannel(**blocks))
+
+
+def _entries(draw):
+    """One 2x2 block: zero, rank one, or any mix of ordinary, +-subnormal and zero entries, at a scale of 1 or 1e+-150."""
+    kind = draw(st.sampled_from(["zero", "ones", "outer", "entries"]))
+    if kind == "zero":
+        return np.zeros((2, 2))
+    if kind == "ones":
+        return np.ones((2, 2)) * draw(st.sampled_from([1.0, -1.0, 5e-324, 1e-150, 1e150]))
+    if kind == "outer":
+        vecs = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+        block = np.outer(draw(vecs), draw(vecs))
+    else:
+        entry = st.one_of(st.floats(-1.0, 1.0), st.floats(-2.2e-308, 2.2e-308), st.just(0.0))
+        block = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+    return block * draw(st.sampled_from([1.0, 1e-150, 1e150]))
+
+
+@st.composite
+def _block_stacks(draw):
+    return np.stack([_entries(draw) for _ in range(draw(st.integers(1, 6)))])
+
+
+@settings(deadline=None, max_examples=300)
+@given(blocks=_block_stacks())
+def test_closed_form_singular_values_equal_lapacks_within_12_ulps_of_the_largest(blocks):
+    # Each singular value within 12 ulps of the block's largest, LAPACK's
+    # (`np.linalg.svd`).  Measured on 200,000 Gaussian blocks: at most 7
+    # apart; against the same closed form in 80-bit extended precision the
+    # closed form is off by at most 1.9 ulps, LAPACK by 8.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svals = _singular_values(blocks)
+    lapack = np.linalg.svd(blocks, compute_uv=False)
+    assert svals.shape == lapack.shape == (len(blocks), 2)
+    assert np.all(np.abs(svals - lapack) <= 12 * np.spacing(lapack[:, :1]))
+    assert np.all(svals[:, 0] >= svals[:, 1])
+
+
+def test_closed_form_singular_values_of_a_zero_and_a_rank_one_block_are_exact():
+    svals = _singular_values(np.stack([np.zeros((2, 2)), np.ones((2, 2)), -np.ones((2, 2)) * 1e150]))
+    assert svals.tolist() == [[0.0, 0.0], [2.0, 0.0], [2e150, 0.0]]
 
 
 def test_transmissivity_below_one(fit20):

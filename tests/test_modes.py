@@ -659,6 +659,36 @@ def test_quadrature_error_builds_the_coarse_rule_then_the_fit_rule(monkeypatch):
     assert node_builds == [20, 40]
 
 
+_IMPORT_THEN_LOAD = """
+import sys
+import rqss.cli
+from rqss import modes
+modes.get_transition(n_max=10, cache_dir=sys.argv[1])
+print(modes._gauss_legendre.cache_info().currsize)
+"""
+
+
+def test_gauss_legendre_nodes_are_built_once_on_first_use_and_shared_read_only(monkeypatch, child_env, cache_dir):
+    # Every rule reads the one set of nodes and weights: the two rules of
+    # `quadrature_error` and a fit's rule build them once between them, with
+    # the bits of a fresh `leggauss` call.  Importing the CLI and loading a
+    # cached fit build none.
+    get_transition(n_max=10, cache_dir=cache_dir)
+    child = [sys.executable, "-c", _IMPORT_THEN_LOAD, str(cache_dir)]
+    run = subprocess.run(child, env=child_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0"]
+    leggauss, builds = np.polynomial.legendre.leggauss, []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda order: builds.append(order) or leggauss(order))
+    modes._gauss_legendre.cache_clear()
+    modes.quadrature_error(10)
+    fit_transition(n_max=10)
+    assert builds == [modes._GAUSS_ORDER] == [16]
+    nodes, weights = modes._gauss_legendre()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert [nodes.tobytes(), weights.tobytes()] == [arr.tobytes() for arr in leggauss(16)]
+
+
 _TWO_FITS = """
 from pathlib import Path
 from rqss.modes import fit_transition

@@ -31,7 +31,7 @@ from rqss.protocol import (
     invariant_table,
 )
 
-from oracles import fidelity_report_per_u, figure_data_per_u, full_maps, invariant_rows_per_u
+from oracles import fidelity_report_per_u, figure_data_per_u, full_maps, invariant_decisions_by_svd, invariant_rows_per_u
 
 FIGURE_GRID = [i / 64 for i in range(1, 64)]  # the 63-point grid of reproduce_figures.py
 TABLE_GRID = [round(0.1 * i, 12) for i in range(1, 10)]
@@ -386,6 +386,19 @@ def test_invariant_rows_equal_per_u_route(cache_dir, n_max, grid):
     ref_rows, ref_worst_cp = invariant_rows_per_u(fit, grid, 1e-2)
     assert_same_table((None, rows), (None, ref_rows))
     assert worst_cp == ref_worst_cp
+
+
+@pytest.mark.parametrize("n_max", [3, 5, 20, 40])
+def test_invariant_ranks_and_degeneracy_equal_the_svd_route_on_the_m1_grid(cache_dir, n_max):
+    # The closed-form singular values feed only threshold tests: the table's
+    # rank column and its degenerate rows (nbar nan) are those of LAPACK's
+    # singular values.  At n_max 3 the grid holds rows where Cauchy-Schwarz
+    # on the first-order rows is an equality (ROADMAP M6).
+    fit = get_transition(n_max=n_max, cache_dir=cache_dir)
+    rows, _ = _invariant_rows(fit, M1_GRID)
+    degenerate, rank = invariant_decisions_by_svd(reduced_channel(grid_segments(fit, np.array(M1_GRID), FIGURE_MODES)))
+    assert [row[4] for row in rows] == rank.T.ravel().tolist()
+    assert [math.isnan(row[3]) for row in rows] == degenerate.T.ravel().tolist()
 
 
 def test_degenerate_invariant_rows_are_quiet(fit20):
